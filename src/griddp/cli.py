@@ -21,7 +21,7 @@ import sys
 
 from .composition import clip_user
 from .dataset import grid_stats, parse_dataset, parse_occupancy
-from .errors import GridDPError, IoError, UsageError
+from .errors import GridDPError, InvalidPlan, IoError, UsageError
 from .grouping import STRATEGY_BEST, STRATEGY_WRAP
 from .harness import (
     ExperimentConfig,
@@ -188,6 +188,15 @@ def _load_plan(path: str) -> dict:
         obj = obj["plan"]
     if not isinstance(obj, dict):
         raise UsageError(f"plan {path} must be a grid -> user -> count mapping")
+    for grid, row in obj.items():
+        if not isinstance(row, dict):
+            raise InvalidPlan(f"plan entry for grid {grid} must map users to counts, got {row!r}")
+        for user, count in row.items():
+            # JSON true/false load as bool, a subclass of int.
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise InvalidPlan(
+                    f"plan count for user {user} in grid {grid} must be an integer, got {count!r}"
+                )
     return obj
 
 
@@ -210,7 +219,7 @@ def _cmd_mechanism(args) -> None:
     for g in grids:
         sub = root.split(f"grid:{g}")
         if args.mech == "clip" and plan is not None:
-            out = clip_release(ds, g, {u: int(c) for u, c in plan.get(g, {}).items()}, params, sub)
+            out = clip_release(ds, g, plan.get(g, {}), params, sub)
         else:
             out = release(ds, g, args.mech, params, sub)
         rows.append(

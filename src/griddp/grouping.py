@@ -10,7 +10,8 @@ count order (ties by token):
   most two adjacent arrays.
 - best_fit: places each user's whole block into the least-indexed most
   filled array with room, so every user touches exactly one array and no
-  array is ever split.
+  array is ever split. Arrays are bucketed by fill level, so packing n
+  users takes O(n log n).
 
 Capacity selection rules: the lower median of the counts, or the integer
 maximizing sum_l min(m_l, c) / sqrt(c) (compared in exact integer
@@ -19,7 +20,9 @@ arithmetic, smallest maximizer on ties).
 
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .errors import EmptyValues, InvalidCapacity, NonPositiveCount, ZeroTotal
 
@@ -124,19 +127,36 @@ def wrap_around(
 
 
 def _assign_best_fit(sizes: list[int], capacity: int) -> list[int]:
-    """Array index per block: least-indexed most-filled array with room."""
-    fills: list[int] = []
+    """Array index per block: least-indexed most-filled array with room.
+
+    Arrays are bucketed by fill level: `levels` is the sorted list of levels
+    that hold at least one array and `at[w]` a min-heap of the indices at
+    level w. A block of size r goes to the smallest index at the highest
+    level <= capacity - r, or opens a new array, in O(log n) per block.
+    """
+    levels: list[int] = []
+    at: dict[int, list[int]] = {}
+    n_arrays = 0
     assignment: list[int] = []
     for r in sizes:
-        best = -1
-        for idx, w in enumerate(fills):
-            if capacity - w >= r and (best < 0 or w > fills[best]):
-                best = idx
-        if best < 0:
-            fills.append(0)
-            best = len(fills) - 1
-        fills[best] += r
-        assignment.append(best)
+        pos = bisect_right(levels, capacity - r)
+        if pos:
+            fill = levels[pos - 1]
+            heap = at[fill]
+            idx = heappop(heap)
+            if not heap:
+                del at[fill]
+                del levels[pos - 1]
+        else:
+            fill, idx = 0, n_arrays
+            n_arrays += 1
+        fill += r
+        if fill in at:
+            heappush(at[fill], idx)
+        else:
+            at[fill] = [idx]
+            insort(levels, fill)
+        assignment.append(idx)
     return assignment
 
 
@@ -154,7 +174,7 @@ def best_fit(
     values: list[list[float]] = [[] for _ in range(n_arrays)]
     sources: list[list[str]] = [[] for _ in range(n_arrays)]
     for user, size, idx in zip(users, sizes, assignment):
-        values[idx].extend(float(v) for v in samples_by_user[user][:size])
+        values[idx].extend(map(float, samples_by_user[user][:size]))
         sources[idx].extend([user] * size)
     return [
         ArrayGroup(i, capacity, tuple(values[i]), tuple(sources[i]))

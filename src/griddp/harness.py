@@ -13,9 +13,10 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from .composition import clip_user, pseudo_user_optimize
-from .dataset import Dataset, grid_stats
+from .dataset import Dataset
 from .errors import InvalidParams
 from .grouping import (
     STRATEGY_BEST,
@@ -25,10 +26,13 @@ from .grouping import (
     optimized_mub,
 )
 from .mechanisms import (
+    GROUPED_MECHANISMS,
     QUANTILE_FIXED,
     MechanismParams,
     concentration_tau,
+    draw,
     levy_planning_delta,
+    prepare,
     release,
 )
 from .rng import RngStream
@@ -163,33 +167,45 @@ def mae_eval(
     The baseline is analytic: a full-budget Laplace release of the exact
     mean has MAE equal to its noise scale, sensitivity over epsilon. Every
     other mechanism is simulated with config.mae_draws independent releases.
+    A grouped mechanism (array_average, levy, quantile) packs the grid once
+    with prepare(), before the epsilon loop, and every draw of every epsilon
+    calls draw() on that packing; draw i at epsilon index ei uses the stream
+    split "mae:{ei}:{i}", so the points equal those of per-draw release().
     """
-    true_mean = grid_stats(dataset, grid).mean
-    counts = dataset.occupancy().counts_in(grid)
     threads = thread_count(config)
+    if config.mechanism == "baseline":
+        counts = [len(dataset.values(grid, u)) for u in dataset.users_in(grid)]
+        return [
+            CurvePoint(eps, mean_sensitivity(counts, dataset.bound_u).value / eps, "baseline")
+            for eps in config.epsilons
+        ]
+    values = dataset.grid_values(grid)
+    true_mean = sum(values) / len(values)
+    all_params = [
+        MechanismParams(
+            bound_u=dataset.bound_u,
+            epsilon=eps,
+            gamma=gamma,
+            strategy=strategy,
+            capacity=capacity,
+            quantile_mode=quantile_mode,
+        )
+        for eps in config.epsilons
+    ]
+    if config.mechanism in GROUPED_MECHANISMS:
+        simulate = partial(draw, prepare(dataset, grid, config.mechanism, all_params[0]))
+    else:
+        simulate = partial(release, dataset, grid, config.mechanism)
     root = RngStream(config.seed)
     points: list[CurvePoint] = []
-    for ei, eps in enumerate(config.epsilons):
-        if config.mechanism == "baseline":
-            value = mean_sensitivity(counts, dataset.bound_u).value / eps
-        else:
-            params = MechanismParams(
-                bound_u=dataset.bound_u,
-                epsilon=eps,
-                gamma=gamma,
-                strategy=strategy,
-                capacity=capacity,
-                quantile_mode=quantile_mode,
-            )
+    for ei, params in enumerate(all_params):
 
-            def one(i):
-                out = release(
-                    dataset, grid, config.mechanism, params, root.split(f"mae:{ei}:{i}")
-                )
-                return abs(out.noisy_mean - true_mean)
+        def one(i):
+            out = simulate(params, root.split(f"mae:{ei}:{i}"))
+            return abs(out.noisy_mean - true_mean)
 
-            value = _mean(_map(one, range(config.mae_draws), threads))
-        points.append(CurvePoint(eps, value, config.mechanism))
+        value = _mean(_map(one, range(config.mae_draws), threads))
+        points.append(CurvePoint(params.epsilon, value, config.mechanism))
     return points
 
 

@@ -5,6 +5,11 @@ MechanismParams bundle, and an RngStream. Randomness is consumed in a fixed
 documented order, so a given (inputs, seed) pair always yields the same
 release.
 
+The grouped mechanisms (array averaging, levy, quantile) split into
+prepare(), which packs the grid into arrays and keeps the array means, and
+draw(), which spends the budget on one release from them. Only draw() is
+random, so repeated releases of one grid prepare once.
+
 Budget layout per mechanism, for a total privacy cost of epsilon:
 - baseline / clip: epsilon/2 on the mean, epsilon/2 on the variance, i.e.
   Laplace scale 2*delta/epsilon on each coordinate.
@@ -186,28 +191,7 @@ def array_average_release(
     dataset: Dataset, grid: str, params: MechanismParams, rng: RngStream
 ) -> MechanismOutput:
     """Release the mean of array means with the whole budget on one draw."""
-    samples = _grid_samples(dataset, grid)
-    counts = [len(samples[u]) for u in sorted(samples)]
-    capacity = params.capacity if params.capacity is not None else median_mub(counts)
-    if params.strategy == STRATEGY_WRAP:
-        groups = wrap_around(samples, capacity)
-        if not groups:
-            raise EmptyGrid(
-                f"grid {grid} fills no array of capacity {capacity}; "
-                "wrap-around needs at least one full array"
-            )
-    else:
-        groups = best_fit(samples, capacity)
-    means = array_means(groups)
-    delta = array_avg_sensitivity(len(groups), params.bound_u, params.strategy).value
-    scale = delta / params.epsilon
-    return MechanismOutput(
-        mechanism=f"array_average_{params.strategy}",
-        grid=grid,
-        noisy_mean=sum(means) / len(means) + _noise(scale, rng),
-        noise_scale_mean=scale,
-        arrays=len(groups),
-    )
+    return draw(prepare(dataset, grid, "array_average", params), params, rng)
 
 
 def concentration_tau(bound_u: float, k_bar: int, gamma: float, capacity: int) -> float:
@@ -305,25 +289,7 @@ def levy_release(
 
     Draw order: one uniform for the interval, one for the Laplace noise.
     """
-    samples = _grid_samples(dataset, grid)
-    counts = [len(samples[u]) for u in sorted(samples)]
-    capacity = params.capacity if params.capacity is not None else optimized_mub(counts)
-    groups = best_fit(samples, capacity)
-    means = array_means(groups)
-    k_bar = len(groups)
-    tau = concentration_tau(params.bound_u, k_bar, params.gamma, capacity)
-    est = private_interval(means, params.epsilon / 2, tau, params.bound_u, rng)
-    projected = [min(max(v, est.a), est.b) for v in means]
-    delta = (est.b - est.a) / k_bar
-    scale = 2 * delta / params.epsilon
-    return MechanismOutput(
-        mechanism="levy",
-        grid=grid,
-        noisy_mean=sum(projected) / k_bar + _noise(scale, rng),
-        noise_scale_mean=scale,
-        interval=(est.a, est.b),
-        arrays=k_bar,
-    )
+    return draw(prepare(dataset, grid, "levy", params), params, rng)
 
 
 def private_quantile(
@@ -380,12 +346,97 @@ def quantile_release(
     ranks). Draw order: two uniforms per quantile (low then high), then one
     for the Laplace noise.
     """
+    return draw(prepare(dataset, grid, "quantile", params), params, rng)
+
+
+@dataclass(frozen=True)
+class Prepared:
+    """The epsilon-independent half of a grouped release.
+
+    The packing of a grid's users into arrays depends only on the public
+    occupancy, so one Prepared serves every epsilon and every draw. strategy
+    and capacity are the ones the packing used: levy and quantile always
+    pack best-fit at the optimized capacity unless one is given.
+    """
+
+    mechanism: str
+    grid: str
+    strategy: str
+    capacity: int
+    means: tuple[float, ...]
+
+
+def prepare(
+    dataset: Dataset, grid: str, mechanism: str, params: MechanismParams
+) -> Prepared:
+    """Pack one grid for a grouped mechanism and keep its array means.
+
+    mechanism is array_average, levy or quantile. array_average packs with
+    params.strategy at params.capacity or the lower median of the counts;
+    levy and quantile pack best-fit at params.capacity or optimized_mub.
+    """
+    if mechanism not in GROUPED_MECHANISMS:
+        raise InvalidParams(f"{mechanism!r} is not a grouped mechanism")
     samples = _grid_samples(dataset, grid)
     counts = [len(samples[u]) for u in sorted(samples)]
-    capacity = params.capacity if params.capacity is not None else optimized_mub(counts)
-    groups = best_fit(samples, capacity)
-    means = array_means(groups)
-    k_bar = len(groups)
+    if mechanism == "array_average":
+        strategy = params.strategy
+        capacity = params.capacity if params.capacity is not None else median_mub(counts)
+    else:
+        strategy = STRATEGY_BEST
+        capacity = params.capacity if params.capacity is not None else optimized_mub(counts)
+    if strategy == STRATEGY_WRAP:
+        groups = wrap_around(samples, capacity)
+        if not groups:
+            raise EmptyGrid(
+                f"grid {grid} fills no array of capacity {capacity}; "
+                "wrap-around needs at least one full array"
+            )
+    else:
+        groups = best_fit(samples, capacity)
+    return Prepared(mechanism, grid, strategy, capacity, tuple(array_means(groups)))
+
+
+def _draw_array_average(
+    prep: Prepared, params: MechanismParams, rng: RngStream
+) -> MechanismOutput:
+    means = prep.means
+    delta = array_avg_sensitivity(len(means), params.bound_u, prep.strategy).value
+    scale = delta / params.epsilon
+    return MechanismOutput(
+        mechanism=f"array_average_{prep.strategy}",
+        grid=prep.grid,
+        noisy_mean=sum(means) / len(means) + _noise(scale, rng),
+        noise_scale_mean=scale,
+        arrays=len(means),
+    )
+
+
+def _draw_levy(
+    prep: Prepared, params: MechanismParams, rng: RngStream
+) -> MechanismOutput:
+    means = prep.means
+    k_bar = len(means)
+    tau = concentration_tau(params.bound_u, k_bar, params.gamma, prep.capacity)
+    est = private_interval(means, params.epsilon / 2, tau, params.bound_u, rng)
+    projected = [min(max(v, est.a), est.b) for v in means]
+    delta = (est.b - est.a) / k_bar
+    scale = 2 * delta / params.epsilon
+    return MechanismOutput(
+        mechanism="levy",
+        grid=prep.grid,
+        noisy_mean=sum(projected) / k_bar + _noise(scale, rng),
+        noise_scale_mean=scale,
+        interval=(est.a, est.b),
+        arrays=k_bar,
+    )
+
+
+def _draw_quantile(
+    prep: Prepared, params: MechanismParams, rng: RngStream
+) -> MechanismOutput:
+    means = prep.means
+    k_bar = len(means)
     degenerate = False
     if params.quantile_mode == QUANTILE_FIXED:
         q_lo, q_hi = FIXED_LOW_LEVEL, FIXED_HIGH_LEVEL
@@ -408,13 +459,30 @@ def quantile_release(
     scale = 2 * delta / params.epsilon
     return MechanismOutput(
         mechanism=f"quantile_{params.quantile_mode}",
-        grid=grid,
+        grid=prep.grid,
         noisy_mean=sum(projected) / k_bar + _noise(scale, rng),
         noise_scale_mean=scale,
         interval=(a, b),
         degenerate_ranks=degenerate,
         arrays=k_bar,
     )
+
+
+_DRAWS = {
+    "array_average": _draw_array_average,
+    "levy": _draw_levy,
+    "quantile": _draw_quantile,
+}
+GROUPED_MECHANISMS = tuple(_DRAWS)
+
+
+def draw(prepared: Prepared, params: MechanismParams, rng: RngStream) -> MechanismOutput:
+    """One release from a prepared grid; consumes uniforms like release().
+
+    Strategy and capacity come from prepared; epsilon, gamma, quantile_mode
+    and bound_u come from params.
+    """
+    return _DRAWS[prepared.mechanism](prepared, params, rng)
 
 
 _RELEASES = {
@@ -450,5 +518,9 @@ __all__ = [
     "levy_release",
     "private_quantile",
     "quantile_release",
+    "GROUPED_MECHANISMS",
+    "Prepared",
+    "prepare",
+    "draw",
     "release",
 ]

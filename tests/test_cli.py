@@ -178,6 +178,29 @@ def test_mechanism_clip_plan(capsys, data_file, tmp_path):
     assert "plan" in err
 
 
+@pytest.mark.parametrize(
+    "plan_obj, names",
+    [
+        ({"g1": [1, 2]}, ("g1",)),
+        ({"g1": {"u1": "x"}}, ("g1", "u1")),
+        ({"g1": {"u1": 1.9}}, ("g1", "u1")),
+        ({"g1": {"u1": 1.0}}, ("g1", "u1")),
+        ({"g1": {"u1": True}}, ("g1", "u1")),
+        ({"plan": {"g2": {"u3": None}}}, ("g2", "u3")),
+    ],
+)
+def test_mechanism_rejects_malformed_plan(capsys, data_file, tmp_path, plan_obj, names):
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps(plan_obj))
+    argv = ["mechanism", "--data", data_file, "--u", "10", "--eps", "1", "--mech", "clip"]
+    code, out, err = _run(capsys, argv + ["--plan", str(plan), "--seed", "3"])
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    for name in names:
+        assert name in err
+
+
 def test_clip_user_json(capsys, occ_file):
     code, out, _ = _run(
         capsys,

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from griddp.errors import EmptyValues, InvalidCapacity, NonPositiveCount, ZeroTotal
 from griddp.grouping import (
+    _assign_best_fit,
     array_count_k,
     array_means,
     best_fit,
@@ -151,3 +152,56 @@ def test_best_fit_invariants(counts, capacity):
         assert placed == min(c, capacity)
     # never fewer arrays than the wrap-around count
     assert len(groups) >= array_count_k(counts, capacity)
+
+
+def _assign_best_fit_oracle(sizes, capacity):
+    """Reference best-fit: scan every array for each block, O(blocks x arrays).
+
+    This is the routine best_fit used before fill-level buckets; the fast
+    assignment must reproduce it exactly.
+    """
+    fills = []
+    assignment = []
+    for r in sizes:
+        best = -1
+        for idx, w in enumerate(fills):
+            if capacity - w >= r and (best < 0 or w > fills[best]):
+                best = idx
+        if best < 0:
+            fills.append(0)
+            best = len(fills) - 1
+        fills[best] += r
+        assignment.append(best)
+    return assignment
+
+
+blocks_strategy = st.integers(min_value=1, max_value=12).flatmap(
+    lambda cap: st.tuples(
+        st.just(cap), st.lists(st.integers(min_value=0, max_value=cap), max_size=60)
+    )
+)
+
+
+@given(blocks_strategy, st.booleans())
+@settings(max_examples=400)
+def test_assign_best_fit_matches_quadratic_oracle(case, sort):
+    capacity, sizes = case
+    if sort:
+        sizes = sorted(sizes, reverse=True)
+    assert _assign_best_fit(sizes, capacity) == _assign_best_fit_oracle(sizes, capacity)
+
+
+def test_assign_best_fit_ties_and_full_blocks():
+    # full blocks (r == capacity) each open an array; equal fills go to the
+    # least index, and the fuller array wins over an emptier one
+    sizes = [4, 2, 2, 4, 1, 1, 3, 2]
+    got = _assign_best_fit(sizes, 4)
+    assert got == _assign_best_fit_oracle(sizes, 4) == [0, 1, 1, 2, 3, 3, 4, 3]
+    rnd = random.Random(5)
+    for _ in range(20):
+        counts = [rnd.randint(1, 40) for _ in range(rnd.randint(200, 600))]
+        cap = optimized_mub(counts)
+        sizes = [min(m, cap) for m in sorted(counts, reverse=True)]
+        expected = _assign_best_fit_oracle(sizes, cap)
+        assert _assign_best_fit(sizes, cap) == expected
+        assert best_fit_count(counts, cap) == max(expected) + 1

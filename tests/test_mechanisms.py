@@ -1,5 +1,6 @@
 """Release mechanisms: determinism, noise calibration, and draw order."""
 
+import dataclasses
 import random
 
 import pytest
@@ -15,9 +16,11 @@ from griddp.mechanisms import (
     baseline_release,
     clip_release,
     concentration_tau,
+    draw,
     levy_planning_delta,
     levy_release,
     private_interval,
+    prepare,
     private_quantile,
     quantile_release,
     release,
@@ -257,6 +260,42 @@ def test_release_dispatch():
         assert got.grid == "g"
     with pytest.raises(InvalidParams):
         release(ds, "g", "midpoint", params, RngStream(5))
+
+
+GROUPED_CASES = [
+    ("array_average", {}),
+    ("array_average", {"strategy": STRATEGY_WRAP}),
+    ("array_average", {"capacity": 3}),
+    ("array_average", {"capacity": 3, "strategy": STRATEGY_WRAP}),
+    ("levy", {}),
+    ("levy", {"capacity": 4, "gamma": 0.05}),
+    ("levy", {"strategy": STRATEGY_WRAP}),
+    ("quantile", {}),
+    ("quantile", {"quantile_mode": "optimized"}),
+    ("quantile", {"quantile_mode": "optimized", "strategy": STRATEGY_WRAP, "capacity": 2}),
+]
+
+
+@pytest.mark.parametrize("mechanism, kw", GROUPED_CASES)
+def test_release_equals_draw_of_prepare(mechanism, kw):
+    ds = _dataset([7, 1, 4, 4, 9, 2, 5, 3, 6, 8, 2, 2], seed=8)
+    prepared = prepare(ds, "g", mechanism, _params(**kw))
+    # one preparation serves every epsilon and every seed
+    for eps in (0.1, 1.0, 4.0):
+        params = _params(epsilon=eps, **kw)
+        for seed in range(3):
+            want = release(ds, "g", mechanism, params, RngStream(seed).split("g"))
+            got = draw(prepared, params, RngStream(seed).split("g"))
+            assert dataclasses.astuple(got) == dataclasses.astuple(want)
+
+
+def test_prepare_validation():
+    ds = _dataset([1])
+    with pytest.raises(EmptyGrid):
+        prepare(ds, "g", "array_average", _params(capacity=4, strategy=STRATEGY_WRAP))
+    for mechanism in ("baseline", "clip", "midpoint"):
+        with pytest.raises(InvalidParams):
+            prepare(ds, "g", mechanism, _params())
 
 
 def test_params_validation():
