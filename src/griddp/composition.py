@@ -17,21 +17,34 @@ grid token), skipping grids where they are the last retained user; halt
 the whole routine the first time a user's best option exceeds E or a user
 has no evaluable option.
 
+The users are bucketed by level, the number of grids each still
+occupies, held in one array indexed in token order: a stage's top level is
+its maximum and its frozen set is the users at that level, so a stage
+costs no pass over the users in Python. Each grid keeps its users in
+descending count order with a pointer past the suppressed ones, which is
+where its current peak count is read.
+
 pseudo_user_optimize then re-clips each grid's retained counts to the best
 uniform cap m (suppressed users stay suppressed), which can only lower the
 budget since the cap equal to the current largest count changes nothing.
+The caps are scanned as arrays: sum(min(gamma_l, m)) for every m from
+prefix sums, each cap's budget elementwise in the scalar routine's
+operation order (so the totals match it bit for bit), and the first
+minimum taken.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+
+import numpy as np
 
 from .dataset import Dataset, OccupancyArray
 from .errors import (
     InvalidParams,
     InvalidPlan,
     OccupancyMismatch,
+    TooLarge,
     ZeroRetained,
 )
 from .mechanisms import MechanismOutput, MechanismParams, clip_release
@@ -173,38 +186,42 @@ def privacy_loss(occupancy: OccupancyArray, eps_per_grid) -> float:
 
 
 class _GridState:
-    """Mutable per-grid aggregates with a lazy max-heap over retained counts."""
+    """Mutable per-grid aggregates; the peak is read off a descending list.
 
-    __slots__ = ("counts", "sum_m", "sum_gamma", "suppressed", "heap")
+    desc holds the grid's users by descending count and top skips past the
+    suppressed ones. Users are only ever removed, so top only moves forward.
+    """
+
+    __slots__ = ("counts", "sum_m", "sum_gamma", "suppressed", "desc", "top")
 
     def __init__(self, counts: dict[str, int]):
         self.counts = counts
         self.sum_m = sum(counts.values())
         self.sum_gamma = self.sum_m
         self.suppressed: set[str] = set()
-        self.heap = [(-c, u) for u, c in counts.items()]
-        heapq.heapify(self.heap)
+        self.desc = sorted(counts, key=counts.__getitem__, reverse=True)
+        self.top = 0
 
     def retained_users(self) -> int:
         return len(self.counts) - len(self.suppressed)
 
-    def _settle(self) -> None:
-        while self.heap and self.heap[0][1] in self.suppressed:
-            heapq.heappop(self.heap)
+    def _next_retained(self, i: int) -> int:
+        while i < len(self.desc) and self.desc[i] in self.suppressed:
+            i += 1
+        return i
+
+    def _count_at(self, i: int) -> int:
+        return self.counts[self.desc[i]] if i < len(self.desc) else 0
 
     def peak(self) -> int:
-        self._settle()
-        return -self.heap[0][0] if self.heap else 0
+        self.top = self._next_retained(self.top)
+        return self._count_at(self.top)
 
     def peak_excluding(self, user: str) -> int:
-        self._settle()
-        if not self.heap or self.heap[0][1] != user:
-            return -self.heap[0][0] if self.heap else 0
-        top = heapq.heappop(self.heap)
-        self._settle()
-        second = -self.heap[0][0] if self.heap else 0
-        heapq.heappush(self.heap, top)
-        return second
+        self.top = i = self._next_retained(self.top)
+        if i < len(self.desc) and self.desc[i] == user:
+            i = self._next_retained(i + 1)
+        return self._count_at(i)
 
 
 def clip_user(
@@ -242,19 +259,23 @@ def clip_user(
     if protect_min_error_grid:
         protected = min(grids, key=lambda g: (initial[g].total, g))
 
-    active_grids = {u: set(occupancy.grids_of(u)) for u in occupancy.users()}
+    # users by token order; level[i] counts the grids user i still occupies,
+    # and active[i] lists them once user i is first frozen
+    users = occupancy.users()
+    level = np.array([len(occupancy.grids_of(u)) for u in users])
+    active: dict[int, list[str]] = {}
     trace: list[Suppression] = []
     stage_max = [error_cap]
     stage = 1
     halted = False
     while not halted:
-        gmax = max(len(gs) for gs in active_grids.values())
-        if gmax == 0:
-            break
-        frozen = sorted(u for u, gs in active_grids.items() if len(gs) == gmax)
-        for user in frozen:
+        # every grid keeps a user, so the top level is at least 1
+        for i in np.flatnonzero(level == level.max()).tolist():
+            user = users[i]
+            if i not in active:
+                active[i] = occupancy.grids_of(user)
             best: tuple[float, str, ErrorBudget] | None = None
-            for g in sorted(active_grids[user]):
+            for g in active[i]:
                 if g == protected:
                     continue
                 st = state[g]
@@ -277,24 +298,21 @@ def clip_user(
             st = state[g]
             st.suppressed.add(user)
             st.sum_gamma -= st.counts[user]
-            active_grids[user].discard(g)
+            active[i].remove(g)
+            level[i] -= 1
             trace.append(Suppression(stage, user, g, budget.total))
         stage_max.append(max(current_budget(g).total for g in grids))
         stage += 1
 
     final = {g: current_budget(g) for g in grids}
-    plan = ClipPlan(
-        {
-            g: {
-                u: (0 if u in state[g].suppressed else c)
-                for u, c in state[g].counts.items()
-            }
-            for g in grids
-        }
-    )
+    plan: dict[str, dict[str, int]] = {}
+    for g in grids:
+        row = plan[g] = dict(state[g].counts)
+        for user in state[g].suppressed:
+            row[user] = 0
     return ClipUserResult(
-        plan=plan,
-        k_factor=max(len(gs) for gs in active_grids.values()),
+        plan=ClipPlan(plan),
+        k_factor=int(level.max()),
         error_cap=error_cap,
         initial_errors=initial,
         per_grid_errors=final,
@@ -304,22 +322,63 @@ def clip_user(
 
 
 def _plan_gammas(occupancy: OccupancyArray, plan: ClipPlan, grid: str) -> list[int]:
-    counts = occupancy.row(grid)
+    counts = occupancy.row(grid)  # in token order
     row = plan.row(grid)
-    if set(row) != set(counts):
+    if row.keys() != counts.keys():
         raise OccupancyMismatch(
             f"plan for grid {grid} does not cover its users exactly"
         )
     gammas = []
-    for u in sorted(counts):
+    for u, m in counts.items():
         g = int(row[u])
-        if not 0 <= g <= counts[u]:
+        if not 0 <= g <= m:
             raise InvalidPlan(
                 f"retained count for user {u} in grid {grid} must be in "
-                f"[0, {counts[u]}], got {g}"
+                f"[0, {m}], got {g}"
             )
         gammas.append(g)
     return gammas
+
+
+# Counts up to 2^53 are exact in float64, so every product of two counts
+# and every quotient rounds once, as Python's mixed int/float arithmetic
+# does. The one exception is 1 / (A * A): Python divides the exact integer,
+# numpy the rounded A * A, and the two can differ by an ulp once
+# A * A > 2^53. There 1 / (A * A) < 2^-53, and 1 - 1 / (A * A) rounds to
+# 1 - 2^-53 below A * A = 2^54 and to 1.0 above it either way, so the
+# parity cap that uses it still matches.
+_EXACT_INT = 2**53
+# Caps are priced this many at a time, so a grid whose counts span a wide
+# range holds a few small arrays rather than one entry per cap at once.
+_SCAN_CHUNK = 1 << 16
+
+
+def _cap_totals(
+    sum_m: int, kept: np.ndarray, peak: np.ndarray, bound_u: float, epsilon: float
+) -> np.ndarray:
+    """budget_from_aggregates(g, sum_m, kept[i], peak[i], ...).total, per i.
+
+    kept and peak are int64 arrays with 0 < peak <= kept <= sum_m <= 2^53;
+    bound_u and epsilon are taken as floats. Every term is evaluated in
+    budget_from_aggregates' operation order, so the totals equal the
+    scalar ones bit for bit.
+    """
+    bound_u, epsilon = float(bound_u), float(epsilon)
+    u2 = bound_u * bound_u
+    kept_f, peak_f = kept.astype(float), peak.astype(float)
+    bias_mean = bound_u * (sum_m - kept) / float(sum_m)
+    few_dropped = u2 * kept_f * (sum_m - kept) / float(sum_m * sum_m)
+    # the parity cap of sum_m is the bias when nothing is kept
+    _, parity_total = bias_branch_value(sum_m, 0, bound_u)
+    bias_var = np.where(
+        kept == sum_m, 0.0, np.where(sum_m < 2 * kept, few_dropped, parity_total)
+    )
+    noise_mean = 2 * (bound_u * peak_f / kept_f) / epsilon
+    above_twice = u2 * peak_f * (kept - peak) / (kept_f * kept_f)
+    parity = np.where(kept % 2 == 1, (u2 / 4) * (1 - 1 / (kept_f * kept_f)), u2 / 4)
+    var_sens = np.where(kept > 2 * peak, above_twice, parity)
+    noise_var = 2 * var_sens / epsilon
+    return bias_mean + bias_var + noise_mean + noise_var
 
 
 def pseudo_user_optimize(
@@ -334,7 +393,8 @@ def pseudo_user_optimize(
     retained count; capping keeps sum(min(gamma_l, m)) samples with peak m.
     Suppressed users stay at zero. Ties take the smallest cap. The cap
     equal to the largest retained count reproduces the incoming budget, so
-    the result never exceeds it.
+    the result never exceeds it. A grid above 2^53 samples raises
+    TooLarge, since the array scan's float64 no longer holds its counts.
     """
     if not bound_u > 0:
         raise InvalidParams(f"value bound must be positive, got {bound_u}")
@@ -346,24 +406,28 @@ def pseudo_user_optimize(
     per_grid_error: dict[str, ErrorBudget] = {}
     for g in occupancy.grids():
         gammas = _plan_gammas(occupancy, plan, g)
-        positives = sorted(x for x in gammas if x > 0)
-        if not positives:
-            raise ZeroRetained(f"plan suppresses every user of grid {g}")
         sum_m = occupancy.total(g)
-        best_m = positives[0]
-        best: ErrorBudget | None = None
-        idx = 0
-        small_sum = 0
-        for m in range(positives[0], positives[-1] + 1):
-            while idx < len(positives) and positives[idx] < m:
-                small_sum += positives[idx]
-                idx += 1
-            sum_capped = small_sum + m * (len(positives) - idx)
-            cand = budget_from_aggregates(g, sum_m, sum_capped, m, bound_u, epsilon)
-            if best is None or cand.total < best.total:
-                best, best_m = cand, m
+        if sum_m > _EXACT_INT:
+            raise TooLarge(f"grid {g} holds {sum_m} samples; the cap scan takes at most 2^53")
+        positives = np.sort(np.array(gammas, dtype=np.int64))
+        positives = positives[positives > 0]
+        if not len(positives):
+            raise ZeroRetained(f"plan suppresses every user of grid {g}")
+        prefix = np.concatenate(([0], np.cumsum(positives)))
+        low, high = int(positives[0]), int(positives[-1])
+        best_m, best_kept, best_total = low, 0, None
+        for start in range(low, high + 1, _SCAN_CHUNK):
+            caps = np.arange(start, min(start + _SCAN_CHUNK, high + 1), dtype=np.int64)
+            below = np.searchsorted(positives, caps, side="left")
+            kept = prefix[below] + caps * (len(positives) - below)
+            totals = _cap_totals(sum_m, kept, caps, bound_u, epsilon)
+            i = int(np.argmin(totals))
+            if best_total is None or totals[i] < best_total:
+                best_m, best_kept, best_total = int(caps[i]), int(kept[i]), totals[i]
         per_grid_m[g] = best_m
-        per_grid_error[g] = best
+        per_grid_error[g] = budget_from_aggregates(
+            g, sum_m, best_kept, best_m, bound_u, epsilon
+        )
     return PseudoUserResult(
         per_grid_m=per_grid_m,
         per_grid_error=per_grid_error,

@@ -37,7 +37,7 @@ from .mechanisms import (
 )
 from .rng import RngStream
 from .sensitivity import mean_sensitivity
-from .synth import SynthParams, generate_occupancy
+from .synth import SynthParams, generate_occupancy, require_int
 
 THREADS_ENV = "DP_COMPOSER_THREADS"
 
@@ -64,6 +64,8 @@ class ExperimentConfig:
             raise InvalidParams("need at least one epsilon")
         if any(not e > 0 for e in self.epsilons):
             raise InvalidParams(f"epsilons must be positive, got {self.epsilons}")
+        require_int("trial count", self.trials)
+        require_int("mae_draws", self.mae_draws)
         if self.trials < 1:
             raise InvalidParams(f"trials must be >= 1, got {self.trials}")
         if self.mae_draws < 1:

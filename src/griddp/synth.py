@@ -16,11 +16,20 @@ tail mass onto the endpoints 0 and U.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+
+import numpy as np
 
 from .dataset import Dataset, OccupancyArray
 from .errors import InvalidParams
 from .rng import RngStream
+
+
+def require_int(name: str, value) -> None:
+    """Raise InvalidParams unless value is an integer other than a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidParams(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -32,11 +41,13 @@ class SynthParams:
     heavy_gamma: float = 0.0
 
     def __post_init__(self) -> None:
+        require_int("grid count", self.grids)
+        require_int("user count", self.users)
         if self.grids < 1:
             raise InvalidParams(f"need at least one grid, got {self.grids}")
         if self.users < 1:
             raise InvalidParams(f"need at least one user, got {self.users}")
-        if self.users > 2**self.grids - 1:
+        if self.users > 2 ** int(self.grids) - 1:
             raise InvalidParams(
                 f"user count {self.users} exceeds 2^{self.grids} - 1; the top "
                 "tier would occupy fewer than one grid"
@@ -77,26 +88,52 @@ def grid_token(index: int, total: int) -> str:
 def generate_occupancy(params: SynthParams, rng: RngStream) -> OccupancyArray:
     """Draw the tiered occupancy structure and geometric counts.
 
-    Draw order: users in index order, each drawing its grid subset and then
-    one count per occupied grid in ascending grid order. The heavy-user
+    Draw order: tiers in index order, each taking one block of n * 2k
+    uniforms for its n users of k = G - tier grids. Row r of the block is
+    the tier's r-th user: its first k uniforms drive a partial Fisher-Yates
+    shuffle of range(G) (step i swaps position i with i + min(int(u * (G - i)),
+    G - i - 1)), its last k give one geometric count per chosen grid in
+    ascending grid order. This consumes the stream exactly as a per-user
+    loop of subset() and then geometric() calls would. The heavy-user
     inflation happens after all draws, so two runs with the same seed and
     different heavy_gamma share the underlying counts.
     """
     s = rng.split("occupancy")
-    counts: dict[str, dict[str, int]] = {}
-    for l in range(1, params.users + 1):
-        tier = l.bit_length() - 1
-        token = user_token(l, params.users)
-        chosen = sorted(s.subset(params.grids, params.grids - tier))
-        for g_idx in chosen:
-            g = grid_token(g_idx + 1, params.grids)
-            counts.setdefault(g, {})[token] = s.geometric(params.geometric_q)
-    if params.heavy_gamma > 0:
-        for g in counts:
-            row = counts[g]
-            top = max(sorted(row), key=lambda u: row[u])
+    grids, users = int(params.grids), int(params.users)
+    log_q = math.log1p(-params.geometric_q)
+    user_idx, grid_idx, draws = [], [], []
+    for tier in range(users.bit_length()):
+        first, last = 2**tier, min(2 ** (tier + 1) - 1, users)
+        n, k = last - first + 1, grids - tier
+        u = s.random(n * 2 * k).reshape(n, 2 * k)
+        pool = np.tile(np.arange(grids), (n, 1))
+        rows = np.arange(n)
+        for i in range(k):
+            j = i + np.minimum((u[:, i] * (grids - i)).astype(np.int64), grids - i - 1)
+            pool[rows, i], pool[rows, j] = pool[rows, j], pool[rows, i].copy()
+        user_idx.append(np.repeat(np.arange(first - 1, last), k))
+        grid_idx.append(np.sort(pool[:, :k], axis=1).ravel())
+        # floor(log(1-u)/log(1-q)) + 1, as RngStream.geometric; kept as exact
+        # floats so counts past 2^63 still convert to Python ints
+        draws.append((np.floor(np.log1p(-u[:, k:]) / log_q) + 1).ravel())
+    # users are already ascending, so a stable sort by grid gives (grid, user)
+    grid_idx = np.concatenate(grid_idx)
+    order = np.argsort(grid_idx, kind="stable")
+    names = [user_token(l, users) for l in range(1, users + 1)]
+    tokens = list(map(names.__getitem__, np.concatenate(user_idx)[order].tolist()))
+    counts = [int(c) for c in np.concatenate(draws)[order].tolist()]
+    bounds = np.searchsorted(grid_idx[order], np.arange(grids + 1)).tolist()
+    table: dict[str, dict[str, int]] = {}
+    for g in range(grids):
+        # user 1 occupies every grid, so no row is empty
+        lo, hi = bounds[g], bounds[g + 1]
+        row = dict(zip(tokens[lo:hi], counts[lo:hi]))
+        if params.heavy_gamma > 0:
+            # the row is in token order, so max() takes the first of tied peaks
+            top = max(row, key=row.__getitem__)
             row[top] = math.ceil((1 + params.heavy_gamma) * row[top])
-    return OccupancyArray(counts)
+        table[grid_token(g + 1, grids)] = row
+    return OccupancyArray(table)
 
 
 def generate_values(

@@ -10,14 +10,22 @@ costs 0.1 + 0.09 + 2/3 + 4/9 ~ 1.3011 <= 1.5, dropping u1 from g1 costs
 3.25, so the loop removes u1 from g2 and the grid factor falls from 2 to 1.
 """
 
+import heapq
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from griddp import composition
 from griddp.composition import (
     ClipPlan,
+    ClipUserResult,
+    PseudoUserResult,
+    Suppression,
+    _cap_totals,
+    _plan_gammas,
     budget_from_aggregates,
     clip_user,
     grid_error,
@@ -29,10 +37,12 @@ from griddp.dataset import Dataset, OccupancyArray
 from griddp.errors import (
     InvalidParams,
     OccupancyMismatch,
+    TooLarge,
     ZeroRetained,
 )
 from griddp.mechanisms import MechanismParams, clip_release
 from griddp.rng import RngStream
+from griddp.synth import SynthParams, generate_occupancy
 
 BASE = {
     "g1": {"u1": 2, "u2": 2},
@@ -276,3 +286,256 @@ def test_parameter_validation():
         grid_error([1], [1], 1.0, 0.0)
     with pytest.raises(InvalidParams):
         pseudo_user_optimize(occ, ClipPlan.full(occ), -1.0, 1.0)
+
+
+# ------------------------------------------------- reference implementations
+
+
+class _HeapGridState:
+    """Per-grid aggregates with a lazy max-heap over retained counts."""
+
+    def __init__(self, counts):
+        self.counts = counts
+        self.sum_m = sum(counts.values())
+        self.sum_gamma = self.sum_m
+        self.suppressed = set()
+        self.heap = [(-c, u) for u, c in counts.items()]
+        heapq.heapify(self.heap)
+
+    def retained_users(self):
+        return len(self.counts) - len(self.suppressed)
+
+    def _settle(self):
+        while self.heap and self.heap[0][1] in self.suppressed:
+            heapq.heappop(self.heap)
+
+    def peak(self):
+        self._settle()
+        return -self.heap[0][0] if self.heap else 0
+
+    def peak_excluding(self, user):
+        self._settle()
+        if not self.heap or self.heap[0][1] != user:
+            return -self.heap[0][0] if self.heap else 0
+        top = heapq.heappop(self.heap)
+        self._settle()
+        second = -self.heap[0][0] if self.heap else 0
+        heapq.heappush(self.heap, top)
+        return second
+
+
+def _clip_user_oracle(occupancy, bound_u, epsilon, protect_min_error_grid=False):
+    """Reference clip_user: per-user grid sets, every stage rescans all users.
+
+    This is the routine clip_user used before level buckets and descending
+    peak lists; the fast one must return an equal ClipUserResult.
+    """
+    grids = occupancy.grids()
+    state = {g: _HeapGridState(occupancy.row(g)) for g in grids}
+
+    def current_budget(g):
+        st = state[g]
+        return budget_from_aggregates(g, st.sum_m, st.sum_gamma, st.peak(), bound_u, epsilon)
+
+    initial = {g: current_budget(g) for g in grids}
+    error_cap = max(b.total for b in initial.values())
+    protected = None
+    if protect_min_error_grid:
+        protected = min(grids, key=lambda g: (initial[g].total, g))
+    active_grids = {u: set(occupancy.grids_of(u)) for u in occupancy.users()}
+    trace = []
+    stage_max = [error_cap]
+    stage = 1
+    halted = False
+    while not halted:
+        gmax = max(len(gs) for gs in active_grids.values())
+        if gmax == 0:
+            break
+        frozen = sorted(u for u, gs in active_grids.items() if len(gs) == gmax)
+        for user in frozen:
+            best = None
+            for g in sorted(active_grids[user]):
+                st = state[g]
+                if g == protected or st.retained_users() <= 1:
+                    continue
+                cand = budget_from_aggregates(
+                    g,
+                    st.sum_m,
+                    st.sum_gamma - st.counts[user],
+                    st.peak_excluding(user),
+                    bound_u,
+                    epsilon,
+                )
+                if best is None or (cand.total, g) < (best[0], best[1]):
+                    best = (cand.total, g, cand)
+            if best is None or best[0] > error_cap:
+                halted = True
+                break
+            _, g, budget = best
+            st = state[g]
+            st.suppressed.add(user)
+            st.sum_gamma -= st.counts[user]
+            active_grids[user].discard(g)
+            trace.append(Suppression(stage, user, g, budget.total))
+        stage_max.append(max(current_budget(g).total for g in grids))
+        stage += 1
+    plan = ClipPlan(
+        {
+            g: {u: (0 if u in state[g].suppressed else c) for u, c in state[g].counts.items()}
+            for g in grids
+        }
+    )
+    return ClipUserResult(
+        plan=plan,
+        k_factor=max(len(gs) for gs in active_grids.values()),
+        error_cap=error_cap,
+        initial_errors=initial,
+        per_grid_errors={g: current_budget(g) for g in grids},
+        trace=tuple(trace),
+        stage_max_errors=tuple(stage_max),
+    )
+
+
+def _pseudo_user_optimize_oracle(occupancy, plan, bound_u, epsilon):
+    """Reference cap scan: one budget_from_aggregates call per integer cap."""
+    per_grid_m, per_grid_error = {}, {}
+    for g in occupancy.grids():
+        positives = sorted(x for x in _plan_gammas(occupancy, plan, g) if x > 0)
+        sum_m = occupancy.total(g)
+        best_m, best = positives[0], None
+        idx = small_sum = 0
+        for m in range(positives[0], positives[-1] + 1):
+            while idx < len(positives) and positives[idx] < m:
+                small_sum += positives[idx]
+                idx += 1
+            sum_capped = small_sum + m * (len(positives) - idx)
+            cand = budget_from_aggregates(g, sum_m, sum_capped, m, bound_u, epsilon)
+            if best is None or cand.total < best.total:
+                best, best_m = cand, m
+        per_grid_m[g] = best_m
+        per_grid_error[g] = best
+    return PseudoUserResult(
+        per_grid_m=per_grid_m,
+        per_grid_error=per_grid_error,
+        new_error=max(b.total for b in per_grid_error.values()),
+    )
+
+
+@st.composite
+def _small_occupancies(draw):
+    """Up to 5 grids and 8 users, counts in 1..4 so peaks tie often; a grid
+    may hold a single user."""
+    n_grids = draw(st.integers(1, 5))
+    n_users = draw(st.integers(1, 8))
+    rows = {f"g{i}": {} for i in range(1, n_grids + 1)}
+    for j in range(1, n_users + 1):
+        chosen = draw(st.sets(st.sampled_from(sorted(rows)), min_size=1))
+        for g in sorted(chosen):
+            rows[g][f"u{j}"] = draw(st.integers(1, 4))
+    return OccupancyArray(rows)
+
+
+@st.composite
+def _synth_occupancies(draw):
+    grids = draw(st.integers(1, 8))
+    params = SynthParams(
+        grids=grids,
+        users=draw(st.integers(1, 2**grids - 1)),
+        geometric_q=draw(st.sampled_from([0.05, 0.3, 0.7])),
+        heavy_gamma=draw(st.sampled_from([0.0, 3.0, 9.0])),
+    )
+    return generate_occupancy(params, RngStream(draw(st.integers(0, 2**32))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(_small_occupancies(), _synth_occupancies()),
+    st.sampled_from([1.0, 65.0]),
+    st.sampled_from([0.1, 0.5, 1.0, 3.0]),
+    st.booleans(),
+)
+def test_clip_user_and_cap_scan_match_reference(occ, bound_u, epsilon, protect):
+    res = clip_user(occ, bound_u, epsilon, protect)
+    assert res == _clip_user_oracle(occ, bound_u, epsilon, protect)
+    opt = pseudo_user_optimize(occ, res.plan, bound_u, epsilon)
+    assert opt == _pseudo_user_optimize_oracle(occ, res.plan, bound_u, epsilon)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_occupancies(), st.randoms(use_true_random=False), st.sampled_from([0.2, 1.0, 4.0]))
+def test_cap_scan_matches_reference_on_partial_plans(occ, rnd, epsilon):
+    # any retained count in [0, m], not only all-or-none, with one kept user per grid
+    plan = {}
+    for g in occ.grids():
+        row = {u: rnd.randint(0, m) for u, m in occ.row(g).items()}
+        keep = rnd.choice(sorted(row))
+        row[keep] = max(row[keep], 1)
+        plan[g] = row
+    got = pseudo_user_optimize(occ, ClipPlan(plan), 1.0, epsilon)
+    assert got == _pseudo_user_optimize_oracle(occ, ClipPlan(plan), 1.0, epsilon)
+
+
+def _assert_totals_exact(sum_m, kept, peak, bound_u=65.0, epsilon=0.7):
+    totals = _cap_totals(
+        sum_m, np.array(kept, dtype=np.int64), np.array(peak, dtype=np.int64), bound_u, epsilon
+    )
+    for total, a, m in zip(totals.tolist(), kept, peak):
+        want = budget_from_aggregates("g", sum_m, a, m, bound_u, epsilon).total
+        assert float.hex(total) == float.hex(want), (sum_m, a, m)
+
+
+def test_cap_totals_exact_on_parity_branches():
+    # kept <= 2 * peak: the EvenCap and OddCap values of the variance sensitivity
+    for sum_m in (7, 8, 1001, 2**20 + 1):
+        kept = [a for a in range(1, min(sum_m, 400) + 1)]
+        peak = [max(1, (a + 1) // 2) for a in kept]
+        _assert_totals_exact(sum_m, kept, peak)
+        _assert_totals_exact(sum_m, kept, kept)
+
+
+def test_cap_totals_exact_when_everything_is_kept():
+    for sum_m in (1, 2, 3, 10, 999_999):
+        peaks = sorted({1, max(1, sum_m // 3), max(1, sum_m // 2), sum_m})
+        _assert_totals_exact(sum_m, [sum_m] * len(peaks), peaks)
+
+
+def test_cap_totals_exact_on_large_aggregates():
+    # past 2^26.5 samples kept * kept exceeds 2^53, where numpy's 1 / (A * A)
+    # and Python's exact integer division can differ in the last bit
+    rnd = random.Random(11)
+    for sum_m in (2**27 + 3, 2**40 + 1, 2**53 - 1, 2**53):
+        kept = [2**27 - 1, 2**27 + 1, 94_906_267, sum_m, sum_m - 1]
+        kept += [rnd.randrange(94_906_266, sum_m) | 1 for _ in range(200)]
+        kept = [a for a in kept if 0 < a <= sum_m]
+        for peak in ([(a + 1) // 2 for a in kept], [a // 3 + 1 for a in kept], kept):
+            _assert_totals_exact(sum_m, kept, peak)
+            _assert_totals_exact(sum_m, kept, peak, bound_u=1.0, epsilon=3.0)
+
+
+def test_cap_scan_rejects_grids_past_float_exact_counts():
+    # two users keep the scan to two caps
+    occ = OccupancyArray({"g": {"u1": 2**52, "u2": 2**52 + 1}})
+    with pytest.raises(TooLarge):
+        pseudo_user_optimize(occ, ClipPlan.full(occ), 1.0, 1.0)
+    edge = OccupancyArray({"g": {"u1": 2**52, "u2": 2**52 - 1}})
+    res = pseudo_user_optimize(edge, ClipPlan.full(edge), 1.0, 1.0)
+    assert res == _pseudo_user_optimize_oracle(edge, ClipPlan.full(edge), 1.0, 1.0)
+
+
+def test_cap_scan_chunks_keep_the_first_minimum(monkeypatch):
+    # two caps per chunk, so tied minima straddle chunk boundaries: with
+    # gammas (1, 0, 0, 3) of counts (4, 3, 4, 5) at epsilon 4, caps 1 and 3
+    # both cost exactly 1.5 and cap 1 must win
+    monkeypatch.setattr(composition, "_SCAN_CHUNK", 2)
+    occ = OccupancyArray({"g": {"u1": 4, "u2": 3, "u3": 4, "u4": 5}})
+    plan = ClipPlan({"g": {"u1": 1, "u2": 0, "u3": 0, "u4": 3}})
+    assert pseudo_user_optimize(occ, plan, 1.0, 4.0).per_grid_m == {"g": 1}
+    rnd = random.Random(3)
+    for _ in range(300):
+        occ = _random_occupancy(rnd)
+        plan = ClipPlan(
+            {g: {u: rnd.randint(1, m) for u, m in occ.row(g).items()} for g in occ.grids()}
+        )
+        for epsilon in (0.2, 1.0, 4.0):
+            got = pseudo_user_optimize(occ, plan, 1.0, epsilon)
+            assert got == _pseudo_user_optimize_oracle(occ, plan, 1.0, epsilon)

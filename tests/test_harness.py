@@ -150,3 +150,19 @@ def test_config_validation():
         ExperimentConfig(epsilons=(1.0,), seed=1, mae_draws=0)
     with pytest.raises(InvalidParams):
         ExperimentConfig(epsilons=(1.0,), seed=1, threads=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"trials": 2.0},
+        {"trials": True},
+        {"trials": "3"},
+        {"mae_draws": 3.5},
+        {"mae_draws": False},
+        {"mae_draws": None},
+    ],
+)
+def test_config_rejects_non_integer_counts(kwargs):
+    with pytest.raises(InvalidParams, match="must be an integer"):
+        ExperimentConfig(epsilons=(1.0,), seed=1, **kwargs)

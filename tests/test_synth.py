@@ -2,8 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from griddp.dataset import OccupancyArray
 from griddp.errors import InvalidParams
 from griddp.rng import RngStream
 from griddp.synth import (
@@ -141,9 +145,83 @@ def test_params_validation():
         ValueModel(variance=0.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"grids": 3.0},
+        {"grids": True},
+        {"grids": "3"},
+        {"grids": 3, "users": 5.5},
+        {"grids": 3, "users": False},
+        {"grids": 3, "users": None},
+    ],
+)
+def test_params_reject_non_integer_sizes(kwargs):
+    # 3.0 and 5.5 once raised TypeError from the tier loop, and True ran as
+    # a single grid
+    with pytest.raises(InvalidParams, match="must be an integer"):
+        SynthParams(**kwargs)
+
+
+def test_params_accept_numpy_integers():
+    # 2 ** np.int64(64) wraps to 0 in fixed width; the ceiling must not
+    params = SynthParams(grids=np.int64(64), users=np.int64(5))
+    assert generate_occupancy(params, RngStream(1)) == generate_occupancy(
+        SynthParams(grids=64, users=5), RngStream(1)
+    )
+
+
 def test_defaults_match_documented_model():
     params = SynthParams()
     assert (params.grids, params.users) == (12, 4095)
     assert params.bound_u == 65.0
     model = ValueModel()
     assert (model.mean, model.variance, model.bound_u) == (20.66769, 115.135, 65.0)
+
+
+def _generate_occupancy_oracle(params, rng):
+    """Reference synthesis: one subset() and one geometric() call at a time.
+
+    This is the per-user loop generate_occupancy ran before it drew a whole
+    tier from one uniform block; the block version must equal it.
+    """
+    s = rng.split("occupancy")
+    counts = {}
+    for l in range(1, params.users + 1):
+        tier = l.bit_length() - 1
+        token = user_token(l, params.users)
+        for g_idx in sorted(s.subset(params.grids, params.grids - tier)):
+            g = grid_token(g_idx + 1, params.grids)
+            counts.setdefault(g, {})[token] = s.geometric(params.geometric_q)
+    if params.heavy_gamma > 0:
+        for g in counts:
+            row = counts[g]
+            top = max(sorted(row), key=lambda u: row[u])
+            row[top] = math.ceil((1 + params.heavy_gamma) * row[top])
+    return OccupancyArray(counts)
+
+
+@st.composite
+def _synth_params(draw):
+    grids = draw(st.integers(1, 8))
+    return SynthParams(
+        grids=grids,
+        users=draw(st.integers(1, 2**grids - 1)),
+        geometric_q=draw(st.sampled_from([0.01, 0.2, 0.5, 0.9])),
+        heavy_gamma=draw(st.sampled_from([0.0, 3.0, 9.0])),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_synth_params(), st.integers(0, 2**63))
+def test_generate_occupancy_matches_per_user_reference(params, seed):
+    rng = RngStream(seed)
+    assert generate_occupancy(params, rng) == _generate_occupancy_oracle(params, rng)
+
+
+def test_generate_occupancy_full_tiers_match_reference():
+    # every tier full, at the largest grid count the property test draws
+    for heavy_gamma in (0.0, 3.0, 9.0):
+        params = SynthParams(grids=8, users=255, geometric_q=0.05, heavy_gamma=heavy_gamma)
+        rng = RngStream(8).split("full")
+        assert generate_occupancy(params, rng) == _generate_occupancy_oracle(params, rng)
