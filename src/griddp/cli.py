@@ -342,7 +342,6 @@ def _cmd_montecarlo(args) -> None:
         seed=args.seed,
         trials=args.trials,
         protect_min_error_grid=not args.no_protect,
-        threads=args.threads,
     )
     points = (
         monte_carlo_privacy(params, config)
@@ -363,7 +362,6 @@ def _cmd_mae(args) -> None:
         trials=1,
         mechanism=args.mech,
         mae_draws=args.draws,
-        threads=args.threads,
     )
     points = mae_eval(
         ds,
@@ -480,7 +478,6 @@ def _build_parser():
     sp.add_argument("--q", type=float, default=0.01)
     sp.add_argument("--heavy-gamma", type=float, default=0.0)
     sp.add_argument("--no-protect", action="store_true")
-    sp.add_argument("--threads", type=int, default=None)
     sp.set_defaults(handler=_cmd_montecarlo)
     table["montecarlo"] = sp
 
@@ -497,7 +494,6 @@ def _build_parser():
     sp.add_argument(
         "--quantile-mode", choices=(QUANTILE_FIXED, QUANTILE_OPTIMIZED), default=QUANTILE_FIXED
     )
-    sp.add_argument("--threads", type=int, default=None)
     sp.set_defaults(handler=_cmd_mae)
     table["mae"] = sp
 
@@ -517,15 +513,14 @@ def cli_main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, table = _build_parser()
     try:
-        # Config files supply defaults, so they must be loaded pre-parse.
-        if "--config" in argv:
-            idx = argv.index("--config")
-            if idx + 1 >= len(argv):
-                parser.error("--config needs a path")
-            mapping = _load_config(argv[idx + 1])
+        args = parser.parse_args(argv)
+        # A config file supplies defaults, so once argparse has found it (in
+        # any spelling, such as --config=PATH) the arguments are parsed again.
+        if args.config is not None:
+            mapping = _load_config(args.config)
             for sp in table.values():
                 sp.set_defaults(**mapping)
-        args = parser.parse_args(argv)
+            args = parser.parse_args(argv)
         if args.command in RANDOMIZED and args.seed is None:
             raise UsageError("--seed is required (on the command line or via --config)")
         args.handler(args)

@@ -35,6 +35,7 @@ minimum taken.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +47,14 @@ from .errors import (
     OccupancyMismatch,
     TooLarge,
     ZeroRetained,
+    require_ints,
+    require_pair,
+    require_positive,
 )
 from .mechanisms import MechanismOutput, MechanismParams, clip_release
 from .rng import RngStream
 from .sensitivity import variance_peak_value
-from .worst_case_bias import _check_pair, bias_branch_value
+from .worst_case_bias import bias_branch_value
 
 
 @dataclass(frozen=True)
@@ -153,11 +157,9 @@ def grid_error(
     m_list, gamma_list, bound_u: float, epsilon: float, grid: str = "g"
 ) -> ErrorBudget:
     """Budget of a grid with counts m_list and retained counts gamma_list."""
-    counts, gammas = _check_pair(m_list, gamma_list)
-    if not bound_u > 0:
-        raise InvalidParams(f"value bound must be positive, got {bound_u}")
-    if not epsilon > 0:
-        raise InvalidParams(f"epsilon must be positive, got {epsilon}")
+    counts, gammas = require_pair(m_list, gamma_list)
+    require_positive("value bound", bound_u)
+    require_positive("epsilon", epsilon)
     return budget_from_aggregates(
         grid, sum(counts), sum(gammas), max(gammas), bound_u, epsilon
     )
@@ -171,14 +173,14 @@ def privacy_loss(occupancy: OccupancyArray, eps_per_grid) -> float:
     worst per-user sum over the grids that user touches.
     """
     if isinstance(eps_per_grid, (int, float)):
-        if eps_per_grid < 0:
-            raise InvalidParams(f"epsilon must be >= 0, got {eps_per_grid}")
+        if not 0 <= eps_per_grid < math.inf:
+            raise InvalidParams(f"epsilon must be finite and >= 0, got {eps_per_grid}")
         return occupancy.max_grids_per_user() * float(eps_per_grid)
     missing = [g for g in occupancy.grids() if g not in eps_per_grid]
     if missing:
         raise OccupancyMismatch(f"no epsilon given for grids {missing}")
-    if any(eps_per_grid[g] < 0 for g in occupancy.grids()):
-        raise InvalidParams("per-grid epsilon must be >= 0")
+    if not all(0 <= eps_per_grid[g] < math.inf for g in occupancy.grids()):
+        raise InvalidParams("per-grid epsilon must be finite and >= 0")
     return max(
         sum(float(eps_per_grid[g]) for g in occupancy.grids_of(u))
         for u in occupancy.users()
@@ -240,10 +242,8 @@ def clip_user(
     With protect_min_error_grid the grid whose initial budget is smallest
     (ties to the smallest token) is never chosen as a suppression target.
     """
-    if not bound_u > 0:
-        raise InvalidParams(f"value bound must be positive, got {bound_u}")
-    if not epsilon > 0:
-        raise InvalidParams(f"epsilon must be positive, got {epsilon}")
+    require_positive("value bound", bound_u)
+    require_positive("epsilon", epsilon)
     grids = occupancy.grids()
     state = {g: _GridState(occupancy.row(g)) for g in grids}
 
@@ -328,15 +328,13 @@ def _plan_gammas(occupancy: OccupancyArray, plan: ClipPlan, grid: str) -> list[i
         raise OccupancyMismatch(
             f"plan for grid {grid} does not cover its users exactly"
         )
-    gammas = []
-    for u, m in counts.items():
-        g = int(row[u])
+    gammas = require_ints("retained count", map(row.__getitem__, counts))
+    for (u, m), g in zip(counts.items(), gammas):
         if not 0 <= g <= m:
             raise InvalidPlan(
                 f"retained count for user {u} in grid {grid} must be in "
                 f"[0, {m}], got {g}"
             )
-        gammas.append(g)
     return gammas
 
 
@@ -396,10 +394,8 @@ def pseudo_user_optimize(
     the result never exceeds it. A grid above 2^53 samples raises
     TooLarge, since the array scan's float64 no longer holds its counts.
     """
-    if not bound_u > 0:
-        raise InvalidParams(f"value bound must be positive, got {bound_u}")
-    if not epsilon > 0:
-        raise InvalidParams(f"epsilon must be positive, got {epsilon}")
+    require_positive("value bound", bound_u)
+    require_positive("epsilon", epsilon)
     if sorted(plan.grids()) != occupancy.grids():
         raise OccupancyMismatch("plan grids do not match the occupancy grids")
     per_grid_m: dict[str, int] = {}
@@ -446,14 +442,14 @@ def post_release(
     Each grid gets its own child stream split off by token, so draws for
     one grid do not depend on how many other grids exist.
     """
-    occupancy = dataset.occupancy()
-    if sorted(plan.grids()) != occupancy.grids():
+    if plan.grids() != dataset.grids():
         raise OccupancyMismatch("plan grids do not match the dataset grids")
     params = MechanismParams(bound_u=dataset.bound_u, epsilon=epsilon)
     out: dict[str, MechanismOutput] = {}
-    for g in occupancy.grids():
-        _plan_gammas(occupancy, plan, g)
-        out[g] = clip_release(
-            dataset, g, plan.row(g), params, rng.split(f"grid:{g}")
-        )
+    for g in dataset.grids():
+        row = plan.row(g)
+        # clip_release checks each retained count against the samples
+        if row.keys() != set(dataset.users_in(g)):
+            raise OccupancyMismatch(f"plan for grid {g} does not cover its users exactly")
+        out[g] = clip_release(dataset, g, row, params, rng.split(f"grid:{g}"))
     return out

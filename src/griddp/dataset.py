@@ -27,6 +27,7 @@ from .errors import (
     NonPositiveCount,
     UnknownGrid,
     ValueOutOfRange,
+    require_positive,
 )
 
 DATA_HEADER = ("user", "grid", "value")
@@ -123,9 +124,7 @@ class Dataset:
     """Samples keyed by grid then user; per-user order is input order."""
 
     def __init__(self, samples: dict[str, dict[str, list[float]]], bound_u: float):
-        if bound_u <= 0:
-            raise InvalidParams(f"bound_u must be > 0, got {bound_u}")
-        self.bound_u = float(bound_u)
+        self.bound_u = require_positive("bound_u", bound_u)
         cleaned: dict[str, dict[str, tuple[float, ...]]] = {}
         for grid in sorted(samples):
             row = samples[grid]
@@ -255,7 +254,7 @@ def parse_dataset(path_or_text, bound_u: float) -> Dataset:
     """
     text = _read_source(path_or_text)
     samples: dict[str, dict[str, list[float]]] = {}
-    for lineno, (user, grid, raw) in _iter_fields(text, DATA_HEADER):
+    for lineno, (user, grid, raw) in _rows(text, DATA_HEADER):
         try:
             value = float(raw)
         except ValueError:
@@ -268,7 +267,7 @@ def parse_occupancy(path_or_text) -> OccupancyArray:
     """Parse `user,grid,count` CSV into an OccupancyArray."""
     text = _read_source(path_or_text)
     counts: dict[str, dict[str, int]] = {}
-    for lineno, (user, grid, raw) in _iter_fields(text, OCCUPANCY_HEADER):
+    for lineno, (user, grid, raw) in _rows(text, OCCUPANCY_HEADER):
         try:
             m = int(raw)
         except ValueError:
@@ -280,8 +279,3 @@ def parse_occupancy(path_or_text) -> OccupancyArray:
             raise DuplicateEntry(f"line {lineno}: duplicate entry ({user}, {grid})")
         row[user] = m
     return OccupancyArray(counts)
-
-
-def _iter_fields(text: str, header: tuple[str, ...]):
-    for lineno, fields in _rows(text, header):
-        yield lineno, (fields[0], fields[1], fields[2])

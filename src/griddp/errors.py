@@ -1,8 +1,16 @@
-"""Exception types shared across the package.
+"""Exception types and the input checks shared across the package.
 
 Every input-validation failure raises a named subclass of GridDPError so
-callers (and the CLI) can distinguish bad data from bugs.
+callers (and the CLI) can distinguish bad data from bugs. The require_*
+functions below are the checks every module shares: positive finite
+scalars, integers (with an optional lower bound, as for capacities),
+count lists, retained-count lists and their pairing.
 """
+
+from __future__ import annotations
+
+import math
+import numbers
 
 
 class GridDPError(Exception):
@@ -83,3 +91,74 @@ class UsageError(GridDPError):
 
 class IoError(GridDPError):
     """A file could not be read or written."""
+
+
+def require_int(name: str, value, low: int | None = None, error=InvalidParams) -> int:
+    """value as an int; InvalidParams unless it is an integer other than a bool.
+
+    With low given, a value below it raises error (InvalidParams by default).
+    """
+    # plain ints skip the abstract-class isinstance, several times slower
+    # than a type test and run a few times per simulated draw
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, numbers.Integral)
+    ):
+        raise InvalidParams(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
+def require_ints(name: str, values) -> list[int]:
+    """values as a list of ints, each checked as require_int checks one."""
+    values = list(values)
+    # a list of plain ints, the common case, needs no check per element
+    if set(map(type, values)) - {int}:
+        values = [require_int(name, v) for v in values]
+    return values
+
+
+def require_positive(name: str, value, error=InvalidParams) -> float:
+    """value as a float; error (InvalidParams by default) unless 0 < value < inf."""
+    if not 0 < value < math.inf:
+        raise error(f"{name} must be positive and finite, got {value}")
+    return float(value)
+
+
+def require_counts(m_list) -> list[int]:
+    """Per-user sample counts: a non-empty list of integers, each >= 1."""
+    counts = require_ints("count", m_list)
+    if not counts:
+        raise ZeroTotal("count list is empty")
+    if min(counts) < 1:
+        raise NonPositiveCount(f"counts must be >= 1, got {counts}")
+    return counts
+
+
+def require_retained(gamma_list) -> list[int]:
+    """Retained counts: a non-empty list of integers >= 0, not all zero."""
+    gammas = require_ints("retained count", gamma_list)
+    if not gammas:
+        raise ZeroTotal("retained-count list is empty")
+    if min(gammas) < 0:
+        raise InvalidParams(f"retained counts must be >= 0, got {gammas}")
+    if sum(gammas) == 0:
+        raise ZeroRetained("all retained counts are zero")
+    return gammas
+
+
+def require_pair(m_list, gamma_list) -> tuple[list[int], list[int]]:
+    """Counts and retained counts of the same users, 0 <= gamma_l <= m_l."""
+    gammas = require_ints("retained count", gamma_list)
+    counts = require_counts(m_list)
+    if len(counts) != len(gammas):
+        raise InvalidParams(
+            f"count and retained lists differ in length: {len(counts)} vs {len(gammas)}"
+        )
+    if any(g < 0 or g > m for m, g in zip(counts, gammas)):
+        raise InvalidParams(
+            f"retained counts must satisfy 0 <= gamma_l <= m_l, got {gammas} vs {counts}"
+        )
+    if sum(gammas) == 0:
+        raise ZeroRetained("all retained counts are zero")
+    return counts, gammas

@@ -24,7 +24,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .errors import EmptyValues, InvalidCapacity, NonPositiveCount, ZeroTotal
+from .errors import EmptyValues, InvalidCapacity, ZeroTotal, require_counts, require_int
 
 STRATEGY_WRAP = "wrap"
 STRATEGY_BEST = "best"
@@ -40,31 +40,16 @@ class ArrayGroup:
     source_users: tuple[str, ...]
 
 
-def _check_counts(m_list) -> list[int]:
-    counts = [int(m) for m in m_list]
-    if not counts:
-        raise ZeroTotal("count list is empty")
-    if any(m < 1 for m in counts):
-        raise NonPositiveCount(f"counts must be >= 1, got {counts}")
-    return counts
-
-
-def _check_capacity(capacity: int) -> int:
-    if capacity < 1:
-        raise InvalidCapacity(f"array capacity must be >= 1, got {capacity}")
-    return int(capacity)
-
-
 def array_count_k(m_list, capacity: int) -> int:
     """Number of full arrays produced by wrap_around."""
-    counts = _check_counts(m_list)
-    capacity = _check_capacity(capacity)
+    counts = require_counts(m_list)
+    capacity = require_int("array capacity", capacity, 1, InvalidCapacity)
     return sum(min(m, capacity) for m in counts) // capacity
 
 
 def median_mub(m_list) -> int:
     """Lower median of the counts (the smaller middle element when even)."""
-    counts = sorted(_check_counts(m_list))
+    counts = sorted(require_counts(m_list))
     return counts[(len(counts) - 1) // 2]
 
 
@@ -74,7 +59,7 @@ def optimized_mub(m_list) -> int:
     The comparison S(c1)^2 * c2 > S(c2)^2 * c1 is done in integers, so the
     maximizer (and the smallest-on-tie rule) is exact.
     """
-    counts = sorted(_check_counts(m_list))
+    counts = sorted(require_counts(m_list))
     lo, hi = counts[0], counts[-1]
     best_c = lo
     best_s = sum(min(m, lo) for m in counts)
@@ -103,7 +88,7 @@ def wrap_around(
     samples_by_user: dict[str, tuple[float, ...]], capacity: int
 ) -> list[ArrayGroup]:
     """Pack one grid's samples contiguously; return only the full arrays."""
-    capacity = _check_capacity(capacity)
+    capacity = require_int("array capacity", capacity, 1, InvalidCapacity)
     if not samples_by_user or all(len(v) == 0 for v in samples_by_user.values()):
         raise ZeroTotal("no samples to group")
     values: list[list[float]] = []
@@ -164,7 +149,7 @@ def best_fit(
     samples_by_user: dict[str, tuple[float, ...]], capacity: int
 ) -> list[ArrayGroup]:
     """Pack one grid's samples keeping each user inside a single array."""
-    capacity = _check_capacity(capacity)
+    capacity = require_int("array capacity", capacity, 1, InvalidCapacity)
     if not samples_by_user or all(len(v) == 0 for v in samples_by_user.values()):
         raise ZeroTotal("no samples to group")
     users = _ordered_users(samples_by_user)
@@ -184,8 +169,8 @@ def best_fit(
 
 def best_fit_count(m_list, capacity: int) -> int:
     """Number of arrays best_fit opens for the given counts alone."""
-    counts = _check_counts(m_list)
-    capacity = _check_capacity(capacity)
+    counts = require_counts(m_list)
+    capacity = require_int("array capacity", capacity, 1, InvalidCapacity)
     order = sorted(range(len(counts)), key=lambda i: (-counts[i], i))
     sizes = [min(counts[i], capacity) for i in order]
     assignment = _assign_best_fit(sizes, capacity)

@@ -2,22 +2,17 @@
 
 Every loop derives all randomness from a single root seed through labeled
 stream splits, so results are reproducible regardless of execution order.
-The thread pool (DP_COMPOSER_THREADS, or ExperimentConfig.threads) only
-parallelizes independent trials; ordered executor mapping keeps outputs
-byte-identical to the sequential run.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
 from .composition import clip_user, pseudo_user_optimize
 from .dataset import Dataset
-from .errors import InvalidParams
+from .errors import InvalidParams, require_counts, require_int, require_positive
 from .grouping import (
     STRATEGY_BEST,
     array_count_k,
@@ -37,9 +32,7 @@ from .mechanisms import (
 )
 from .rng import RngStream
 from .sensitivity import mean_sensitivity
-from .synth import SynthParams, generate_occupancy, require_int
-
-THREADS_ENV = "DP_COMPOSER_THREADS"
+from .synth import SynthParams, generate_occupancy
 
 
 @dataclass(frozen=True)
@@ -57,42 +50,14 @@ class ExperimentConfig:
     mechanism: str = "baseline"
     mae_draws: int = 10_000
     protect_min_error_grid: bool = True
-    threads: int | None = None
 
     def __post_init__(self) -> None:
         if not self.epsilons:
             raise InvalidParams("need at least one epsilon")
-        if any(not e > 0 for e in self.epsilons):
-            raise InvalidParams(f"epsilons must be positive, got {self.epsilons}")
-        require_int("trial count", self.trials)
-        require_int("mae_draws", self.mae_draws)
-        if self.trials < 1:
-            raise InvalidParams(f"trials must be >= 1, got {self.trials}")
-        if self.mae_draws < 1:
-            raise InvalidParams(f"mae_draws must be >= 1, got {self.mae_draws}")
-        if self.threads is not None and self.threads < 1:
-            raise InvalidParams(f"threads must be >= 1, got {self.threads}")
-
-
-def thread_count(config: ExperimentConfig) -> int:
-    if config.threads is not None:
-        return config.threads
-    env = os.environ.get(THREADS_ENV)
-    if env is None or not env.strip():
-        return 1
-    try:
-        n = int(env)
-    except ValueError:
-        raise InvalidParams(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    return max(1, n)
-
-
-def _map(fn, items, threads: int) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+        for e in self.epsilons:
+            require_positive("epsilon", e)
+        require_int("trial count", self.trials, low=1)
+        require_int("mae_draws", self.mae_draws, low=1)
 
 
 def _mean(xs) -> float:
@@ -100,13 +65,9 @@ def _mean(xs) -> float:
     return sum(xs) / len(xs)
 
 
-def _trial_occupancies(params: SynthParams, config: ExperimentConfig, threads: int):
+def _trial_occupancies(params: SynthParams, config: ExperimentConfig):
     root = RngStream(config.seed)
-    return _map(
-        lambda i: generate_occupancy(params, root.split(f"trial:{i}")),
-        range(config.trials),
-        threads,
-    )
+    return [generate_occupancy(params, root.split(f"trial:{i}")) for i in range(config.trials)]
 
 
 def monte_carlo_privacy(
@@ -118,18 +79,14 @@ def monte_carlo_privacy(
     composition factor over the trials, "naive" is epsilon times the mean
     worst per-user grid count of the raw draws.
     """
-    threads = thread_count(config)
-    occs = _trial_occupancies(params, config, threads)
+    occs = _trial_occupancies(params, config)
     naive = _mean(occ.max_grids_per_user() for occ in occs)
     points: list[CurvePoint] = []
     for eps in config.epsilons:
-        ks = _map(
-            lambda occ: clip_user(
-                occ, params.bound_u, eps, config.protect_min_error_grid
-            ).k_factor,
-            occs,
-            threads,
-        )
+        ks = [
+            clip_user(occ, params.bound_u, eps, config.protect_min_error_grid).k_factor
+            for occ in occs
+        ]
         points.append(CurvePoint(eps, _mean(ks) * eps, "suppressed"))
         points.append(CurvePoint(eps, naive * eps, "naive"))
     return points
@@ -139,17 +96,14 @@ def monte_carlo_error(
     params: SynthParams, config: ExperimentConfig
 ) -> list[CurvePoint]:
     """Average worst grid budget before suppression and after the cap pass."""
-    threads = thread_count(config)
-    occs = _trial_occupancies(params, config, threads)
+    occs = _trial_occupancies(params, config)
     points: list[CurvePoint] = []
     for eps in config.epsilons:
-
-        def one(occ):
+        pairs = []
+        for occ in occs:
             res = clip_user(occ, params.bound_u, eps, config.protect_min_error_grid)
             opt = pseudo_user_optimize(occ, res.plan, params.bound_u, eps)
-            return res.error_cap, opt.new_error
-
-        pairs = _map(one, occs, threads)
+            pairs.append((res.error_cap, opt.new_error))
         points.append(CurvePoint(eps, _mean(p[0] for p in pairs), "initial"))
         points.append(CurvePoint(eps, _mean(p[1] for p in pairs), "optimized"))
     return points
@@ -174,7 +128,6 @@ def mae_eval(
     calls draw() on that packing; draw i at epsilon index ei uses the stream
     split "mae:{ei}:{i}", so the points equal those of per-draw release().
     """
-    threads = thread_count(config)
     if config.mechanism == "baseline":
         counts = [len(dataset.values(grid, u)) for u in dataset.users_in(grid)]
         return [
@@ -201,12 +154,10 @@ def mae_eval(
     root = RngStream(config.seed)
     points: list[CurvePoint] = []
     for ei, params in enumerate(all_params):
-
-        def one(i):
-            out = simulate(params, root.split(f"mae:{ei}:{i}"))
-            return abs(out.noisy_mean - true_mean)
-
-        value = _mean(_map(one, range(config.mae_draws), threads))
+        value = _mean(
+            abs(simulate(params, root.split(f"mae:{ei}:{i}")).noisy_mean - true_mean)
+            for i in range(config.mae_draws)
+        )
         points.append(CurvePoint(params.epsilon, value, config.mechanism))
     return points
 
@@ -241,13 +192,11 @@ def check_scaling_laws(
     lambda*K <= K' <= lambda*K + lambda - 1 hold, so the equality laws are
     reported as they actually come out.
     """
-    counts = [int(m) for m in m_list]
+    counts = require_counts(m_list)
     checks: list[ScalingLawCheck] = []
     base = {"median": median_mub(counts), "optimized": optimized_mub(counts)}
     for lam in lambdas:
-        lam = int(lam)
-        if lam < 1:
-            raise InvalidParams(f"scale factor must be >= 1, got {lam}")
+        lam = require_int("scale factor", lam, low=1)
         sampled = [lam * m for m in counts]
         duplicated = counts * lam
 

@@ -34,6 +34,8 @@ from .errors import (
     NoBins,
     NonPositiveScale,
     ZeroRetained,
+    require_int,
+    require_positive,
 )
 from .grouping import (
     STRATEGY_BEST,
@@ -77,16 +79,14 @@ class MechanismParams:
     quantile_mode: str = QUANTILE_FIXED
 
     def __post_init__(self) -> None:
-        if not self.bound_u > 0:
-            raise InvalidParams(f"value bound must be positive, got {self.bound_u}")
-        if not self.epsilon > 0:
-            raise InvalidParams(f"epsilon must be positive, got {self.epsilon}")
+        require_positive("value bound", self.bound_u)
+        require_positive("epsilon", self.epsilon)
         if not 0 < self.gamma < 1:
             raise InvalidParams(f"gamma must be in (0, 1), got {self.gamma}")
         if self.strategy not in (STRATEGY_WRAP, STRATEGY_BEST):
             raise InvalidParams(f"unknown grouping strategy {self.strategy!r}")
-        if self.capacity is not None and self.capacity < 1:
-            raise InvalidParams(f"capacity must be >= 1, got {self.capacity}")
+        if self.capacity is not None:
+            require_int("capacity", self.capacity, low=1)
         if self.quantile_mode not in (QUANTILE_FIXED, QUANTILE_OPTIMIZED):
             raise InvalidParams(f"unknown quantile mode {self.quantile_mode!r}")
 
@@ -117,8 +117,7 @@ class MechanismOutput:
 
 def sample_laplace(scale: float, rng: RngStream) -> float:
     """One Laplace(scale) draw via the inverse CDF; consumes one uniform."""
-    if not scale > 0:
-        raise NonPositiveScale(f"laplace scale must be positive, got {scale}")
+    require_positive("laplace scale", scale, NonPositiveScale)
     return float(laplace_inverse_cdf(rng.random(), scale))
 
 
@@ -154,7 +153,7 @@ def clip_release(
     gammas: list[int] = []
     kept: list[float] = []
     for user in sorted(samples):
-        g = int(retained.get(user, len(samples[user])))
+        g = require_int("retained count", retained.get(user, len(samples[user])))
         if not 0 <= g <= len(samples[user]):
             raise InvalidPlan(
                 f"retained count for user {user} in grid {grid} must be in "
@@ -197,21 +196,17 @@ def array_average_release(
 def concentration_tau(bound_u: float, k_bar: int, gamma: float, capacity: int) -> float:
     """Half-width bound: all array means of an iid grid stay within tau of
     the grid mean except with probability gamma."""
-    if not bound_u > 0:
-        raise InvalidParams(f"value bound must be positive, got {bound_u}")
-    if k_bar < 1:
-        raise InvalidParams(f"array count must be >= 1, got {k_bar}")
+    require_positive("value bound", bound_u)
+    require_int("array count", k_bar, low=1)
     if not 0 < gamma < 1:
         raise InvalidParams(f"gamma must be in (0, 1), got {gamma}")
-    if capacity < 1:
-        raise InvalidParams(f"capacity must be >= 1, got {capacity}")
+    require_int("capacity", capacity, low=1)
     return bound_u * math.sqrt(math.log(2 * k_bar / gamma) / (2 * capacity))
 
 
 def levy_planning_delta(bound_u: float, k_bar: int, tau: float) -> float:
     """Planning-time stand-in for the data-dependent projected sensitivity."""
-    if k_bar < 1:
-        raise InvalidParams(f"array count must be >= 1, got {k_bar}")
+    require_int("array count", k_bar, low=1)
     return min(3 * tau, bound_u) / k_bar
 
 
@@ -230,12 +225,9 @@ def private_interval(
     means = [float(v) for v in means]
     if not means:
         raise EmptyValues("no array means to locate")
-    if not eps_half > 0:
-        raise InvalidParams(f"interval budget must be positive, got {eps_half}")
-    if not bound_u > 0:
-        raise InvalidParams(f"value bound must be positive, got {bound_u}")
-    if not tau > 0:
-        raise NoBins(f"bin width must be positive, got {tau}")
+    require_positive("interval budget", eps_half)
+    require_positive("value bound", bound_u)
+    require_positive("bin width", tau, NoBins)
     nbins = max(1, math.ceil(bound_u / tau))
     edges = [i * tau for i in range(nbins)] + [bound_u]
     midpoints = [(edges[i] + edges[i + 1]) / 2 for i in range(nbins)]
@@ -306,10 +298,8 @@ def private_quantile(
         raise EmptyValues("no values to take a quantile of")
     if not 0 <= q_level <= 1:
         raise InvalidParams(f"quantile level must be in [0, 1], got {q_level}")
-    if not eps_q > 0:
-        raise InvalidParams(f"quantile budget must be positive, got {eps_q}")
-    if not bound_u > 0:
-        raise InvalidParams(f"value bound must be positive, got {bound_u}")
+    require_positive("quantile budget", eps_q)
+    require_positive("value bound", bound_u)
     n = len(xs)
     pts = [0.0] + xs + [float(bound_u)]
     target = q_level * n

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParams, NonPositiveScale
+from .errors import InvalidParams, NonPositiveScale, require_int, require_positive
 
 # Smallest uniform kept away from 0 and 1 so inverse CDFs stay finite.
 _EPS = 2.0 ** -53
@@ -32,9 +32,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
-        if not isinstance(seed, int):
-            raise InvalidParams(f"seed must be an integer, got {seed!r}")
-        self.seed = seed
+        self.seed = require_int("seed", seed)
         self._path = _path
         ss = np.random.SeedSequence(entropy=seed, spawn_key=_path)
         self._gen = np.random.Generator(np.random.PCG64(ss))
@@ -48,8 +46,7 @@ class RngStream:
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n). Built on random() for stream stability."""
-        if n < 1:
-            raise InvalidParams(f"randbelow needs n >= 1, got {n}")
+        require_int("randbelow bound", n, low=1)
         return min(int(self._gen.random() * n), n - 1)
 
     def subset(self, population: int, k: int) -> list[int]:
@@ -68,8 +65,7 @@ class RngStream:
 
     def laplace(self, scale: float, size: int | None = None):
         """Centered Laplace draws via the inverse CDF."""
-        if scale <= 0:
-            raise NonPositiveScale(f"laplace scale must be > 0, got {scale}")
+        require_positive("laplace scale", scale, NonPositiveScale)
         u = self.random(size)
         return laplace_inverse_cdf(u, scale)
 
@@ -86,8 +82,7 @@ class RngStream:
 
     def normal(self, mu: float, sigma: float, size: int | None = None):
         """Gaussian draws via the inverse CDF (stdlib NormalDist)."""
-        if sigma <= 0:
-            raise InvalidParams(f"normal sigma must be > 0, got {sigma}")
+        require_positive("normal sigma", sigma)
         from statistics import NormalDist
 
         nd = NormalDist(mu, sigma)
@@ -104,8 +99,7 @@ def laplace_inverse_cdf(u, scale: float):
     u = 0.5 maps to exactly 0. Inputs at the open ends are nudged by one ulp
     so the transform never returns an infinity.
     """
-    if scale <= 0:
-        raise NonPositiveScale(f"laplace scale must be > 0, got {scale}")
+    require_positive("laplace scale", scale, NonPositiveScale)
     u_arr = np.asarray(u, dtype=float)
     shifted = u_arr - 0.5
     inner = np.clip(1.0 - 2.0 * np.abs(shifted), _EPS, None)

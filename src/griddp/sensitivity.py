@@ -26,10 +26,11 @@ from dataclasses import dataclass
 from .errors import (
     InvalidCapacity,
     InvalidParams,
-    NonPositiveCount,
     TooLarge,
-    ZeroRetained,
-    ZeroTotal,
+    require_counts,
+    require_int,
+    require_positive,
+    require_retained,
 )
 
 BRANCH_ABOVE_TWICE = "AboveTwice"
@@ -56,32 +57,6 @@ class GainReport:
     gain: float
 
 
-def _check_bound(bound_u: float) -> float:
-    if not bound_u > 0:
-        raise InvalidParams(f"value bound must be positive, got {bound_u}")
-    return float(bound_u)
-
-
-def _check_counts(m_list) -> list[int]:
-    counts = [int(m) for m in m_list]
-    if not counts:
-        raise ZeroTotal("count list is empty")
-    if any(m < 1 for m in counts):
-        raise NonPositiveCount(f"counts must be >= 1, got {counts}")
-    return counts
-
-
-def _check_retained(gamma_list) -> list[int]:
-    gammas = [int(g) for g in gamma_list]
-    if not gammas:
-        raise ZeroTotal("retained-count list is empty")
-    if any(g < 0 for g in gammas):
-        raise InvalidParams(f"retained counts must be >= 0, got {gammas}")
-    if sum(gammas) == 0:
-        raise ZeroRetained("all retained counts are zero")
-    return gammas
-
-
 def variance_peak_value(total: int, peak: int, bound_u: float) -> tuple[str, float]:
     """Variance sensitivity given the total count and the largest count."""
     u2 = bound_u * bound_u
@@ -93,27 +68,27 @@ def variance_peak_value(total: int, peak: int, bound_u: float) -> tuple[str, flo
 
 
 def mean_sensitivity(m_list, bound_u: float) -> SensitivityReport:
-    counts = _check_counts(m_list)
-    bound_u = _check_bound(bound_u)
+    counts = require_counts(m_list)
+    bound_u = require_positive("value bound", bound_u)
     return SensitivityReport("mean", bound_u * max(counts) / sum(counts))
 
 
 def variance_sensitivity(m_list, bound_u: float) -> SensitivityReport:
-    counts = _check_counts(m_list)
-    bound_u = _check_bound(bound_u)
+    counts = require_counts(m_list)
+    bound_u = require_positive("value bound", bound_u)
     branch, value = variance_peak_value(sum(counts), max(counts), bound_u)
     return SensitivityReport("variance", value, branch)
 
 
 def clipped_mean_sensitivity(gamma_list, bound_u: float) -> SensitivityReport:
-    gammas = _check_retained(gamma_list)
-    bound_u = _check_bound(bound_u)
+    gammas = require_retained(gamma_list)
+    bound_u = require_positive("value bound", bound_u)
     return SensitivityReport("mean", bound_u * max(gammas) / sum(gammas))
 
 
 def clipped_variance_sensitivity(gamma_list, bound_u: float) -> SensitivityReport:
-    gammas = _check_retained(gamma_list)
-    bound_u = _check_bound(bound_u)
+    gammas = require_retained(gamma_list)
+    bound_u = require_positive("value bound", bound_u)
     branch, value = variance_peak_value(sum(gammas), max(gammas), bound_u)
     return SensitivityReport("variance", value, branch)
 
@@ -124,9 +99,8 @@ def array_avg_sensitivity(k: int, bound_u: float, strategy: str) -> SensitivityR
     Wrap-around packing can split one user across two arrays, doubling the
     reach of a single user, hence 2U/k versus U/k for best fit.
     """
-    bound_u = _check_bound(bound_u)
-    if k < 1:
-        raise InvalidParams(f"array count must be >= 1, got {k}")
+    bound_u = require_positive("value bound", bound_u)
+    require_int("array count", k, low=1)
     if strategy == "wrap":
         return SensitivityReport("mean", 2 * bound_u / k)
     if strategy == "best":
@@ -141,8 +115,9 @@ def gain_report(m_list, capacity: int, bound_u: float) -> GainReport:
     OPT = max(m)*len(m)/sum(m); the lower median capacity achieves at least
     OPT/2.
     """
-    counts = _check_counts(m_list)
-    bound_u = _check_bound(bound_u)
+    counts = require_counts(m_list)
+    bound_u = require_positive("value bound", bound_u)
+    require_int("capacity", capacity)
     if not min(counts) <= capacity <= max(counts):
         raise InvalidCapacity(
             f"capacity {capacity} outside count range [{min(counts)}, {max(counts)}]"
@@ -167,8 +142,8 @@ def brute_force_variance_sensitivity(m_list, bound_u: float) -> float:
     z zeros, the rewritten user anywhere from 0 to m_j. Guarded to
     sum(m) <= 10 since this exists only to check the closed forms.
     """
-    counts = _check_counts(m_list)
-    bound_u = _check_bound(bound_u)
+    counts = require_counts(m_list)
+    bound_u = require_positive("value bound", bound_u)
     n = sum(counts)
     if n > BRUTE_FORCE_LIMIT:
         raise TooLarge(f"brute force capped at total count {BRUTE_FORCE_LIMIT}, got {n}")

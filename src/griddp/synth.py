@@ -16,20 +16,13 @@ tail mass onto the endpoints 0 and U.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset, OccupancyArray
-from .errors import InvalidParams
+from .errors import InvalidParams, require_int, require_positive
 from .rng import RngStream
-
-
-def require_int(name: str, value) -> None:
-    """Raise InvalidParams unless value is an integer other than a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidParams(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,26 +34,21 @@ class SynthParams:
     heavy_gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        require_int("grid count", self.grids)
-        require_int("user count", self.users)
-        if self.grids < 1:
-            raise InvalidParams(f"need at least one grid, got {self.grids}")
-        if self.users < 1:
-            raise InvalidParams(f"need at least one user, got {self.users}")
+        require_int("grid count", self.grids, low=1)
+        require_int("user count", self.users, low=1)
         if self.users > 2 ** int(self.grids) - 1:
             raise InvalidParams(
                 f"user count {self.users} exceeds 2^{self.grids} - 1; the top "
                 "tier would occupy fewer than one grid"
             )
-        if not self.bound_u > 0:
-            raise InvalidParams(f"value bound must be positive, got {self.bound_u}")
+        require_positive("value bound", self.bound_u)
         if not 0 < self.geometric_q < 1:
             raise InvalidParams(
                 f"geometric parameter must be in (0, 1), got {self.geometric_q}"
             )
-        if self.heavy_gamma < 0:
+        if not 0 <= self.heavy_gamma < math.inf:
             raise InvalidParams(
-                f"heavy-user inflation must be >= 0, got {self.heavy_gamma}"
+                f"heavy-user inflation must be finite and >= 0, got {self.heavy_gamma}"
             )
 
 
@@ -71,10 +59,8 @@ class ValueModel:
     bound_u: float = 65.0
 
     def __post_init__(self) -> None:
-        if not self.variance > 0:
-            raise InvalidParams(f"variance must be positive, got {self.variance}")
-        if not self.bound_u > 0:
-            raise InvalidParams(f"value bound must be positive, got {self.bound_u}")
+        require_positive("variance", self.variance)
+        require_positive("value bound", self.bound_u)
 
 
 def user_token(index: int, total: int) -> str:
@@ -169,8 +155,7 @@ def scale_occupancy(
     sample mode multiplies every count by lam; user mode replaces each user
     with lam clones (token suffixed ~r) carrying identical rows.
     """
-    if lam < 1:
-        raise InvalidParams(f"scale factor must be >= 1, got {lam}")
+    require_int("scale factor", lam, low=1)
     base = occupancy.as_dict()
     if mode == SCALE_SAMPLE:
         return OccupancyArray(

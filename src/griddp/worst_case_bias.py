@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .dataset import Dataset
-from .errors import InvalidParams, NonPositiveCount, ZeroRetained, ZeroTotal
+from .errors import InvalidParams, require_pair, require_positive
 
 BRANCH_FEW_DROPPED = "FewDropped"
 BRANCH_EVEN_TOTAL = "EvenTotal"
@@ -39,32 +39,6 @@ class BiasReport:
     branch: str | None = None
 
 
-def _check_bound(bound_u: float) -> float:
-    if not bound_u > 0:
-        raise InvalidParams(f"value bound must be positive, got {bound_u}")
-    return float(bound_u)
-
-
-def _check_pair(m_list, gamma_list) -> tuple[list[int], list[int]]:
-    counts = [int(m) for m in m_list]
-    gammas = [int(g) for g in gamma_list]
-    if not counts:
-        raise ZeroTotal("count list is empty")
-    if len(counts) != len(gammas):
-        raise InvalidParams(
-            f"count and retained lists differ in length: {len(counts)} vs {len(gammas)}"
-        )
-    if any(m < 1 for m in counts):
-        raise NonPositiveCount(f"counts must be >= 1, got {counts}")
-    if any(g < 0 or g > m for m, g in zip(counts, gammas)):
-        raise InvalidParams(
-            f"retained counts must satisfy 0 <= gamma_l <= m_l, got {gammas} vs {counts}"
-        )
-    if sum(gammas) == 0:
-        raise ZeroRetained("all retained counts are zero")
-    return counts, gammas
-
-
 def bias_branch_value(total: int, kept: int, bound_u: float) -> tuple[str | None, float]:
     """Worst-case variance bias given total and retained sample counts."""
     if kept == total:
@@ -78,15 +52,15 @@ def bias_branch_value(total: int, kept: int, bound_u: float) -> tuple[str | None
 
 
 def mean_bias(m_list, gamma_list, bound_u: float) -> BiasReport:
-    counts, gammas = _check_pair(m_list, gamma_list)
-    bound_u = _check_bound(bound_u)
+    counts, gammas = require_pair(m_list, gamma_list)
+    bound_u = require_positive("value bound", bound_u)
     total = sum(counts)
     return BiasReport(TARGET_MEAN, bound_u * (total - sum(gammas)) / total)
 
 
 def variance_bias(m_list, gamma_list, bound_u: float) -> BiasReport:
-    counts, gammas = _check_pair(m_list, gamma_list)
-    bound_u = _check_bound(bound_u)
+    counts, gammas = require_pair(m_list, gamma_list)
+    bound_u = require_positive("value bound", bound_u)
     branch, value = bias_branch_value(sum(counts), sum(gammas), bound_u)
     return BiasReport(TARGET_VARIANCE, value, branch)
 
@@ -101,8 +75,8 @@ def extremal_bias_dataset(m_list, gamma_list, bound_u: float, target: str) -> Da
     dropped samples split so that ceil(n/2) of all samples are 0 and the
     rest are U, assigning the extra zeros to dropped slots in token order.
     """
-    counts, gammas = _check_pair(m_list, gamma_list)
-    bound_u = _check_bound(bound_u)
+    counts, gammas = require_pair(m_list, gamma_list)
+    bound_u = require_positive("value bound", bound_u)
     if target not in (TARGET_MEAN, TARGET_VARIANCE):
         raise InvalidParams(f"unknown bias target {target!r}")
     total = sum(counts)

@@ -393,3 +393,27 @@ def test_domain_errors_exit_1(capsys):
     assert "error:" in err
     code, _, _ = _run(capsys, ["stats", "--data", "no-such-file.csv", "--u", "1"])
     assert code == 1
+
+
+@pytest.mark.parametrize("spelling", ["equals", "abbreviated"])
+def test_config_loaded_in_every_spelling(capsys, tmp_path, data_file, spelling):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=3\n")
+    flag = {"equals": [f"--config={cfg}"], "abbreviated": ["--conf", str(cfg)]}[spelling]
+    argv = ["mechanism", "--data", data_file, "--u", "10", "--eps", "1", "--mech", "levy"]
+    code, from_config, err = _run(capsys, argv + flag)
+    assert code == 0, err
+    code, direct, _ = _run(capsys, argv + ["--seed", "3"])
+    assert code == 0
+    assert from_config == direct
+
+
+@pytest.mark.parametrize(
+    "flags", [["--eps", "inf", "--u", "10"], ["--eps", "1", "--u", "inf"]]
+)
+def test_mechanism_rejects_infinite_eps_and_bound(capsys, data_file, flags):
+    argv = ["mechanism", "--data", data_file, "--mech", "baseline", "--seed", "1"]
+    code, out, err = _run(capsys, argv + flags)
+    assert code == 1
+    assert out == ""
+    assert "positive and finite" in err

@@ -4,17 +4,22 @@ The MAE and release literals below are float.hex strings of outputs
 computed before the grouped mechanisms were split into prepare and draw;
 the occupancy digests and the suppression-curve, clip_user and
 pseudo_user_optimize literals were computed before synthesis, the
-suppression loop and the cap scan moved onto numpy arrays. Any change to
-the random stream, the packing, or the arithmetic order of a release or a
-budget shows up here as a mismatch in the last bits.
+suppression loop and the cap scan moved onto numpy arrays. The CLI
+digests are sha256 sums of each subcommand's stdout, computed before the
+thread pool, the scripts and the per-module validators were removed. Any
+change to the random stream, the packing, or the arithmetic order of a
+release or a budget shows up here as a mismatch in the last bits.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 
 import pytest
 
+from griddp.cli import cli_main
 from griddp.composition import clip_user, pseudo_user_optimize
 from griddp.dataset import Dataset
 from griddp.harness import (
@@ -332,3 +337,98 @@ def test_pseudo_user_optimize_golden():
         "g7": "0x1.5fa3ec63eef3bp+10",
     }
     assert float.hex(opt.new_error) == "0x1.755f09eedffd3p+10"
+
+
+def _write_cli_inputs(tmp_path) -> dict[str, str]:
+    """The golden dataset, the suppression occupancy and a plan, as files."""
+    ds = _dataset()
+    data = tmp_path / "data.csv"
+    data.write_text(
+        "user,grid,value\n"
+        + "".join(
+            f"{u},{g},{v!r}\n" for g in ds.grids() for u in ds.users_in(g) for v in ds.values(g, u)
+        )
+    )
+    occ = _suppression_occupancy()
+    occupancy = tmp_path / "occ.csv"
+    occupancy.write_text(
+        "user,grid,count\n"
+        + "".join(f"{u},{g},{occ.count(g, u)}\n" for g in occ.grids() for u in occ.users_in(g))
+    )
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"a": {"u01": 0}, "b": {"u00": 1, "u03": 0, "u07": 2}}))
+    return {"DATA": str(data), "OCC": str(occupancy), "PLAN": str(plan)}
+
+
+_MECH = ["mechanism", "--data", "{DATA}", "--u", "10", "--eps", "1", "--seed", "9", "--mech"]
+_MAE = ["mae", "--data", "{DATA}", "--grid", "b", "--u", "10", "--eps", "0.5,1"]
+_MAE += ["--draws", "25", "--seed", "11", "--mech"]
+_MC = ["montecarlo", "--grids", "5", "--users", "20", "--trials", "2", "--eps", "0.5,1"]
+_MC += ["--seed", "5", "--heavy-gamma", "3", "--mode"]
+
+# name -> griddp argv; {DATA}, {OCC} and {PLAN} name the files above
+CLI_CASES = {
+    "stats": ["stats", "--data", "{DATA}", "--u", "10"],
+    "sensitivity": ["sensitivity", "--counts", "3,1,4,1,5", "--retained", "2,1,3,0,5", "--u", "10"],
+    "bias": ["bias", "--counts", "3,1,4,1,5", "--retained", "2,1,3,0,5", "--u", "10"],
+    "scaling": ["scaling", "--counts", "1,4,9,2,7", "--lambdas", "2,3"],
+    "clip_user_csv": ["clip-user", "--occupancy", "{OCC}", "--u", "65", "--eps", "1"],
+    "clip_user_json": [
+        "clip-user", "--occupancy", "{OCC}", "--u", "65", "--eps", "1", "--protect-min-grid",
+        "--format", "json",
+    ],
+    "synth_occupancy": ["synth", "--grids", "5", "--users", "20", "--heavy-gamma", "2", "--seed", "3"],
+    "synth_values": ["synth", "--grids", "4", "--users", "10", "--q", "0.2", "--values", "--seed", "4"],
+    "montecarlo_privacy": _MC + ["privacy"],
+    "montecarlo_privacy_no_protect": _MC + ["privacy", "--no-protect"],
+    "montecarlo_error": _MC + ["error"],
+    "montecarlo_error_no_protect": _MC + ["error", "--no-protect"],
+    **{f"mechanism_{m}": _MECH + [m] for m in ("baseline", "clip", "array_average", "levy", "quantile")},
+    "mechanism_clip_plan": _MECH + ["clip", "--plan", "{PLAN}"],
+    "mechanism_array_average_wrap": _MECH + ["array_average", "--strategy", "wrap"],
+    "mechanism_quantile_optimized": _MECH + ["quantile", "--quantile-mode", "optimized"],
+    **{f"mae_{m}": _MAE + [m] for m in ("baseline", "clip", "array_average", "levy", "quantile")},
+}
+
+CLI_GOLDEN = {
+    "bias": "02ea0f82fc09d805cf7cfae79f4e20a72fe459c8399a53ae181fcf912ac06e08",
+    "clip_user_csv": "0184d8ad44ccae49f737be304a47ab1e76363e3a56fdd8e71432db8815019013",
+    "clip_user_json": "05d118ed2c4f52fd2a773d36609defcf427973c4dac1663ba1bc5e3125b9aa06",
+    "mae_array_average": "d2e281a80e96d86a92a7a1dcc1ee7b3c1e4caacd65a9ad6992c8b25881447503",
+    "mae_baseline": "88a9eeef4c2f198338e7cf75650a141395ac1efebb9ba545c9437136380aa1a9",
+    "mae_clip": "e10dd5e390a11b43e9b11300320a12a10f473dac5377b15467949a7e97f9ac1c",
+    "mae_levy": "19db1e708daba40eb8711b52fd111fefa57c81f72ddf6d56510c62760a01ccc5",
+    "mae_quantile": "e4649f3cb62c523332d7534a30e3c16f183513f48505d82759f771766fb8ca22",
+    "mechanism_array_average": "dbbf7206f70075b0ac6d2704892fee0e14a208e25e5e5dbade398f4d3794f60c",
+    "mechanism_array_average_wrap": "e831b46c7732c62bd8f612f2200b7fc12b4a22f9b03eb68cdb826f22faf04dbd",
+    "mechanism_baseline": "03867971b307393b23ffb1696ffa21c7bbeac2a51edee9407fbc2a0b17fc32e5",
+    "mechanism_clip": "ff4a7cc0cb8b71d3c7d2190997f5181aded47b751fc14a0206242ccd654a1cdf",
+    "mechanism_clip_plan": "6a14eef6c545aae05ba8f898b8822a41b3fbdcd3ba594bbc33f57e02b5232ffb",
+    "mechanism_levy": "5890278179799f4410e69a0ceee2632f650d2bb7e3257102f4bff1ab0ab419bf",
+    "mechanism_quantile": "144e4401e94eae447cb78e4cb60e669373844b032c09f0832875d74dba58056c",
+    "mechanism_quantile_optimized": "81bd388c13cf2aeb76a596168ef2f95f3bed7bd8506c1b57f4c6df7258d80dd6",
+    "montecarlo_error": "0c0431cc18c3f19305ddad7acf8fe3c6056cf2111ba0bc6e869d3bfb3e1ec588",
+    "montecarlo_error_no_protect": "7e83aabf56b7d92508094d13acf5dcb028029af422998f7e75df70704340311a",
+    "montecarlo_privacy": "e7c573094c279e9e119380c0ce0adff23c0a612ede744442f5d2a91e5e0b75dc",
+    "montecarlo_privacy_no_protect": "272fd8c410b69c27b84bff1d63d350e01fd8d7fcea681a51a18758b15c99df76",
+    "scaling": "f85087969dfdb3d2444d8af2f57cd348aa19a4223393bc2be3cc801bf3a4dbae",
+    "sensitivity": "0f3db689019036d4019b1ddd89c6949fe651dce42d115d0784fe8a7c9d22d655",
+    "stats": "76610bfd42a14d49bc0d01c915a88fad94f142d215227be65f5ac30774215382",
+    "synth_occupancy": "085f2483a6d089aaeca7079a8076406ea273b2737a0ae15eb1cd9c9313e2b03b",
+    "synth_values": "ded01b281290a917d43ee6cc967dc29aadc5c1c8159dc8f1ad548f07b0dc60d3",
+}
+
+
+def cli_digest(argv) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli_main(argv)
+    assert code == 0
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_cli_stdout_golden(name, tmp_path):
+    files = _write_cli_inputs(tmp_path)
+    argv = [arg.format(**files) for arg in CLI_CASES[name]]
+    assert cli_digest(argv) == CLI_GOLDEN[name]

@@ -1,4 +1,4 @@
-"""Monte Carlo loops: reproducibility, threading, and the scaling checks."""
+"""Monte Carlo loops: reproducibility and the scaling checks."""
 
 import random
 
@@ -7,13 +7,11 @@ import pytest
 from griddp.dataset import Dataset
 from griddp.errors import InvalidParams
 from griddp.harness import (
-    THREADS_ENV,
     ExperimentConfig,
     check_scaling_laws,
     mae_eval,
     monte_carlo_error,
     monte_carlo_privacy,
-    thread_count,
 )
 from griddp.sensitivity import mean_sensitivity
 from griddp.synth import SynthParams
@@ -86,31 +84,6 @@ def test_mae_is_reproducible():
     assert mae_eval(ds, "g", cfg) == mae_eval(ds, "g", cfg)
 
 
-def test_thread_pool_matches_sequential():
-    seq = _config(threads=1)
-    par = _config(threads=2)
-    assert monte_carlo_privacy(SMALL, seq) == monte_carlo_privacy(SMALL, par)
-    assert monte_carlo_error(SMALL, seq) == monte_carlo_error(SMALL, par)
-    ds = _equal_count_dataset()
-    kw = dict(epsilons=(1.0,), mechanism="quantile", mae_draws=60, seed=3)
-    assert mae_eval(ds, "g", _config(threads=1, **kw)) == mae_eval(
-        ds, "g", _config(threads=2, **kw)
-    )
-
-
-def test_thread_count_env_and_override(monkeypatch):
-    monkeypatch.delenv(THREADS_ENV, raising=False)
-    assert thread_count(_config()) == 1
-    monkeypatch.setenv(THREADS_ENV, "4")
-    assert thread_count(_config()) == 4
-    assert thread_count(_config(threads=2)) == 2
-    monkeypatch.setenv(THREADS_ENV, "")
-    assert thread_count(_config()) == 1
-    monkeypatch.setenv(THREADS_ENV, "many")
-    with pytest.raises(InvalidParams):
-        thread_count(_config())
-
-
 def test_scaling_sample_laws_hold():
     rnd = random.Random(9)
     for _ in range(25):
@@ -148,8 +121,6 @@ def test_config_validation():
         ExperimentConfig(epsilons=(1.0,), seed=1, trials=0)
     with pytest.raises(InvalidParams):
         ExperimentConfig(epsilons=(1.0,), seed=1, mae_draws=0)
-    with pytest.raises(InvalidParams):
-        ExperimentConfig(epsilons=(1.0,), seed=1, threads=0)
 
 
 @pytest.mark.parametrize(
