@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from itertools import chain, repeat
+from pathlib import Path
 
 from .composition import clip_user
 from .dataset import grid_stats, parse_dataset, parse_occupancy
@@ -104,25 +105,27 @@ def _load_config(path: str) -> dict:
     return out
 
 
-def _emit(args, rows: list[dict], fields: list[str], json_obj=None) -> None:
-    if args.format == "json":
-        payload = json_obj if json_obj is not None else rows
-        text = json.dumps(payload, indent=2) + "\n"
+def _write(fh, fmt: str, rows, fields: list[str], json_obj) -> None:
+    if fmt == "json":
+        payload = json_obj if json_obj is not None else [dict(zip(fields, r)) for r in rows]
+        fh.write(json.dumps(payload, indent=2) + "\n")
     else:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fields, restval="", lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
-        text = buf.getvalue()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fields)
+        writer.writerows(rows)
+
+
+def _emit(args, rows, fields: list[str], json_obj=None) -> None:
+    """Write rows, tuples in the order of fields, as CSV (None is written
+    empty) or as JSON objects (json_obj instead, when given)."""
     if args.out and args.out != "-":
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                _write(fh, args.format, rows, fields, json_obj)
         except OSError as exc:
             raise IoError(f"cannot write {args.out}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        _write(sys.stdout, args.format, rows, fields, json_obj)
 
 
 def _cmd_stats(args) -> None:
@@ -131,9 +134,7 @@ def _cmd_stats(args) -> None:
     rows = []
     for g in grids:
         st = grid_stats(ds, g)
-        rows.append(
-            {"grid": st.grid, "n": st.n, "mean": st.mean, "variance": st.variance}
-        )
+        rows.append((st.grid, st.n, st.mean, st.variance))
     _emit(args, rows, ["grid", "n", "mean", "variance"])
 
 
@@ -144,23 +145,14 @@ def _cmd_sensitivity(args) -> None:
         (mean_sensitivity(counts, args.u), "full"),
         (variance_sensitivity(counts, args.u), "full"),
     ):
-        rows.append(
-            {"target": rep.target, "scope": scope, "value": rep.value, "branch": rep.branch}
-        )
+        rows.append((rep.target, scope, rep.value, rep.branch))
     if args.retained is not None:
         gammas = _parse_int_list(args.retained)
         for rep in (
             clipped_mean_sensitivity(gammas, args.u),
             clipped_variance_sensitivity(gammas, args.u),
         ):
-            rows.append(
-                {
-                    "target": rep.target,
-                    "scope": "clipped",
-                    "value": rep.value,
-                    "branch": rep.branch,
-                }
-            )
+            rows.append((rep.target, "clipped", rep.value, rep.branch))
     _emit(args, rows, ["target", "scope", "value", "branch"])
 
 
@@ -172,7 +164,7 @@ def _cmd_bias(args) -> None:
         mean_bias(counts, gammas, args.u),
         variance_bias(counts, gammas, args.u),
     ):
-        rows.append({"target": rep.target, "value": rep.value, "branch": rep.branch})
+        rows.append((rep.target, rep.value, rep.branch))
     _emit(args, rows, ["target", "value", "branch"])
 
 
@@ -223,18 +215,18 @@ def _cmd_mechanism(args) -> None:
         else:
             out = release(ds, g, args.mech, params, sub)
         rows.append(
-            {
-                "grid": out.grid,
-                "mechanism": out.mechanism,
-                "noisy_mean": out.noisy_mean,
-                "noise_scale_mean": out.noise_scale_mean,
-                "noisy_variance": out.noisy_variance,
-                "noise_scale_var": out.noise_scale_var,
-                "interval_a": out.interval[0] if out.interval else None,
-                "interval_b": out.interval[1] if out.interval else None,
-                "arrays": out.arrays,
-                "degenerate_ranks": out.degenerate_ranks,
-            }
+            (
+                out.grid,
+                out.mechanism,
+                out.noisy_mean,
+                out.noise_scale_mean,
+                out.noisy_variance,
+                out.noise_scale_var,
+                out.interval[0] if out.interval else None,
+                out.interval[1] if out.interval else None,
+                out.arrays,
+                out.degenerate_ranks,
+            )
         )
     _emit(
         args,
@@ -257,28 +249,13 @@ def _cmd_mechanism(args) -> None:
 def _cmd_clip_user(args) -> None:
     occ = parse_occupancy(args.occupancy)
     res = clip_user(occ, args.u, args.eps, args.protect_min_grid)
-    rows = [
-        {"record": "summary", "k_factor": res.k_factor, "error_cap": res.error_cap}
-    ]
+    # columns: record, stage, user, grid, error, k_factor, error_cap, initial, final
+    rows = [("summary", None, None, None, None, res.k_factor, res.error_cap, None, None)]
     for s in res.trace:
-        rows.append(
-            {
-                "record": "suppression",
-                "stage": s.stage,
-                "user": s.user,
-                "grid": s.grid,
-                "error": s.error,
-            }
-        )
+        rows.append(("suppression", s.stage, s.user, s.grid, s.error, None, None, None, None))
     for g in occ.grids():
-        rows.append(
-            {
-                "record": "grid",
-                "grid": g,
-                "initial": res.initial_errors[g].total,
-                "final": res.per_grid_errors[g].total,
-            }
-        )
+        initial, final = res.initial_errors[g].total, res.per_grid_errors[g].total
+        rows.append(("grid", None, None, g, None, None, None, initial, final))
     json_obj = {
         "k_factor": res.k_factor,
         "error_cap": res.error_cap,
@@ -311,21 +288,12 @@ def _cmd_synth(args) -> None:
     if args.values:
         model = ValueModel(mean=args.mu, variance=args.sigma2, bound_u=args.u)
         ds = generate_values(occ, model, root)
-        rows = [
-            {"user": u, "grid": g, "value": v}
-            for g in ds.grids()
-            for u in ds.users_in(g)
-            for v in ds.values(g, u)
-        ]
-        rows.sort(key=lambda r: (r["user"], r["grid"]))
+        # rows by (user, grid), each pair's values in draw order
+        pairs = sorted((u, g) for g in ds.grids() for u in ds.users_in(g))
+        rows = chain.from_iterable(zip(repeat(u), repeat(g), ds.values(g, u)) for u, g in pairs)
         _emit(args, rows, ["user", "grid", "value"])
         return
-    rows = [
-        {"user": u, "grid": g, "count": occ.count(g, u)}
-        for g in occ.grids()
-        for u in occ.users_in(g)
-    ]
-    rows.sort(key=lambda r: (r["user"], r["grid"]))
+    rows = sorted((u, g, occ.count(g, u)) for g in occ.grids() for u in occ.users_in(g))
     _emit(args, rows, ["user", "grid", "count"])
 
 
@@ -348,9 +316,7 @@ def _cmd_montecarlo(args) -> None:
         if args.mode == "privacy"
         else monte_carlo_error(params, config)
     )
-    rows = [
-        {"epsilon": p.epsilon, "value": p.value, "label": p.label} for p in points
-    ]
+    rows = [(p.epsilon, p.value, p.label) for p in points]
     _emit(args, rows, ["epsilon", "value", "label"])
 
 
@@ -372,9 +338,7 @@ def _cmd_mae(args) -> None:
         capacity=args.capacity,
         quantile_mode=args.quantile_mode,
     )
-    rows = [
-        {"epsilon": p.epsilon, "value": p.value, "label": p.label} for p in points
-    ]
+    rows = [(p.epsilon, p.value, p.label) for p in points]
     _emit(args, rows, ["epsilon", "value", "label"])
 
 
@@ -382,16 +346,7 @@ def _cmd_scaling(args) -> None:
     checks = check_scaling_laws(
         _parse_int_list(args.counts), _parse_int_list(args.lambdas), bound_u=args.u
     )
-    rows = [
-        {
-            "law": c.law,
-            "mode": c.mode,
-            "lam": c.lam,
-            "passed": c.passed,
-            "detail": c.detail,
-        }
-        for c in checks
-    ]
+    rows = [(c.law, c.mode, c.lam, c.passed, c.detail) for c in checks]
     _emit(args, rows, ["law", "mode", "lam", "passed", "detail"])
 
 
@@ -412,7 +367,7 @@ def _build_parser():
     table = {}
 
     sp = sub.add_parser("stats", help="per-grid sample statistics")
-    sp.add_argument("--data", required=True)
+    sp.add_argument("--data", type=Path, required=True)
     sp.add_argument("--u", type=float, required=True)
     sp.add_argument("--grid", default=None)
     sp.set_defaults(handler=_cmd_stats)
@@ -433,7 +388,7 @@ def _build_parser():
     table["bias"] = sp
 
     sp = sub.add_parser("mechanism", help="private release of grid statistics")
-    sp.add_argument("--data", required=True)
+    sp.add_argument("--data", type=Path, required=True)
     sp.add_argument("--u", type=float, required=True)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--mech", choices=MECHANISM_CHOICES, required=True)
@@ -449,7 +404,7 @@ def _build_parser():
     table["mechanism"] = sp
 
     sp = sub.add_parser("clip-user", help="iterative user suppression")
-    sp.add_argument("--occupancy", required=True)
+    sp.add_argument("--occupancy", type=Path, required=True)
     sp.add_argument("--u", type=float, required=True)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--protect-min-grid", action="store_true")
@@ -482,7 +437,7 @@ def _build_parser():
     table["montecarlo"] = sp
 
     sp = sub.add_parser("mae", help="mean absolute error curve for one grid")
-    sp.add_argument("--data", required=True)
+    sp.add_argument("--data", type=Path, required=True)
     sp.add_argument("--grid", required=True)
     sp.add_argument("--u", type=float, required=True)
     sp.add_argument("--eps", required=True, help="lo:hi:step or comma list")

@@ -12,10 +12,12 @@ lexicographic, so downstream algorithms are deterministic.
 from __future__ import annotations
 
 import csv
-import io
 import os
 from dataclasses import dataclass
+from itertools import chain, count, repeat
 from pathlib import Path
+
+import numpy as np
 
 from .errors import (
     DuplicateEntry,
@@ -27,6 +29,7 @@ from .errors import (
     NonPositiveCount,
     UnknownGrid,
     ValueOutOfRange,
+    require_ints,
     require_positive,
 )
 
@@ -53,21 +56,20 @@ class OccupancyArray:
             row = counts[grid]
             if not row:
                 continue
-            for user, m in row.items():
-                if m <= 0:
-                    raise NonPositiveCount(
-                        f"count for user {user!r} in grid {grid!r} is {m}"
-                    )
-            cleaned[grid] = {u: int(row[u]) for u in sorted(row)}
+            users = sorted(row)
+            ms = require_ints(f"count in grid {grid!r}", map(row.__getitem__, users))
+            if min(ms) <= 0:
+                user, m = next((u, m) for u, m in row.items() if m <= 0)
+                raise NonPositiveCount(f"count for user {user!r} in grid {grid!r} is {m}")
+            cleaned[grid] = dict(zip(users, ms))
         if not cleaned:
             raise EmptyDataset("occupancy has no entries")
         self._counts = cleaned
         self._grids_of: dict[str, list[str]] = {}
+        # grids arrive in sorted order, so each user's list is sorted
         for grid, row in cleaned.items():
             for user in row:
                 self._grids_of.setdefault(user, []).append(grid)
-        for user in self._grids_of:
-            self._grids_of[user].sort()
 
     def grids(self) -> list[str]:
         return list(self._counts)
@@ -128,25 +130,31 @@ class Dataset:
         cleaned: dict[str, dict[str, tuple[float, ...]]] = {}
         for grid in sorted(samples):
             row = samples[grid]
-            if not row:
-                continue
             grid_row: dict[str, tuple[float, ...]] = {}
             for user in sorted(row):
-                values = tuple(float(v) for v in row[user])
-                if not values:
-                    continue
-                for v in values:
-                    if not 0.0 <= v <= self.bound_u:
-                        raise ValueOutOfRange(
-                            f"value {v} for user {user!r} in grid {grid!r} "
-                            f"outside [0, {self.bound_u}]"
-                        )
-                grid_row[user] = values
-            if grid_row:
-                cleaned[grid] = grid_row
+                values = tuple(map(float, row[user]))
+                if values:
+                    grid_row[user] = values
+            if not grid_row:
+                continue
+            flat = np.fromiter(chain.from_iterable(grid_row.values()), float)
+            # NaN fails both comparisons, as it fails the scalar check below
+            if not ((flat >= 0.0) & (flat <= self.bound_u)).all():
+                self._raise_out_of_range(grid, grid_row)
+            cleaned[grid] = grid_row
         if not cleaned:
             raise EmptyDataset("dataset has no records")
         self._samples = cleaned
+
+    def _raise_out_of_range(self, grid: str, row: dict[str, tuple[float, ...]]) -> None:
+        """Raise ValueOutOfRange for the first bad value in user, input order."""
+        for user, values in row.items():
+            for v in values:
+                if not 0.0 <= v <= self.bound_u:
+                    raise ValueOutOfRange(
+                        f"value {v} for user {user!r} in grid {grid!r} "
+                        f"outside [0, {self.bound_u}]"
+                    )
 
     def grids(self) -> list[str]:
         return list(self._samples)
@@ -222,29 +230,186 @@ def _read_source(path_or_text) -> str:
     raise InvalidParams(f"expected a path or CSV text, got {type(path_or_text)}")
 
 
-def _rows(text: str, header: tuple[str, ...]):
-    reader = csv.reader(io.StringIO(text))
+# Characters per parse block: large enough that per-block costs vanish,
+# small enough that a block's token lists stay a few MB.
+_BLOCK_CHARS = 1 << 20
+
+
+def _lines(text: str, pos: int, cursor: list[int]):
+    """Lines of text from pos, each with its newline, as io.StringIO yields
+    them; cursor[0] is the end of the last line handed out."""
+    while pos < len(text):
+        nl = text.find("\n", pos)
+        end = len(text) if nl < 0 else nl + 1
+        cursor[0] = end
+        yield text[pos:end]
+        pos = end
+
+
+def _csv_records(text: str, pos: int, stop: int, lineno: int, cursor: list[int]):
+    """(line number, fields) of the csv records from pos through the one
+    that reaches stop; cursor[0] ends at the end of that record."""
+    for row in csv.reader(_lines(text, pos, cursor)):
+        yield lineno, row
+        if cursor[0] >= stop:
+            return
+        lineno += 1
+
+
+def _scan(records, width: int, one, out: tuple[list, list, list]) -> int:
+    """The row-by-row parse: append the data rows of records, (line number,
+    csv fields) pairs, to out's user, grid and converted-field lists, and
+    return how many records there were."""
+    users, grids, fields = out
+    n = 0
+    for lineno, row in records:
+        n += 1
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != width:
+            raise MalformedRow(f"line {lineno}: expected {width} fields")
+        user, grid, raw = map(str.strip, row)
+        if not user or not grid:
+            raise MalformedRow(f"line {lineno}: empty user or grid token")
+        fields.append(one(user, grid, raw, lineno))
+        users.append(user)
+        grids.append(grid)
+    return n
+
+
+# What str.strip() removes from an ASCII token, apart from newlines.
+_PADDING = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _split(block: str, codes: np.ndarray):
+    """User, grid and raw third-field tokens of a block of lines that csv
+    splits at each comma, or None unless every line holds two commas and
+    no token is empty. codes is the block's UTF-8 encoding, whose commas
+    and newlines are the block's own."""
+    kinds = codes[(codes == 44) | (codes == 10)]
+    if not block.endswith("\n"):
+        kinds = np.append(kinds, 10)
+    if len(kinds) % 3 or not (kinds.reshape(-1, 3) == (44, 44, 10)).all():
+        return None
+    parts = block.replace("\n", ",").split(",")
+    if block.endswith("\n"):
+        parts.pop()
+    users, grids = parts[0::3], parts[1::3]
+    if not block.isascii() or any(c in block for c in _PADDING):
+        users = list(map(str.strip, users))
+        grids = list(map(str.strip, grids))
+    if "" in users or "" in grids:
+        return None
+    # float() and int() skip the padding str.strip() removes, or fail and
+    # send the block to the row scan, so the third field stays raw
+    return users, grids, parts[2::3]
+
+
+class _Codes(dict):
+    """Token -> integer code, in first-seen order."""
+
+    def encode(self, tokens: list[str]) -> np.ndarray:
+        for token in dict.fromkeys(tokens).keys() - self.keys():
+            self[token] = len(self)
+        return np.fromiter(map(self.__getitem__, tokens), np.int64, len(tokens))
+
+    def ranks(self) -> tuple[list[str], np.ndarray]:
+        """The tokens in sorted order, and the position of each code in it."""
+        tokens = sorted(self)
+        rank = np.empty(len(tokens), np.int64)
+        codes = np.fromiter(map(self.__getitem__, tokens), np.int64, len(tokens))
+        rank[codes] = np.arange(len(tokens))
+        return tokens, rank
+
+
+def _table(text: str, header: tuple[str, ...], bulk, one):
+    """Parse a user,grid,<field> CSV, reading exactly what csv.reader reads.
+
+    The data rows are read in blocks of whole lines. A block with a quote,
+    CR, NUL or a line longer than csv's field limit is read with
+    csv.reader; any other block is split at commas and newlines in bulk
+    and its third fields converted by bulk(users, grids, raws). A block
+    whose split or conversion fails (bulk raises ValueError) is scanned
+    again row by row with one(user, grid, raw, lineno), which raises the
+    first error in file order, with its line number (the csv record number).
+
+    Returns the grid and user tokens in sorted order, the stable (grid,
+    user) order of the data rows, the runs of that order as (grid index,
+    user index, start, stop), and the converted fields in file order as a
+    list of chunks.
+    """
+    cursor = [0]
     try:
-        first = next(reader)
+        first = next(csv.reader(_lines(text, 0, cursor)))
     except StopIteration:
         raise EmptyDataset("input is empty") from None
     if tuple(f.strip().lower() for f in first) != header:
         raise MalformedRow(
             f"expected header {','.join(header)!r}, got {','.join(first)!r}"
         )
-    count = 0
-    for lineno, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != len(header):
-            raise MalformedRow(f"line {lineno}: expected {len(header)} fields")
-        fields = [f.strip() for f in row]
-        if not fields[0] or not fields[1]:
-            raise MalformedRow(f"line {lineno}: empty user or grid token")
-        count += 1
-        yield lineno, fields
-    if count == 0:
+    limit = csv.field_size_limit()
+    grid_codes, user_codes = _Codes(), _Codes()
+    gcode, ucode, chunks = [], [], []
+    pos, lineno = cursor[0], 2
+    while pos < len(text):
+        nl = text.find("\n", pos + _BLOCK_CHARS)
+        stop = len(text) if nl < 0 else nl + 1
+        block = text[pos:stop]
+        codes = np.frombuffer(block.encode(), np.uint8)
+        # a line's UTF-8 length bounds its length in characters
+        ends = np.flatnonzero(codes == 10)
+        longest = np.diff(ends, prepend=-1, append=len(codes)).max() - 1
+        # csv in Python 3.10 rejects NUL, and it caps the length of a field
+        dirty = '"' in block or "\r" in block or "\0" in block or longest > limit
+        split = None
+        if not dirty:
+            cursor[0] = stop
+            split = _split(block, codes)
+            if split is not None:
+                try:
+                    split = (split[0], split[1], bulk(*split))
+                except ValueError:
+                    split = None
+        if split is None:
+            if dirty:
+                records = _csv_records(text, pos, stop, lineno, cursor)
+            else:
+                lines = block.split("\n")
+                if block.endswith("\n"):
+                    lines.pop()
+                records = zip(count(lineno), (line.split(",") if line else [] for line in lines))
+            split = ([], [], [])
+            lineno += _scan(records, len(header), one, split)
+        else:
+            lineno += len(split[0])
+        gcode.append(grid_codes.encode(split[1]))
+        ucode.append(user_codes.encode(split[0]))
+        chunks.append(split[2])
+        pos = cursor[0]
+    if not grid_codes:
         raise EmptyDataset("no data rows after header")
+    grids, grank = grid_codes.ranks()
+    users, urank = user_codes.ranks()
+    key = grank[np.concatenate(gcode)] * len(users) + urank[np.concatenate(ucode)]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(key)]
+    heads = key[bounds[:-1]]
+    runs = zip(
+        (heads // len(users)).tolist(), (heads % len(users)).tolist(), bounds, bounds[1:]
+    )
+    return grids, users, order, runs, chunks
+
+
+def _bulk_values(users, grids, raws) -> np.ndarray:
+    return np.fromiter(map(float, raws), float, len(raws))
+
+
+def _one_value(user, grid, raw, lineno) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise MalformedRow(f"line {lineno}: bad value {raw!r}") from None
 
 
 def parse_dataset(path_or_text, bound_u: float) -> Dataset:
@@ -253,29 +418,44 @@ def parse_dataset(path_or_text, bound_u: float) -> Dataset:
     Repeated (user, grid) rows accumulate samples in file order.
     """
     text = _read_source(path_or_text)
+    grids, users, order, runs, chunks = _table(text, DATA_HEADER, _bulk_values, _one_value)
+    values = np.concatenate(chunks)[order].tolist()
     samples: dict[str, dict[str, list[float]]] = {}
-    for lineno, (user, grid, raw) in _rows(text, DATA_HEADER):
-        try:
-            value = float(raw)
-        except ValueError:
-            raise MalformedRow(f"line {lineno}: bad value {raw!r}") from None
-        samples.setdefault(grid, {}).setdefault(user, []).append(value)
+    for g, u, lo, hi in runs:
+        samples.setdefault(grids[g], {})[users[u]] = values[lo:hi]
     return Dataset(samples, bound_u)
 
 
 def parse_occupancy(path_or_text) -> OccupancyArray:
     """Parse `user,grid,count` CSV into an OccupancyArray."""
     text = _read_source(path_or_text)
-    counts: dict[str, dict[str, int]] = {}
-    for lineno, (user, grid, raw) in _rows(text, OCCUPANCY_HEADER):
+    seen: set[tuple[str, str]] = set()
+
+    def bulk(users, grids, raws) -> list[int]:
+        counts = list(map(int, raws))
+        pairs = set(zip(users, grids))
+        # a count below 1 or a repeated pair is reported by the row scan
+        if min(counts) < 1 or len(pairs) < len(counts) or not seen.isdisjoint(pairs):
+            raise ValueError
+        seen.update(pairs)
+        return counts
+
+    def one(user, grid, raw, lineno) -> int:
         try:
             m = int(raw)
         except ValueError:
             raise MalformedRow(f"line {lineno}: bad count {raw!r}") from None
         if m <= 0:
             raise NonPositiveCount(f"line {lineno}: count {m} must be >= 1")
-        row = counts.setdefault(grid, {})
-        if user in row:
+        if (user, grid) in seen:
             raise DuplicateEntry(f"line {lineno}: duplicate entry ({user}, {grid})")
-        row[user] = m
-    return OccupancyArray(counts)
+        seen.add((user, grid))
+        return m
+
+    grids, users, order, runs, chunks = _table(text, OCCUPANCY_HEADER, bulk, one)
+    counts = list(chain.from_iterable(chunks))
+    order = order.tolist()
+    table: dict[str, dict[str, int]] = {}
+    for g, u, lo, _ in runs:
+        table.setdefault(grids[g], {})[users[u]] = counts[order[lo]]
+    return OccupancyArray(table)

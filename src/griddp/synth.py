@@ -59,6 +59,8 @@ class ValueModel:
     bound_u: float = 65.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.mean):
+            raise InvalidParams(f"value mean must be finite, got {self.mean}")
         require_positive("variance", self.variance)
         require_positive("value bound", self.bound_u)
 
@@ -135,11 +137,16 @@ def generate_values(
     sigma = math.sqrt(model.variance)
     samples: dict[str, dict[str, list[float]]] = {}
     for g in occupancy.grids():
-        samples[g] = {}
-        for u in occupancy.users_in(g):
-            n = occupancy.count(g, u)
-            raw = s.normal(model.mean, sigma, size=n)
-            samples[g][u] = [min(max(float(v), 0.0), model.bound_u) for v in raw]
+        row = occupancy.row(g)
+        # one draw per grid takes the same stream as one draw per user, and
+        # keeps the temporary arrays to the size of a grid
+        raw = s.normal(model.mean, sigma, size=sum(row.values()))
+        values = np.minimum(np.maximum(raw, 0.0), model.bound_u).tolist()
+        samples[g] = out = {}
+        pos = 0
+        for u, n in row.items():
+            out[u] = values[pos : pos + n]
+            pos += n
     return Dataset(samples, model.bound_u)
 
 

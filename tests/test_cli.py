@@ -417,3 +417,22 @@ def test_mechanism_rejects_infinite_eps_and_bound(capsys, data_file, flags):
     assert code == 1
     assert out == ""
     assert "positive and finite" in err
+
+
+def test_missing_data_file_is_an_io_error(capsys, tmp_path):
+    # a missing path was once read as CSV text: "expected header ..., got 'nope.csv'"
+    for argv in (
+        ["stats", "--data", str(tmp_path / "nope.csv"), "--u", "65"],
+        ["clip-user", "--occupancy", str(tmp_path / "nope.csv"), "--u", "65", "--eps", "1"],
+    ):
+        code, out, err = _run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "cannot read" in err and "nope.csv" in err
+
+
+def test_synth_values_rejects_infinite_mean(capsys):
+    code, out, err = _run(capsys, ["synth", "--values", "--mu", "inf", "--seed", "1"])
+    assert code == 1
+    assert out == ""
+    assert "mean must be finite" in err

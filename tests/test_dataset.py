@@ -1,12 +1,18 @@
 """Parsing, occupancy accounting, and exact statistics."""
 
+import csv
+import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from griddp import dataset
 from griddp.dataset import (
+    DATA_HEADER,
+    OCCUPANCY_HEADER,
     Dataset,
     OccupancyArray,
     grid_stats,
@@ -18,6 +24,7 @@ from griddp.errors import (
     DuplicateEntry,
     EmptyDataset,
     EmptyValues,
+    InvalidParams,
     MalformedRow,
     NonPositiveCount,
     UnknownGrid,
@@ -141,3 +148,182 @@ def test_occupancy_matches_sample_counts(samples):
     for g in ds.grids():
         for u in ds.users_in(g):
             assert occ.count(g, u) == len(ds.values(g, u))
+
+
+def test_occupancy_rejects_non_integer_counts():
+    # 1.9 and True were once stored as counts 1 and 1
+    with pytest.raises(InvalidParams, match="must be an integer"):
+        OccupancyArray({"g": {"u": 1.9}})
+    with pytest.raises(InvalidParams, match="must be an integer"):
+        OccupancyArray({"g": {"u": 2, "v": True}})
+    with pytest.raises(InvalidParams, match="must be an integer"):
+        OccupancyArray({"g": {"u": "3"}})
+    with pytest.raises(NonPositiveCount, match="'v' in grid 'g' is 0"):
+        OccupancyArray({"g": {"u": 2, "v": 0}})
+    occ = OccupancyArray({"g": {"u": np.int64(3)}})
+    assert occ.count("g", "u") == 3 and type(occ.count("g", "u")) is int
+
+
+def test_dataset_range_error_names_first_bad_value():
+    # the first bad value in (grid, user, input) order, as the scalar loop found it
+    with pytest.raises(ValueOutOfRange, match="value 2.0 for user 'a' in grid 'g'"):
+        Dataset({"h": {"a": [-1.0]}, "g": {"b": [-3.0], "a": [0.5, 2.0, -1.0]}}, 1.0)
+    with pytest.raises(ValueOutOfRange, match="value nan for user 'u'"):
+        Dataset({"g": {"u": [0.5, math.nan]}}, 1.0)
+
+
+# Reference parsers: the row-by-row csv.reader loop the block parser replaced.
+# It is the specification of what a CSV means and which error it raises.
+
+
+def _rows_reference(text, header):
+    reader = csv.reader(io.StringIO(text))
+    try:
+        first = next(reader)
+    except StopIteration:
+        raise EmptyDataset("input is empty") from None
+    if tuple(f.strip().lower() for f in first) != header:
+        raise MalformedRow(
+            f"expected header {','.join(header)!r}, got {','.join(first)!r}"
+        )
+    count = 0
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != len(header):
+            raise MalformedRow(f"line {lineno}: expected {len(header)} fields")
+        fields = [f.strip() for f in row]
+        if not fields[0] or not fields[1]:
+            raise MalformedRow(f"line {lineno}: empty user or grid token")
+        count += 1
+        yield lineno, fields
+    if count == 0:
+        raise EmptyDataset("no data rows after header")
+
+
+def _parse_dataset_reference(text, bound_u):
+    samples = {}
+    for lineno, (user, grid, raw) in _rows_reference(text, DATA_HEADER):
+        try:
+            value = float(raw)
+        except ValueError:
+            raise MalformedRow(f"line {lineno}: bad value {raw!r}") from None
+        samples.setdefault(grid, {}).setdefault(user, []).append(value)
+    # the range check of the scalar Dataset constructor, in its order
+    for grid in sorted(samples):
+        for user in sorted(samples[grid]):
+            for v in samples[grid][user]:
+                if not 0.0 <= v <= bound_u:
+                    raise ValueOutOfRange(
+                        f"value {v} for user {user!r} in grid {grid!r} "
+                        f"outside [0, {float(bound_u)}]"
+                    )
+    return _contents(Dataset(samples, bound_u))
+
+
+def _parse_occupancy_reference(text):
+    counts = {}
+    for lineno, (user, grid, raw) in _rows_reference(text, OCCUPANCY_HEADER):
+        try:
+            m = int(raw)
+        except ValueError:
+            raise MalformedRow(f"line {lineno}: bad count {raw!r}") from None
+        if m <= 0:
+            raise NonPositiveCount(f"line {lineno}: count {m} must be >= 1")
+        row = counts.setdefault(grid, {})
+        if user in row:
+            raise DuplicateEntry(f"line {lineno}: duplicate entry ({user}, {grid})")
+        row[user] = m
+    return OccupancyArray(counts)
+
+
+def _contents(ds):
+    return {g: {u: ds.values(g, u) for u in ds.users_in(g)} for g in ds.grids()}
+
+
+def _outcome(parse, *args):
+    """The parse result, or the type and message of what it raised."""
+    try:
+        return parse(*args)
+    except Exception as exc:  # csv.Error included: both must raise the same
+        return type(exc), str(exc)
+
+
+def _quoted(field):
+    return '"' + field.replace('"', '""') + '"'
+
+
+_TOKENS = ["u1", "u2", "g1", "g2", " u1 ", "g1\t", "a,b", 'q"t', "two\nlines", "", "  ", "\x1cu2"]
+_VALUES = ["0", "1.5", " 2 ", "4e0", "+3", "1_0", "3.0", "-1", "7", "nan", "inf", "x", "", "\x1c1", "0x1"]
+_ENDINGS = ["\n", "\n", "\n", "\r\n", "\r"]
+
+
+@st.composite
+def _csv_text(draw, header):
+    """CSV text: quoted and padded fields, CRLF and lone CR, blank and
+    whitespace-only lines, wrong field counts, bad or out-of-range numbers,
+    empty tokens and repeated pairs."""
+    head = draw(st.sampled_from([",".join(header), ",".join(header).upper(), " user , grid," + header[2], "user,grid"]))
+    lines = [head]
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "spaces", "short", "long"]))
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t ", '" "'])))
+            continue
+        fields = [draw(st.sampled_from(_TOKENS)), draw(st.sampled_from(_TOKENS)), draw(st.sampled_from(_VALUES))]
+        if kind == "short":
+            fields.pop()
+        elif kind == "long":
+            fields.append(draw(st.sampled_from(_VALUES)))
+        rendered = []
+        for f in fields:
+            must = any(c in f for c in ',"\n\r')
+            rendered.append(_quoted(f) if must or draw(st.booleans()) and draw(st.booleans()) else f)
+        lines.append(",".join(rendered))
+    text = ""
+    for line in lines:
+        text += line + draw(st.sampled_from(_ENDINGS))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+@settings(max_examples=600, deadline=None)
+@given(_csv_text(DATA_HEADER), st.sampled_from([1, 5, 17, 64, 1 << 20]))
+def test_parse_dataset_matches_reference(text, block):
+    want = _outcome(_parse_dataset_reference, text, 5.0)
+    with mock.patch.object(dataset, "_BLOCK_CHARS", block):
+        got = _outcome(lambda t: _contents(parse_dataset(t, 5.0)), text)
+    assert got == want
+
+
+@settings(max_examples=600, deadline=None)
+@given(_csv_text(OCCUPANCY_HEADER), st.sampled_from([1, 5, 17, 64, 1 << 20]))
+def test_parse_occupancy_matches_reference(text, block):
+    want = _outcome(_parse_occupancy_reference, text)
+    with mock.patch.object(dataset, "_BLOCK_CHARS", block):
+        got = _outcome(parse_occupancy, text)
+    assert got == want
+
+
+def test_parse_matches_reference_on_clean_blocks():
+    # many clean blocks, repeated pairs across blocks, one bad value late
+    rows = [f"u{i % 7},g{i % 3},{i % 5}.25" for i in range(400)]
+    text = "user,grid,value\n" + "\n".join(rows) + "\n"
+    with mock.patch.object(dataset, "_BLOCK_CHARS", 50):
+        assert _contents(parse_dataset(text, 5.0)) == _parse_dataset_reference(text, 5.0)
+        bad = text.replace("u3,g0,3.25\n", "u3,g0,x\n", 1)
+        assert _outcome(parse_dataset, bad, 5.0) == _outcome(_parse_dataset_reference, bad, 5.0)
+        occ = "user,grid,count\n" + "".join(f"u{i},g{i % 3},{i + 1}\n" for i in range(300))
+        assert parse_occupancy(occ) == _parse_occupancy_reference(occ)
+        dup = occ + "u5,g2,1\n"
+        assert _outcome(parse_occupancy, dup) == _outcome(_parse_occupancy_reference, dup)
+
+
+def test_parse_long_line_keeps_csv_field_limit():
+    limit = csv.field_size_limit()
+    text = f"user,grid,value\nu1,g1,1\nu1,{'g' * (limit + 1)},2\n"
+    assert _outcome(parse_dataset, text, 5.0) == _outcome(_parse_dataset_reference, text, 5.0)

@@ -4,7 +4,9 @@ The MAE and release literals below are float.hex strings of outputs
 computed before the grouped mechanisms were split into prepare and draw;
 the occupancy digests and the suppression-curve, clip_user and
 pseudo_user_optimize literals were computed before synthesis, the
-suppression loop and the cap scan moved onto numpy arrays. The CLI
+suppression loop and the cap scan moved onto numpy arrays. The value
+synthesis and CSV parse digests were computed before both became bulk
+array operations. The CLI
 digests are sha256 sums of each subcommand's stdout, computed before the
 thread pool, the scripts and the per-module validators were removed. Any
 change to the random stream, the packing, or the arithmetic order of a
@@ -21,7 +23,7 @@ import pytest
 
 from griddp.cli import cli_main
 from griddp.composition import clip_user, pseudo_user_optimize
-from griddp.dataset import Dataset
+from griddp.dataset import Dataset, parse_dataset, parse_occupancy
 from griddp.harness import (
     ExperimentConfig,
     mae_eval,
@@ -30,7 +32,7 @@ from griddp.harness import (
 )
 from griddp.mechanisms import MechanismParams, release
 from griddp.rng import RngStream
-from griddp.synth import SynthParams, generate_occupancy
+from griddp.synth import SynthParams, ValueModel, generate_occupancy, generate_values
 
 BOUND_U = 10.0
 
@@ -230,6 +232,55 @@ OCCUPANCY_GOLDEN = {
 def test_generate_occupancy_golden(name):
     occ = generate_occupancy(SynthParams(**OCCUPANCY_CASES[name]), RngStream(31))
     assert _digest(occ.as_dict()) == OCCUPANCY_GOLDEN[name]
+
+
+def _dataset_digest(ds) -> str:
+    return _digest(
+        {g: {u: [float.hex(v) for v in ds.values(g, u)] for u in ds.users_in(g)} for g in ds.grids()}
+    )
+
+
+def test_generate_values_golden():
+    occ = generate_occupancy(SynthParams(grids=8, users=255, heavy_gamma=3.0), RngStream(31))
+    ds = generate_values(occ, ValueModel(), RngStream(31))
+    assert sum(map(len, map(ds.grid_values, ds.grids()))) == 63934
+    assert _dataset_digest(ds) == "7fb5ef251fba66580265af1e3fd48898f73892368477336c563544cb2b22f8f6"
+
+
+# Quoted fields (with a comma and a newline inside), CRLF and LF endings,
+# blank and whitespace-only lines, padded fields, a header in another case,
+# repeated (user, grid) pairs in the data and no final newline.
+PARSE_DATA_CSV = (
+    "User, Grid ,VALUE\r\n"
+    "u1,g1,1.5\r\n"
+    "\r\n"
+    '"u,2",g1,2.25\n'
+    "u1,g1, 0.5 \n"
+    "   \n"
+    '" u3 ","g\n2",3\n'
+    "\n"
+    "u1,g2,4e0\r\n"
+    '"u1",g1,"1.0"\n'
+    "u2 ,g2,0\n"
+    'u1,"g1",7.25'
+)
+PARSE_OCCUPANCY_CSV = (
+    "user,grid,count\r\n"
+    "u1,g1,2\r\n"
+    "\r\n"
+    '"u,2",g1, 3 \n'
+    "  \n"
+    '" u3 ","g\n2",1\n'
+    "u1,g2,+4\r\n"
+    '"u2",g2,"5"'
+)
+
+
+def test_parse_golden():
+    ds = parse_dataset(PARSE_DATA_CSV, 8.0)
+    assert _dataset_digest(ds) == "cab243a83c52efac75a7256123721f0c10052d15877ddb9777fddf1d1ecff531"
+    occ = parse_occupancy(PARSE_OCCUPANCY_CSV)
+    assert _digest(occ.as_dict()) == "e13ba9b858d5560909c27b7a3e527b86f5d9d6eca8ddd6cd8c68f9b51d998d43"
 
 
 CURVE_GOLDEN = {

@@ -1,13 +1,14 @@
 """Stream splitting, determinism, and the inverse-CDF samplers."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from griddp.errors import InvalidParams, NonPositiveScale
-from griddp.rng import RngStream, laplace_inverse_cdf
+from griddp.rng import _EPS, RngStream, _normal_inverse_cdf, laplace_inverse_cdf
 
 
 def test_same_seed_same_sequence():
@@ -103,6 +104,37 @@ def test_normal_moments_and_finiteness():
     assert np.all(np.isfinite(draws))
     assert abs(float(draws.mean()) - 10.0) < 0.1
     assert abs(float(draws.std()) - 3.0) < 0.1
+
+
+def _neighbours(x, k=4):
+    """x and its k nearest floats on each side."""
+    out, lo, hi = [x], x, x
+    for _ in range(k):
+        lo, hi = math.nextafter(lo, 0.0), math.nextafter(hi, 1.0)
+        out += [lo, hi]
+    return out
+
+
+def test_normal_inverse_cdf_bit_identical_to_stdlib():
+    # the branch edges |p - 1/2| = 0.425, the clamp ends, and 10^6 uniforms
+    # spread over the centre and both tails (down to exp(-36))
+    edges = _neighbours(0.075) + _neighbours(0.925) + _neighbours(_EPS) + _neighbours(1 - _EPS)
+    rng = RngStream(41).split("inv_cdf")
+    deep = np.exp(-36.0 * rng.random(100_000))
+    u = np.concatenate([edges, rng.random(800_000), deep, 1.0 - deep])
+    u = np.clip(u, _EPS, 1.0 - _EPS)
+    assert len(u) >= 1_000_000
+    want = np.array([NormalDist().inv_cdf(p) for p in u.tolist()])
+    got = _normal_inverse_cdf(u)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_normal_draws_match_stdlib_transform():
+    nd = NormalDist(20.66769, math.sqrt(115.135))
+    u = np.clip(RngStream(8).random(size=5000), _EPS, 1.0 - _EPS)
+    want = [nd.inv_cdf(p) for p in u.tolist()]
+    assert RngStream(8).normal(nd.mean, nd.stdev, size=5000).tolist() == want
+    assert RngStream(8).normal(nd.mean, nd.stdev) == want[0]
 
 
 def test_randbelow_bounds():

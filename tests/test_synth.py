@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statistics import NormalDist
+
 from griddp.dataset import OccupancyArray
 from griddp.errors import InvalidParams
-from griddp.rng import RngStream
+from griddp.rng import _EPS, RngStream
 from griddp.synth import (
     SCALE_SAMPLE,
     SCALE_USER,
@@ -143,6 +145,10 @@ def test_params_validation():
         SynthParams(heavy_gamma=-0.5)
     with pytest.raises(InvalidParams):
         ValueModel(variance=0.0)
+    # an infinite mean once clamped every sample to U without an error
+    for mean in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InvalidParams, match="mean must be finite"):
+            ValueModel(mean=mean)
 
 
 @pytest.mark.parametrize(
@@ -225,3 +231,36 @@ def test_generate_occupancy_full_tiers_match_reference():
         params = SynthParams(grids=8, users=255, geometric_q=0.05, heavy_gamma=heavy_gamma)
         rng = RngStream(8).split("full")
         assert generate_occupancy(params, rng) == _generate_occupancy_oracle(params, rng)
+
+
+def _generate_values_oracle(occupancy, model, rng):
+    """Reference value synthesis: one NormalDist.inv_cdf call per sample.
+
+    This is the per-user loop generate_values ran before it drew the whole
+    occupancy as one block; the block version must equal it.
+    """
+    s = rng.split("values")
+    nd = NormalDist(model.mean, math.sqrt(model.variance))
+    out = {}
+    for g in occupancy.grids():
+        for u in occupancy.users_in(g):
+            draws = np.clip(s.random(occupancy.count(g, u)), _EPS, 1 - _EPS)
+            out.setdefault(g, {})[u] = tuple(
+                min(max(nd.inv_cdf(float(p)), 0.0), model.bound_u) for p in draws
+            )
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _synth_params(),
+    st.integers(0, 2**63),
+    st.sampled_from([(20.66769, 115.135, 65.0), (0.0, 1.0, 0.5), (-3.0, 0.01, 1.0), (1e3, 1e6, 5.0)]),
+)
+def test_generate_values_matches_per_sample_reference(params, seed, moments):
+    mean, variance, bound_u = moments
+    model = ValueModel(mean=mean, variance=variance, bound_u=bound_u)
+    occ = generate_occupancy(params, RngStream(seed))
+    ds = generate_values(occ, model, RngStream(seed))
+    got = {g: {u: ds.values(g, u) for u in ds.users_in(g)} for g in ds.grids()}
+    assert got == _generate_values_oracle(occ, model, RngStream(seed))
