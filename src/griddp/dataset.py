@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 from dataclasses import dataclass
-from itertools import chain, count, repeat
+from itertools import chain, count, islice
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -131,23 +133,28 @@ class Dataset:
         for grid in sorted(samples):
             row = samples[grid]
             grid_row: dict[str, tuple[float, ...]] = {}
-            for user in sorted(row):
-                values = tuple(map(float, row[user]))
-                if values:
-                    grid_row[user] = values
-            if not grid_row:
-                continue
-            flat = np.fromiter(chain.from_iterable(grid_row.values()), float)
-            # NaN fails both comparisons, as it fails the scalar check below
-            if not ((flat >= 0.0) & (flat <= self.bound_u)).all():
-                self._raise_out_of_range(grid, grid_row)
-            cleaned[grid] = grid_row
+            try:
+                for user in sorted(row):
+                    values = tuple(map(float, row[user]))
+                    if values:
+                        grid_row[user] = values
+            except Exception:
+                # each user is range-checked before the next is converted
+                self._check_range(grid, grid_row)
+                raise
+            if grid_row:
+                self._check_range(grid, grid_row)
+                cleaned[grid] = grid_row
         if not cleaned:
             raise EmptyDataset("dataset has no records")
         self._samples = cleaned
 
-    def _raise_out_of_range(self, grid: str, row: dict[str, tuple[float, ...]]) -> None:
+    def _check_range(self, grid: str, row: dict[str, tuple[float, ...]]) -> None:
         """Raise ValueOutOfRange for the first bad value in user, input order."""
+        flat = np.fromiter(chain.from_iterable(row.values()), float)
+        # NaN fails both comparisons, as it fails the scalar check below
+        if ((flat >= 0.0) & (flat <= self.bound_u)).all():
+            return
         for user, values in row.items():
             for v in values:
                 if not 0.0 <= v <= self.bound_u:
@@ -231,8 +238,15 @@ def _read_source(path_or_text) -> str:
 
 
 # Characters per parse block: large enough that per-block costs vanish,
-# small enough that a block's token lists stay a few MB.
-_BLOCK_CHARS = 1 << 20
+# small enough that a block's tokens and csv records are freed before the
+# garbage collector moves them to its oldest generation and rescans them.
+_BLOCK_CHARS = 1 << 16
+
+# A line as io.StringIO yields it, with its newline.
+_LINE = re.compile(r"[^\n]*\n|[^\n]+")
+
+# What str.strip() removes from an ASCII token, apart from newlines.
+_PADDING = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 def _lines(text: str, pos: int, cursor: list[int]):
@@ -246,24 +260,30 @@ def _lines(text: str, pos: int, cursor: list[int]):
         pos = end
 
 
-def _csv_records(text: str, pos: int, stop: int, lineno: int, cursor: list[int]):
-    """(line number, fields) of the csv records from pos through the one
-    that reaches stop; cursor[0] ends at the end of that record."""
-    for row in csv.reader(_lines(text, pos, cursor)):
-        yield lineno, row
-        if cursor[0] >= stop:
-            return
-        lineno += 1
+def _records(text: str, pos: int, stop: int, cursor: list[int]):
+    """The csv records from pos through the one that reaches stop, and the
+    csv.Error that cut the read short, if one did; cursor[0] ends at the end
+    of the last record read."""
+    lines = _LINE.findall(text, pos, stop)
+    cursor[0] = stop
+    # lines past stop are read one at a time, and only by a record that
+    # crosses stop or follows one that did
+    reader = csv.reader(chain(lines, _lines(text, stop, cursor)))
+    rows: list[list[str]] = []
+    try:
+        # each record takes at least one line
+        while reader.line_num < len(lines):
+            rows += islice(reader, len(lines) - reader.line_num)
+    except csv.Error as exc:
+        return rows, exc
+    return rows, None
 
 
-def _scan(records, width: int, one, out: tuple[list, list, list]) -> int:
+def _scan(records, width: int, one, out: tuple[list, list, list]) -> None:
     """The row-by-row parse: append the data rows of records, (line number,
-    csv fields) pairs, to out's user, grid and converted-field lists, and
-    return how many records there were."""
+    csv fields) pairs, to out's user, grid and converted-field lists."""
     users, grids, fields = out
-    n = 0
     for lineno, row in records:
-        n += 1
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != width:
@@ -274,18 +294,13 @@ def _scan(records, width: int, one, out: tuple[list, list, list]) -> int:
         fields.append(one(user, grid, raw, lineno))
         users.append(user)
         grids.append(grid)
-    return n
-
-
-# What str.strip() removes from an ASCII token, apart from newlines.
-_PADDING = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
 def _split(block: str, codes: np.ndarray):
-    """User, grid and raw third-field tokens of a block of lines that csv
-    splits at each comma, or None unless every line holds two commas and
-    no token is empty. codes is the block's UTF-8 encoding, whose commas
-    and newlines are the block's own."""
+    """User and grid tokens, stripped, and raw third fields of a block of
+    lines that csv splits at each comma, or None unless every line holds
+    two commas. codes is the block's UTF-8 encoding, whose commas and
+    newlines are the block's own."""
     kinds = codes[(codes == 44) | (codes == 10)]
     if not block.endswith("\n"):
         kinds = np.append(kinds, 10)
@@ -298,15 +313,34 @@ def _split(block: str, codes: np.ndarray):
     if not block.isascii() or any(c in block for c in _PADDING):
         users = list(map(str.strip, users))
         grids = list(map(str.strip, grids))
-    if "" in users or "" in grids:
-        return None
-    # float() and int() skip the padding str.strip() removes, or fail and
-    # send the block to the row scan, so the third field stays raw
     return users, grids, parts[2::3]
 
 
+def _columns(rows: list[list[str]]):
+    """User and grid tokens, stripped, and raw third fields of csv records,
+    or None unless every record holds three fields."""
+    if set(map(len, rows)) != {3}:
+        return None
+    users, grids, raws = (list(map(itemgetter(i), rows)) for i in range(3))
+    return list(map(str.strip, users)), list(map(str.strip, grids)), raws
+
+
+def _convert(fields, bulk):
+    """fields with its third fields converted by bulk(users, grids, raws),
+    or None if fields is None, a user or grid token is empty or bulk raises
+    ValueError."""
+    if fields is None or "" in fields[0] or "" in fields[1]:
+        return None
+    # float() and int() skip the padding str.strip() removes, or fail and
+    # send the rows to the row scan, so the third field stays raw
+    try:
+        return fields[0], fields[1], bulk(*fields)
+    except ValueError:
+        return None
+
+
 class _Codes(dict):
-    """Token -> integer code, in first-seen order."""
+    """Token -> integer code, in arbitrary order; ranks() gives the sorted one."""
 
     def encode(self, tokens: list[str]) -> np.ndarray:
         for token in dict.fromkeys(tokens).keys() - self.keys():
@@ -327,11 +361,12 @@ def _table(text: str, header: tuple[str, ...], bulk, one):
 
     The data rows are read in blocks of whole lines. A block with a quote,
     CR, NUL or a line longer than csv's field limit is read with
-    csv.reader; any other block is split at commas and newlines in bulk
-    and its third fields converted by bulk(users, grids, raws). A block
-    whose split or conversion fails (bulk raises ValueError) is scanned
-    again row by row with one(user, grid, raw, lineno), which raises the
-    first error in file order, with its line number (the csv record number).
+    csv.reader; any other block is split at commas and newlines. Either
+    way the third fields are converted by bulk(users, grids, raws). A block
+    whose conversion fails (bulk raises ValueError), or that holds a blank
+    or malformed line, is scanned again row by row with one(user, grid,
+    raw, lineno), which raises the first error in file order, with its line
+    number (the csv record number).
 
     Returns the grid and user tokens in sorted order, the stable (grid,
     user) order of the data rows, the runs of that order as (grid index,
@@ -360,28 +395,22 @@ def _table(text: str, header: tuple[str, ...], bulk, one):
         ends = np.flatnonzero(codes == 10)
         longest = np.diff(ends, prepend=-1, append=len(codes)).max() - 1
         # csv in Python 3.10 rejects NUL, and it caps the length of a field
-        dirty = '"' in block or "\r" in block or "\0" in block or longest > limit
-        split = None
-        if not dirty:
+        clean = not ('"' in block or "\r" in block or "\0" in block or longest > limit)
+        rows = error = None
+        if clean:
             cursor[0] = stop
-            split = _split(block, codes)
-            if split is not None:
-                try:
-                    split = (split[0], split[1], bulk(*split))
-                except ValueError:
-                    split = None
-        if split is None:
-            if dirty:
-                records = _csv_records(text, pos, stop, lineno, cursor)
-            else:
-                lines = block.split("\n")
-                if block.endswith("\n"):
-                    lines.pop()
-                records = zip(count(lineno), (line.split(",") if line else [] for line in lines))
-            split = ([], [], [])
-            lineno += _scan(records, len(header), one, split)
+            split = _convert(_split(block, codes), bulk)
         else:
-            lineno += len(split[0])
+            rows, error = _records(text, pos, stop, cursor)
+            split = None if error else _convert(_columns(rows), bulk)
+        if split is None:
+            if rows is None:
+                rows, error = _records(text, pos, stop, cursor)
+            split = ([], [], [])
+            _scan(zip(count(lineno), rows), len(header), one, split)
+            if error is not None:
+                raise error
+        lineno += len(split[0]) if rows is None else len(rows)
         gcode.append(grid_codes.encode(split[1]))
         ucode.append(user_codes.encode(split[0]))
         chunks.append(split[2])

@@ -170,6 +170,13 @@ def test_dataset_range_error_names_first_bad_value():
         Dataset({"h": {"a": [-1.0]}, "g": {"b": [-3.0], "a": [0.5, 2.0, -1.0]}}, 1.0)
     with pytest.raises(ValueOutOfRange, match="value nan for user 'u'"):
         Dataset({"g": {"u": [0.5, math.nan]}}, 1.0)
+    # each user is converted and then range-checked before the next user
+    with pytest.raises(ValueOutOfRange, match="value 9.0 for user 'a'"):
+        Dataset({"g": {"a": [9.0], "b": ["x"]}}, 1.0)
+    with pytest.raises(ValueError, match="could not convert"):
+        Dataset({"g": {"a": ["x"], "b": [9.0]}}, 1.0)
+    with pytest.raises(ValueError, match="could not convert"):
+        Dataset({"g": {"a": [9.0, "x"]}}, 1.0)
 
 
 # Reference parsers: the row-by-row csv.reader loop the block parser replaced.
@@ -323,7 +330,12 @@ def test_parse_matches_reference_on_clean_blocks():
         assert _outcome(parse_occupancy, dup) == _outcome(_parse_occupancy_reference, dup)
 
 
-def test_parse_long_line_keeps_csv_field_limit():
+@pytest.mark.parametrize("before", ["u1,g1,1\n", "u1,g1\n", "u1,g1,x\n", '"u1\n",g1,1\n'])
+def test_parse_long_line_keeps_csv_field_limit(before):
+    # csv.Error only after the rows before it, in the same block, are checked
     limit = csv.field_size_limit()
-    text = f"user,grid,value\nu1,g1,1\nu1,{'g' * (limit + 1)},2\n"
-    assert _outcome(parse_dataset, text, 5.0) == _outcome(_parse_dataset_reference, text, 5.0)
+    text = f"user,grid,value\n{before}u1,{'g' * (limit + 1)},2\n"
+    for block in (64, 1 << 20):
+        with mock.patch.object(dataset, "_BLOCK_CHARS", block):
+            got = _outcome(parse_dataset, text, 5.0)
+        assert got == _outcome(_parse_dataset_reference, text, 5.0)

@@ -236,8 +236,8 @@ def test_generate_occupancy_full_tiers_match_reference():
 def _generate_values_oracle(occupancy, model, rng):
     """Reference value synthesis: one NormalDist.inv_cdf call per sample.
 
-    This is the per-user loop generate_values ran before it drew the whole
-    occupancy as one block; the block version must equal it.
+    This is the per-user loop generate_values ran before it drew each grid's
+    values in one call; the per-grid version must equal it.
     """
     s = rng.split("values")
     nd = NormalDist(model.mean, math.sqrt(model.variance))
