@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .composition import clip_user
 from .dataset import grid_stats, parse_dataset, parse_occupancy
-from .errors import GridDPError, InvalidPlan, IoError, UsageError
+from .errors import GridDPError, InvalidPlan, IoError, UsageError, read_utf8
 from .grouping import STRATEGY_BEST, STRATEGY_WRAP
 from .harness import (
     ExperimentConfig,
@@ -88,13 +88,8 @@ def _coerce(value: str):
 
 
 def _load_config(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read config {path}: {exc}") from exc
     out = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(read_utf8(path, "config ").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -169,11 +164,9 @@ def _cmd_bias(args) -> None:
 
 
 def _load_plan(path: str) -> dict:
+    text = read_utf8(path, "plan ")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise IoError(f"cannot read plan {path}: {exc}") from exc
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"plan {path} is not valid JSON: {exc}") from None
     if isinstance(obj, dict) and "plan" in obj:

@@ -26,11 +26,11 @@ from .errors import (
     EmptyDataset,
     EmptyValues,
     InvalidParams,
-    IoError,
     MalformedRow,
     NonPositiveCount,
     UnknownGrid,
     ValueOutOfRange,
+    read_utf8,
     require_ints,
     require_positive,
 )
@@ -222,17 +222,10 @@ def grid_stats(dataset: Dataset, grid: str) -> GridStats:
 
 def _read_source(path_or_text) -> str:
     if isinstance(path_or_text, Path):
-        try:
-            return path_or_text.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise IoError(f"cannot read {path_or_text}: {exc}") from exc
+        return read_utf8(path_or_text)
     if isinstance(path_or_text, str):
         if "\n" not in path_or_text and os.path.isfile(path_or_text):
-            try:
-                with open(path_or_text, encoding="utf-8") as fh:
-                    return fh.read()
-            except OSError as exc:
-                raise IoError(f"cannot read {path_or_text}: {exc}") from exc
+            return read_utf8(path_or_text)
         return path_or_text
     raise InvalidParams(f"expected a path or CSV text, got {type(path_or_text)}")
 
@@ -366,7 +359,7 @@ def _table(text: str, header: tuple[str, ...], bulk, one):
     whose conversion fails (bulk raises ValueError), or that holds a blank
     or malformed line, is scanned again row by row with one(user, grid,
     raw, lineno), which raises the first error in file order, with its line
-    number (the csv record number).
+    number (the csv record number); a csv.Error is raised as MalformedRow.
 
     Returns the grid and user tokens in sorted order, the stable (grid,
     user) order of the data rows, the runs of that order as (grid index,
@@ -378,6 +371,8 @@ def _table(text: str, header: tuple[str, ...], bulk, one):
         first = next(csv.reader(_lines(text, 0, cursor)))
     except StopIteration:
         raise EmptyDataset("input is empty") from None
+    except csv.Error as exc:
+        raise MalformedRow(f"line 1: {exc}") from None
     if tuple(f.strip().lower() for f in first) != header:
         raise MalformedRow(
             f"expected header {','.join(header)!r}, got {','.join(first)!r}"
@@ -409,7 +404,7 @@ def _table(text: str, header: tuple[str, ...], bulk, one):
             split = ([], [], [])
             _scan(zip(count(lineno), rows), len(header), one, split)
             if error is not None:
-                raise error
+                raise MalformedRow(f"line {lineno + len(rows)}: {error}") from None
         lineno += len(split[0]) if rows is None else len(rows)
         gcode.append(grid_codes.encode(split[1]))
         ucode.append(user_codes.encode(split[0]))

@@ -4,13 +4,15 @@ Every input-validation failure raises a named subclass of GridDPError so
 callers (and the CLI) can distinguish bad data from bugs. The require_*
 functions below are the checks every module shares: positive finite
 scalars, integers (with an optional lower bound, as for capacities),
-count lists, retained-count lists and their pairing.
+count lists, retained-count lists and their pairing. read_utf8 reads every
+input file, so an unreadable or undecodable one is an IoError.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from pathlib import Path
 
 
 class GridDPError(Exception):
@@ -162,3 +164,12 @@ def require_pair(m_list, gamma_list) -> tuple[list[int], list[int]]:
     if sum(gammas) == 0:
         raise ZeroRetained("all retained counts are zero")
     return counts, gammas
+
+
+def read_utf8(path, what: str = "") -> str:
+    """The text of a UTF-8 file; IoError if it cannot be read or decoded.
+    what names the file's role in the message, such as "plan "."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise IoError(f"cannot read {what}{path}: {exc}") from exc

@@ -91,23 +91,17 @@ def wrap_around(
     capacity = require_int("array capacity", capacity, 1, InvalidCapacity)
     if not samples_by_user or all(len(v) == 0 for v in samples_by_user.values()):
         raise ZeroTotal("no samples to group")
-    values: list[list[float]] = []
-    sources: list[list[str]] = []
-    cursor = 0
+    values: list[float] = []
+    sources: list[str] = []
     for user in _ordered_users(samples_by_user):
-        block = samples_by_user[user][: min(len(samples_by_user[user]), capacity)]
-        for v in block:
-            while cursor >= len(values):
-                values.append([])
-                sources.append([])
-            values[cursor].append(float(v))
-            sources[cursor].append(user)
-            if len(values[cursor]) == capacity:
-                cursor += 1
-    full = sum(1 for arr in values if len(arr) == capacity)
+        block = samples_by_user[user][:capacity]
+        values.extend(map(float, block))
+        sources.extend([user] * len(block))
+    # consecutive cuts bound the full arrays; a partial tail is dropped
+    cuts = range(0, len(values) + 1, capacity)
     return [
-        ArrayGroup(i, capacity, tuple(values[i]), tuple(sources[i]))
-        for i in range(full)
+        ArrayGroup(i, capacity, tuple(values[lo:hi]), tuple(sources[lo:hi]))
+        for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
     ]
 
 

@@ -22,7 +22,7 @@ Budget layout per mechanism, for a total privacy cost of epsilon:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .dataset import Dataset, population_stats
@@ -126,6 +126,18 @@ def _noise(scale: float, rng: RngStream) -> float:
     if scale > 0:
         return sample_laplace(scale, rng)
     return 0.0
+
+
+def _choose(weights: list[float], rng: RngStream) -> int:
+    """Index i with probability weights[i] / sum(weights), by a running sum
+    over one uniform; the sum must be positive."""
+    r = rng.random() * sum(weights)
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if r < acc:
+            return i
+    return len(weights) - 1
 
 
 def _grid_samples(dataset: Dataset, grid: str) -> dict[str, tuple[float, ...]]:
@@ -255,16 +267,7 @@ def private_interval(
 
     c_min = min(costs)
     weights = [math.exp(-eps_half * (c - c_min) / 2) for c in costs]
-    total_w = sum(weights)
-    r = rng.random() * total_w
-    acc = 0.0
-    chosen = nbins - 1
-    for j, w in enumerate(weights):
-        acc += w
-        if r < acc:
-            chosen = j
-            break
-    center = midpoints[chosen]
+    center = midpoints[_choose(weights, rng)]
     return IntervalEstimate(
         a=max(0.0, center - 1.5 * tau),
         b=min(center + 1.5 * tau, bound_u),
@@ -303,25 +306,19 @@ def private_quantile(
     n = len(xs)
     pts = [0.0] + xs + [float(bound_u)]
     target = q_level * n
-    utilities = [-abs(i - target) for i in range(n + 1)]
-    shift = max(utilities)
+    # Shift by the utility of the positive-width interval nearest the target,
+    # so the largest weight is that interval's width and the sum is positive.
+    # Intervals inside a run of equal points have zero width; the nearest
+    # positive-width ones border the run that holds pts[round(target)].
+    v = pts[round(target)]
+    near = (bisect_left(pts, v) - 1, bisect_right(pts, v) - 1)
+    shift = max(-abs(i - target) for i in near if 0 <= i <= n)
+    half = eps_q / 2
     weights = [
-        (pts[i + 1] - pts[i]) * math.exp((eps_q / 2) * (utilities[i] - shift))
-        for i in range(n + 1)
+        (hi - lo) * math.exp(half * (-abs(i - target) - shift)) if hi > lo else 0.0
+        for i, lo, hi in zip(range(n + 1), pts, pts[1:])
     ]
-    total_w = sum(weights)
-    if total_w <= 0:
-        # Every usable interval underflowed; fall back to the widest one.
-        chosen = max(range(n + 1), key=lambda i: (pts[i + 1] - pts[i], -i))
-    else:
-        r = rng.random() * total_w
-        acc = 0.0
-        chosen = n
-        for i, w in enumerate(weights):
-            acc += w
-            if r < acc:
-                chosen = i
-                break
+    chosen = _choose(weights, rng)
     return pts[chosen] + rng.random() * (pts[chosen + 1] - pts[chosen])
 
 
@@ -402,24 +399,40 @@ def _draw_array_average(
     )
 
 
+def _projected_release(
+    mechanism: str,
+    prep: Prepared,
+    a: float,
+    b: float,
+    params: MechanismParams,
+    rng: RngStream,
+    degenerate: bool = False,
+) -> MechanismOutput:
+    """The noisy mean of the array means clamped to [a, b]: sensitivity
+    (b - a) / k_bar on half the budget; one uniform unless a == b."""
+    means = prep.means
+    k_bar = len(means)
+    projected = [min(max(v, a), b) for v in means]
+    delta = (b - a) / k_bar
+    scale = 2 * delta / params.epsilon
+    return MechanismOutput(
+        mechanism=mechanism,
+        grid=prep.grid,
+        noisy_mean=sum(projected) / k_bar + _noise(scale, rng),
+        noise_scale_mean=scale,
+        interval=(a, b),
+        degenerate_ranks=degenerate,
+        arrays=k_bar,
+    )
+
+
 def _draw_levy(
     prep: Prepared, params: MechanismParams, rng: RngStream
 ) -> MechanismOutput:
     means = prep.means
-    k_bar = len(means)
-    tau = concentration_tau(params.bound_u, k_bar, params.gamma, prep.capacity)
+    tau = concentration_tau(params.bound_u, len(means), params.gamma, prep.capacity)
     est = private_interval(means, params.epsilon / 2, tau, params.bound_u, rng)
-    projected = [min(max(v, est.a), est.b) for v in means]
-    delta = (est.b - est.a) / k_bar
-    scale = 2 * delta / params.epsilon
-    return MechanismOutput(
-        mechanism="levy",
-        grid=prep.grid,
-        noisy_mean=sum(projected) / k_bar + _noise(scale, rng),
-        noise_scale_mean=scale,
-        interval=(est.a, est.b),
-        arrays=k_bar,
-    )
+    return _projected_release("levy", prep, est.a, est.b, params, rng)
 
 
 def _draw_quantile(
@@ -444,17 +457,8 @@ def _draw_quantile(
     b = private_quantile(means, q_hi, eps_q, params.bound_u, rng)
     if a > b:
         a, b = b, a
-    projected = [min(max(v, a), b) for v in means]
-    delta = (b - a) / k_bar
-    scale = 2 * delta / params.epsilon
-    return MechanismOutput(
-        mechanism=f"quantile_{params.quantile_mode}",
-        grid=prep.grid,
-        noisy_mean=sum(projected) / k_bar + _noise(scale, rng),
-        noise_scale_mean=scale,
-        interval=(a, b),
-        degenerate_ranks=degenerate,
-        arrays=k_bar,
+    return _projected_release(
+        f"quantile_{params.quantile_mode}", prep, a, b, params, rng, degenerate
     )
 
 

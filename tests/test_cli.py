@@ -431,6 +431,34 @@ def test_missing_data_file_is_an_io_error(capsys, tmp_path):
         assert "cannot read" in err and "nope.csv" in err
 
 
+@pytest.mark.parametrize(
+    "flag, content, message",
+    [
+        ("--data", b"user,grid,value\nu1,g1,1\xff\n", "cannot read"),
+        ("--plan", b'{"g1": {"u1": 1}}\xff', "cannot read plan"),
+        ("--config", b"u=10\n\xff\n", "cannot read config"),
+        # csv caps the length of a field
+        (
+            "--data",
+            b"user,grid,value\nu1,g1,1\nu2," + b"g" * (csv.field_size_limit() + 1) + b",2\n",
+            "line 3: field larger than field limit",
+        ),
+        # a file is read with universal newlines, so the CR ends a line
+        ("--data", b"user,grid,value\nu1,g1,1\r2\n", "line 3: expected 3 fields"),
+    ],
+    ids=["data-not-utf8", "plan-not-utf8", "config-not-utf8", "data-long-field", "data-cr"],
+)
+def test_bad_input_file_is_an_error_line(capsys, tmp_path, data_file, flag, content, message):
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    # the last --data wins
+    argv = ["mechanism", "--data", data_file, "--u", "10", "--eps", "1", "--mech", "clip"]
+    code, out, err = _run(capsys, argv + ["--seed", "3", flag, str(bad)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
 def test_synth_values_rejects_infinite_mean(capsys):
     code, out, err = _run(capsys, ["synth", "--values", "--mu", "inf", "--seed", "1"])
     assert code == 1

@@ -183,10 +183,22 @@ def test_dataset_range_error_names_first_bad_value():
 # It is the specification of what a CSV means and which error it raises.
 
 
-def _rows_reference(text, header):
-    reader = csv.reader(io.StringIO(text))
+def _records_reference(text):
+    """(record number, csv fields) pairs; a csv.Error is a MalformedRow
+    at the number of the record it cut short."""
+    lineno = 1
     try:
-        first = next(reader)
+        for row in csv.reader(io.StringIO(text)):
+            yield lineno, row
+            lineno += 1
+    except csv.Error as exc:
+        raise MalformedRow(f"line {lineno}: {exc}") from None
+
+
+def _rows_reference(text, header):
+    records = _records_reference(text)
+    try:
+        _, first = next(records)
     except StopIteration:
         raise EmptyDataset("input is empty") from None
     if tuple(f.strip().lower() for f in first) != header:
@@ -194,7 +206,7 @@ def _rows_reference(text, header):
             f"expected header {','.join(header)!r}, got {','.join(first)!r}"
         )
     count = 0
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in records:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != len(header):
@@ -252,7 +264,7 @@ def _outcome(parse, *args):
     """The parse result, or the type and message of what it raised."""
     try:
         return parse(*args)
-    except Exception as exc:  # csv.Error included: both must raise the same
+    except Exception as exc:  # both must raise the same type and message
         return type(exc), str(exc)
 
 
@@ -328,6 +340,19 @@ def test_parse_matches_reference_on_clean_blocks():
         assert parse_occupancy(occ) == _parse_occupancy_reference(occ)
         dup = occ + "u5,g2,1\n"
         assert _outcome(parse_occupancy, dup) == _outcome(_parse_occupancy_reference, dup)
+
+
+def test_csv_errors_are_malformed_rows_at_their_record():
+    big = "g" * (csv.field_size_limit() + 1)
+    cases = [
+        ("user,grid,value\nu1,g1,1\r2\n", "line 2: new-line character"),
+        (f"user,grid,value\nu1,g1,1\n\nu2,{big},2\n", "line 4: field larger"),
+        (f"user,{big},value\n", "line 1: field larger"),
+    ]
+    for text, message in cases:
+        with pytest.raises(MalformedRow, match=message):
+            parse_dataset(text, 65.0)
+        assert _outcome(parse_dataset, text, 65.0) == _outcome(_parse_dataset_reference, text, 65.0)
 
 
 @pytest.mark.parametrize("before", ["u1,g1,1\n", "u1,g1\n", "u1,g1,x\n", '"u1\n",g1,1\n'])

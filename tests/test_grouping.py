@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from griddp.errors import EmptyValues, InvalidCapacity, NonPositiveCount, ZeroTotal
 from griddp.grouping import (
+    ArrayGroup,
     _assign_best_fit,
+    _ordered_users,
     array_count_k,
     array_means,
     best_fit,
@@ -133,6 +135,39 @@ def test_wrap_invariants(counts, capacity):
     for ixs in where.values():
         assert len(set(ixs)) <= 2
         assert max(ixs) - min(ixs) <= 1
+
+
+def _wrap_around_oracle(samples_by_user, capacity):
+    """Reference wrap-around: place one sample at a time, opening an array
+    whenever the current one fills; this is the routine wrap_around used
+    before it sliced flat lists, and the fast packing must reproduce it."""
+    values, sources = [], []
+    cursor = 0
+    for user in _ordered_users(samples_by_user):
+        block = samples_by_user[user][: min(len(samples_by_user[user]), capacity)]
+        for v in block:
+            while cursor >= len(values):
+                values.append([])
+                sources.append([])
+            values[cursor].append(float(v))
+            sources[cursor].append(user)
+            if len(values[cursor]) == capacity:
+                cursor += 1
+    full = sum(1 for arr in values if len(arr) == capacity)
+    return [
+        ArrayGroup(i, capacity, tuple(values[i]), tuple(sources[i]))
+        for i in range(full)
+    ]
+
+
+@given(counts_strategy, st.integers(min_value=1, max_value=18))
+@settings(max_examples=300)
+def test_wrap_around_matches_sample_loop(counts, capacity):
+    samples = {
+        f"u{i + 1:02d}": tuple(float(i + 1) + j / 16 for j in range(c))
+        for i, c in enumerate(counts)
+    }
+    assert wrap_around(samples, capacity) == _wrap_around_oracle(samples, capacity)
 
 
 @given(counts_strategy, st.integers(min_value=1, max_value=18))

@@ -214,6 +214,19 @@ def test_private_quantile_concentrates_at_high_budget():
         assert 0.0 <= lo <= 1.0
 
 
+def test_private_quantile_neighbours_share_support():
+    # At the median of 4000 equal values the target interval has zero
+    # width and every interval with width lies about 2000 ranks away, so exp
+    # underflows unless the shift comes from an interval with width. A
+    # deterministic pick there would give the two neighbours disjoint
+    # supports, [0, 5) and [5, 10): an infinite privacy loss.
+    same = [5.0] * 4000
+    moved = [0.5] + same[1:]
+    for values in (same, moved):
+        outs = [private_quantile(values, 0.5, 1.0, 10.0, RngStream(s)) for s in range(300)]
+        assert min(outs) < 5.0 < max(outs)
+
+
 def test_private_quantile_validation():
     with pytest.raises(EmptyValues):
         private_quantile([], 0.5, 1.0, 10.0, RngStream(0))
