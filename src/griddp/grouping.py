@@ -139,25 +139,34 @@ def _assign_best_fit(sizes: list[int], capacity: int) -> list[int]:
     return assignment
 
 
-def best_fit(
+def _best_fit_values(
     samples_by_user: dict[str, tuple[float, ...]], capacity: int
-) -> list[ArrayGroup]:
-    """Pack one grid's samples keeping each user inside a single array."""
+) -> tuple[list[tuple[str, int, int]], list[list[float]]]:
+    """A best-fit packing: (user, block size, array index) per user in
+    packing order, and each array's values as floats in that order."""
     capacity = require_int("array capacity", capacity, 1, InvalidCapacity)
     if not samples_by_user or all(len(v) == 0 for v in samples_by_user.values()):
         raise ZeroTotal("no samples to group")
     users = _ordered_users(samples_by_user)
     sizes = [min(len(samples_by_user[u]), capacity) for u in users]
     assignment = _assign_best_fit(sizes, capacity)
-    n_arrays = max(assignment) + 1
-    values: list[list[float]] = [[] for _ in range(n_arrays)]
-    sources: list[list[str]] = [[] for _ in range(n_arrays)]
+    values: list[list[float]] = [[] for _ in range(max(assignment) + 1)]
     for user, size, idx in zip(users, sizes, assignment):
         values[idx].extend(map(float, samples_by_user[user][:size]))
+    return list(zip(users, sizes, assignment)), values
+
+
+def best_fit(
+    samples_by_user: dict[str, tuple[float, ...]], capacity: int
+) -> list[ArrayGroup]:
+    """Pack one grid's samples keeping each user inside a single array."""
+    placement, values = _best_fit_values(samples_by_user, capacity)
+    sources: list[list[str]] = [[] for _ in values]
+    for user, size, idx in placement:
         sources[idx].extend([user] * size)
     return [
-        ArrayGroup(i, capacity, tuple(values[i]), tuple(sources[i]))
-        for i in range(n_arrays)
+        ArrayGroup(i, int(capacity), tuple(v), tuple(s))
+        for i, (v, s) in enumerate(zip(values, sources))
     ]
 
 

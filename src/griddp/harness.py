@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 from .composition import clip_user, pseudo_user_optimize
 from .dataset import Dataset
@@ -21,14 +20,12 @@ from .grouping import (
     optimized_mub,
 )
 from .mechanisms import (
-    GROUPED_MECHANISMS,
     QUANTILE_FIXED,
     MechanismParams,
+    bind,
     concentration_tau,
-    draw,
     levy_planning_delta,
     prepare,
-    release,
 )
 from .rng import RngStream
 from .sensitivity import mean_sensitivity
@@ -123,10 +120,11 @@ def mae_eval(
     The baseline is analytic: a full-budget Laplace release of the exact
     mean has MAE equal to its noise scale, sensitivity over epsilon. Every
     other mechanism is simulated with config.mae_draws independent releases.
-    A grouped mechanism (array_average, levy, quantile) packs the grid once
-    with prepare(), before the epsilon loop, and every draw of every epsilon
-    calls draw() on that packing; draw i at epsilon index ei uses the stream
-    split "mae:{ei}:{i}", so the points equal those of per-draw release().
+    clip and the grouped mechanisms (array_average, levy, quantile) prepare
+    the grid once, before the epsilon loop, bind once per epsilon, and draw
+    every release of that epsilon from the bound object; draw i at epsilon
+    index ei uses the stream split "mae:{ei}:{i}", so the points equal
+    those of per-draw release().
     """
     if config.mechanism == "baseline":
         counts = [len(dataset.values(grid, u)) for u in dataset.users_in(grid)]
@@ -147,15 +145,13 @@ def mae_eval(
         )
         for eps in config.epsilons
     ]
-    if config.mechanism in GROUPED_MECHANISMS:
-        simulate = partial(draw, prepare(dataset, grid, config.mechanism, all_params[0]))
-    else:
-        simulate = partial(release, dataset, grid, config.mechanism)
+    prepared = prepare(dataset, grid, config.mechanism, all_params[0])
     root = RngStream(config.seed)
     points: list[CurvePoint] = []
     for ei, params in enumerate(all_params):
+        bound = bind(prepared, params)
         value = _mean(
-            abs(simulate(params, root.split(f"mae:{ei}:{i}")).noisy_mean - true_mean)
+            abs(bound.draw(root.split(f"mae:{ei}:{i}")).noisy_mean - true_mean)
             for i in range(config.mae_draws)
         )
         points.append(CurvePoint(params.epsilon, value, config.mechanism))

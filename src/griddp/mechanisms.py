@@ -5,10 +5,17 @@ MechanismParams bundle, and an RngStream. Randomness is consumed in a fixed
 documented order, so a given (inputs, seed) pair always yields the same
 release.
 
-The grouped mechanisms (array averaging, levy, quantile) split into
-prepare(), which packs the grid into arrays and keeps the array means, and
-draw(), which spends the budget on one release from them. Only draw() is
-random, so repeated releases of one grid prepare once.
+Clip and the grouped mechanisms (array averaging, levy, quantile) run in
+three stages, and release() runs all three:
+- prepare() depends only on the data and the occupancy: it packs the grid
+  into arrays and keeps the array means (for clip: the retained counts and
+  the retained mean and variance);
+- bind() depends on the params: the noise scales, levy's tau and interval
+  ends, the sorted, clamped quantile points, and each exponential-mechanism
+  choice as a table of running weight sums;
+- draw() on the bound object is the only random stage: one uniform per
+  choice, found by bisecting its table, then the Laplace noise.
+Repeated releases of one grid prepare once and bind once per epsilon.
 
 Budget layout per mechanism, for a total privacy cost of epsilon:
 - baseline / clip: epsilon/2 on the mean, epsilon/2 on the variance, i.e.
@@ -24,6 +31,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
+
+import numpy as np
 
 from .dataset import Dataset, population_stats
 from .errors import (
@@ -40,8 +50,8 @@ from .errors import (
 from .grouping import (
     STRATEGY_BEST,
     STRATEGY_WRAP,
+    _best_fit_values,
     array_means,
-    best_fit,
     median_mub,
     optimized_mub,
     wrap_around,
@@ -128,36 +138,26 @@ def _noise(scale: float, rng: RngStream) -> float:
     return 0.0
 
 
-def _choose(weights: list[float], rng: RngStream) -> int:
-    """Index i with probability weights[i] / sum(weights), by a running sum
-    over one uniform; the sum must be positive."""
-    r = rng.random() * sum(weights)
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if r < acc:
-            return i
-    return len(weights) - 1
+def _table(weights: list[float]) -> tuple[list[float], float]:
+    """The running sums of weights, left to right from 0.0, and sum(weights):
+    the lookup table of one exponential-mechanism choice."""
+    return list(accumulate(weights, initial=0.0))[1:], sum(weights)
+
+
+def _choose(cum: list[float], total: float, u: float) -> int:
+    """Index i with probability weights[i] / total, for one uniform u: the
+    first index whose running sum exceeds u * total, else the last. The
+    total must be positive and the weights non-negative, so cum is sorted."""
+    return min(bisect_right(cum, u * total), len(cum) - 1)
 
 
 def _grid_samples(dataset: Dataset, grid: str) -> dict[str, tuple[float, ...]]:
     return {u: dataset.values(grid, u) for u in dataset.users_in(grid)}
 
 
-def clip_release(
-    dataset: Dataset,
-    grid: str,
-    retained: dict[str, int],
-    params: MechanismParams,
-    rng: RngStream,
-    label: str = "clip",
-) -> MechanismOutput:
-    """Release mean and variance of the first-gamma retained samples.
-
-    retained maps user token to the number of samples kept; users absent
-    from the mapping keep everything. Noise is calibrated to the retained
-    counts only. Draw order: mean noise, then variance noise.
-    """
+def _prepare_clip(
+    dataset: Dataset, grid: str, retained: dict[str, int], label: str
+) -> Prepared:
     samples = _grid_samples(dataset, grid)
     unknown = set(retained) - set(samples)
     if unknown:
@@ -176,18 +176,24 @@ def clip_release(
     if not kept:
         raise ZeroRetained(f"plan suppresses every sample in grid {grid}")
     _, mean, variance = population_stats(kept)
-    d_mean = clipped_mean_sensitivity(gammas, params.bound_u).value
-    d_var = clipped_variance_sensitivity(gammas, params.bound_u).value
-    scale_mean = 2 * d_mean / params.epsilon
-    scale_var = 2 * d_var / params.epsilon
-    return MechanismOutput(
-        mechanism=label,
-        grid=grid,
-        noisy_mean=mean + _noise(scale_mean, rng),
-        noise_scale_mean=scale_mean,
-        noisy_variance=variance + _noise(scale_var, rng),
-        noise_scale_var=scale_var,
-    )
+    return Prepared(label, grid, None, None, (), tuple(gammas), (mean, variance))
+
+
+def clip_release(
+    dataset: Dataset,
+    grid: str,
+    retained: dict[str, int],
+    params: MechanismParams,
+    rng: RngStream,
+    label: str = "clip",
+) -> MechanismOutput:
+    """Release mean and variance of the first-gamma retained samples.
+
+    retained maps user token to the number of samples kept; users absent
+    from the mapping keep everything. Noise is calibrated to the retained
+    counts only. Draw order: mean noise, then variance noise.
+    """
+    return bind(_prepare_clip(dataset, grid, retained, label), params).draw(rng)
 
 
 def baseline_release(
@@ -202,7 +208,7 @@ def array_average_release(
     dataset: Dataset, grid: str, params: MechanismParams, rng: RngStream
 ) -> MechanismOutput:
     """Release the mean of array means with the whole budget on one draw."""
-    return draw(prepare(dataset, grid, "array_average", params), params, rng)
+    return bind(prepare(dataset, grid, "array_average", params), params).draw(rng)
 
 
 def concentration_tau(bound_u: float, k_bar: int, gamma: float, capacity: int) -> float:
@@ -222,21 +228,15 @@ def levy_planning_delta(bound_u: float, k_bar: int, tau: float) -> float:
     return min(3 * tau, bound_u) / k_bar
 
 
-def private_interval(
-    means, eps_half: float, tau: float, bound_u: float, rng: RngStream
-) -> IntervalEstimate:
-    """Exponential-mechanism choice of a tau-grid cell covering the means.
-
-    The value range (0, U] is cut into ceil(U/tau) bins of width tau (the
-    last one short). Each mean is snapped to the nearest bin midpoint, ties
-    to the lower one. A midpoint's cost is the larger of the snapped counts
-    strictly below and strictly above it; midpoint T is drawn with weight
-    exp(-eps_half * cost / 2) and the interval is
-    [max(0, T - 1.5 tau), min(T + 1.5 tau, U)]. Consumes one uniform.
-    """
+def _interval_weights(
+    means, eps_half: float, tau: float, bound_u: float
+) -> tuple[list[float], list[int], list[float]]:
+    """Bin midpoints, costs and selection weights of private_interval."""
     means = [float(v) for v in means]
     if not means:
         raise EmptyValues("no array means to locate")
+    if any(map(math.isnan, means)):
+        raise InvalidParams("array means must not be NaN")
     require_positive("interval budget", eps_half)
     require_positive("value bound", bound_u)
     require_positive("bin width", tau, NoBins)
@@ -267,14 +267,30 @@ def private_interval(
 
     c_min = min(costs)
     weights = [math.exp(-eps_half * (c - c_min) / 2) for c in costs]
-    center = midpoints[_choose(weights, rng)]
-    return IntervalEstimate(
-        a=max(0.0, center - 1.5 * tau),
-        b=min(center + 1.5 * tau, bound_u),
-        center=center,
-        costs=tuple(costs),
-        midpoints=tuple(midpoints),
-    )
+    return midpoints, costs, weights
+
+
+def _interval_ends(center: float, tau: float, bound_u: float) -> tuple[float, float]:
+    return max(0.0, center - 1.5 * tau), min(center + 1.5 * tau, bound_u)
+
+
+def private_interval(
+    means, eps_half: float, tau: float, bound_u: float, rng: RngStream
+) -> IntervalEstimate:
+    """Exponential-mechanism choice of a tau-grid cell covering the means.
+
+    The value range (0, U] is cut into ceil(U/tau) bins of width tau (the
+    last one short). Each mean is snapped to the nearest bin midpoint, ties
+    to the lower one (infinite means to the end bins; NaN raises
+    InvalidParams). A midpoint's cost is the larger of the snapped counts
+    strictly below and strictly above it; midpoint T is drawn with weight
+    exp(-eps_half * cost / 2) and the interval is
+    [max(0, T - 1.5 tau), min(T + 1.5 tau, U)]. Consumes one uniform.
+    """
+    midpoints, costs, weights = _interval_weights(means, eps_half, tau, bound_u)
+    center = midpoints[_choose(*_table(weights), rng.random())]
+    a, b = _interval_ends(center, tau, bound_u)
+    return IntervalEstimate(a, b, center, tuple(costs), tuple(midpoints))
 
 
 def levy_release(
@@ -284,27 +300,22 @@ def levy_release(
 
     Draw order: one uniform for the interval, one for the Laplace noise.
     """
-    return draw(prepare(dataset, grid, "levy", params), params, rng)
+    return bind(prepare(dataset, grid, "levy", params), params).draw(rng)
 
 
-def private_quantile(
-    values, q_level: float, eps_q: float, bound_u: float, rng: RngStream
-) -> float:
-    """Exponential-mechanism quantile over [0, U]; consumes two uniforms.
-
-    Sorted values plus sentinels 0 and U cut [0, U] into n+1 intervals;
-    interval i gets mass width * exp(-(eps_q/2) * |i - q*n|), then the
-    return value is uniform inside the drawn interval.
-    """
+def _quantile_points(values, bound_u: float) -> list[float]:
+    """0, the values clamped to [0, U] and sorted, then U."""
     xs = sorted(min(max(float(v), 0.0), float(bound_u)) for v in values)
     if not xs:
         raise EmptyValues("no values to take a quantile of")
-    if not 0 <= q_level <= 1:
-        raise InvalidParams(f"quantile level must be in [0, 1], got {q_level}")
-    require_positive("quantile budget", eps_q)
-    require_positive("value bound", bound_u)
-    n = len(xs)
-    pts = [0.0] + xs + [float(bound_u)]
+    if any(map(math.isnan, xs)):
+        raise InvalidParams("values must not be NaN")
+    return [0.0] + xs + [float(bound_u)]
+
+
+def _quantile_weights(pts: list[float], q_level: float, eps_q: float) -> list[float]:
+    """Selection weight of each interval between consecutive points."""
+    n = len(pts) - 2
     target = q_level * n
     # Shift by the utility of the positive-width interval nearest the target,
     # so the largest weight is that interval's width and the sum is positive.
@@ -314,12 +325,36 @@ def private_quantile(
     near = (bisect_left(pts, v) - 1, bisect_right(pts, v) - 1)
     shift = max(-abs(i - target) for i in near if 0 <= i <= n)
     half = eps_q / 2
-    weights = [
+    return [
         (hi - lo) * math.exp(half * (-abs(i - target) - shift)) if hi > lo else 0.0
         for i, lo, hi in zip(range(n + 1), pts, pts[1:])
     ]
-    chosen = _choose(weights, rng)
+
+
+def _quantile_pick(
+    pts: list[float], table: tuple[list[float], float], rng: RngStream
+) -> float:
+    """One uniform picks an interval, a second a point inside it."""
+    chosen = _choose(*table, rng.random())
     return pts[chosen] + rng.random() * (pts[chosen + 1] - pts[chosen])
+
+
+def private_quantile(
+    values, q_level: float, eps_q: float, bound_u: float, rng: RngStream
+) -> float:
+    """Exponential-mechanism quantile over [0, U]; consumes two uniforms.
+
+    Sorted values plus sentinels 0 and U cut [0, U] into n+1 intervals;
+    interval i gets mass width * exp(-(eps_q/2) * |i - q*n|), then the
+    return value is uniform inside the drawn interval. Values are clamped
+    to [0, U] (infinities included); NaN raises InvalidParams.
+    """
+    pts = _quantile_points(values, bound_u)
+    if not 0 <= q_level <= 1:
+        raise InvalidParams(f"quantile level must be in [0, 1], got {q_level}")
+    require_positive("quantile budget", eps_q)
+    require_positive("value bound", bound_u)
+    return _quantile_pick(pts, _table(_quantile_weights(pts, q_level, eps_q)), rng)
 
 
 def quantile_release(
@@ -333,37 +368,48 @@ def quantile_release(
     ranks). Draw order: two uniforms per quantile (low then high), then one
     for the Laplace noise.
     """
-    return draw(prepare(dataset, grid, "quantile", params), params, rng)
+    return bind(prepare(dataset, grid, "quantile", params), params).draw(rng)
 
 
 @dataclass(frozen=True)
 class Prepared:
-    """The epsilon-independent half of a grouped release.
+    """The epsilon-independent stage of a release.
 
-    The packing of a grid's users into arrays depends only on the public
-    occupancy, so one Prepared serves every epsilon and every draw. strategy
-    and capacity are the ones the packing used: levy and quantile always
-    pack best-fit at the optimized capacity unless one is given.
+    It depends only on the data and the public occupancy, so one Prepared
+    serves every epsilon and every draw. A grouped mechanism keeps its
+    array means, with the strategy and capacity its packing used: levy and
+    quantile always pack best-fit at the optimized capacity unless one is
+    given. clip keeps the retained count of each user (in token order) and
+    the mean and population variance of the retained samples (stats); its
+    strategy and capacity are None and its means empty.
     """
 
     mechanism: str
     grid: str
-    strategy: str
-    capacity: int
+    strategy: str | None
+    capacity: int | None
     means: tuple[float, ...]
+    retained: tuple[int, ...] = ()
+    stats: tuple[float, float] | None = None
+
+
+GROUPED_MECHANISMS = ("array_average", "levy", "quantile")
 
 
 def prepare(
     dataset: Dataset, grid: str, mechanism: str, params: MechanismParams
 ) -> Prepared:
-    """Pack one grid for a grouped mechanism and keep its array means.
+    """The epsilon-independent stage of a release of one grid.
 
-    mechanism is array_average, levy or quantile. array_average packs with
-    params.strategy at params.capacity or the lower median of the counts;
-    levy and quantile pack best-fit at params.capacity or optimized_mub.
+    mechanism is array_average, levy, quantile or clip. array_average packs
+    with params.strategy at params.capacity or the lower median of the
+    counts; levy and quantile pack best-fit at params.capacity or
+    optimized_mub. clip keeps every sample, as release(..., "clip") does.
     """
+    if mechanism == "clip":
+        return _prepare_clip(dataset, grid, {}, "clip")
     if mechanism not in GROUPED_MECHANISMS:
-        raise InvalidParams(f"{mechanism!r} is not a grouped mechanism")
+        raise InvalidParams(f"{mechanism!r} is neither a grouped mechanism nor clip")
     samples = _grid_samples(dataset, grid)
     counts = [len(samples[u]) for u in sorted(samples)]
     if mechanism == "array_average":
@@ -379,65 +425,142 @@ def prepare(
                 f"grid {grid} fills no array of capacity {capacity}; "
                 "wrap-around needs at least one full array"
             )
+        means = array_means(groups)
     else:
-        groups = best_fit(samples, capacity)
-    return Prepared(mechanism, grid, strategy, capacity, tuple(array_means(groups)))
+        # the sums of array_means(best_fit(...)), without the source users
+        means = [sum(v) / len(v) for v in _best_fit_values(samples, capacity)[1]]
+    return Prepared(mechanism, grid, strategy, capacity, tuple(means))
 
 
-def _draw_array_average(
-    prep: Prepared, params: MechanismParams, rng: RngStream
-) -> MechanismOutput:
+@dataclass(frozen=True, eq=False)
+class _NoisyStats:
+    """Laplace noise on a fixed mean, and on a fixed variance if there is one:
+    the draw of array averaging and clip."""
+
+    mechanism: str
+    grid: str
+    mean: float
+    scale_mean: float
+    variance: float | None = None
+    scale_var: float | None = None
+    arrays: int | None = None
+
+    def draw(self, rng: RngStream) -> MechanismOutput:
+        noisy_mean = self.mean + _noise(self.scale_mean, rng)
+        noisy_variance = None
+        if self.variance is not None:
+            noisy_variance = self.variance + _noise(self.scale_var, rng)
+        return MechanismOutput(
+            mechanism=self.mechanism,
+            grid=self.grid,
+            noisy_mean=noisy_mean,
+            noise_scale_mean=self.scale_mean,
+            noisy_variance=noisy_variance,
+            noise_scale_var=self.scale_var,
+            arrays=self.arrays,
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class _Projection:
+    """The release of levy and quantile once [a, b] is drawn: the mean of the
+    array means clamped to [a, b], with Laplace noise for sensitivity
+    (b - a) / k_bar on half the budget; one uniform unless a == b."""
+
+    mechanism: str
+    grid: str
+    means: np.ndarray
+    epsilon: float
+
+    def release(
+        self, a: float, b: float, rng: RngStream, degenerate: bool = False
+    ) -> MechanismOutput:
+        k_bar = len(self.means)
+        # np.clip is min(max(v, a), b) bit for bit on non-NaN means, and the
+        # builtin sum adds in array order, so the mean equals the per-value form
+        projected = np.clip(self.means, a, b).tolist()
+        delta = (b - a) / k_bar
+        scale = 2 * delta / self.epsilon
+        return MechanismOutput(
+            mechanism=self.mechanism,
+            grid=self.grid,
+            noisy_mean=sum(projected) / k_bar + _noise(scale, rng),
+            noise_scale_mean=scale,
+            interval=(a, b),
+            degenerate_ranks=degenerate,
+            arrays=k_bar,
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class _LevyDraw:
+    """One uniform picks a bin; its interval ends were computed by bind."""
+
+    projection: _Projection
+    ends: tuple[tuple[float, float], ...]
+    table: tuple[list[float], float]
+
+    def draw(self, rng: RngStream) -> MechanismOutput:
+        a, b = self.ends[_choose(*self.table, rng.random())]
+        return self.projection.release(a, b, rng)
+
+
+@dataclass(frozen=True, eq=False)
+class _QuantileDraw:
+    """Two uniforms per quantile (low, then high) over shared points."""
+
+    projection: _Projection
+    pts: list[float]
+    low: tuple[list[float], float]
+    high: tuple[list[float], float]
+    degenerate: bool
+
+    def draw(self, rng: RngStream) -> MechanismOutput:
+        a = _quantile_pick(self.pts, self.low, rng)
+        b = _quantile_pick(self.pts, self.high, rng)
+        if a > b:
+            a, b = b, a
+        return self.projection.release(a, b, rng, self.degenerate)
+
+
+def _bind_clip(prep: Prepared, params: MechanismParams) -> _NoisyStats:
+    mean, variance = prep.stats
+    d_mean = clipped_mean_sensitivity(prep.retained, params.bound_u).value
+    d_var = clipped_variance_sensitivity(prep.retained, params.bound_u).value
+    return _NoisyStats(
+        prep.mechanism,
+        prep.grid,
+        mean,
+        2 * d_mean / params.epsilon,
+        variance,
+        2 * d_var / params.epsilon,
+    )
+
+
+def _bind_array_average(prep: Prepared, params: MechanismParams) -> _NoisyStats:
     means = prep.means
     delta = array_avg_sensitivity(len(means), params.bound_u, prep.strategy).value
-    scale = delta / params.epsilon
-    return MechanismOutput(
-        mechanism=f"array_average_{prep.strategy}",
-        grid=prep.grid,
-        noisy_mean=sum(means) / len(means) + _noise(scale, rng),
-        noise_scale_mean=scale,
+    return _NoisyStats(
+        f"array_average_{prep.strategy}",
+        prep.grid,
+        sum(means) / len(means),
+        delta / params.epsilon,
         arrays=len(means),
     )
 
 
-def _projected_release(
-    mechanism: str,
-    prep: Prepared,
-    a: float,
-    b: float,
-    params: MechanismParams,
-    rng: RngStream,
-    degenerate: bool = False,
-) -> MechanismOutput:
-    """The noisy mean of the array means clamped to [a, b]: sensitivity
-    (b - a) / k_bar on half the budget; one uniform unless a == b."""
+def _bind_levy(prep: Prepared, params: MechanismParams) -> _LevyDraw:
     means = prep.means
-    k_bar = len(means)
-    projected = [min(max(v, a), b) for v in means]
-    delta = (b - a) / k_bar
-    scale = 2 * delta / params.epsilon
-    return MechanismOutput(
-        mechanism=mechanism,
-        grid=prep.grid,
-        noisy_mean=sum(projected) / k_bar + _noise(scale, rng),
-        noise_scale_mean=scale,
-        interval=(a, b),
-        degenerate_ranks=degenerate,
-        arrays=k_bar,
+    tau = concentration_tau(params.bound_u, len(means), params.gamma, prep.capacity)
+    midpoints, _, weights = _interval_weights(means, params.epsilon / 2, tau, params.bound_u)
+    return _LevyDraw(
+        _Projection("levy", prep.grid, np.array(means), params.epsilon),
+        tuple(_interval_ends(c, tau, params.bound_u) for c in midpoints),
+        _table(weights),
     )
 
 
-def _draw_levy(
-    prep: Prepared, params: MechanismParams, rng: RngStream
-) -> MechanismOutput:
-    means = prep.means
-    tau = concentration_tau(params.bound_u, len(means), params.gamma, prep.capacity)
-    est = private_interval(means, params.epsilon / 2, tau, params.bound_u, rng)
-    return _projected_release("levy", prep, est.a, est.b, params, rng)
-
-
-def _draw_quantile(
-    prep: Prepared, params: MechanismParams, rng: RngStream
-) -> MechanismOutput:
+def _bind_quantile(prep: Prepared, params: MechanismParams) -> _QuantileDraw:
     means = prep.means
     k_bar = len(means)
     degenerate = False
@@ -453,30 +576,36 @@ def _draw_quantile(
         q_lo = t_lo / k_bar
         q_hi = 1 - t_hi / k_bar
     eps_q = params.epsilon / 4
-    a = private_quantile(means, q_lo, eps_q, params.bound_u, rng)
-    b = private_quantile(means, q_hi, eps_q, params.bound_u, rng)
-    if a > b:
-        a, b = b, a
-    return _projected_release(
-        f"quantile_{params.quantile_mode}", prep, a, b, params, rng, degenerate
+    pts = _quantile_points(means, params.bound_u)
+    return _QuantileDraw(
+        _Projection(f"quantile_{params.quantile_mode}", prep.grid, np.array(means), params.epsilon),
+        pts,
+        _table(_quantile_weights(pts, q_lo, eps_q)),
+        _table(_quantile_weights(pts, q_hi, eps_q)),
+        degenerate,
     )
 
 
-_DRAWS = {
-    "array_average": _draw_array_average,
-    "levy": _draw_levy,
-    "quantile": _draw_quantile,
+_BINDS = {
+    "array_average": _bind_array_average,
+    "levy": _bind_levy,
+    "quantile": _bind_quantile,
+    "clip": _bind_clip,
+    "baseline": _bind_clip,
 }
-GROUPED_MECHANISMS = tuple(_DRAWS)
 
 
-def draw(prepared: Prepared, params: MechanismParams, rng: RngStream) -> MechanismOutput:
-    """One release from a prepared grid; consumes uniforms like release().
+def bind(
+    prepared: Prepared, params: MechanismParams
+) -> _NoisyStats | _LevyDraw | _QuantileDraw:
+    """The epsilon-dependent stage: everything a release needs but the draw.
 
-    Strategy and capacity come from prepared; epsilon, gamma, quantile_mode
-    and bound_u come from params.
+    Returns a frozen object whose draw(rng) makes one release, consuming
+    uniforms exactly as release() does; bind once per params and draw many
+    times. Strategy and capacity come from prepared; epsilon, gamma,
+    quantile_mode and bound_u come from params.
     """
-    return _DRAWS[prepared.mechanism](prepared, params, rng)
+    return _BINDS[prepared.mechanism](prepared, params)
 
 
 _RELEASES = {
@@ -515,6 +644,6 @@ __all__ = [
     "GROUPED_MECHANISMS",
     "Prepared",
     "prepare",
-    "draw",
+    "bind",
     "release",
 ]

@@ -1,22 +1,25 @@
 """Release mechanisms: determinism, noise calibration, and draw order."""
 
 import dataclasses
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from griddp.dataset import Dataset, population_stats
 from griddp.errors import EmptyGrid, EmptyValues, InvalidParams, InvalidPlan, NoBins, ZeroRetained
-from griddp.grouping import STRATEGY_WRAP, best_fit, median_mub
+from griddp.grouping import STRATEGY_WRAP, array_means, best_fit, median_mub, wrap_around
 from griddp.mechanisms import (
     MechanismParams,
+    _choose,
+    _table,
     array_average_release,
     baseline_release,
     clip_release,
+    bind,
     concentration_tau,
-    draw,
     levy_planning_delta,
     levy_release,
     private_interval,
@@ -227,6 +230,63 @@ def test_private_quantile_neighbours_share_support():
         assert min(outs) < 5.0 < max(outs)
 
 
+def _choose_reference(weights, u):
+    """The running-sum loop that the table lookup replaced."""
+    r = u * sum(weights)
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if r < acc:
+            return i
+    return len(weights) - 1
+
+
+_WEIGHTS = st.lists(
+    st.just(0.0) | st.floats(0.0, 1e6) | st.integers(1, 4).map(float) | st.just(5e-324),
+    min_size=1,
+    max_size=30,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_WEIGHTS, st.data())
+@example([0.0, 0.0, 0.0], None)  # zero total: the last index
+@example([1.0, 1.0, 2.0], None)  # u = 0.25 puts r exactly on cum[0]
+@example([1.0, 0.0, 0.0, 1.0], None)  # r = 1.0 on a run of equal sums
+def test_choose_table_matches_running_sum(weights, data):
+    cum, total = _table(weights)
+    uniforms = [0.0, 0.25, 0.5, 0.75, 1 - 2**-53]
+    # u with u * total on a running sum, where the loop's strict < decides
+    uniforms += [c / total for c in cum if 0 < total and c / total < 1]
+    if data is not None:
+        uniforms.append(data.draw(st.floats(0.0, 1.0, exclude_max=True)))
+    for u in uniforms:
+        assert _choose(cum, total, u) == _choose_reference(weights, u)
+
+
+def test_choose_boundary_and_fallback_cases():
+    cum, total = _table([1.0, 1.0, 2.0])
+    assert 0.25 * total == cum[0]
+    assert _choose(cum, total, 0.25) == _choose_reference([1.0, 1.0, 2.0], 0.25) == 1
+    cum, total = _table([1.0, 0.0, 0.0, 1.0])
+    assert _choose(cum, total, 0.5) == 3
+    cum, total = _table([0.0, 0.0])
+    assert _choose(cum, total, 0.5) == _choose_reference([0.0, 0.0], 0.5) == 1
+
+
+def test_selection_rejects_nan_and_clamps_infinities():
+    nan, inf = math.nan, math.inf
+    for values in ([nan] * 3, [1.0, 2.0, nan]):
+        with pytest.raises(InvalidParams):
+            private_quantile(values, 0.5, 1.0, 10.0, RngStream(1))
+        with pytest.raises(InvalidParams):
+            private_interval(values, 1.0, 1.0, 10.0, RngStream(1))
+    for seed in range(20):
+        assert 0.0 <= private_quantile([inf, -inf, 5.0], 0.5, 1.0, 10.0, RngStream(seed)) <= 10.0
+        est = private_interval([inf, -inf, 5.0], 1.0, 1.0, 10.0, RngStream(seed))
+        assert 0.0 <= est.a <= est.b <= 10.0
+
+
 def test_private_quantile_validation():
     with pytest.raises(EmptyValues):
         private_quantile([], 0.5, 1.0, 10.0, RngStream(0))
@@ -286,6 +346,7 @@ GROUPED_CASES = [
     ("quantile", {}),
     ("quantile", {"quantile_mode": "optimized"}),
     ("quantile", {"quantile_mode": "optimized", "strategy": STRATEGY_WRAP, "capacity": 2}),
+    ("clip", {}),
 ]
 
 
@@ -293,20 +354,50 @@ GROUPED_CASES = [
 def test_release_equals_draw_of_prepare(mechanism, kw):
     ds = _dataset([7, 1, 4, 4, 9, 2, 5, 3, 6, 8, 2, 2], seed=8)
     prepared = prepare(ds, "g", mechanism, _params(**kw))
-    # one preparation serves every epsilon and every seed
+    # one preparation serves every epsilon, one binding every seed
     for eps in (0.1, 1.0, 4.0):
         params = _params(epsilon=eps, **kw)
+        bound = bind(prepared, params)
         for seed in range(3):
             want = release(ds, "g", mechanism, params, RngStream(seed).split("g"))
-            got = draw(prepared, params, RngStream(seed).split("g"))
-            assert dataclasses.astuple(got) == dataclasses.astuple(want)
+            got = bound.draw(RngStream(seed).split("g"))
+            assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want))
+
+
+@st.composite
+def _int_or_float_grid(draw):
+    """One grid's samples, all ints or all floats, for a bound of 2^60."""
+    if draw(st.booleans()):
+        value = st.integers(0, 2**60)
+    else:
+        value = st.floats(0.0, 2.0**60) | st.sampled_from([0.1, 0.2, 0.3, 1e-300])
+    return {
+        f"u{i:02d}": draw(st.lists(value, min_size=1, max_size=9))
+        for i in range(draw(st.integers(1, 14)))
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_or_float_grid(), st.integers(1, 12), st.sampled_from(GROUPED_CASES[:-1]))
+def test_prepare_means_equal_array_means_of_packing(samples, capacity, case):
+    mechanism, kw = case
+    ds = Dataset({"g": samples}, 2.0**60)
+    params = _params(bound_u=2.0**60, **{**kw, "capacity": capacity})
+    wrap = mechanism == "array_average" and kw.get("strategy") == STRATEGY_WRAP
+    groups = (wrap_around if wrap else best_fit)(samples, capacity)
+    if not groups:
+        with pytest.raises(EmptyGrid):
+            prepare(ds, "g", mechanism, params)
+        return
+    prepared = prepare(ds, "g", mechanism, params)
+    assert list(map(float.hex, prepared.means)) == list(map(float.hex, array_means(groups)))
 
 
 def test_prepare_validation():
     ds = _dataset([1])
     with pytest.raises(EmptyGrid):
         prepare(ds, "g", "array_average", _params(capacity=4, strategy=STRATEGY_WRAP))
-    for mechanism in ("baseline", "clip", "midpoint"):
+    for mechanism in ("baseline", "midpoint"):
         with pytest.raises(InvalidParams):
             prepare(ds, "g", mechanism, _params())
 
