@@ -286,7 +286,7 @@ def _cmd_synth(args) -> None:
         rows = chain.from_iterable(zip(repeat(u), repeat(g), ds.values(g, u)) for u, g in pairs)
         _emit(args, rows, ["user", "grid", "value"])
         return
-    rows = sorted((u, g, occ.count(g, u)) for g in occ.grids() for u in occ.users_in(g))
+    rows = sorted((u, g, m) for g in occ.grids() for u, m in occ.row(g).items())
     _emit(args, rows, ["user", "grid", "count"])
 
 

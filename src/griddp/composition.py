@@ -17,12 +17,16 @@ grid token), skipping grids where they are the last retained user; halt
 the whole routine the first time a user's best option exceeds E or a user
 has no evaluable option.
 
-The users are bucketed by level, the number of grids each still
-occupies, held in one array indexed in token order: a stage's top level is
-its maximum and its frozen set is the users at that level, so a stage
-costs no pass over the users in Python. Each grid keeps its users in
-descending count order with a pointer past the suppressed ones, which is
-where its current peak count is read.
+clip_user runs on the occupancy's integer columns. The users are bucketed
+by level, the number of grids each still occupies: one bincount of the
+user ids, indexed in token order. A stage's top level is its maximum and
+its frozen set is the users at that level, so a stage costs no pass over
+the users in Python. A grid's peak is its first largest retained count in
+token order, found by one argmax over the grid's entries, and found again
+only when a suppression removes it or a candidate is the peak user. A
+candidate is priced as a float total in budget_from_aggregates' operation
+order; ErrorBudget objects are built only for the per-stage, initial and
+final budgets of each grid.
 
 pseudo_user_optimize then re-clips each grid's retained counts to the best
 uniform cap m (suppressed users stay suppressed), which can only lower the
@@ -79,15 +83,34 @@ class Suppression:
     error: float
 
 
-@dataclass(frozen=True)
 class ClipPlan:
-    """Retained sample counts per grid and user; 0 means fully suppressed."""
+    """Retained sample counts per grid and user; 0 means fully suppressed.
 
-    retained: dict[str, dict[str, int]]
+    retained maps grid -> user -> count. A plan made from an occupancy
+    (clip_user, full) holds its counts as an array aligned with the
+    occupancy's entries, which pseudo_user_optimize reads, and makes the
+    retained mapping on first use.
+    """
+
+    def __init__(self, retained: dict[str, dict[str, int]]):
+        self._retained = retained
+        self._occupancy = self._gammas = None
+
+    @classmethod
+    def _aligned(cls, occupancy: OccupancyArray, gammas: np.ndarray) -> "ClipPlan":
+        plan = cls(None)
+        plan._occupancy, plan._gammas = occupancy, gammas
+        return plan
 
     @staticmethod
     def full(occupancy: OccupancyArray) -> "ClipPlan":
-        return ClipPlan({g: dict(occupancy.row(g)) for g in occupancy.grids()})
+        return ClipPlan._aligned(occupancy, occupancy._counts)
+
+    @property
+    def retained(self) -> dict[str, dict[str, int]]:
+        if self._retained is None:
+            self._retained = self._occupancy._rows(self._gammas)
+        return self._retained
 
     def grids(self) -> list[str]:
         return sorted(self.retained)
@@ -104,6 +127,9 @@ class ClipPlan:
             for u, kept in sorted(self.retained[g].items())
             if kept == 0
         ]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ClipPlan) and self.retained == other.retained
 
 
 @dataclass(frozen=True)
@@ -124,6 +150,18 @@ class PseudoUserResult:
     new_error: float
 
 
+def _budget_terms(
+    sum_m: int, sum_gamma: int, gamma_star: int, bound_u: float, epsilon: float
+) -> tuple[float, float, float, float]:
+    """bias_mean, bias_var, noise_mean and noise_var of a grid's budget;
+    sum() adds them in that order, and 0 + bias_mean is bias_mean."""
+    bias_mean = bound_u * (sum_m - sum_gamma) / sum_m
+    _, bias_var = bias_branch_value(sum_m, sum_gamma, bound_u)
+    noise_mean = 2 * (bound_u * gamma_star / sum_gamma) / epsilon
+    _, var_sens = variance_peak_value(sum_gamma, gamma_star, bound_u)
+    return bias_mean, bias_var, noise_mean, 2 * var_sens / epsilon
+
+
 def budget_from_aggregates(
     grid: str,
     sum_m: int,
@@ -138,19 +176,8 @@ def budget_from_aggregates(
     a uniform cap, so the clipped sensitivities depend only on sum_gamma
     and the largest retained count gamma_star.
     """
-    bias_mean = bound_u * (sum_m - sum_gamma) / sum_m
-    _, bias_var = bias_branch_value(sum_m, sum_gamma, bound_u)
-    noise_mean = 2 * (bound_u * gamma_star / sum_gamma) / epsilon
-    _, var_sens = variance_peak_value(sum_gamma, gamma_star, bound_u)
-    noise_var = 2 * var_sens / epsilon
-    return ErrorBudget(
-        grid=grid,
-        bias_mean=bias_mean,
-        bias_var=bias_var,
-        noise_mean=noise_mean,
-        noise_var=noise_var,
-        total=bias_mean + bias_var + noise_mean + noise_var,
-    )
+    terms = _budget_terms(sum_m, sum_gamma, gamma_star, bound_u, epsilon)
+    return ErrorBudget(grid, *terms, total=sum(terms))
 
 
 def grid_error(
@@ -181,49 +208,10 @@ def privacy_loss(occupancy: OccupancyArray, eps_per_grid) -> float:
         raise OccupancyMismatch(f"no epsilon given for grids {missing}")
     if not all(0 <= eps_per_grid[g] < math.inf for g in occupancy.grids()):
         raise InvalidParams("per-grid epsilon must be finite and >= 0")
-    return max(
-        sum(float(eps_per_grid[g]) for g in occupancy.grids_of(u))
-        for u in occupancy.users()
-    )
-
-
-class _GridState:
-    """Mutable per-grid aggregates; the peak is read off a descending list.
-
-    desc holds the grid's users by descending count and top skips past the
-    suppressed ones. Users are only ever removed, so top only moves forward.
-    """
-
-    __slots__ = ("counts", "sum_m", "sum_gamma", "suppressed", "desc", "top")
-
-    def __init__(self, counts: dict[str, int]):
-        self.counts = counts
-        self.sum_m = sum(counts.values())
-        self.sum_gamma = self.sum_m
-        self.suppressed: set[str] = set()
-        self.desc = sorted(counts, key=counts.__getitem__, reverse=True)
-        self.top = 0
-
-    def retained_users(self) -> int:
-        return len(self.counts) - len(self.suppressed)
-
-    def _next_retained(self, i: int) -> int:
-        while i < len(self.desc) and self.desc[i] in self.suppressed:
-            i += 1
-        return i
-
-    def _count_at(self, i: int) -> int:
-        return self.counts[self.desc[i]] if i < len(self.desc) else 0
-
-    def peak(self) -> int:
-        self.top = self._next_retained(self.top)
-        return self._count_at(self.top)
-
-    def peak_excluding(self, user: str) -> int:
-        self.top = i = self._next_retained(self.top)
-        if i < len(self.desc) and self.desc[i] == user:
-            i = self._next_retained(i + 1)
-        return self._count_at(i)
+    # bincount adds each user's epsilons in entry order, which is grid order
+    eps = [float(eps_per_grid[g]) for g in occupancy.grids()]
+    weights = np.repeat(eps, np.diff(occupancy._bounds))
+    return float(np.bincount(occupancy._ids, weights=weights).max())
 
 
 def clip_user(
@@ -245,83 +233,95 @@ def clip_user(
     require_positive("value bound", bound_u)
     require_positive("epsilon", epsilon)
     grids = occupancy.grids()
-    state = {g: _GridState(occupancy.row(g)) for g in grids}
+    ids, counts = occupancy._ids, occupancy._counts
+    sum_m = list(occupancy._totals)
+    sum_gamma = list(sum_m)
+    spans = list(occupancy._spans())
+    retained = [hi - lo for lo, hi in spans]  # users still in each grid
+    suppressed = np.zeros(len(ids), dtype=bool)
 
-    def current_budget(g: str) -> ErrorBudget:
-        st = state[g]
-        return budget_from_aggregates(
-            g, st.sum_m, st.sum_gamma, st.peak(), bound_u, epsilon
-        )
+    def top_of(g: int, skip: int = -1) -> int:
+        """Entry of grid g's largest retained count, entry skip left out:
+        the first in user order, where a stable descending sort puts it."""
+        lo, hi = spans[g]
+        row = np.where(suppressed[lo:hi], 0, counts[lo:hi])
+        if skip >= 0:
+            row[skip - lo] = 0
+        return lo + int(np.argmax(row))
 
-    initial = {g: current_budget(g) for g in grids}
+    top = [top_of(g) for g in range(len(grids))]
+    peak = [int(counts[e]) for e in top]
+
+    def budgets() -> dict[str, ErrorBudget]:
+        return {
+            g: budget_from_aggregates(g, sum_m[i], sum_gamma[i], peak[i], bound_u, epsilon)
+            for i, g in enumerate(grids)
+        }
+
+    initial = budgets()
     error_cap = max(b.total for b in initial.values())
-    protected: str | None = None
+    protected = -1
     if protect_min_error_grid:
-        protected = min(grids, key=lambda g: (initial[g].total, g))
+        protected = grids.index(min(grids, key=lambda g: (initial[g].total, g)))
 
-    # users by token order; level[i] counts the grids user i still occupies,
-    # and active[i] lists them once user i is first frozen
-    users = occupancy.users()
-    level = np.array([len(occupancy.grids_of(u)) for u in users])
-    active: dict[int, list[str]] = {}
+    # level[i] counts the grids user i still occupies, and active[i] lists
+    # its retained entries once user i is first frozen
+    level = np.bincount(ids, minlength=len(occupancy._users))
+    active: dict[int, list[tuple[int, int, int]]] = {}
     trace: list[Suppression] = []
     stage_max = [error_cap]
     stage = 1
     halted = False
     while not halted:
         # every grid keeps a user, so the top level is at least 1
-        for i in np.flatnonzero(level == level.max()).tolist():
-            user = users[i]
-            if i not in active:
-                active[i] = occupancy.grids_of(user)
-            best: tuple[float, str, ErrorBudget] | None = None
-            for g in active[i]:
-                if g == protected:
+        frozen = np.flatnonzero(level == level.max()).tolist()
+        fresh = [i for i in frozen if i not in active]
+        if fresh:
+            active.update(zip(fresh, occupancy._entries(fresh)))
+        for i in frozen:
+            best: tuple[float, int, int, int] | None = None
+            for g, e, c in active[i]:
+                if g == protected or retained[g] <= 1:
                     continue
-                st = state[g]
-                if st.retained_users() <= 1:
-                    continue
-                cand = budget_from_aggregates(
-                    g,
-                    st.sum_m,
-                    st.sum_gamma - st.counts[user],
-                    st.peak_excluding(user),
-                    bound_u,
-                    epsilon,
-                )
-                if best is None or (cand.total, g) < (best[0], best[1]):
-                    best = (cand.total, g, cand)
+                # a grid with two retained users holds a second peak
+                pk = int(counts[top_of(g, e)]) if e == top[g] else peak[g]
+                total = sum(_budget_terms(sum_m[g], sum_gamma[g] - c, pk, bound_u, epsilon))
+                # grids come in token order, so a tie keeps the earlier grid
+                if best is None or total < best[0]:
+                    best = (total, g, e, c)
             if best is None or best[0] > error_cap:
                 halted = True
                 break
-            _, g, budget = best
-            st = state[g]
-            st.suppressed.add(user)
-            st.sum_gamma -= st.counts[user]
-            active[i].remove(g)
+            total, g, e, c = best
+            suppressed[e] = True
+            sum_gamma[g] -= c
+            retained[g] -= 1
+            if e == top[g]:
+                top[g] = top_of(g)
+                peak[g] = int(counts[top[g]])
+            active[i].remove((g, e, c))
             level[i] -= 1
-            trace.append(Suppression(stage, user, g, budget.total))
-        stage_max.append(max(current_budget(g).total for g in grids))
+            trace.append(Suppression(stage, occupancy._users[i], grids[g], total))
+        stage_max.append(max(b.total for b in budgets().values()))
         stage += 1
 
-    final = {g: current_budget(g) for g in grids}
-    plan: dict[str, dict[str, int]] = {}
-    for g in grids:
-        row = plan[g] = dict(state[g].counts)
-        for user in state[g].suppressed:
-            row[user] = 0
+    gammas = np.where(suppressed, 0, counts)
     return ClipUserResult(
-        plan=ClipPlan(plan),
+        plan=ClipPlan._aligned(occupancy, gammas),
         k_factor=int(level.max()),
         error_cap=error_cap,
         initial_errors=initial,
-        per_grid_errors=final,
+        per_grid_errors=budgets(),
         trace=tuple(trace),
         stage_max_errors=tuple(stage_max),
     )
 
 
-def _plan_gammas(occupancy: OccupancyArray, plan: ClipPlan, grid: str) -> list[int]:
+def _plan_gammas(occupancy: OccupancyArray, plan: ClipPlan, grid: str) -> np.ndarray:
+    """The plan's retained counts of a grid as int64, in user token order."""
+    if plan._occupancy is occupancy:
+        _, lo, hi = occupancy._span(grid)
+        return plan._gammas[lo:hi]
     counts = occupancy.row(grid)  # in token order
     row = plan.row(grid)
     if row.keys() != counts.keys():
@@ -335,7 +335,7 @@ def _plan_gammas(occupancy: OccupancyArray, plan: ClipPlan, grid: str) -> list[i
                 f"retained count for user {u} in grid {grid} must be in "
                 f"[0, {m}], got {g}"
             )
-    return gammas
+    return np.array(gammas, dtype=np.int64)
 
 
 # Counts up to 2^53 are exact in float64, so every product of two counts
@@ -396,7 +396,7 @@ def pseudo_user_optimize(
     """
     require_positive("value bound", bound_u)
     require_positive("epsilon", epsilon)
-    if sorted(plan.grids()) != occupancy.grids():
+    if plan._occupancy is not occupancy and sorted(plan.grids()) != occupancy.grids():
         raise OccupancyMismatch("plan grids do not match the occupancy grids")
     per_grid_m: dict[str, int] = {}
     per_grid_error: dict[str, ErrorBudget] = {}
@@ -405,7 +405,7 @@ def pseudo_user_optimize(
         sum_m = occupancy.total(g)
         if sum_m > _EXACT_INT:
             raise TooLarge(f"grid {g} holds {sum_m} samples; the cap scan takes at most 2^53")
-        positives = np.sort(np.array(gammas, dtype=np.int64))
+        positives = np.sort(gammas)
         positives = positives[positives > 0]
         if not len(positives):
             raise ZeroRetained(f"plan suppresses every user of grid {g}")

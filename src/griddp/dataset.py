@@ -6,7 +6,10 @@ sample counts. Per-user sample order within a grid follows input order and is
 meaningful: clipping keeps the first `gamma` samples of each user.
 
 All tokens are strings and every iteration order in the public API is
-lexicographic, so downstream algorithms are deterministic.
+lexicographic, so downstream algorithms are deterministic. Inside an
+OccupancyArray a user is an integer id, its position in the sorted token
+table, so code running on ids keeps every token tie-break; token strings
+are made only where the public API hands them out.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import csv
 import os
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain, count, islice
 from operator import itemgetter
@@ -28,6 +32,7 @@ from .errors import (
     InvalidParams,
     MalformedRow,
     NonPositiveCount,
+    TooLarge,
     UnknownGrid,
     ValueOutOfRange,
     read_utf8,
@@ -37,6 +42,9 @@ from .errors import (
 
 DATA_HEADER = ("user", "grid", "value")
 OCCUPANCY_HEADER = ("user", "grid", "count")
+
+# The largest occupancy count: counts are stored as int64.
+COUNT_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -50,7 +58,13 @@ class GridStats:
 
 
 class OccupancyArray:
-    """Per-(grid, user) sample counts plus the derived structural quantities."""
+    """Per-(grid, user) sample counts plus the derived structural quantities.
+
+    Stored column-wise: grid i's entries are positions _bounds[i] to
+    _bounds[i + 1] of the int64 arrays _ids (user ids, ascending) and
+    _counts. A user id indexes the sorted token table _users, which may
+    make its tokens on demand; it is listed only when all are needed.
+    """
 
     def __init__(self, counts: dict[str, dict[str, int]]):
         cleaned: dict[str, dict[str, int]] = {}
@@ -63,65 +77,122 @@ class OccupancyArray:
             if min(ms) <= 0:
                 user, m = next((u, m) for u, m in row.items() if m <= 0)
                 raise NonPositiveCount(f"count for user {user!r} in grid {grid!r} is {m}")
+            if max(ms) > COUNT_MAX:
+                user, m = next((u, m) for u, m in row.items() if m > COUNT_MAX)
+                raise TooLarge(f"count for user {user!r} in grid {grid!r} is {m}, above 2^63 - 1")
             cleaned[grid] = dict(zip(users, ms))
         if not cleaned:
             raise EmptyDataset("occupancy has no entries")
-        self._counts = cleaned
-        self._grids_of: dict[str, list[str]] = {}
-        # grids arrive in sorted order, so each user's list is sorted
-        for grid, row in cleaned.items():
-            for user in row:
-                self._grids_of.setdefault(user, []).append(grid)
+        rows = cleaned.values()
+        tokens = sorted(set().union(*rows))
+        index = dict(zip(tokens, count()))
+        ids = [index[u] for row in rows for u in row]
+        ms = [m for row in rows for m in row.values()]
+        self._set(list(cleaned), tokens, np.cumsum([0, *map(len, rows)]), ids, ms)
+
+    @classmethod
+    def _from_columns(cls, grids, users, offsets, ids, counts) -> "OccupancyArray":
+        """An occupancy of columns laid out as above, unchecked: every grid
+        has an entry, every user one or more, and every count is in
+        [1, COUNT_MAX]."""
+        occ = cls.__new__(cls)
+        occ._set(grids, users, offsets, ids, counts)
+        return occ
+
+    def _set(self, grids: list[str], users, offsets, ids, counts) -> None:
+        self._grids, self._users = grids, users
+        self._index = dict(zip(grids, count()))
+        self._bounds = np.asarray(offsets).tolist()
+        self._ids, self._counts = np.asarray(ids, np.int64), np.asarray(counts, np.int64)
+        # Python ints, since a grid's total may pass int64
+        self._totals = [sum(self._counts[lo:hi].tolist()) for lo, hi in self._spans()]
+
+    def _spans(self):
+        """(start, stop) of every grid's entries, in grid order."""
+        return zip(self._bounds, self._bounds[1:])
+
+    def _span(self, grid: str) -> tuple[int, int, int]:
+        """Index, start and stop of a grid's entries."""
+        if grid not in self._index:
+            raise UnknownGrid(f"grid {grid!r} not present")
+        i = self._index[grid]
+        return i, self._bounds[i], self._bounds[i + 1]
+
+    def _tokens(self) -> list[str]:
+        if not isinstance(self._users, list):
+            self._users = list(self._users)
+        return self._users
+
+    def _entries(self, uids) -> list[list[tuple[int, int, int]]]:
+        """(grid index, entry position, count) of every entry of each user
+        id, in grid order."""
+        uids = np.asarray(uids, dtype=np.int64)
+        found = []
+        for lo, hi in self._spans():
+            pos = lo + np.minimum(np.searchsorted(self._ids[lo:hi], uids), hi - lo - 1)
+            found.append(np.where(self._ids[pos] == uids, pos, -1))
+        table = np.stack(found, axis=1)
+        present = table >= 0
+        grids, entries = np.nonzero(present)[1], table[present]
+        triples = list(zip(grids.tolist(), entries.tolist(), self._counts[entries].tolist()))
+        ends = np.cumsum(present.sum(axis=1)).tolist()
+        return [triples[a:b] for a, b in zip([0, *ends], ends)]
+
+    def _user_entries(self, user: str) -> list[tuple[int, int, int]]:
+        i = bisect_left(self._users, user)
+        found = i < len(self._users) and self._users[i] == user
+        return self._entries([i])[0] if found else []
+
+    def _rows(self, values) -> dict[str, dict[str, int]]:
+        """{grid: {user: value}} of an int array aligned with the entries."""
+        return {
+            g: dict(zip(self.users_in(g), values[lo:hi].tolist()))
+            for g, (lo, hi) in zip(self._grids, self._spans())
+        }
 
     def grids(self) -> list[str]:
-        return list(self._counts)
+        return list(self._grids)
 
     def users(self) -> list[str]:
-        return sorted(self._grids_of)
+        return list(self._tokens())
 
     def users_in(self, grid: str) -> list[str]:
-        return list(self._require(grid))
+        _, lo, hi = self._span(grid)
+        return list(map(self._tokens().__getitem__, self._ids[lo:hi].tolist()))
 
     def grids_of(self, user: str) -> list[str]:
-        return list(self._grids_of.get(user, []))
+        return [self._grids[g] for g, _, _ in self._user_entries(user)]
 
     def count(self, grid: str, user: str) -> int:
-        return self._require(grid).get(user, 0)
+        g, _, _ = self._span(grid)
+        return next((c for i, _, c in self._user_entries(user) if i == g), 0)
 
     def counts_in(self, grid: str) -> list[int]:
         """Counts of a grid, ordered by user token."""
-        row = self._require(grid)
-        return [row[u] for u in row]
+        _, lo, hi = self._span(grid)
+        return self._counts[lo:hi].tolist()
 
     def row(self, grid: str) -> dict[str, int]:
-        return dict(self._require(grid))
+        return dict(zip(self.users_in(grid), self.counts_in(grid)))
 
     def total(self, grid: str) -> int:
-        return sum(self._require(grid).values())
+        return self._totals[self._span(grid)[0]]
 
     def m_star(self, grid: str) -> int:
-        return max(self._require(grid).values())
+        return max(self.counts_in(grid))
 
     def max_grids_per_user(self) -> int:
         """G_1: the largest number of grids any single user occupies."""
-        return max(len(gs) for gs in self._grids_of.values())
-
-    def _require(self, grid: str) -> dict[str, int]:
-        if grid not in self._counts:
-            raise UnknownGrid(f"grid {grid!r} not present")
-        return self._counts[grid]
+        return int(np.bincount(self._ids).max())
 
     def as_dict(self) -> dict[str, dict[str, int]]:
-        return {g: dict(row) for g, row in self._counts.items()}
+        return self._rows(self._counts)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, OccupancyArray) and self._counts == other._counts
+        return isinstance(other, OccupancyArray) and self.as_dict() == other.as_dict()
 
     def __repr__(self) -> str:
-        return (
-            f"OccupancyArray(grids={len(self._counts)}, "
-            f"users={len(self._grids_of)})"
-        )
+        return f"OccupancyArray(grids={len(self._grids)}, users={len(self._users)})"
 
 
 class Dataset:
@@ -353,18 +424,20 @@ def _table(text: str, header: tuple[str, ...], bulk, one):
     """Parse a user,grid,<field> CSV, reading exactly what csv.reader reads.
 
     The data rows are read in blocks of whole lines. A block with a quote,
-    CR, NUL or a line longer than csv's field limit is read with
-    csv.reader; any other block is split at commas and newlines. Either
-    way the third fields are converted by bulk(users, grids, raws). A block
+    a CR other than in a CRLF line end, NUL or a line longer than csv's
+    field limit is read with csv.reader; any other block is split at commas
+    and newlines, which leaves a line end's CR on the third field, where
+    float() and int() ignore it. Either way the third fields are converted
+    by bulk(users, grids, raws). A block
     whose conversion fails (bulk raises ValueError), or that holds a blank
     or malformed line, is scanned again row by row with one(user, grid,
     raw, lineno), which raises the first error in file order, with its line
     number (the csv record number); a csv.Error is raised as MalformedRow.
 
     Returns the grid and user tokens in sorted order, the stable (grid,
-    user) order of the data rows, the runs of that order as (grid index,
-    user index, start, stop), and the converted fields in file order as a
-    list of chunks.
+    user) order of the data rows, the runs of that order (their grid
+    indices, their user indices and the list of their bounds in it), and
+    the converted fields in file order as a list of chunks.
     """
     cursor = [0]
     try:
@@ -390,7 +463,8 @@ def _table(text: str, header: tuple[str, ...], bulk, one):
         ends = np.flatnonzero(codes == 10)
         longest = np.diff(ends, prepend=-1, append=len(codes)).max() - 1
         # csv in Python 3.10 rejects NUL, and it caps the length of a field
-        clean = not ('"' in block or "\r" in block or "\0" in block or longest > limit)
+        crlf = "\r" not in block or block.count("\r") == block.count("\r\n")
+        clean = crlf and not ('"' in block or "\0" in block or longest > limit)
         rows = error = None
         if clean:
             cursor[0] = stop
@@ -419,10 +493,7 @@ def _table(text: str, header: tuple[str, ...], bulk, one):
     key = key[order]
     bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(key)]
     heads = key[bounds[:-1]]
-    runs = zip(
-        (heads // len(users)).tolist(), (heads % len(users)).tolist(), bounds, bounds[1:]
-    )
-    return grids, users, order, runs, chunks
+    return grids, users, order, heads // len(users), heads % len(users), bounds, chunks
 
 
 def _bulk_values(users, grids, raws) -> np.ndarray:
@@ -442,10 +513,12 @@ def parse_dataset(path_or_text, bound_u: float) -> Dataset:
     Repeated (user, grid) rows accumulate samples in file order.
     """
     text = _read_source(path_or_text)
-    grids, users, order, runs, chunks = _table(text, DATA_HEADER, _bulk_values, _one_value)
+    grids, users, order, run_grid, run_user, bounds, chunks = _table(
+        text, DATA_HEADER, _bulk_values, _one_value
+    )
     values = np.concatenate(chunks)[order].tolist()
     samples: dict[str, dict[str, list[float]]] = {}
-    for g, u, lo, hi in runs:
+    for g, u, lo, hi in zip(run_grid.tolist(), run_user.tolist(), bounds, bounds[1:]):
         samples.setdefault(grids[g], {})[users[u]] = values[lo:hi]
     return Dataset(samples, bound_u)
 
@@ -458,8 +531,9 @@ def parse_occupancy(path_or_text) -> OccupancyArray:
     def bulk(users, grids, raws) -> list[int]:
         counts = list(map(int, raws))
         pairs = set(zip(users, grids))
-        # a count below 1 or a repeated pair is reported by the row scan
-        if min(counts) < 1 or len(pairs) < len(counts) or not seen.isdisjoint(pairs):
+        # a count out of range or a repeated pair is reported by the row scan
+        in_range = min(counts) >= 1 and max(counts) <= COUNT_MAX
+        if not in_range or len(pairs) < len(counts) or not seen.isdisjoint(pairs):
             raise ValueError
         seen.update(pairs)
         return counts
@@ -471,15 +545,15 @@ def parse_occupancy(path_or_text) -> OccupancyArray:
             raise MalformedRow(f"line {lineno}: bad count {raw!r}") from None
         if m <= 0:
             raise NonPositiveCount(f"line {lineno}: count {m} must be >= 1")
+        if m > COUNT_MAX:
+            raise TooLarge(f"line {lineno}: count {m} exceeds 2^63 - 1")
         if (user, grid) in seen:
             raise DuplicateEntry(f"line {lineno}: duplicate entry ({user}, {grid})")
         seen.add((user, grid))
         return m
 
-    grids, users, order, runs, chunks = _table(text, OCCUPANCY_HEADER, bulk, one)
-    counts = list(chain.from_iterable(chunks))
-    order = order.tolist()
-    table: dict[str, dict[str, int]] = {}
-    for g, u, lo, _ in runs:
-        table.setdefault(grids[g], {})[users[u]] = counts[order[lo]]
-    return OccupancyArray(table)
+    grids, users, order, run_grid, run_user, _, chunks = _table(text, OCCUPANCY_HEADER, bulk, one)
+    # no pair repeats, so every run is one row
+    counts = np.fromiter(chain.from_iterable(chunks), np.int64, len(order))[order]
+    offsets = np.searchsorted(run_grid, np.arange(len(grids) + 1))
+    return OccupancyArray._from_columns(grids, users, offsets, run_user, counts)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from pathlib import Path
 
 
 class GridDPError(Exception):
@@ -167,9 +166,11 @@ def require_pair(m_list, gamma_list) -> tuple[list[int], list[int]]:
 
 
 def read_utf8(path, what: str = "") -> str:
-    """The text of a UTF-8 file; IoError if it cannot be read or decoded.
+    """The text of a UTF-8 file, line endings as written, so that a file
+    parses as its text does; IoError if it cannot be read or decoded.
     what names the file's role in the message, such as "plan "."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {what}{path}: {exc}") from exc

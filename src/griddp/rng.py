@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParams, NonPositiveScale, require_int, require_positive
+from .errors import NonPositiveScale, require_int, require_positive
 
 # Smallest uniform kept away from 0 and 1 so inverse CDFs stay finite.
 _EPS = 2.0 ** -53
@@ -44,41 +44,11 @@ class RngStream:
         """Uniform draws in [0, 1): a float for size=None, else an ndarray."""
         return self._gen.random() if size is None else self._gen.random(size)
 
-    def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n). Built on random() for stream stability."""
-        require_int("randbelow bound", n, low=1)
-        return min(int(self._gen.random() * n), n - 1)
-
-    def subset(self, population: int, k: int) -> list[int]:
-        """k distinct indices from range(population), uniform over subsets.
-
-        Partial Fisher-Yates; the returned order is an artifact, callers that
-        need determinism downstream should sort.
-        """
-        if not 0 <= k <= population:
-            raise InvalidParams(f"cannot choose {k} from {population}")
-        pool = list(range(population))
-        for i in range(k):
-            j = i + self.randbelow(population - i)
-            pool[i], pool[j] = pool[j], pool[i]
-        return pool[:k]
-
     def laplace(self, scale: float, size: int | None = None):
         """Centered Laplace draws via the inverse CDF."""
         require_positive("laplace scale", scale, NonPositiveScale)
         u = self.random(size)
         return laplace_inverse_cdf(u, scale)
-
-    def geometric(self, q: float, size: int | None = None):
-        """Geometric draws on {1, 2, ...} with success probability q."""
-        if not 0 < q < 1:
-            raise InvalidParams(f"geometric q must be in (0, 1), got {q}")
-        u = self.random(size)
-        # floor(log(1-u)/log(1-q)) + 1; u=0 maps to 1 exactly.
-        out = np.floor(np.log1p(-np.asarray(u)) / math.log1p(-q)) + 1
-        if size is None:
-            return int(out)
-        return out.astype(np.int64)
 
     def normal(self, mu: float, sigma: float, size: int | None = None):
         """Gaussian draws via the inverse CDF, bit for bit NormalDist(mu, sigma).inv_cdf."""

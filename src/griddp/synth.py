@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .dataset import Dataset, OccupancyArray
-from .errors import InvalidParams, require_int, require_positive
+from .errors import InvalidParams, TooLarge, require_int, require_positive
 from .rng import RngStream
 
 
@@ -82,9 +83,11 @@ def generate_occupancy(params: SynthParams, rng: RngStream) -> OccupancyArray:
     shuffle of range(G) (step i swaps position i with i + min(int(u * (G - i)),
     G - i - 1)), its last k give one geometric count per chosen grid in
     ascending grid order. This consumes the stream exactly as a per-user
-    loop of subset() and then geometric() calls would. The heavy-user
-    inflation happens after all draws, so two runs with the same seed and
-    different heavy_gamma share the underlying counts.
+    loop would that draws one uniform per shuffle step and then one per
+    count. The heavy-user inflation happens after all draws, so two runs
+    with the same seed and different heavy_gamma share the underlying
+    counts. A count above 2^63 - 1, which int64 cannot hold, raises
+    TooLarge.
     """
     s = rng.split("occupancy")
     grids, users = int(params.grids), int(params.users)
@@ -101,27 +104,45 @@ def generate_occupancy(params: SynthParams, rng: RngStream) -> OccupancyArray:
             pool[rows, i], pool[rows, j] = pool[rows, j], pool[rows, i].copy()
         user_idx.append(np.repeat(np.arange(first - 1, last), k))
         grid_idx.append(np.sort(pool[:, :k], axis=1).ravel())
-        # floor(log(1-u)/log(1-q)) + 1, as RngStream.geometric; kept as exact
-        # floats so counts past 2^63 still convert to Python ints
+        # floor(log(1-u)/log(1-q)) + 1: a geometric draw by the inverse CDF;
+        # kept as exact floats until the int64 range is checked
         draws.append((np.floor(np.log1p(-u[:, k:]) / log_q) + 1).ravel())
     # users are already ascending, so a stable sort by grid gives (grid, user)
     grid_idx = np.concatenate(grid_idx)
     order = np.argsort(grid_idx, kind="stable")
-    names = [user_token(l, users) for l in range(1, users + 1)]
-    tokens = list(map(names.__getitem__, np.concatenate(user_idx)[order].tolist()))
-    counts = [int(c) for c in np.concatenate(draws)[order].tolist()]
-    bounds = np.searchsorted(grid_idx[order], np.arange(grids + 1)).tolist()
-    table: dict[str, dict[str, int]] = {}
-    for g in range(grids):
-        # user 1 occupies every grid, so no row is empty
-        lo, hi = bounds[g], bounds[g + 1]
-        row = dict(zip(tokens[lo:hi], counts[lo:hi]))
-        if params.heavy_gamma > 0:
-            # the row is in token order, so max() takes the first of tied peaks
-            top = max(row, key=row.__getitem__)
-            row[top] = math.ceil((1 + params.heavy_gamma) * row[top])
-        table[grid_token(g + 1, grids)] = row
-    return OccupancyArray(table)
+    draws = np.concatenate(draws)[order]
+    # user 1 occupies every grid, so no row is empty
+    offsets = np.searchsorted(grid_idx[order], np.arange(grids + 1))
+    if params.heavy_gamma > 0:
+        # rows are in token order, so argmax takes the first of tied peaks
+        tops = [lo + np.argmax(draws[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
+        draws[tops] = np.ceil((1 + params.heavy_gamma) * draws[tops])
+    if draws.max() >= 2.0**63:
+        raise TooLarge(f"a count of {draws.max():.0f} is above 2^63 - 1")
+    return OccupancyArray._from_columns(
+        [grid_token(g + 1, grids) for g in range(grids)],
+        _UserTokens(users),
+        offsets,
+        np.concatenate(user_idx)[order],
+        draws.astype(np.int64),
+    )
+
+
+class _UserTokens:
+    """user_token(i + 1, n) for user id i < n, made on demand; the tokens
+    share one width, so id order is token order."""
+
+    def __init__(self, n: int):
+        self._n = n
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i: int) -> str:
+        return user_token(i + 1, self._n)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self._n))
 
 
 def generate_values(
@@ -137,16 +158,13 @@ def generate_values(
     sigma = math.sqrt(model.variance)
     samples: dict[str, dict[str, list[float]]] = {}
     for g in occupancy.grids():
-        row = occupancy.row(g)
+        ns = occupancy.counts_in(g)
         # one draw per grid takes the same stream as one draw per user, and
         # keeps the temporary arrays to the size of a grid
-        raw = s.normal(model.mean, sigma, size=sum(row.values()))
+        raw = s.normal(model.mean, sigma, size=sum(ns))
         values = np.minimum(np.maximum(raw, 0.0), model.bound_u).tolist()
-        samples[g] = out = {}
-        pos = 0
-        for u, n in row.items():
-            out[u] = values[pos : pos + n]
-            pos += n
+        ends = list(accumulate(ns))
+        samples[g] = {u: values[e - n : e] for u, n, e in zip(occupancy.users_in(g), ns, ends)}
     return Dataset(samples, model.bound_u)
 
 

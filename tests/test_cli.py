@@ -443,8 +443,8 @@ def test_missing_data_file_is_an_io_error(capsys, tmp_path):
             b"user,grid,value\nu1,g1,1\nu2," + b"g" * (csv.field_size_limit() + 1) + b",2\n",
             "line 3: field larger than field limit",
         ),
-        # a file is read with universal newlines, so the CR ends a line
-        ("--data", b"user,grid,value\nu1,g1,1\r2\n", "line 3: expected 3 fields"),
+        # a file is read as written, so the CR stays inside the row, as in text
+        ("--data", b"user,grid,value\nu1,g1,1\r2\n", "line 2: new-line character seen in unquoted field"),
     ],
     ids=["data-not-utf8", "plan-not-utf8", "config-not-utf8", "data-long-field", "data-cr"],
 )

@@ -25,7 +25,6 @@ from griddp.composition import (
     PseudoUserResult,
     Suppression,
     _cap_totals,
-    _plan_gammas,
     budget_from_aggregates,
     clip_user,
     grid_error,
@@ -400,7 +399,7 @@ def _pseudo_user_optimize_oracle(occupancy, plan, bound_u, epsilon):
     """Reference cap scan: one budget_from_aggregates call per integer cap."""
     per_grid_m, per_grid_error = {}, {}
     for g in occupancy.grids():
-        positives = sorted(x for x in _plan_gammas(occupancy, plan, g) if x > 0)
+        positives = sorted(x for x in plan.row(g).values() if x > 0)
         sum_m = occupancy.total(g)
         best_m, best = positives[0], None
         idx = small_sum = 0
@@ -445,6 +444,15 @@ def _synth_occupancies(draw):
         heavy_gamma=draw(st.sampled_from([0.0, 3.0, 9.0])),
     )
     return generate_occupancy(params, RngStream(draw(st.integers(0, 2**32))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_small_occupancies(), st.lists(st.floats(0.0, 10.0), min_size=5, max_size=5))
+def test_per_grid_privacy_loss_matches_per_user_sums(occ, eps):
+    # each user's epsilons added in grid order, as a per-user loop adds them
+    per_grid = dict(zip(occ.grids(), eps))
+    want = max(sum(per_grid[g] for g in occ.grids_of(u)) for u in occ.users())
+    assert float.hex(privacy_loss(occ, per_grid)) == float.hex(want)
 
 
 @settings(max_examples=300, deadline=None)

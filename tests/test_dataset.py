@@ -27,6 +27,7 @@ from griddp.errors import (
     InvalidParams,
     MalformedRow,
     NonPositiveCount,
+    TooLarge,
     UnknownGrid,
     ValueOutOfRange,
 )
@@ -164,6 +165,99 @@ def test_occupancy_rejects_non_integer_counts():
     assert occ.count("g", "u") == 3 and type(occ.count("g", "u")) is int
 
 
+def test_counts_past_int64_are_too_large():
+    big = OccupancyArray({"g": {"u": 2**63 - 1, "v": 2**63 - 1}, "h": {"v": 1}})
+    assert big.count("g", "u") == 2**63 - 1
+    # a grid total past int64 stays exact
+    assert big.total("g") == 2**64 - 2 and type(big.total("g")) is int
+    with pytest.raises(TooLarge, match="'v' in grid 'g' is 9223372036854775808"):
+        OccupancyArray({"g": {"u": 2, "v": 2**63}})
+    for text in ("u1,g1,2\nu2,g1,9223372036854775808\n", 'u1,g1,2\n"u2",g1,9223372036854775808\n'):
+        with pytest.raises(TooLarge, match="line 3: count 9223372036854775808 exceeds 2"):
+            parse_occupancy("user,grid,count\n" + text)
+    occ = parse_occupancy("user,grid,count\nu1,g1,9223372036854775807\n")
+    assert occ.as_dict() == {"g1": {"u1": 2**63 - 1}}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a quoted CR is part of the token
+        'user,grid,count\r\nu1,"g\r1",1\r\nu2,g2,3\r\n',
+        # a bare CR inside a row is a csv error, not a line break
+        "user,grid,count\nu1,g1,1\r2\n",
+    ],
+    ids=["quoted-cr", "bare-cr"],
+)
+def test_file_parses_as_its_text(tmp_path, text):
+    path = tmp_path / "input.csv"
+    path.write_bytes(text.encode())
+    data = text.replace("count", "value")
+    data_path = tmp_path / "data.csv"
+    data_path.write_bytes(data.encode())
+    want = _outcome(lambda t: parse_occupancy(t).as_dict(), text)
+    if "\r1" in text:
+        assert want == {"g\r1": {"u1": 1}, "g2": {"u2": 3}}
+    else:
+        assert want[0] is MalformedRow
+        assert want[1].startswith("line 2: new-line character seen in unquoted field")
+    for source in (path, str(path)):
+        assert _outcome(lambda t: parse_occupancy(t).as_dict(), source) == want
+    want = _outcome(lambda t: _contents(parse_dataset(t, 5.0)), data)
+    for source in (data_path, str(data_path)):
+        assert _outcome(lambda t: _contents(parse_dataset(t, 5.0)), source) == want
+
+
+def _assert_same_accessors(got, want):
+    """got and want agree on every accessor, and counts are Python ints."""
+    assert got == want and want == got
+    assert repr(got) == repr(want)
+    assert got.grids() == want.grids()
+    assert got.users() == want.users()
+    assert got.max_grids_per_user() == want.max_grids_per_user()
+    assert got.as_dict() == want.as_dict()
+    for g in want.grids():
+        for name in ("users_in", "counts_in", "row", "total", "m_star"):
+            assert getattr(got, name)(g) == getattr(want, name)(g), name
+        assert {type(c) for c in got.counts_in(g)} == {int}
+        assert type(got.total(g)) is int and type(got.m_star(g)) is int
+    users = want.users()
+    # about 20 users, spread over the token order
+    for u in users[:: max(1, len(users) // 20)] + users[-1:] + ["", "~absent"]:
+        assert got.grids_of(u) == want.grids_of(u)
+        for g in want.grids():
+            assert got.count(g, u) == want.count(g, u)
+            assert type(got.count(g, u)) is int
+    with pytest.raises(UnknownGrid):
+        got.row("~absent")
+    with pytest.raises(UnknownGrid):
+        got.total("~absent")
+
+
+_OCC_TOKENS = st.text(alphabet='ab1,"\u00e9~', min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        _OCC_TOKENS,
+        st.dictionaries(_OCC_TOKENS, st.integers(1, 2**63 - 1) | st.integers(1, 5), max_size=6),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_array_built_occupancy_matches_dict_built(counts):
+    # parse_occupancy builds the columns directly; the constructor takes a dict
+    if not any(counts.values()):
+        with pytest.raises(EmptyDataset):
+            OccupancyArray(counts)
+        return
+    text = "user,grid,count\n" + "".join(
+        f"{_quoted(u)},{_quoted(g)},{m}\n" for g, row in counts.items() for u, m in row.items()
+    )
+    _assert_same_accessors(parse_occupancy(text), OccupancyArray(counts))
+
+
 def test_dataset_range_error_names_first_bad_value():
     # the first bad value in (grid, user, input) order, as the scalar loop found it
     with pytest.raises(ValueOutOfRange, match="value 2.0 for user 'a' in grid 'g'"):
@@ -249,6 +343,8 @@ def _parse_occupancy_reference(text):
             raise MalformedRow(f"line {lineno}: bad count {raw!r}") from None
         if m <= 0:
             raise NonPositiveCount(f"line {lineno}: count {m} must be >= 1")
+        if m >= 2**63:
+            raise TooLarge(f"line {lineno}: count {m} exceeds 2^63 - 1")
         row = counts.setdefault(grid, {})
         if user in row:
             raise DuplicateEntry(f"line {lineno}: duplicate entry ({user}, {grid})")
@@ -274,6 +370,7 @@ def _quoted(field):
 
 _TOKENS = ["u1", "u2", "g1", "g2", " u1 ", "g1\t", "a,b", 'q"t', "two\nlines", "", "  ", "\x1cu2"]
 _VALUES = ["0", "1.5", " 2 ", "4e0", "+3", "1_0", "3.0", "-1", "7", "nan", "inf", "x", "", "\x1c1", "0x1"]
+_VALUES += [str(2**63 - 1), str(2**63)]
 _ENDINGS = ["\n", "\n", "\n", "\r\n", "\r"]
 
 
@@ -329,17 +426,20 @@ def test_parse_occupancy_matches_reference(text, block):
 
 
 def test_parse_matches_reference_on_clean_blocks():
-    # many clean blocks, repeated pairs across blocks, one bad value late
+    # many clean blocks, repeated pairs across blocks, one bad value late;
+    # CRLF line ends alone keep a block off the csv.reader path
     rows = [f"u{i % 7},g{i % 3},{i % 5}.25" for i in range(400)]
-    text = "user,grid,value\n" + "\n".join(rows) + "\n"
-    with mock.patch.object(dataset, "_BLOCK_CHARS", 50):
-        assert _contents(parse_dataset(text, 5.0)) == _parse_dataset_reference(text, 5.0)
-        bad = text.replace("u3,g0,3.25\n", "u3,g0,x\n", 1)
-        assert _outcome(parse_dataset, bad, 5.0) == _outcome(_parse_dataset_reference, bad, 5.0)
-        occ = "user,grid,count\n" + "".join(f"u{i},g{i % 3},{i + 1}\n" for i in range(300))
-        assert parse_occupancy(occ) == _parse_occupancy_reference(occ)
-        dup = occ + "u5,g2,1\n"
-        assert _outcome(parse_occupancy, dup) == _outcome(_parse_occupancy_reference, dup)
+    for end in ("\n", "\r\n"):
+        text = end.join(["user,grid,value", *rows, ""])
+        occ = end.join(["user,grid,count", *(f"u{i},g{i % 3},{i + 1}" for i in range(300)), ""])
+        with mock.patch.object(dataset, "_BLOCK_CHARS", 50):
+            with mock.patch.object(dataset, "_records", side_effect=AssertionError):
+                assert _contents(parse_dataset(text, 5.0)) == _parse_dataset_reference(text, 5.0)
+                assert parse_occupancy(occ) == _parse_occupancy_reference(occ)
+            bad = text.replace(f"u3,g0,3.25{end}", f"u3,g0,x{end}", 1)
+            assert _outcome(parse_dataset, bad, 5.0) == _outcome(_parse_dataset_reference, bad, 5.0)
+            dup = occ + f"u5,g2,1{end}"
+            assert _outcome(parse_occupancy, dup) == _outcome(_parse_occupancy_reference, dup)
 
 
 def test_csv_errors_are_malformed_rows_at_their_record():

@@ -6,7 +6,8 @@ the occupancy digests and the suppression-curve, clip_user and
 pseudo_user_optimize literals were computed before synthesis, the
 suppression loop and the cap scan moved onto numpy arrays. The value
 synthesis and CSV parse digests were computed before both became bulk
-array operations. The CLI
+array operations, and the suppression digests at benchmark scale before
+the occupancy was stored as integer columns. The CLI
 digests are sha256 sums of each subcommand's stdout, computed before the
 thread pool, the scripts and the per-module validators were removed. Any
 change to the random stream, the packing, or the arithmetic order of a
@@ -388,6 +389,60 @@ def test_pseudo_user_optimize_golden():
         "g7": "0x1.5fa3ec63eef3bp+10",
     }
     assert float.hex(opt.new_error) == "0x1.755f09eedffd3p+10"
+
+
+# The suppress-ladder benchmark's shape: 16 grids x 65535 users, heavy_gamma 9.
+SCALE_OCCUPANCY = "47757ae27d9ef9264fc1dfea13a53a798f82b8232aa55121d7946bf836b10843"
+SCALE_CAP = "0x1.50f67c7ff40dcp+8"
+SCALE_SUPPRESSION = {
+    "error_cap": SCALE_CAP,
+    "stage_max_errors": [SCALE_CAP] * 10
+    + ["0x1.ccc1aba78acccp+7", "0x1.eff9ec227a744p+7", "0x1.324f5739633a9p+8", "0x1.50f368d83c95dp+8"],
+    "k_factor": 4,
+    "suppressions": 9116,
+    "trace": "64d1958ba30aeb641ac91abadd624f0f070dda18a2f51a08122f806bafa9bdc2",
+    "plan": "5b889babc90ee53e43ae6ced556ac69079886078d7dcb980ab80423e790d0f3c",
+    "initial_errors": "164e05611cf042731c2b351440693d12d32467341360b4f2e430151d54e4d4b4",
+    "per_grid_errors": "99ce7c5c072fba8888444c4a78c2ab9cdc3336cbc06174de9167d81143bfbbaa",
+    "caps": [699, 833, 723, 773, 724, 880, 773, 725, 777, 744, 769, 791, 796, 656, 757, 724],
+    "capped_errors": [
+        "0x1.b3c2ce00f9c79p+7", "0x1.86185f48ac025p+7", "0x1.4e50a9125bb30p+8", "0x1.887e33bcfe9a3p+7",
+        "0x1.8c6adc397462bp+7", "0x1.4ad86459f356ap+8", "0x1.8831aaceb6e92p+7", "0x1.b08381f380b3ap+7",
+        "0x1.8f9c59f1b019ap+7", "0x1.9d103d77c1ca0p+7", "0x1.7478d4dba1e33p+7", "0x1.7ab1b7cf48da6p+7",
+        "0x1.762192d1aded2p+7", "0x1.6b7558b1d5926p+5", "0x1.52815aa609b0bp+7", "0x1.9756cac301cf7p+7",
+    ],
+    "new_error": "0x1.4e50a9125bb30p+8",
+}
+
+
+def _budgets_digest(budgets) -> str:
+    return _digest(
+        {
+            g: [float.hex(x) for x in (b.bias_mean, b.bias_var, b.noise_mean, b.noise_var, b.total)]
+            for g, b in budgets.items()
+        }
+    )
+
+
+def test_suppression_at_benchmark_scale_golden():
+    occ = generate_occupancy(SynthParams(grids=16, users=2**16 - 1, heavy_gamma=9.0), RngStream(61))
+    assert _digest(occ.as_dict()) == SCALE_OCCUPANCY
+    res = clip_user(occ, 65.0, 0.5, True)
+    opt = pseudo_user_optimize(occ, res.plan, 65.0, 0.5)
+    fields = {
+        "error_cap": float.hex(res.error_cap),
+        "stage_max_errors": [float.hex(x) for x in res.stage_max_errors],
+        "k_factor": res.k_factor,
+        "suppressions": len(res.trace),
+        "trace": _digest([(s.stage, s.user, s.grid, float.hex(s.error)) for s in res.trace]),
+        "plan": _digest(res.plan.retained),
+        "initial_errors": _budgets_digest(res.initial_errors),
+        "per_grid_errors": _budgets_digest(res.per_grid_errors),
+        "caps": [opt.per_grid_m[g] for g in occ.grids()],
+        "capped_errors": [float.hex(opt.per_grid_error[g].total) for g in occ.grids()],
+        "new_error": float.hex(opt.new_error),
+    }
+    assert fields == SCALE_SUPPRESSION
 
 
 def _write_cli_inputs(tmp_path) -> dict[str, str]:

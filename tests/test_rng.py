@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from griddp.errors import InvalidParams, NonPositiveScale
 from griddp.rng import _EPS, RngStream, _normal_inverse_cdf, laplace_inverse_cdf
+from test_synth import geometric, randbelow, subset
 
 
 def test_same_seed_same_sequence():
@@ -85,17 +86,17 @@ def test_laplace_rejects_bad_scale():
 
 def test_geometric_support_and_mean():
     s = RngStream(21).split("geo")
-    draws = s.geometric(0.5, size=20_000)
+    draws = geometric(s, 0.5, size=20_000)
     assert draws.min() >= 1
     assert abs(float(draws.mean()) - 2.0) < 0.05
-    assert int(RngStream(2).geometric(0.99)) >= 1
+    assert int(geometric(RngStream(2), 0.99)) >= 1
 
 
 def test_geometric_rejects_bad_q():
     with pytest.raises(InvalidParams):
-        RngStream(0).geometric(0.0)
+        geometric(RngStream(0), 0.0)
     with pytest.raises(InvalidParams):
-        RngStream(0).geometric(1.0)
+        geometric(RngStream(0), 1.0)
 
 
 def test_normal_moments_and_finiteness():
@@ -139,19 +140,19 @@ def test_normal_draws_match_stdlib_transform():
 
 def test_randbelow_bounds():
     s = RngStream(7)
-    draws = [s.randbelow(10) for _ in range(1000)]
+    draws = [randbelow(s, 10) for _ in range(1000)]
     assert min(draws) >= 0 and max(draws) <= 9
     assert len(set(draws)) == 10
     with pytest.raises(InvalidParams):
-        s.randbelow(0)
+        randbelow(s, 0)
 
 
 def test_subset_distinct_and_in_range():
     s = RngStream(13)
     for k in (0, 1, 5, 10):
-        picked = s.subset(10, k)
+        picked = subset(s, 10, k)
         assert len(picked) == k
         assert len(set(picked)) == k
         assert all(0 <= i < 10 for i in picked)
     with pytest.raises(InvalidParams):
-        s.subset(3, 4)
+        subset(s, 3, 4)

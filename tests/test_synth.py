@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from statistics import NormalDist
 
 from griddp.dataset import OccupancyArray
-from griddp.errors import InvalidParams
+from griddp.errors import InvalidParams, TooLarge, require_int
 from griddp.rng import _EPS, RngStream
 from griddp.synth import (
     SCALE_SAMPLE,
@@ -23,6 +23,7 @@ from griddp.synth import (
     scale_occupancy,
     user_token,
 )
+from test_dataset import _assert_same_accessors
 
 
 def _params(**kw):
@@ -185,6 +186,40 @@ def test_defaults_match_documented_model():
     assert (model.mean, model.variance, model.bound_u) == (20.66769, 115.135, 65.0)
 
 
+# The per-user draws of the reference loop below, as RngStream methods
+# made them before synthesis drew each tier from one uniform block.
+
+
+def randbelow(stream, n):
+    """Uniform integer in [0, n), built on random() for stream stability."""
+    require_int("randbelow bound", n, low=1)
+    return min(int(stream.random() * n), n - 1)
+
+
+def subset(stream, population, k):
+    """k distinct indices from range(population) by a partial Fisher-Yates
+    shuffle, in shuffle order."""
+    if not 0 <= k <= population:
+        raise InvalidParams(f"cannot choose {k} from {population}")
+    pool = list(range(population))
+    for i in range(k):
+        j = i + randbelow(stream, population - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k]
+
+
+def geometric(stream, q, size=None):
+    """Geometric draws on {1, 2, ...} with success probability q."""
+    if not 0 < q < 1:
+        raise InvalidParams(f"geometric q must be in (0, 1), got {q}")
+    u = stream.random(size)
+    # floor(log(1-u)/log(1-q)) + 1; u=0 maps to 1 exactly.
+    out = np.floor(np.log1p(-np.asarray(u)) / math.log1p(-q)) + 1
+    if size is None:
+        return int(out)
+    return out.astype(np.int64)
+
+
 def _generate_occupancy_oracle(params, rng):
     """Reference synthesis: one subset() and one geometric() call at a time.
 
@@ -196,9 +231,9 @@ def _generate_occupancy_oracle(params, rng):
     for l in range(1, params.users + 1):
         tier = l.bit_length() - 1
         token = user_token(l, params.users)
-        for g_idx in sorted(s.subset(params.grids, params.grids - tier)):
+        for g_idx in sorted(subset(s, params.grids, params.grids - tier)):
             g = grid_token(g_idx + 1, params.grids)
-            counts.setdefault(g, {})[token] = s.geometric(params.geometric_q)
+            counts.setdefault(g, {})[token] = geometric(s, params.geometric_q)
     if params.heavy_gamma > 0:
         for g in counts:
             row = counts[g]
@@ -221,8 +256,10 @@ def _synth_params(draw):
 @settings(max_examples=300, deadline=None)
 @given(_synth_params(), st.integers(0, 2**63))
 def test_generate_occupancy_matches_per_user_reference(params, seed):
+    # synthesis builds the columns and a token table made on demand; the
+    # reference builds a dict
     rng = RngStream(seed)
-    assert generate_occupancy(params, rng) == _generate_occupancy_oracle(params, rng)
+    _assert_same_accessors(generate_occupancy(params, rng), _generate_occupancy_oracle(params, rng))
 
 
 def test_generate_occupancy_full_tiers_match_reference():
@@ -231,6 +268,14 @@ def test_generate_occupancy_full_tiers_match_reference():
         params = SynthParams(grids=8, users=255, geometric_q=0.05, heavy_gamma=heavy_gamma)
         rng = RngStream(8).split("full")
         assert generate_occupancy(params, rng) == _generate_occupancy_oracle(params, rng)
+
+
+def test_counts_past_int64_are_too_large():
+    # a geometric draw or an inflated peak that int64 cannot hold
+    with pytest.raises(TooLarge, match="above 2\\^63 - 1"):
+        generate_occupancy(SynthParams(grids=2, users=3, geometric_q=1e-300), RngStream(1))
+    with pytest.raises(TooLarge, match="above 2\\^63 - 1"):
+        generate_occupancy(SynthParams(grids=2, users=3, heavy_gamma=1e300), RngStream(1))
 
 
 def _generate_values_oracle(occupancy, model, rng):
