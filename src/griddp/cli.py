@@ -125,41 +125,27 @@ def _emit(args, rows, fields: list[str], json_obj=None) -> None:
 
 def _cmd_stats(args) -> None:
     ds = parse_dataset(args.data, args.u)
-    grids = [args.grid] if args.grid else ds.grids()
-    rows = []
-    for g in grids:
-        st = grid_stats(ds, g)
-        rows.append((st.grid, st.n, st.mean, st.variance))
+    stats = [grid_stats(ds, g) for g in ([args.grid] if args.grid else ds.grids())]
+    rows = [(st.grid, st.n, st.mean, st.variance) for st in stats]
     _emit(args, rows, ["grid", "n", "mean", "variance"])
 
 
 def _cmd_sensitivity(args) -> None:
     counts = _parse_int_list(args.counts)
-    rows = []
-    for rep, scope in (
-        (mean_sensitivity(counts, args.u), "full"),
-        (variance_sensitivity(counts, args.u), "full"),
-    ):
-        rows.append((rep.target, scope, rep.value, rep.branch))
+    reports = [(full(counts, args.u), "full") for full in (mean_sensitivity, variance_sensitivity)]
     if args.retained is not None:
         gammas = _parse_int_list(args.retained)
-        for rep in (
-            clipped_mean_sensitivity(gammas, args.u),
-            clipped_variance_sensitivity(gammas, args.u),
-        ):
-            rows.append((rep.target, "clipped", rep.value, rep.branch))
+        for clipped in (clipped_mean_sensitivity, clipped_variance_sensitivity):
+            reports.append((clipped(gammas, args.u), "clipped"))
+    rows = [(rep.target, scope, rep.value, rep.branch) for rep, scope in reports]
     _emit(args, rows, ["target", "scope", "value", "branch"])
 
 
 def _cmd_bias(args) -> None:
     counts = _parse_int_list(args.counts)
     gammas = _parse_int_list(args.retained)
-    rows = []
-    for rep in (
-        mean_bias(counts, gammas, args.u),
-        variance_bias(counts, gammas, args.u),
-    ):
-        rows.append((rep.target, rep.value, rep.branch))
+    reports = [bias(counts, gammas, args.u) for bias in (mean_bias, variance_bias)]
+    rows = [(rep.target, rep.value, rep.branch) for rep in reports]
     _emit(args, rows, ["target", "value", "branch"])
 
 
@@ -207,42 +193,19 @@ def _cmd_mechanism(args) -> None:
             out = clip_release(ds, g, plan.get(g, {}), params, sub)
         else:
             out = release(ds, g, args.mech, params, sub)
-        rows.append(
-            (
-                out.grid,
-                out.mechanism,
-                out.noisy_mean,
-                out.noise_scale_mean,
-                out.noisy_variance,
-                out.noise_scale_var,
-                out.interval[0] if out.interval else None,
-                out.interval[1] if out.interval else None,
-                out.arrays,
-                out.degenerate_ranks,
-            )
-        )
-    _emit(
-        args,
-        rows,
-        [
-            "grid",
-            "mechanism",
-            "noisy_mean",
-            "noise_scale_mean",
-            "noisy_variance",
-            "noise_scale_var",
-            "interval_a",
-            "interval_b",
-            "arrays",
-            "degenerate_ranks",
-        ],
-    )
+        a, b = out.interval or (None, None)
+        means = (out.noisy_mean, out.noise_scale_mean, out.noisy_variance, out.noise_scale_var)
+        rows.append((out.grid, out.mechanism, *means, a, b, out.arrays, out.degenerate_ranks))
+    fields = ["grid", "mechanism", "noisy_mean", "noise_scale_mean", "noisy_variance"]
+    fields += ["noise_scale_var", "interval_a", "interval_b", "arrays", "degenerate_ranks"]
+    _emit(args, rows, fields)
 
 
 def _cmd_clip_user(args) -> None:
     occ = parse_occupancy(args.occupancy)
     res = clip_user(occ, args.u, args.eps, args.protect_min_grid)
-    # columns: record, stage, user, grid, error, k_factor, error_cap, initial, final
+    fields = ["record", "stage", "user", "grid", "error"]
+    fields += ["k_factor", "error_cap", "initial", "final"]
     rows = [("summary", None, None, None, None, res.k_factor, res.error_cap, None, None)]
     for s in res.trace:
         rows.append(("suppression", s.stage, s.user, s.grid, s.error, None, None, None, None))
@@ -260,24 +223,16 @@ def _cmd_clip_user(args) -> None:
         "per_grid_errors": {g: res.per_grid_errors[g].total for g in occ.grids()},
         "plan": {g: res.plan.retained[g] for g in occ.grids()},
     }
-    _emit(
-        args,
-        rows,
-        ["record", "stage", "user", "grid", "error", "k_factor", "error_cap", "initial", "final"],
-        json_obj,
-    )
+    _emit(args, rows, fields, json_obj)
+
+
+def _synth_params(args) -> SynthParams:
+    return SynthParams(args.grids, args.users, args.u, args.q, args.heavy_gamma)
 
 
 def _cmd_synth(args) -> None:
-    params = SynthParams(
-        grids=args.grids,
-        users=args.users,
-        bound_u=args.u,
-        geometric_q=args.q,
-        heavy_gamma=args.heavy_gamma,
-    )
     root = RngStream(args.seed)
-    occ = generate_occupancy(params, root)
+    occ = generate_occupancy(_synth_params(args), root)
     if args.values:
         model = ValueModel(mean=args.mu, variance=args.sigma2, bound_u=args.u)
         ds = generate_values(occ, model, root)
@@ -291,13 +246,7 @@ def _cmd_synth(args) -> None:
 
 
 def _cmd_montecarlo(args) -> None:
-    params = SynthParams(
-        grids=args.grids,
-        users=args.users,
-        bound_u=args.u,
-        geometric_q=args.q,
-        heavy_gamma=args.heavy_gamma,
-    )
+    params = _synth_params(args)
     config = ExperimentConfig(
         epsilons=tuple(_parse_eps_grid(args.eps)),
         seed=args.seed,
@@ -323,13 +272,7 @@ def _cmd_mae(args) -> None:
         mae_draws=args.draws,
     )
     points = mae_eval(
-        ds,
-        args.grid,
-        config,
-        gamma=args.gamma,
-        strategy=args.strategy,
-        capacity=args.capacity,
-        quantile_mode=args.quantile_mode,
+        ds, args.grid, config, args.gamma, args.strategy, args.capacity, args.quantile_mode
     )
     rows = [(p.epsilon, p.value, p.label) for p in points]
     _emit(args, rows, ["epsilon", "value", "label"])

@@ -21,12 +21,13 @@ clip_user runs on the occupancy's integer columns. The users are bucketed
 by level, the number of grids each still occupies: one bincount of the
 user ids, indexed in token order. A stage's top level is its maximum and
 its frozen set is the users at that level, so a stage costs no pass over
-the users in Python. A grid's peak is its first largest retained count in
-token order, found by one argmax over the grid's entries, and found again
-only when a suppression removes it or a candidate is the peak user. A
-candidate is priced as a float total in budget_from_aggregates' operation
-order; ErrorBudget objects are built only for the per-stage, initial and
-final budgets of each grid.
+the users in Python. A grid's peak is its first largest count in token
+order, one argmax over the grid's entries. The first time a peak user is
+suppressed or priced, the grid's entries are sorted by descending count
+(stable, so ties stay in token order), and a pointer past the suppressed
+ones gives the peak from then on. A candidate is priced as a float total
+in budget_from_aggregates' operation order; ErrorBudget objects are built
+only for the per-stage, initial and final budgets of each grid.
 
 pseudo_user_optimize then re-clips each grid's retained counts to the best
 uniform cap m (suppressed users stay suppressed), which can only lower the
@@ -88,8 +89,8 @@ class ClipPlan:
 
     retained maps grid -> user -> count. A plan made from an occupancy
     (clip_user, full) holds its counts as an array aligned with the
-    occupancy's entries, which pseudo_user_optimize reads, and makes the
-    retained mapping on first use.
+    occupancy's entries, which pseudo_user_optimize reads, until retained
+    is first read; from then on that mapping, edits included, is the plan.
     """
 
     def __init__(self, retained: dict[str, dict[str, int]]):
@@ -110,6 +111,7 @@ class ClipPlan:
     def retained(self) -> dict[str, dict[str, int]]:
         if self._retained is None:
             self._retained = self._occupancy._rows(self._gammas)
+            self._occupancy = self._gammas = None
         return self._retained
 
     def grids(self) -> list[str]:
@@ -130,6 +132,9 @@ class ClipPlan:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ClipPlan) and self.retained == other.retained
+
+    def __repr__(self) -> str:
+        return f"ClipPlan(retained={self.retained!r})"
 
 
 @dataclass(frozen=True)
@@ -239,18 +244,22 @@ def clip_user(
     spans = list(occupancy._spans())
     retained = [hi - lo for lo, hi in spans]  # users still in each grid
     suppressed = np.zeros(len(ids), dtype=bool)
-
-    def top_of(g: int, skip: int = -1) -> int:
-        """Entry of grid g's largest retained count, entry skip left out:
-        the first in user order, where a stable descending sort puts it."""
-        lo, hi = spans[g]
-        row = np.where(suppressed[lo:hi], 0, counts[lo:hi])
-        if skip >= 0:
-            row[skip - lo] = 0
-        return lo + int(np.argmax(row))
-
-    top = [top_of(g) for g in range(len(grids))]
+    # top[g] is the entry of grid g's peak and desc[g][ptr[g]] is top[g]
+    # once the peak is first suppressed or priced
+    top = [lo + int(np.argmax(counts[lo:hi])) for lo, hi in spans]
     peak = [int(counts[e]) for e in top]
+    desc: dict[int, list[int]] = {}
+    ptr = [0] * len(grids)
+
+    def next_kept(g: int, i: int) -> int:
+        """The first position from i in grid g's entries by descending
+        count, ties in user order, that holds a retained entry."""
+        if g not in desc:
+            lo, hi = spans[g]
+            desc[g] = (lo + np.argsort(-counts[lo:hi], kind="stable")).tolist()
+        while suppressed[desc[g][i]]:
+            i += 1
+        return i
 
     def budgets() -> dict[str, ErrorBudget]:
         return {
@@ -283,8 +292,10 @@ def clip_user(
             for g, e, c in active[i]:
                 if g == protected or retained[g] <= 1:
                     continue
-                # a grid with two retained users holds a second peak
-                pk = int(counts[top_of(g, e)]) if e == top[g] else peak[g]
+                pk = peak[g]
+                if e == top[g]:  # a grid with two retained users has a second
+                    second = next_kept(g, ptr[g] + 1)
+                    pk = int(counts[desc[g][second]])
                 total = sum(_budget_terms(sum_m[g], sum_gamma[g] - c, pk, bound_u, epsilon))
                 # grids come in token order, so a tie keeps the earlier grid
                 if best is None or total < best[0]:
@@ -297,7 +308,8 @@ def clip_user(
             sum_gamma[g] -= c
             retained[g] -= 1
             if e == top[g]:
-                top[g] = top_of(g)
+                ptr[g] = next_kept(g, ptr[g])
+                top[g] = desc[g][ptr[g]]
                 peak[g] = int(counts[top[g]])
             active[i].remove((g, e, c))
             level[i] -= 1

@@ -138,10 +138,10 @@ class OccupancyArray:
         ends = np.cumsum(present.sum(axis=1)).tolist()
         return [triples[a:b] for a, b in zip([0, *ends], ends)]
 
-    def _user_entries(self, user: str) -> list[tuple[int, int, int]]:
+    def _uid(self, user: str) -> int:
+        """The id of a user token, or -1, which no entry holds."""
         i = bisect_left(self._users, user)
-        found = i < len(self._users) and self._users[i] == user
-        return self._entries([i])[0] if found else []
+        return i if i < len(self._users) and self._users[i] == user else -1
 
     def _rows(self, values) -> dict[str, dict[str, int]]:
         """{grid: {user: value}} of an int array aligned with the entries."""
@@ -161,11 +161,13 @@ class OccupancyArray:
         return list(map(self._tokens().__getitem__, self._ids[lo:hi].tolist()))
 
     def grids_of(self, user: str) -> list[str]:
-        return [self._grids[g] for g, _, _ in self._user_entries(user)]
+        return [self._grids[g] for g, _, _ in self._entries([self._uid(user)])[0]]
 
     def count(self, grid: str, user: str) -> int:
-        g, _, _ = self._span(grid)
-        return next((c for i, _, c in self._user_entries(user) if i == g), 0)
+        _, lo, hi = self._span(grid)
+        uid = self._uid(user)
+        e = lo + int(np.searchsorted(self._ids[lo:hi], uid))
+        return int(self._counts[e]) if e < hi and self._ids[e] == uid else 0
 
     def counts_in(self, grid: str) -> list[int]:
         """Counts of a grid, ordered by user token."""

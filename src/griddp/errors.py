@@ -83,7 +83,7 @@ class InvalidParams(GridDPError):
 
 
 class TooLarge(GridDPError):
-    """A brute-force routine was asked to exceed its enumeration budget."""
+    """An input exceeds what a routine can enumerate or hold exactly."""
 
 
 class UsageError(GridDPError):

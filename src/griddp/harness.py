@@ -134,17 +134,8 @@ def mae_eval(
         ]
     values = dataset.grid_values(grid)
     true_mean = sum(values) / len(values)
-    all_params = [
-        MechanismParams(
-            bound_u=dataset.bound_u,
-            epsilon=eps,
-            gamma=gamma,
-            strategy=strategy,
-            capacity=capacity,
-            quantile_mode=quantile_mode,
-        )
-        for eps in config.epsilons
-    ]
+    options = dict(gamma=gamma, strategy=strategy, capacity=capacity, quantile_mode=quantile_mode)
+    all_params = [MechanismParams(dataset.bound_u, eps, **options) for eps in config.epsilons]
     prepared = prepare(dataset, grid, config.mechanism, all_params[0])
     root = RngStream(config.seed)
     points: list[CurvePoint] = []
@@ -196,46 +187,21 @@ def check_scaling_laws(
         sampled = [lam * m for m in counts]
         duplicated = counts * lam
 
-        checks.append(
-            _eq_check("mub_median", "sample", lam, median_mub(sampled), lam * base["median"])
-        )
-        checks.append(
-            _eq_check(
-                "mub_optimized", "sample", lam, optimized_mub(sampled), lam * base["optimized"]
-            )
-        )
-        checks.append(
-            _eq_check("mub_median", "user", lam, median_mub(duplicated), base["median"])
-        )
-        checks.append(
-            _eq_check(
-                "mub_optimized", "user", lam, optimized_mub(duplicated), base["optimized"]
-            )
-        )
+        for mode, scaled, f in (("sample", sampled, lam), ("user", duplicated, 1)):
+            checks += [
+                _eq_check("mub_median", mode, lam, median_mub(scaled), f * base["median"]),
+                _eq_check("mub_optimized", mode, lam, optimized_mub(scaled), f * base["optimized"]),
+            ]
 
         for rule, ub in base.items():
             k_wrap = array_count_k(counts, ub)
             k_best = best_fit_count(counts, ub)
-            checks.append(
-                _eq_check(
-                    f"k_wrap_{rule}", "sample", lam, array_count_k(sampled, lam * ub), k_wrap
-                )
-            )
-            checks.append(
-                _eq_check(
-                    f"k_best_{rule}", "sample", lam, best_fit_count(sampled, lam * ub), k_best
-                )
-            )
-            checks.append(
-                _eq_check(
-                    f"k_wrap_{rule}", "user", lam, array_count_k(duplicated, ub), lam * k_wrap
-                )
-            )
-            checks.append(
-                _eq_check(
-                    f"k_best_{rule}", "user", lam, best_fit_count(duplicated, ub), lam * k_best
-                )
-            )
+            scales = (("sample", sampled, lam * ub, 1), ("user", duplicated, ub, lam))
+            for mode, scaled, cap, f in scales:
+                checks += [
+                    _eq_check(f"k_wrap_{rule}", mode, lam, array_count_k(scaled, cap), f * k_wrap),
+                    _eq_check(f"k_best_{rule}", mode, lam, best_fit_count(scaled, cap), f * k_best),
+                ]
             k_wrap_dup = array_count_k(duplicated, ub)
             checks.append(
                 ScalingLawCheck(

@@ -35,6 +35,7 @@ from griddp.composition import (
 from griddp.dataset import Dataset, OccupancyArray
 from griddp.errors import (
     InvalidParams,
+    InvalidPlan,
     OccupancyMismatch,
     TooLarge,
     ZeroRetained,
@@ -467,6 +468,53 @@ def test_clip_user_and_cap_scan_match_reference(occ, bound_u, epsilon, protect):
     assert res == _clip_user_oracle(occ, bound_u, epsilon, protect)
     opt = pseudo_user_optimize(occ, res.plan, bound_u, epsilon)
     assert opt == _pseudo_user_optimize_oracle(occ, res.plan, bound_u, epsilon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 60),
+    st.integers(1, 4),
+    st.sampled_from([1, 2, 3]),
+    st.sampled_from([0.05, 0.5, 2.0]),
+)
+def test_clip_user_matches_reference_when_peaks_fall_in_turn(n, grids, tie, epsilon):
+    # harmonic counts, tied in runs of `tie` users, make each grid's peak
+    # user worth suppressing, then the next one, through the descending order
+    row = {f"u{u:02d}": 10**5 // (u // tie + 1) for u in range(n)}
+    occ = OccupancyArray({f"g{g}": {u: m + g for u, m in row.items()} for g in range(grids)})
+    res = clip_user(occ, 65.0, epsilon)
+    assert res == _clip_user_oracle(occ, 65.0, epsilon)
+
+
+def test_peaks_fall_in_turn_on_the_harmonic_occupancy():
+    # the case above does reach the descending order: most suppressions
+    # take a grid's current peak user
+    row = {f"u{u:02d}": 10**5 // (u + 1) for u in range(40)}
+    occ = OccupancyArray({"g0": row, "g1": row})
+    res = clip_user(occ, 65.0, 0.05)
+    assert sum(s.user < "u20" for s in res.trace) >= 20
+    assert res == _clip_user_oracle(occ, 65.0, 0.05)
+
+
+def test_edited_plan_is_the_plan_the_cap_scan_reads():
+    # once retained is read, its edits are the plan: used and range-checked
+    occ = OccupancyArray(BASE)
+    res = clip_user(occ, 1.0, 1.0)
+    res.plan.retained["g1"]["u2"] = 1
+    edited = ClipPlan({g: dict(row) for g, row in res.plan.retained.items()})
+    got = pseudo_user_optimize(occ, res.plan, 1.0, 1.0)
+    assert got == pseudo_user_optimize(occ, edited, 1.0, 1.0)
+    assert got == _pseudo_user_optimize_oracle(occ, edited, 1.0, 1.0)
+    res.plan.retained["g1"]["u2"] = 3
+    with pytest.raises(InvalidPlan):
+        pseudo_user_optimize(occ, res.plan, 1.0, 1.0)
+
+
+def test_clip_plan_repr_shows_the_counts():
+    occ = OccupancyArray(BASE)
+    assert repr(ClipPlan.full(occ)) == f"ClipPlan(retained={BASE!r})"
+    res = clip_user(occ, 1.0, 1.0)
+    assert "plan=ClipPlan(retained={'g1': {'u1': 2, 'u2': 2}, 'g2': {'u1': 0, " in repr(res)
 
 
 @settings(max_examples=200, deadline=None)

@@ -222,11 +222,12 @@ def _assert_same_accessors(got, want):
         assert {type(c) for c in got.counts_in(g)} == {int}
         assert type(got.total(g)) is int and type(got.m_star(g)) is int
     users = want.users()
-    # about 20 users, spread over the token order
-    for u in users[:: max(1, len(users) // 20)] + users[-1:] + ["", "~absent"]:
-        assert got.grids_of(u) == want.grids_of(u)
+    rows = want.as_dict()
+    # about 20 users, spread over the token order, and absent ones around them
+    for u in users[:: max(1, len(users) // 20)] + users[-1:] + ["", users[0] + "\0", "~absent"]:
+        assert got.grids_of(u) == want.grids_of(u) == [g for g in rows if u in rows[g]]
         for g in want.grids():
-            assert got.count(g, u) == want.count(g, u)
+            assert got.count(g, u) == want.count(g, u) == rows[g].get(u, 0)
             assert type(got.count(g, u)) is int
     with pytest.raises(UnknownGrid):
         got.row("~absent")
