@@ -5,25 +5,29 @@ bias calculators, private releases, the suppression routine, synthetic
 data, Monte Carlo curves, MAE curves, and scaling-law checks. Output is
 CSV by default or JSON with --format json, written to stdout or --out.
 
-Randomized subcommands require --seed, either on the command line or via
---config, a file of KEY=VALUE lines supplying defaults for any option
-(command-line values win). Identical inputs and seed produce byte
-identical output.
+Options shared by several subcommands are defined once, and every
+default is the library's own. Randomized subcommands require --seed,
+either on the command line or via --config, a file of KEY=VALUE lines
+supplying defaults for any option that is not required (command-line
+values win); a key that names no option of any subcommand is a usage
+error. Identical inputs and seed produce byte identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import sys
+from functools import partial
 from itertools import chain, repeat
 from pathlib import Path
 
 from .composition import clip_user
 from .dataset import grid_stats, parse_dataset, parse_occupancy
-from .errors import GridDPError, InvalidPlan, IoError, UsageError, read_utf8
-from .grouping import STRATEGY_BEST, STRATEGY_WRAP
+from .errors import GridDPError, InvalidPlan, IoError, OccupancyMismatch, UsageError, read_utf8
+from .grouping import STRATEGIES
 from .harness import (
     ExperimentConfig,
     check_scaling_laws,
@@ -32,8 +36,8 @@ from .harness import (
     monte_carlo_privacy,
 )
 from .mechanisms import (
-    QUANTILE_FIXED,
-    QUANTILE_OPTIMIZED,
+    MECHANISMS,
+    QUANTILE_MODES,
     MechanismParams,
     clip_release,
     release,
@@ -47,10 +51,6 @@ from .sensitivity import (
 )
 from .synth import SynthParams, ValueModel, generate_occupancy, generate_values
 from .worst_case_bias import mean_bias, variance_bias
-
-RANDOMIZED = {"mechanism", "synth", "montecarlo", "mae"}
-
-MECHANISM_CHOICES = ("baseline", "clip", "array_average", "levy", "quantile")
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -87,7 +87,8 @@ def _coerce(value: str):
     return low
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, options: set[str]) -> dict:
+    """KEY=VALUE lines as a mapping; each key must name one of options."""
     out = {}
     for lineno, line in enumerate(read_utf8(path, "config ").splitlines(), start=1):
         line = line.strip()
@@ -96,7 +97,10 @@ def _load_config(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
         key, _, value = line.partition("=")
-        out[key.strip().replace("-", "_")] = _coerce(value)
+        dest = key.strip().replace("-", "_")
+        if dest not in options:
+            raise UsageError(f"{path}:{lineno}: no subcommand has an option {key.strip()!r}")
+        out[dest] = _coerce(value)
     return out
 
 
@@ -171,19 +175,21 @@ def _load_plan(path: str) -> dict:
     return obj
 
 
+def _packing(args) -> dict:
+    """The packing options, each a MechanismParams field and mae_eval argument."""
+    names = ("gamma", "strategy", "capacity", "quantile_mode")
+    return {name: getattr(args, name) for name in names}
+
+
 def _cmd_mechanism(args) -> None:
     ds = parse_dataset(args.data, args.u)
-    params = MechanismParams(
-        bound_u=args.u,
-        epsilon=args.eps,
-        gamma=args.gamma,
-        strategy=args.strategy,
-        capacity=args.capacity,
-        quantile_mode=args.quantile_mode,
-    )
+    params = MechanismParams(bound_u=args.u, epsilon=args.eps, **_packing(args))
     plan = _load_plan(args.plan) if args.plan else None
     if plan is not None and args.mech != "clip":
         raise UsageError("--plan only applies to the clip mechanism")
+    missing = sorted(set(plan or ()) - set(ds.grids()))
+    if missing:
+        raise OccupancyMismatch(f"plan names grids absent from the data: {missing}")
     grids = [args.grid] if args.grid else ds.grids()
     root = RngStream(args.seed)
     rows = []
@@ -267,13 +273,10 @@ def _cmd_mae(args) -> None:
     config = ExperimentConfig(
         epsilons=tuple(_parse_eps_grid(args.eps)),
         seed=args.seed,
-        trials=1,
         mechanism=args.mech,
         mae_draws=args.draws,
     )
-    points = mae_eval(
-        ds, args.grid, config, args.gamma, args.strategy, args.capacity, args.quantile_mode
-    )
+    points = mae_eval(ds, args.grid, config, **_packing(args))
     rows = [(p.epsilon, p.value, p.label) for p in points]
     _emit(args, rows, ["epsilon", "value", "label"])
 
@@ -286,133 +289,106 @@ def _cmd_scaling(args) -> None:
     _emit(args, rows, ["law", "mode", "lam", "passed", "detail"])
 
 
-def _add_common(sp, randomized: bool) -> None:
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out", default="-", help="output path, - for stdout")
-    sp.add_argument("--config", default=None, help="KEY=VALUE defaults file")
-    if randomized:
-        sp.add_argument("--seed", type=int, default=None, help="rng seed (required)")
-
-
 def _build_parser():
+    """The griddp parser and its subparsers; shared options are defined once."""
+    group = partial(argparse.ArgumentParser, add_help=False)
+    output = group()
+    output.add_argument("--format", choices=("csv", "json"), default="csv")
+    output.add_argument("--out", default="-", help="output path, - for stdout")
+    output.add_argument("--config", default=None, help="KEY=VALUE defaults file")
+    seeded = group()
+    seeded.add_argument("--seed", type=int, default=None, help="rng seed (required)")
+    bound = group()
+    bound.add_argument("--u", type=float, required=True)
+    counts = group()
+    counts.add_argument("--counts", required=True)
+    data = group(parents=[bound])
+    data.add_argument("--data", type=Path, required=True)
+    shape = group()
+    shape.add_argument("--grids", type=int, default=SynthParams.grids)
+    shape.add_argument("--users", type=int, default=SynthParams.users)
+    shape.add_argument("--u", type=float, default=SynthParams.bound_u)
+    shape.add_argument("--q", type=float, default=SynthParams.geometric_q)
+    shape.add_argument("--heavy-gamma", type=float, default=SynthParams.heavy_gamma)
+    packing = group()
+    packing.add_argument("--strategy", choices=STRATEGIES, default=MechanismParams.strategy)
+    packing.add_argument("--capacity", type=int, default=MechanismParams.capacity)
+    packing.add_argument("--gamma", type=float, default=MechanismParams.gamma)
+    packing.add_argument(
+        "--quantile-mode", choices=QUANTILE_MODES, default=MechanismParams.quantile_mode
+    )
+
     parser = argparse.ArgumentParser(
         prog="griddp",
         description="user-level DP releases over grid-partitioned data",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    table = {}
 
-    sp = sub.add_parser("stats", help="per-grid sample statistics")
-    sp.add_argument("--data", type=Path, required=True)
-    sp.add_argument("--u", type=float, required=True)
+    def command(name, handler, text, *parents):
+        sp = sub.add_parser(name, help=text, parents=[output, *parents])
+        sp.set_defaults(handler=handler)
+        return sp
+
+    sp = command("stats", _cmd_stats, "per-grid sample statistics", data)
     sp.add_argument("--grid", default=None)
-    sp.set_defaults(handler=_cmd_stats)
-    table["stats"] = sp
 
-    sp = sub.add_parser("sensitivity", help="mean/variance sensitivities")
-    sp.add_argument("--counts", required=True)
-    sp.add_argument("--u", type=float, required=True)
+    sp = command("sensitivity", _cmd_sensitivity, "mean/variance sensitivities", counts, bound)
     sp.add_argument("--retained", default=None)
-    sp.set_defaults(handler=_cmd_sensitivity)
-    table["sensitivity"] = sp
 
-    sp = sub.add_parser("bias", help="worst-case clipping bias")
-    sp.add_argument("--counts", required=True)
+    sp = command("bias", _cmd_bias, "worst-case clipping bias", counts, bound)
     sp.add_argument("--retained", required=True)
-    sp.add_argument("--u", type=float, required=True)
-    sp.set_defaults(handler=_cmd_bias)
-    table["bias"] = sp
 
-    sp = sub.add_parser("mechanism", help="private release of grid statistics")
-    sp.add_argument("--data", type=Path, required=True)
-    sp.add_argument("--u", type=float, required=True)
+    text = "private release of grid statistics"
+    sp = command("mechanism", _cmd_mechanism, text, seeded, data, packing)
     sp.add_argument("--eps", type=float, required=True)
-    sp.add_argument("--mech", choices=MECHANISM_CHOICES, required=True)
+    sp.add_argument("--mech", choices=MECHANISMS, required=True)
     sp.add_argument("--grid", default=None)
-    sp.add_argument("--strategy", choices=(STRATEGY_WRAP, STRATEGY_BEST), default=STRATEGY_BEST)
-    sp.add_argument("--capacity", type=int, default=None)
-    sp.add_argument("--gamma", type=float, default=0.2)
-    sp.add_argument(
-        "--quantile-mode", choices=(QUANTILE_FIXED, QUANTILE_OPTIMIZED), default=QUANTILE_FIXED
-    )
     sp.add_argument("--plan", default=None, help="JSON retention plan (clip only)")
-    sp.set_defaults(handler=_cmd_mechanism)
-    table["mechanism"] = sp
 
-    sp = sub.add_parser("clip-user", help="iterative user suppression")
+    sp = command("clip-user", _cmd_clip_user, "iterative user suppression", bound)
     sp.add_argument("--occupancy", type=Path, required=True)
-    sp.add_argument("--u", type=float, required=True)
     sp.add_argument("--eps", type=float, required=True)
     sp.add_argument("--protect-min-grid", action="store_true")
-    sp.set_defaults(handler=_cmd_clip_user)
-    table["clip-user"] = sp
 
-    sp = sub.add_parser("synth", help="synthetic occupancy or dataset")
-    sp.add_argument("--grids", type=int, default=12)
-    sp.add_argument("--users", type=int, default=4095)
-    sp.add_argument("--u", type=float, default=65.0)
-    sp.add_argument("--q", type=float, default=0.01)
-    sp.add_argument("--heavy-gamma", type=float, default=0.0)
+    sp = command("synth", _cmd_synth, "synthetic occupancy or dataset", seeded, shape)
     sp.add_argument("--values", action="store_true", help="emit sample values")
-    sp.add_argument("--mu", type=float, default=20.66769)
-    sp.add_argument("--sigma2", type=float, default=115.135)
-    sp.set_defaults(handler=_cmd_synth)
-    table["synth"] = sp
+    sp.add_argument("--mu", type=float, default=ValueModel.mean)
+    sp.add_argument("--sigma2", type=float, default=ValueModel.variance)
 
-    sp = sub.add_parser("montecarlo", help="privacy/error curves on synthetic draws")
+    text = "privacy/error curves on synthetic draws"
+    sp = command("montecarlo", _cmd_montecarlo, text, seeded, shape)
     sp.add_argument("--mode", choices=("privacy", "error"), required=True)
     sp.add_argument("--eps", required=True, help="lo:hi:step or comma list")
-    sp.add_argument("--trials", type=int, default=10)
-    sp.add_argument("--grids", type=int, default=12)
-    sp.add_argument("--users", type=int, default=4095)
-    sp.add_argument("--u", type=float, default=65.0)
-    sp.add_argument("--q", type=float, default=0.01)
-    sp.add_argument("--heavy-gamma", type=float, default=0.0)
+    sp.add_argument("--trials", type=int, default=ExperimentConfig.trials)
     sp.add_argument("--no-protect", action="store_true")
-    sp.set_defaults(handler=_cmd_montecarlo)
-    table["montecarlo"] = sp
 
-    sp = sub.add_parser("mae", help="mean absolute error curve for one grid")
-    sp.add_argument("--data", type=Path, required=True)
+    sp = command("mae", _cmd_mae, "mean absolute error curve for one grid", seeded, data, packing)
     sp.add_argument("--grid", required=True)
-    sp.add_argument("--u", type=float, required=True)
     sp.add_argument("--eps", required=True, help="lo:hi:step or comma list")
-    sp.add_argument("--mech", choices=MECHANISM_CHOICES, default="baseline")
-    sp.add_argument("--draws", type=int, default=10_000)
-    sp.add_argument("--strategy", choices=(STRATEGY_WRAP, STRATEGY_BEST), default=STRATEGY_BEST)
-    sp.add_argument("--capacity", type=int, default=None)
-    sp.add_argument("--gamma", type=float, default=0.2)
-    sp.add_argument(
-        "--quantile-mode", choices=(QUANTILE_FIXED, QUANTILE_OPTIMIZED), default=QUANTILE_FIXED
-    )
-    sp.set_defaults(handler=_cmd_mae)
-    table["mae"] = sp
+    sp.add_argument("--mech", choices=MECHANISMS, default=ExperimentConfig.mechanism)
+    sp.add_argument("--draws", type=int, default=ExperimentConfig.mae_draws)
 
-    sp = sub.add_parser("scaling", help="grouping scaling-law checks")
-    sp.add_argument("--counts", required=True)
+    sp = command("scaling", _cmd_scaling, "grouping scaling-law checks", counts)
     sp.add_argument("--lambdas", required=True)
-    sp.add_argument("--u", type=float, default=1.0)
-    sp.set_defaults(handler=_cmd_scaling)
-    table["scaling"] = sp
-
-    for name, sp in table.items():
-        _add_common(sp, name in RANDOMIZED)
-    return parser, table
+    scaling_u = inspect.signature(check_scaling_laws).parameters["bound_u"].default
+    sp.add_argument("--u", type=float, default=scaling_u)
+    return parser, sub.choices
 
 
 def cli_main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser, table = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
         # A config file supplies defaults, so once argparse has found it (in
         # any spelling, such as --config=PATH) the arguments are parsed again.
         if args.config is not None:
-            mapping = _load_config(args.config)
-            for sp in table.values():
+            options = {a.dest for sp in commands.values() for a in sp._actions}
+            mapping = _load_config(args.config, options)
+            for sp in commands.values():
                 sp.set_defaults(**mapping)
             args = parser.parse_args(argv)
-        if args.command in RANDOMIZED and args.seed is None:
+        if "seed" in args and args.seed is None:
             raise UsageError("--seed is required (on the command line or via --config)")
         args.handler(args)
         return 0

@@ -48,12 +48,11 @@ import numpy as np
 from .dataset import Dataset, OccupancyArray
 from .errors import (
     InvalidParams,
-    InvalidPlan,
     OccupancyMismatch,
     TooLarge,
     ZeroRetained,
-    require_ints,
     require_pair,
+    require_plan_row,
     require_positive,
 )
 from .mechanisms import MechanismOutput, MechanismParams, clip_release
@@ -340,13 +339,7 @@ def _plan_gammas(occupancy: OccupancyArray, plan: ClipPlan, grid: str) -> np.nda
         raise OccupancyMismatch(
             f"plan for grid {grid} does not cover its users exactly"
         )
-    gammas = require_ints("retained count", map(row.__getitem__, counts))
-    for (u, m), g in zip(counts.items(), gammas):
-        if not 0 <= g <= m:
-            raise InvalidPlan(
-                f"retained count for user {u} in grid {grid} must be in "
-                f"[0, {m}], got {g}"
-            )
+    gammas = require_plan_row(grid, counts, row)
     return np.array(gammas, dtype=np.int64)
 
 

@@ -126,6 +126,12 @@ def require_positive(name: str, value, error=InvalidParams) -> float:
     return float(value)
 
 
+def require_probability(name: str, value) -> None:
+    """InvalidParams unless 0 < value < 1."""
+    if not 0 < value < 1:
+        raise InvalidParams(f"{name} must be in (0, 1), got {value}")
+
+
 def require_counts(m_list) -> list[int]:
     """Per-user sample counts: a non-empty list of integers, each >= 1."""
     counts = require_ints("count", m_list)
@@ -163,6 +169,19 @@ def require_pair(m_list, gamma_list) -> tuple[list[int], list[int]]:
     if sum(gammas) == 0:
         raise ZeroRetained("all retained counts are zero")
     return counts, gammas
+
+
+def require_plan_row(grid: str, counts: dict[str, int], retained: dict[str, int]) -> list[int]:
+    """The retained counts of a grid's users, in the order of counts, as
+    ints; a user absent from retained keeps all counts[user] samples.
+    InvalidPlan unless each lies in [0, counts[user]]."""
+    gammas = require_ints("retained count", [retained.get(u, m) for u, m in counts.items()])
+    for (user, m), g in zip(counts.items(), gammas):
+        if not 0 <= g <= m:
+            raise InvalidPlan(
+                f"retained count for user {user} in grid {grid} must be in [0, {m}], got {g}"
+            )
+    return gammas
 
 
 def read_utf8(path, what: str = "") -> str:

@@ -28,6 +28,7 @@ from .errors import EmptyValues, InvalidCapacity, ZeroTotal, require_counts, req
 
 STRATEGY_WRAP = "wrap"
 STRATEGY_BEST = "best"
+STRATEGIES = (STRATEGY_WRAP, STRATEGY_BEST)
 
 
 @dataclass(frozen=True)
@@ -79,21 +80,26 @@ def optimized_mub(m_list) -> int:
     return best_c
 
 
-def _ordered_users(samples_by_user: dict[str, tuple[float, ...]]) -> list[str]:
+def _packing_order(
+    samples_by_user: dict[str, tuple[float, ...]], capacity: int
+) -> tuple[int, list[str]]:
+    """The capacity as an int and the users in packing order; InvalidCapacity
+    below 1, ZeroTotal when there is no sample to pack."""
+    capacity = require_int("array capacity", capacity, 1, InvalidCapacity)
+    if not samples_by_user or all(len(v) == 0 for v in samples_by_user.values()):
+        raise ZeroTotal("no samples to group")
     # Non-increasing by count, ties by token.
-    return sorted(samples_by_user, key=lambda u: (-len(samples_by_user[u]), u))
+    return capacity, sorted(samples_by_user, key=lambda u: (-len(samples_by_user[u]), u))
 
 
 def wrap_around(
     samples_by_user: dict[str, tuple[float, ...]], capacity: int
 ) -> list[ArrayGroup]:
     """Pack one grid's samples contiguously; return only the full arrays."""
-    capacity = require_int("array capacity", capacity, 1, InvalidCapacity)
-    if not samples_by_user or all(len(v) == 0 for v in samples_by_user.values()):
-        raise ZeroTotal("no samples to group")
+    capacity, users = _packing_order(samples_by_user, capacity)
     values: list[float] = []
     sources: list[str] = []
-    for user in _ordered_users(samples_by_user):
+    for user in users:
         block = samples_by_user[user][:capacity]
         values.extend(map(float, block))
         sources.extend([user] * len(block))
@@ -144,10 +150,7 @@ def _best_fit_values(
 ) -> tuple[list[tuple[str, int, int]], list[list[float]]]:
     """A best-fit packing: (user, block size, array index) per user in
     packing order, and each array's values as floats in that order."""
-    capacity = require_int("array capacity", capacity, 1, InvalidCapacity)
-    if not samples_by_user or all(len(v) == 0 for v in samples_by_user.values()):
-        raise ZeroTotal("no samples to group")
-    users = _ordered_users(samples_by_user)
+    capacity, users = _packing_order(samples_by_user, capacity)
     sizes = [min(len(samples_by_user[u]), capacity) for u in users]
     assignment = _assign_best_fit(sizes, capacity)
     values: list[list[float]] = [[] for _ in range(max(assignment) + 1)]

@@ -13,14 +13,12 @@ from .composition import clip_user, pseudo_user_optimize
 from .dataset import Dataset
 from .errors import InvalidParams, require_counts, require_int, require_positive
 from .grouping import (
-    STRATEGY_BEST,
     array_count_k,
     best_fit_count,
     median_mub,
     optimized_mub,
 )
 from .mechanisms import (
-    QUANTILE_FIXED,
     MechanismParams,
     bind,
     concentration_tau,
@@ -110,10 +108,10 @@ def mae_eval(
     dataset: Dataset,
     grid: str,
     config: ExperimentConfig,
-    gamma: float = 0.2,
-    strategy: str = STRATEGY_BEST,
-    capacity: int | None = None,
-    quantile_mode: str = QUANTILE_FIXED,
+    gamma: float = MechanismParams.gamma,
+    strategy: str = MechanismParams.strategy,
+    capacity: int | None = MechanismParams.capacity,
+    quantile_mode: str = MechanismParams.quantile_mode,
 ) -> list[CurvePoint]:
     """Mean absolute error of one grid's released mean across epsilons.
 
@@ -166,7 +164,7 @@ def check_scaling_laws(
     m_list,
     lambdas,
     bound_u: float = 1.0,
-    gamma: float = 0.2,
+    gamma: float = MechanismParams.gamma,
 ) -> list[ScalingLawCheck]:
     """Test how grouping quantities respond to dataset growth.
 

@@ -45,9 +45,12 @@ from .errors import (
     NonPositiveScale,
     ZeroRetained,
     require_int,
+    require_plan_row,
     require_positive,
+    require_probability,
 )
 from .grouping import (
+    STRATEGIES,
     STRATEGY_BEST,
     STRATEGY_WRAP,
     _best_fit_values,
@@ -63,8 +66,11 @@ from .sensitivity import (
     clipped_variance_sensitivity,
 )
 
+MECHANISMS = ("baseline", "clip", "array_average", "levy", "quantile")
+
 QUANTILE_FIXED = "fixed"
 QUANTILE_OPTIMIZED = "optimized"
+QUANTILE_MODES = (QUANTILE_FIXED, QUANTILE_OPTIMIZED)
 
 # Fixed-mode quantile levels for the projection interval.
 FIXED_LOW_LEVEL = 0.1
@@ -91,13 +97,12 @@ class MechanismParams:
     def __post_init__(self) -> None:
         require_positive("value bound", self.bound_u)
         require_positive("epsilon", self.epsilon)
-        if not 0 < self.gamma < 1:
-            raise InvalidParams(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.strategy not in (STRATEGY_WRAP, STRATEGY_BEST):
+        require_probability("gamma", self.gamma)
+        if self.strategy not in STRATEGIES:
             raise InvalidParams(f"unknown grouping strategy {self.strategy!r}")
         if self.capacity is not None:
             require_int("capacity", self.capacity, low=1)
-        if self.quantile_mode not in (QUANTILE_FIXED, QUANTILE_OPTIMIZED):
+        if self.quantile_mode not in QUANTILE_MODES:
             raise InvalidParams(f"unknown quantile mode {self.quantile_mode!r}")
 
 
@@ -151,28 +156,15 @@ def _choose(cum: list[float], total: float, u: float) -> int:
     return min(bisect_right(cum, u * total), len(cum) - 1)
 
 
-def _grid_samples(dataset: Dataset, grid: str) -> dict[str, tuple[float, ...]]:
-    return {u: dataset.values(grid, u) for u in dataset.users_in(grid)}
-
-
 def _prepare_clip(
     dataset: Dataset, grid: str, retained: dict[str, int], label: str
 ) -> Prepared:
-    samples = _grid_samples(dataset, grid)
-    unknown = set(retained) - set(samples)
+    counts = {u: len(dataset.values(grid, u)) for u in dataset.users_in(grid)}
+    unknown = set(retained) - set(counts)
     if unknown:
         raise InvalidPlan(f"plan names users absent from grid {grid}: {sorted(unknown)}")
-    gammas: list[int] = []
-    kept: list[float] = []
-    for user in sorted(samples):
-        g = require_int("retained count", retained.get(user, len(samples[user])))
-        if not 0 <= g <= len(samples[user]):
-            raise InvalidPlan(
-                f"retained count for user {user} in grid {grid} must be in "
-                f"[0, {len(samples[user])}], got {g}"
-            )
-        gammas.append(g)
-        kept.extend(samples[user][:g])
+    gammas = require_plan_row(grid, counts, retained)
+    kept = dataset.clipped_values(grid, retained)
     if not kept:
         raise ZeroRetained(f"plan suppresses every sample in grid {grid}")
     _, mean, variance = population_stats(kept)
@@ -200,8 +192,7 @@ def baseline_release(
     dataset: Dataset, grid: str, params: MechanismParams, rng: RngStream
 ) -> MechanismOutput:
     """Full-data release: the clip mechanism with nothing clipped."""
-    out = clip_release(dataset, grid, {}, params, rng, label="baseline")
-    return out
+    return clip_release(dataset, grid, {}, params, rng, label="baseline")
 
 
 def array_average_release(
@@ -216,8 +207,7 @@ def concentration_tau(bound_u: float, k_bar: int, gamma: float, capacity: int) -
     the grid mean except with probability gamma."""
     require_positive("value bound", bound_u)
     require_int("array count", k_bar, low=1)
-    if not 0 < gamma < 1:
-        raise InvalidParams(f"gamma must be in (0, 1), got {gamma}")
+    require_probability("gamma", gamma)
     require_int("capacity", capacity, low=1)
     return bound_u * math.sqrt(math.log(2 * k_bar / gamma) / (2 * capacity))
 
@@ -393,9 +383,6 @@ class Prepared:
     stats: tuple[float, float] | None = None
 
 
-GROUPED_MECHANISMS = ("array_average", "levy", "quantile")
-
-
 def prepare(
     dataset: Dataset, grid: str, mechanism: str, params: MechanismParams
 ) -> Prepared:
@@ -408,9 +395,9 @@ def prepare(
     """
     if mechanism == "clip":
         return _prepare_clip(dataset, grid, {}, "clip")
-    if mechanism not in GROUPED_MECHANISMS:
+    if mechanism == "baseline" or mechanism not in MECHANISMS:
         raise InvalidParams(f"{mechanism!r} is neither a grouped mechanism nor clip")
-    samples = _grid_samples(dataset, grid)
+    samples = {u: dataset.values(grid, u) for u in dataset.users_in(grid)}
     counts = [len(samples[u]) for u in sorted(samples)]
     if mechanism == "array_average":
         strategy = params.strategy
@@ -641,7 +628,7 @@ __all__ = [
     "levy_release",
     "private_quantile",
     "quantile_release",
-    "GROUPED_MECHANISMS",
+    "MECHANISMS",
     "Prepared",
     "prepare",
     "bind",

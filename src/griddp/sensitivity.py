@@ -32,6 +32,7 @@ from .errors import (
     require_positive,
     require_retained,
 )
+from .grouping import STRATEGIES, STRATEGY_WRAP
 
 BRANCH_ABOVE_TWICE = "AboveTwice"
 BRANCH_EVEN_CAP = "EvenCap"
@@ -101,11 +102,10 @@ def array_avg_sensitivity(k: int, bound_u: float, strategy: str) -> SensitivityR
     """
     bound_u = require_positive("value bound", bound_u)
     require_int("array count", k, low=1)
-    if strategy == "wrap":
-        return SensitivityReport("mean", 2 * bound_u / k)
-    if strategy == "best":
-        return SensitivityReport("mean", bound_u / k)
-    raise InvalidParams(f"unknown grouping strategy {strategy!r}")
+    if strategy not in STRATEGIES:
+        raise InvalidParams(f"unknown grouping strategy {strategy!r}")
+    reach = 2 if strategy == STRATEGY_WRAP else 1
+    return SensitivityReport("mean", reach * bound_u / k)
 
 
 def gain_report(m_list, capacity: int, bound_u: float) -> GainReport:

@@ -22,7 +22,7 @@ from itertools import accumulate
 import numpy as np
 
 from .dataset import Dataset, OccupancyArray
-from .errors import InvalidParams, TooLarge, require_int, require_positive
+from .errors import InvalidParams, TooLarge, require_int, require_positive, require_probability
 from .rng import RngStream
 
 
@@ -43,10 +43,7 @@ class SynthParams:
                 "tier would occupy fewer than one grid"
             )
         require_positive("value bound", self.bound_u)
-        if not 0 < self.geometric_q < 1:
-            raise InvalidParams(
-                f"geometric parameter must be in (0, 1), got {self.geometric_q}"
-            )
+        require_probability("geometric parameter", self.geometric_q)
         if not 0 <= self.heavy_gamma < math.inf:
             raise InvalidParams(
                 f"heavy-user inflation must be finite and >= 0, got {self.heavy_gamma}"

@@ -3,13 +3,17 @@
 import csv
 import io
 import json
+from inspect import signature
+from pathlib import Path
 
 import pytest
 
-from griddp.cli import cli_main
+from griddp.cli import _build_parser, cli_main
 from griddp.dataset import parse_dataset, parse_occupancy
+from griddp.harness import ExperimentConfig, check_scaling_laws
+from griddp.mechanisms import MechanismParams
 from griddp.rng import RngStream
-from griddp.synth import SynthParams, generate_occupancy
+from griddp.synth import SynthParams, ValueModel, generate_occupancy
 
 DATA_CSV = """user,grid,value
 u1,g1,1.0
@@ -176,6 +180,22 @@ def test_mechanism_clip_plan(capsys, data_file, tmp_path):
     )
     assert code == 2
     assert "plan" in err
+
+
+def test_mechanism_plan_grids_must_be_in_the_data(capsys, data_file, tmp_path):
+    # a plan keyed G1 once released g1 unclipped and exited 0
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"G1": {"u1": 1}, "g2": {"u1": 0}, "g9": {}}))
+    argv = ["mechanism", "--data", data_file, "--u", "10", "--eps", "1", "--mech", "clip"]
+    code, out, err = _run(capsys, argv + ["--plan", str(plan), "--seed", "3"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: plan names grids absent from the data: ['G1', 'g9']\n"
+    # a plan grid that is in the data but outside --grid is allowed
+    plan.write_text(json.dumps({"g1": {"u1": 1}, "g2": {"u1": 0}}))
+    code, out, err = _run(capsys, argv + ["--plan", str(plan), "--seed", "3", "--grid", "g1"])
+    assert code == 0, err
+    assert [r["grid"] for r in _rows(out)] == ["g1"]
 
 
 @pytest.mark.parametrize(
@@ -464,3 +484,167 @@ def test_synth_values_rejects_infinite_mean(capsys):
     assert code == 1
     assert out == ""
     assert "mean must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        # a misspelt key was once ignored: synth printed its unconfigured output
+        ("heavy_gama=3", "heavy_gama"),
+        # a key naming no option once replaced the dispatch function: a TypeError traceback
+        ("handler=x", "handler"),
+    ],
+)
+def test_config_key_naming_no_option_is_a_usage_error(capsys, tmp_path, line, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"seed=1\n{line}\n")
+    argv = ["synth", "--grids", "3", "--users", "7", "--config", str(cfg)]
+    code, out, err = _run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {cfg}:2: no subcommand has an option {key!r}\n"
+
+
+def test_config_key_of_another_subcommand_is_accepted(capsys, tmp_path):
+    # one config file may serve several subcommands
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=1\ndraws=5\nheavy-gamma=0\n")
+    argv = ["synth", "--grids", "3", "--users", "7"]
+    code, from_config, err = _run(capsys, argv + ["--config", str(cfg)])
+    assert code == 0, err
+    code, direct, _ = _run(capsys, argv + ["--seed", "1"])
+    assert code == 0
+    assert from_config == direct
+
+
+def _opt(flag, default=None, cast=None, choices=None, required=False, action="_StoreAction"):
+    return ((flag,), default, cast, choices, required, action)
+
+
+_OUTPUT = {
+    "format": _opt("--format", "csv", choices=("csv", "json")),
+    "out": _opt("--out", "-"),
+    "config": _opt("--config"),
+}
+_SEED = {"seed": _opt("--seed", cast=int)}
+_U = {"u": _opt("--u", cast=float, required=True)}
+_DATA = {"data": _opt("--data", cast=Path, required=True), **_U}
+_COUNTS = {"counts": _opt("--counts", required=True)}
+_SHAPE = {
+    "grids": _opt("--grids", 12, int),
+    "users": _opt("--users", 4095, int),
+    "u": _opt("--u", 65.0, float),
+    "q": _opt("--q", 0.01, float),
+    "heavy_gamma": _opt("--heavy-gamma", 0.0, float),
+}
+_PACKING = {
+    "strategy": _opt("--strategy", "best", choices=("wrap", "best")),
+    "capacity": _opt("--capacity", cast=int),
+    "gamma": _opt("--gamma", 0.2, float),
+    "quantile_mode": _opt("--quantile-mode", "fixed", choices=("fixed", "optimized")),
+}
+_MECHANISMS = ("baseline", "clip", "array_average", "levy", "quantile")
+_STORE_TRUE = {"default": False, "action": "_StoreTrueAction"}
+
+# The option table of every subcommand as the command had it when each
+# subcommand listed its own options.
+OPTION_TABLE = {
+    "stats": {**_OUTPUT, **_DATA, "grid": _opt("--grid")},
+    "sensitivity": {**_OUTPUT, **_COUNTS, **_U, "retained": _opt("--retained")},
+    "bias": {**_OUTPUT, **_COUNTS, **_U, "retained": _opt("--retained", required=True)},
+    "mechanism": {
+        **_OUTPUT,
+        **_SEED,
+        **_DATA,
+        **_PACKING,
+        "eps": _opt("--eps", cast=float, required=True),
+        "mech": _opt("--mech", choices=_MECHANISMS, required=True),
+        "grid": _opt("--grid"),
+        "plan": _opt("--plan"),
+    },
+    "clip-user": {
+        **_OUTPUT,
+        **_U,
+        "occupancy": _opt("--occupancy", cast=Path, required=True),
+        "eps": _opt("--eps", cast=float, required=True),
+        "protect_min_grid": _opt("--protect-min-grid", **_STORE_TRUE),
+    },
+    "synth": {
+        **_OUTPUT,
+        **_SEED,
+        **_SHAPE,
+        "values": _opt("--values", **_STORE_TRUE),
+        "mu": _opt("--mu", 20.66769, float),
+        "sigma2": _opt("--sigma2", 115.135, float),
+    },
+    "montecarlo": {
+        **_OUTPUT,
+        **_SEED,
+        **_SHAPE,
+        "mode": _opt("--mode", choices=("privacy", "error"), required=True),
+        "eps": _opt("--eps", required=True),
+        "trials": _opt("--trials", 10, int),
+        "no_protect": _opt("--no-protect", **_STORE_TRUE),
+    },
+    "mae": {
+        **_OUTPUT,
+        **_SEED,
+        **_DATA,
+        **_PACKING,
+        "grid": _opt("--grid", required=True),
+        "eps": _opt("--eps", required=True),
+        "mech": _opt("--mech", "baseline", choices=_MECHANISMS),
+        "draws": _opt("--draws", 10_000, int),
+    },
+    "scaling": {
+        **_OUTPUT,
+        **_COUNTS,
+        "lambdas": _opt("--lambdas", required=True),
+        "u": _opt("--u", 1.0, float),
+    },
+}
+
+
+def test_option_table_of_every_subcommand():
+    _, commands = _build_parser()
+    assert set(commands) == set(OPTION_TABLE)
+    for name, sp in commands.items():
+        table = {
+            a.dest: (
+                tuple(a.option_strings),
+                a.default,
+                a.type,
+                None if a.choices is None else tuple(a.choices),
+                a.required,
+                type(a).__name__,
+            )
+            for a in sp._actions
+            if a.dest != "help"
+        }
+        assert table == OPTION_TABLE[name], name
+
+
+@pytest.mark.parametrize(
+    "commands, dest, library",
+    [
+        (("synth", "montecarlo"), "grids", SynthParams.grids),
+        (("synth", "montecarlo"), "users", SynthParams.users),
+        (("synth", "montecarlo"), "u", SynthParams.bound_u),
+        (("synth", "montecarlo"), "q", SynthParams.geometric_q),
+        (("synth", "montecarlo"), "heavy_gamma", SynthParams.heavy_gamma),
+        (("synth",), "mu", ValueModel.mean),
+        (("synth",), "sigma2", ValueModel.variance),
+        (("mechanism", "mae"), "strategy", MechanismParams.strategy),
+        (("mechanism", "mae"), "capacity", MechanismParams.capacity),
+        (("mechanism", "mae"), "gamma", MechanismParams.gamma),
+        (("mechanism", "mae"), "quantile_mode", MechanismParams.quantile_mode),
+        (("montecarlo",), "trials", ExperimentConfig.trials),
+        (("mae",), "mech", ExperimentConfig.mechanism),
+        (("mae",), "draws", ExperimentConfig.mae_draws),
+        (("scaling",), "u", signature(check_scaling_laws).parameters["bound_u"].default),
+    ],
+)
+def test_option_defaults_are_the_library_defaults(commands, dest, library):
+    _, parsers = _build_parser()
+    for name in commands:
+        assert parsers[name].get_default(dest) == library, (name, dest)

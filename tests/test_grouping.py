@@ -10,7 +10,7 @@ from griddp.errors import EmptyValues, InvalidCapacity, NonPositiveCount, ZeroTo
 from griddp.grouping import (
     ArrayGroup,
     _assign_best_fit,
-    _ordered_users,
+    _packing_order,
     array_count_k,
     array_means,
     best_fit,
@@ -143,7 +143,7 @@ def _wrap_around_oracle(samples_by_user, capacity):
     before it sliced flat lists, and the fast packing must reproduce it."""
     values, sources = [], []
     cursor = 0
-    for user in _ordered_users(samples_by_user):
+    for user in _packing_order(samples_by_user, capacity)[1]:
         block = samples_by_user[user][: min(len(samples_by_user[user]), capacity)]
         for v in block:
             while cursor >= len(values):
