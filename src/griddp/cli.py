@@ -7,10 +7,10 @@ CSV by default or JSON with --format json, written to stdout or --out.
 
 Options shared by several subcommands are defined once, and every
 default is the library's own. Randomized subcommands require --seed,
-either on the command line or via --config, a file of KEY=VALUE lines
-supplying defaults for any option that is not required (command-line
-values win); a key that names no option of any subcommand is a usage
-error. Identical inputs and seed produce byte identical output.
+either on the command line or via --config, a file of KEY=VALUE lines that
+may supply any option, a required one too. Each line is checked as its flag
+is, command-line flags win, and a key that names no option of any
+subcommand is a usage error. Identical inputs and seed give identical output.
 """
 
 from __future__ import annotations
@@ -71,36 +71,41 @@ def _parse_eps_grid(text: str) -> list[float]:
             n = int((hi - lo) / step + 1e-9) + 1
             return [round(lo + i * step, 10) for i in range(n)]
         return [float(part.strip()) for part in text.split(",") if part.strip()]
-    except ValueError:
+    except (ValueError, OverflowError):
         raise UsageError(f"cannot parse epsilon grid {text!r}") from None
 
 
-def _coerce(value: str):
-    low = value.strip()
-    if low.lower() in ("true", "false"):
-        return low.lower() == "true"
-    for cast in (int, float):
-        try:
-            return cast(low)
-        except ValueError:
-            continue
-    return low
-
-
-def _load_config(path: str, options: set[str]) -> dict:
-    """KEY=VALUE lines as a mapping; each key must name one of options."""
-    out = {}
+def _config_flags(argv: list[str], commands: dict) -> list[str]:
+    """argv's last --config file as flags of subcommand argv[0]: a key naming only
+    another subcommand's option is skipped, and one naming no option is a usage error."""
+    own = commands[argv[0]]._option_string_actions
+    path = None
+    for arg, following in zip(argv[1:], argv[2:] + [None]):
+        flag, eq, value = arg.partition("=")
+        if [s for s in own if s.startswith(flag)] == ["--config"]:  # as argparse abbreviates
+            path = value if eq else following
+    if path is None:
+        return []
+    known = {s for sp in commands.values() for s in sp._option_string_actions} - {"-h", "--help"}
+    out = []
     for lineno, line in enumerate(read_utf8(path, "config ").splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
-        key, _, value = line.partition("=")
-        dest = key.strip().replace("-", "_")
-        if dest not in options:
-            raise UsageError(f"{path}:{lineno}: no subcommand has an option {key.strip()!r}")
-        out[dest] = _coerce(value)
+        key, _, value = (part.strip() for part in line.partition("="))
+        flag = "--" + key.replace("_", "-")
+        if flag not in known:
+            raise UsageError(f"{path}:{lineno}: no subcommand has an option {key!r}")
+        if flag not in own:
+            continue
+        if own[flag].nargs != 0:
+            out.append(f"{flag}={value}")  # a value that starts with - stays a value
+        elif value.lower() == "true":
+            out.append(flag)
+        elif value.lower() != "false":
+            raise UsageError(f"{path}:{lineno}: {key} must be true or false, got {value!r}")
     return out
 
 
@@ -379,15 +384,10 @@ def cli_main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser, commands = _build_parser()
     try:
+        # config flags go before the typed ones, so argparse checks both and typed flags win
+        if argv and argv[0] in commands:
+            argv[1:1] = _config_flags(argv, commands)
         args = parser.parse_args(argv)
-        # A config file supplies defaults, so once argparse has found it (in
-        # any spelling, such as --config=PATH) the arguments are parsed again.
-        if args.config is not None:
-            options = {a.dest for sp in commands.values() for a in sp._actions}
-            mapping = _load_config(args.config, options)
-            for sp in commands.values():
-                sp.set_defaults(**mapping)
-            args = parser.parse_args(argv)
         if "seed" in args and args.seed is None:
             raise UsageError("--seed is required (on the command line or via --config)")
         args.handler(args)

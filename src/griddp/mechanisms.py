@@ -222,42 +222,29 @@ def _interval_weights(
     means, eps_half: float, tau: float, bound_u: float
 ) -> tuple[list[float], list[int], list[float]]:
     """Bin midpoints, costs and selection weights of private_interval."""
-    means = [float(v) for v in means]
-    if not means:
+    means = np.fromiter(means, dtype=float)
+    if not means.size:
         raise EmptyValues("no array means to locate")
-    if any(map(math.isnan, means)):
+    if np.isnan(means).any():
         raise InvalidParams("array means must not be NaN")
     require_positive("interval budget", eps_half)
     require_positive("value bound", bound_u)
     require_positive("bin width", tau, NoBins)
     nbins = max(1, math.ceil(bound_u / tau))
-    edges = [i * tau for i in range(nbins)] + [bound_u]
-    midpoints = [(edges[i] + edges[i + 1]) / 2 for i in range(nbins)]
-
-    snapped = [0] * nbins
-    for v in means:
-        pos = bisect_left(midpoints, v)
-        if pos == 0:
-            idx = 0
-        elif pos == nbins:
-            idx = nbins - 1
-        elif v - midpoints[pos - 1] <= midpoints[pos] - v:
-            idx = pos - 1
-        else:
-            idx = pos
-        snapped[idx] += 1
-
-    below = 0
-    costs = []
-    total_means = len(means)
-    for j in range(nbins):
-        above = total_means - below - snapped[j]
-        costs.append(max(below, above))
-        below += snapped[j]
-
+    edges = np.append(np.arange(nbins) * tau, bound_u)
+    midpoints = (edges[:-1] + edges[1:]) / 2
+    # each mean to its nearest midpoint, ties to the lower one, +-inf to an end
+    pos = np.searchsorted(midpoints, means)
+    lo = np.maximum(pos - 1, 0)
+    hi = np.minimum(pos, nbins - 1)
+    nearest = np.where(means - midpoints[lo] <= midpoints[hi] - means, lo, hi)
+    snapped = np.bincount(nearest, minlength=nbins)
+    # a midpoint's cost: the larger of the snapped counts below and above it
+    up_to = np.cumsum(snapped)
+    costs = np.maximum(up_to - snapped, len(means) - up_to).tolist()
     c_min = min(costs)
     weights = [math.exp(-eps_half * (c - c_min) / 2) for c in costs]
-    return midpoints, costs, weights
+    return midpoints.tolist(), costs, weights
 
 
 def _interval_ends(center: float, tau: float, bound_u: float) -> tuple[float, float]:
@@ -554,12 +541,12 @@ def _bind_quantile(prep: Prepared, params: MechanismParams) -> _QuantileDraw:
     if params.quantile_mode == QUANTILE_FIXED:
         q_lo, q_hi = FIXED_LOW_LEVEL, FIXED_HIGH_LEVEL
     else:
-        t_hi = math.ceil(2 / params.epsilon)
-        t_lo = math.floor(2 / params.epsilon)
+        ratio = 2 / params.epsilon
         rank_cap = (k_bar - 1) // 2
-        degenerate = t_hi > rank_cap or t_lo > rank_cap
-        t_hi = min(t_hi, rank_cap)
-        t_lo = min(t_lo, rank_cap)
+        degenerate = ratio > rank_cap
+        # capped before rounding: ceil and floor never see a ratio that overflowed to inf
+        t_hi = rank_cap if degenerate else math.ceil(ratio)
+        t_lo = rank_cap if degenerate else math.floor(ratio)
         q_lo = t_lo / k_bar
         q_hi = 1 - t_hi / k_bar
     eps_q = params.epsilon / 4

@@ -34,7 +34,10 @@ u5,g2,3
 
 
 def _run(capsys, argv):
-    code = cli_main(argv)
+    try:
+        code = cli_main(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -515,6 +518,96 @@ def test_config_key_of_another_subcommand_is_accepted(capsys, tmp_path):
     code, direct, _ = _run(capsys, argv + ["--seed", "1"])
     assert code == 0
     assert from_config == direct
+
+
+@pytest.mark.parametrize(
+    "argv, lines, flags",
+    [
+        # once printed CSV and exited 0
+        (["sensitivity", "--counts", "1,1", "--u", "1"], ["format=xml"], ["--format", "xml"]),
+        # once the int 7: "grid 7 not present", exit 1
+        (["stats", "--data", "data.csv", "--u", "10"], ["grid=007"], ["--grid", "007"]),
+        # once the int 1: open(1) wrote to file descriptor 1 and closed it
+        (["sensitivity", "--counts", "1,1", "--u", "1"], ["out=1"], ["--out", "1"]),
+        # once a truthy string, so the values were emitted
+        (["synth", "--grids", "3", "--users", "7", "--seed", "1"], ["values=no"], ["--values=no"]),
+        # once InvalidParams, exit 1
+        (["synth", "--users", "7", "--seed", "1"], ["grids=3.5"], ["--grids", "3.5"]),
+        # once "the following arguments are required", exit 2
+        (["stats"], ["u=10", "data=data.csv"], ["--u", "10", "--data", "data.csv"]),
+    ],
+    ids=["format-choice", "grid-string", "out-path", "switch-value", "grids-int", "required"],
+)
+def test_config_line_behaves_as_its_flag(capsys, monkeypatch, tmp_path, argv, lines, flags):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text("user,grid,value\nu1,007,1.0\nu2,7,2.0\nu3,007,4.0\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(line + "\n" for line in lines))
+    outcomes = []
+    for extra in (["--config", str(cfg)], flags):
+        code, out, _ = _run(capsys, argv + extra)
+        written = tmp_path / "1"
+        outcomes.append((code, out, written.read_text() if written.exists() else None))
+        written.unlink(missing_ok=True)
+    assert outcomes[0] == outcomes[1]
+
+
+def test_config_switch_takes_true_or_false(capsys, tmp_path):
+    argv = ["synth", "--grids", "3", "--users", "7", "--seed", "1"]
+    _, with_values, _ = _run(capsys, argv + ["--values"])
+    _, without, _ = _run(capsys, argv)
+    cfg = tmp_path / "run.cfg"
+    for line, expected in [("values=TRUE", with_values), ("values = false", without)]:
+        cfg.write_text(line + "\n")
+        assert _run(capsys, argv + ["--config", str(cfg)]) == (0, expected, "")
+    cfg.write_text("seed=2\nvalues=no\n")
+    code, out, err = _run(capsys, argv + ["--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert err == f"error: {cfg}:2: values must be true or false, got 'no'\n"
+
+
+def test_config_value_starting_with_a_dash_stays_a_value(capsys, tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("user,grid,value\nu1,-g1,1.0\nu2,g2,2.0\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid=-g1\n")
+    argv = ["stats", "--data", str(data), "--u", "10"]
+    # as two tokens, "--grid -g1" would leave --grid without its value
+    code, from_config, err = _run(capsys, argv + ["--config", str(cfg)])
+    assert code == 0, err
+    assert from_config == _run(capsys, argv + ["--grid=-g1"])[1]
+    assert [row["grid"] for row in _rows(from_config)] == ["-g1"]
+
+
+def test_config_prefix_is_read_only_where_argparse_takes_it(capsys, tmp_path, data_file):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("u=10\n")
+    # no other option of stats starts with --c
+    code, from_config, err = _run(capsys, ["stats", "--data", data_file, "--c", str(cfg)])
+    assert code == 0, err
+    assert from_config == _run(capsys, ["stats", "--data", data_file, "--u", "10"])[1]
+    # for sensitivity --c could be --config or --counts
+    code, out, err = _run(capsys, ["sensitivity", "--counts", "1,1", "--c", str(cfg)])
+    assert (code, out) == (2, "")
+    assert "ambiguous option: --c could match --config, --counts" in err
+
+
+def test_help_is_not_a_config_key(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("help=true\n")
+    argv = ["sensitivity", "--counts", "1,1", "--u", "1", "--config", str(cfg)]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {cfg}:1: no subcommand has an option 'help'\n"
+
+
+@pytest.mark.parametrize("eps", ["0.1:inf:0.1", "0.1:1:1e-320"])
+def test_overflowing_eps_range_is_a_usage_error(capsys, eps):
+    # int() of an infinite number of grid points once raised a bare OverflowError
+    argv = ["montecarlo", "--mode", "privacy", "--eps", eps, "--grids", "4", "--users", "15"]
+    code, out, err = _run(capsys, argv + ["--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot parse epsilon grid {eps!r}\n"
 
 
 def _opt(flag, default=None, cast=None, choices=None, required=False, action="_StoreAction"):

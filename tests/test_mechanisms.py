@@ -3,17 +3,27 @@
 import dataclasses
 import math
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from griddp.dataset import Dataset, population_stats
-from griddp.errors import EmptyGrid, EmptyValues, InvalidParams, InvalidPlan, NoBins, ZeroRetained
+from griddp.errors import (
+    EmptyGrid,
+    EmptyValues,
+    GridDPError,
+    InvalidParams,
+    InvalidPlan,
+    NoBins,
+    ZeroRetained,
+)
 from griddp.grouping import STRATEGY_WRAP, array_means, best_fit, median_mub, wrap_around
 from griddp.mechanisms import (
     MechanismParams,
     _choose,
+    _interval_weights,
     _table,
     array_average_release,
     baseline_release,
@@ -177,6 +187,57 @@ def test_private_interval_validation():
         private_interval([1.0], 0.0, 1.0, 4.0, RngStream(0))
 
 
+def _interval_weights_reference(means, eps_half, tau, bound_u):
+    """The per-mean snapping loop and per-bin cost loop of private_interval."""
+    nbins = max(1, math.ceil(bound_u / tau))
+    edges = [i * tau for i in range(nbins)] + [bound_u]
+    midpoints = [(edges[i] + edges[i + 1]) / 2 for i in range(nbins)]
+    snapped = [0] * nbins
+    for v in means:
+        pos = bisect_left(midpoints, v)
+        if pos == 0:
+            idx = 0
+        elif pos == nbins:
+            idx = nbins - 1
+        elif v - midpoints[pos - 1] <= midpoints[pos] - v:
+            idx = pos - 1
+        else:
+            idx = pos
+        snapped[idx] += 1
+    below = 0
+    costs = []
+    for j in range(nbins):
+        above = len(means) - below - snapped[j]
+        costs.append(max(below, above))
+        below += snapped[j]
+    c_min = min(costs)
+    weights = [math.exp(-eps_half * (c - c_min) / 2) for c in costs]
+    return midpoints, costs, weights
+
+
+@st.composite
+def _interval_cases(draw):
+    tau = draw(st.sampled_from([0.3, 0.5, 1.0, 1.7, 2.5, 100.0]))
+    bound_u = draw(st.sampled_from([1.0, 4.0, 10.0, 65.0]))
+    # an edge i * tau lies halfway between two midpoints: the tie goes low
+    edges = [i * tau for i in range(math.ceil(bound_u / tau) + 1)]
+    ends = [math.inf, -math.inf, 0.0, bound_u]
+    value = st.floats(-1.0, bound_u + 1.0) | st.sampled_from(edges + ends)
+    return draw(st.lists(value, min_size=1, max_size=40)), tau, bound_u
+
+
+@settings(max_examples=300, deadline=None)
+@given(_interval_cases(), st.floats(0.01, 10.0))
+@example(([1.0, 2.0, 3.0, 3.0], 1.0, 4.0), 1.0)  # each mean halfway between two midpoints
+def test_interval_weights_match_reference_loop(case, eps_half):
+    means, tau, bound_u = case
+    midpoints, costs, weights = _interval_weights(means, eps_half, tau, bound_u)
+    want = _interval_weights_reference(means, eps_half, tau, bound_u)
+    assert [m.hex() for m in midpoints] == [m.hex() for m in want[0]]
+    assert costs == want[1] and all(type(c) is int for c in costs)
+    assert [w.hex() for w in weights] == [w.hex() for w in want[2]]
+
+
 def test_levy_release_fields_and_scale():
     ds = _dataset([5, 5, 5, 5, 5], seed=3)
     params = _params(capacity=5, epsilon=1.0)
@@ -319,6 +380,14 @@ def test_quantile_optimized_flags_degenerate_ranks():
     params = _params(capacity=2, epsilon=2.0, quantile_mode="optimized")
     out = quantile_release(big, "g", params, RngStream(13))
     assert not out.degenerate_ranks
+
+
+def test_optimized_quantile_at_subnormal_epsilon_is_a_domain_error():
+    # 2 / 1e-320 overflows to inf, whose math.ceil once raised OverflowError
+    ds = _dataset([4, 4, 4, 4, 4, 4], seed=5)
+    params = _params(capacity=4, epsilon=1e-320, quantile_mode="optimized")
+    with pytest.raises(GridDPError):
+        quantile_release(ds, "g", params, RngStream(13))
 
 
 def test_release_dispatch():
