@@ -129,11 +129,13 @@ def laplace_inverse_cdf(u, scale: float):
     """Map uniform u in [0, 1) to a centered Laplace variate of given scale.
 
     u = 0.5 maps to exactly 0. Inputs at the open ends are nudged by one ulp
-    so the transform never returns an infinity.
+    so the transform never returns an infinity. The offset from 0.5 is taken
+    through 1 - u, so u and the float 1 - u map to exact negatives; on the
+    2^-53 grid of RngStream.random() it equals u - 0.5 exactly.
     """
     require_positive("laplace scale", scale, NonPositiveScale)
     u_arr = np.asarray(u, dtype=float)
-    shifted = u_arr - 0.5
+    shifted = 0.5 - (1.0 - u_arr)
     inner = np.clip(1.0 - 2.0 * np.abs(shifted), _EPS, None)
     out = -scale * np.sign(shifted) * np.log(inner)
     if np.ndim(u) == 0:
