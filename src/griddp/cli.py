@@ -60,8 +60,14 @@ def _parse_int_list(text: str) -> list[int]:
         raise UsageError(f"expected a comma-separated integer list, got {text!r}") from None
 
 
+# The most points an epsilon range may have, counted before any is built;
+# the paper's curves use 20.
+_MAX_EPS_POINTS = 10_000
+
+
 def _parse_eps_grid(text: str) -> list[float]:
-    """Either "lo:hi:step" (inclusive) or a comma-separated list."""
+    """Either "lo:hi:step" (inclusive, at most _MAX_EPS_POINTS points) or a
+    comma-separated list."""
     try:
         if ":" in text:
             lo_s, hi_s, step_s = text.split(":")
@@ -69,6 +75,8 @@ def _parse_eps_grid(text: str) -> list[float]:
             if step <= 0:
                 raise ValueError
             n = int((hi - lo) / step + 1e-9) + 1
+            if n > _MAX_EPS_POINTS:
+                raise UsageError(f"epsilon grid {text!r} has {n} points, over {_MAX_EPS_POINTS}")
             return [round(lo + i * step, 10) for i in range(n)]
         return [float(part.strip()) for part in text.split(",") if part.strip()]
     except (ValueError, OverflowError):

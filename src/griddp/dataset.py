@@ -225,16 +225,15 @@ class Dataset:
     def _check_range(self, grid: str, row: dict[str, tuple[float, ...]]) -> None:
         """Raise ValueOutOfRange for the first bad value in user, input order."""
         flat = np.fromiter(chain.from_iterable(row.values()), float)
-        # NaN fails both comparisons, as it fails the scalar check below
-        if ((flat >= 0.0) & (flat <= self.bound_u)).all():
+        # NaN fails both comparisons, so it is out of range too
+        bad = np.flatnonzero(~((flat >= 0.0) & (flat <= self.bound_u)))
+        if not bad.size:
             return
-        for user, values in row.items():
-            for v in values:
-                if not 0.0 <= v <= self.bound_u:
-                    raise ValueOutOfRange(
-                        f"value {v} for user {user!r} in grid {grid!r} "
-                        f"outside [0, {self.bound_u}]"
-                    )
+        ends = np.cumsum([len(v) for v in row.values()])
+        user = list(row)[np.searchsorted(ends, bad[0], side="right")]
+        raise ValueOutOfRange(
+            f"value {flat[bad[0]]} for user {user!r} in grid {grid!r} outside [0, {self.bound_u}]"
+        )
 
     def grids(self) -> list[str]:
         return list(self._samples)

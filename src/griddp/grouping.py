@@ -67,9 +67,6 @@ def optimized_mub(m_list) -> int:
     # Walk c upward, maintaining sum(min(m, c)) incrementally.
     idx = 0
     prefix = 0
-    while idx < len(counts) and counts[idx] < lo:
-        prefix += counts[idx]
-        idx += 1
     for c in range(lo, hi + 1):
         while idx < len(counts) and counts[idx] < c:
             prefix += counts[idx]
@@ -177,8 +174,8 @@ def best_fit_count(m_list, capacity: int) -> int:
     """Number of arrays best_fit opens for the given counts alone."""
     counts = require_counts(m_list)
     capacity = require_int("array capacity", capacity, 1, InvalidCapacity)
-    order = sorted(range(len(counts)), key=lambda i: (-counts[i], i))
-    sizes = [min(counts[i], capacity) for i in order]
+    # packing order is non-increasing by count, so by clipped size too
+    sizes = sorted((min(m, capacity) for m in counts), reverse=True)
     assignment = _assign_best_fit(sizes, capacity)
     return max(assignment) + 1
 

@@ -60,9 +60,16 @@ def _mean(xs) -> float:
     return sum(xs) / len(xs)
 
 
-def _trial_occupancies(params: SynthParams, config: ExperimentConfig):
+def _trial_means(params: SynthParams, config: ExperimentConfig, reduce):
+    """Each epsilon with the trial means of the numbers reduce(occupancy,
+    epsilon, clip_user result) gives. The trial occupancies are generated
+    once per call, and each result is reduced before the next is made."""
     root = RngStream(config.seed)
-    return [generate_occupancy(params, root.split(f"trial:{i}")) for i in range(config.trials)]
+    occs = [generate_occupancy(params, root.split(f"trial:{i}")) for i in range(config.trials)]
+    protect = config.protect_min_error_grid
+    for eps in config.epsilons:
+        rows = [reduce(occ, eps, clip_user(occ, params.bound_u, eps, protect)) for occ in occs]
+        yield eps, [_mean(col) for col in zip(*rows)]
 
 
 def monte_carlo_privacy(
@@ -74,16 +81,10 @@ def monte_carlo_privacy(
     composition factor over the trials, "naive" is epsilon times the mean
     worst per-user grid count of the raw draws.
     """
-    occs = _trial_occupancies(params, config)
-    naive = _mean(occ.max_grids_per_user() for occ in occs)
+    factors = _trial_means(params, config, lambda o, _, r: (r.k_factor, o.max_grids_per_user()))
     points: list[CurvePoint] = []
-    for eps in config.epsilons:
-        ks = [
-            clip_user(occ, params.bound_u, eps, config.protect_min_error_grid).k_factor
-            for occ in occs
-        ]
-        points.append(CurvePoint(eps, _mean(ks) * eps, "suppressed"))
-        points.append(CurvePoint(eps, naive * eps, "naive"))
+    for eps, (k, naive) in factors:
+        points += [CurvePoint(eps, k * eps, "suppressed"), CurvePoint(eps, naive * eps, "naive")]
     return points
 
 
@@ -91,16 +92,13 @@ def monte_carlo_error(
     params: SynthParams, config: ExperimentConfig
 ) -> list[CurvePoint]:
     """Average worst grid budget before suppression and after the cap pass."""
-    occs = _trial_occupancies(params, config)
+
+    def budgets(occ, eps, res):
+        return res.error_cap, pseudo_user_optimize(occ, res.plan, params.bound_u, eps).new_error
+
     points: list[CurvePoint] = []
-    for eps in config.epsilons:
-        pairs = []
-        for occ in occs:
-            res = clip_user(occ, params.bound_u, eps, config.protect_min_error_grid)
-            opt = pseudo_user_optimize(occ, res.plan, params.bound_u, eps)
-            pairs.append((res.error_cap, opt.new_error))
-        points.append(CurvePoint(eps, _mean(p[0] for p in pairs), "initial"))
-        points.append(CurvePoint(eps, _mean(p[1] for p in pairs), "optimized"))
+    for eps, (initial, optimized) in _trial_means(params, config, budgets):
+        points += [CurvePoint(eps, initial, "initial"), CurvePoint(eps, optimized, "optimized")]
     return points
 
 

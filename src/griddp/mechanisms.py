@@ -43,6 +43,7 @@ from .errors import (
     InvalidPlan,
     NoBins,
     NonPositiveScale,
+    TooLarge,
     ZeroRetained,
     require_int,
     require_plan_row,
@@ -75,6 +76,10 @@ QUANTILE_MODES = (QUANTILE_FIXED, QUANTILE_OPTIMIZED)
 # Fixed-mode quantile levels for the projection interval.
 FIXED_LOW_LEVEL = 0.1
 FIXED_HIGH_LEVEL = 0.9
+
+# The most bins private_interval cuts [0, U] into; levy's own tau gives a
+# few thousand at any real capacity.
+_MAX_BINS = 2**20
 
 
 @dataclass(frozen=True)
@@ -168,7 +173,7 @@ def _prepare_clip(
     if not kept:
         raise ZeroRetained(f"plan suppresses every sample in grid {grid}")
     _, mean, variance = population_stats(kept)
-    return Prepared(label, grid, None, None, (), tuple(gammas), (mean, variance))
+    return Prepared(label, grid, dataset.bound_u, None, None, (), tuple(gammas), (mean, variance))
 
 
 def clip_release(
@@ -230,6 +235,8 @@ def _interval_weights(
     require_positive("interval budget", eps_half)
     require_positive("value bound", bound_u)
     require_positive("bin width", tau, NoBins)
+    if bound_u / tau > _MAX_BINS:
+        raise TooLarge(f"bin width {tau} cuts [0, {bound_u}] into more than {_MAX_BINS} bins")
     nbins = max(1, math.ceil(bound_u / tau))
     edges = np.append(np.arange(nbins) * tau, bound_u)
     midpoints = (edges[:-1] + edges[1:]) / 2
@@ -257,12 +264,13 @@ def private_interval(
     """Exponential-mechanism choice of a tau-grid cell covering the means.
 
     The value range (0, U] is cut into ceil(U/tau) bins of width tau (the
-    last one short). Each mean is snapped to the nearest bin midpoint, ties
-    to the lower one (infinite means to the end bins; NaN raises
-    InvalidParams). A midpoint's cost is the larger of the snapped counts
-    strictly below and strictly above it; midpoint T is drawn with weight
-    exp(-eps_half * cost / 2) and the interval is
-    [max(0, T - 1.5 tau), min(T + 1.5 tau, U)]. Consumes one uniform.
+    last one short; more than 2^20 bins raise TooLarge). Each mean is
+    snapped to the nearest bin midpoint, ties to the lower one (infinite
+    means to the end bins; NaN raises InvalidParams). A midpoint's cost is
+    the larger of the snapped counts strictly below and strictly above it;
+    midpoint T is drawn with weight exp(-eps_half * cost / 2) and the
+    interval is [max(0, T - 1.5 tau), min(T + 1.5 tau, U)]. Consumes one
+    uniform.
     """
     midpoints, costs, weights = _interval_weights(means, eps_half, tau, bound_u)
     center = midpoints[_choose(*_table(weights), rng.random())]
@@ -352,17 +360,18 @@ def quantile_release(
 class Prepared:
     """The epsilon-independent stage of a release.
 
-    It depends only on the data and the public occupancy, so one Prepared
-    serves every epsilon and every draw. A grouped mechanism keeps its
-    array means, with the strategy and capacity its packing used: levy and
-    quantile always pack best-fit at the optimized capacity unless one is
-    given. clip keeps the retained count of each user (in token order) and
-    the mean and population variance of the retained samples (stats); its
-    strategy and capacity are None and its means empty.
+    It depends only on the data, their bound U and the public occupancy, so
+    one Prepared serves every epsilon and every draw. A grouped mechanism
+    keeps its array means, with the strategy and capacity its packing used:
+    levy and quantile always pack best-fit at the optimized capacity unless
+    one is given. clip keeps the retained count of each user (in token
+    order) and the mean and population variance of the retained samples
+    (stats); its strategy and capacity are None and its means empty.
     """
 
     mechanism: str
     grid: str
+    bound_u: float
     strategy: str | None
     capacity: int | None
     means: tuple[float, ...]
@@ -403,7 +412,7 @@ def prepare(
     else:
         # the sums of array_means(best_fit(...)), without the source users
         means = [sum(v) / len(v) for v in _best_fit_values(samples, capacity)[1]]
-    return Prepared(mechanism, grid, strategy, capacity, tuple(means))
+    return Prepared(mechanism, grid, dataset.bound_u, strategy, capacity, tuple(means))
 
 
 @dataclass(frozen=True, eq=False)
@@ -576,9 +585,11 @@ def bind(
 
     Returns a frozen object whose draw(rng) makes one release, consuming
     uniforms exactly as release() does; bind once per params and draw many
-    times. Strategy and capacity come from prepared; epsilon, gamma,
-    quantile_mode and bound_u come from params.
+    times. Strategy and capacity come from prepared; epsilon, gamma and
+    quantile_mode from params, whose bound_u must be prepared's (InvalidParams).
     """
+    if params.bound_u != prepared.bound_u:
+        raise InvalidParams(f"bound_u {params.bound_u} differs from the data's {prepared.bound_u}")
     return _BINDS[prepared.mechanism](prepared, params)
 
 

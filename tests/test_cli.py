@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from griddp.cli import _build_parser, cli_main
+from griddp.cli import _build_parser, _parse_eps_grid, cli_main
 from griddp.dataset import parse_dataset, parse_occupancy
 from griddp.harness import ExperimentConfig, check_scaling_laws
 from griddp.mechanisms import MechanismParams
@@ -601,13 +601,63 @@ def test_help_is_not_a_config_key(capsys, tmp_path):
     assert err == f"error: {cfg}:1: no subcommand has an option 'help'\n"
 
 
-@pytest.mark.parametrize("eps", ["0.1:inf:0.1", "0.1:1:1e-320"])
-def test_overflowing_eps_range_is_a_usage_error(capsys, eps):
-    # int() of an infinite number of grid points once raised a bare OverflowError
+@pytest.mark.parametrize(
+    "eps, message",
+    [
+        # int() of an infinite number of grid points once raised a bare OverflowError
+        ("0.1:inf:0.1", "cannot parse epsilon grid '0.1:inf:0.1'"),
+        ("0.1:1:1e-320", "cannot parse epsilon grid '0.1:1:1e-320'"),
+        # once built all 10^8 points before any check
+        ("0:1:1e-8", "epsilon grid '0:1:1e-8' has 100000001 points, over 10000"),
+        ("1:10001:1", "epsilon grid '1:10001:1' has 10001 points, over 10000"),
+    ],
+    ids=["0.1:inf:0.1", "0.1:1:1e-320", "0:1:1e-8", "1:10001:1"],
+)
+def test_overflowing_eps_range_is_a_usage_error(capsys, eps, message):
     argv = ["montecarlo", "--mode", "privacy", "--eps", eps, "--grids", "4", "--users", "15"]
     code, out, err = _run(capsys, argv + ["--seed", "1"])
     assert (code, out) == (2, "")
-    assert err == f"error: cannot parse epsilon grid {eps!r}\n"
+    assert err == f"error: {message}\n"
+
+
+def test_eps_range_of_the_largest_size_is_parsed():
+    assert _parse_eps_grid("1:10000:1") == [float(i) for i in range(1, 10001)]
+
+
+@pytest.mark.parametrize(
+    "flag, content, message",
+    [
+        ("--config", b"seed=3\nseed\n", ":2: expected KEY=VALUE, got 'seed'"),
+        ("--plan", b"{g1: 1}", "is not valid JSON"),
+        ("--plan", b"[1, 2]", "must be a grid -> user -> count mapping"),
+    ],
+    ids=["config-no-equals", "plan-not-json", "plan-not-a-mapping"],
+)
+def test_malformed_config_or_plan_is_a_usage_error(
+    capsys, tmp_path, data_file, flag, content, message
+):
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    argv = ["mechanism", "--data", data_file, "--u", "10", "--eps", "1", "--mech", "clip"]
+    code, out, err = _run(capsys, argv + ["--seed", "3", flag, str(bad)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_unwritable_out_is_an_io_error(capsys, tmp_path):
+    out_path = tmp_path / "no-such-dir" / "out.csv"
+    argv = ["sensitivity", "--counts", "1,1", "--u", "1", "--out", str(out_path)]
+    code, out, err = _run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {out_path}: ")
+
+
+def test_levy_with_too_many_bins_is_an_error_line(capsys, data_file):
+    # a capacity of 10^300 makes tau about 1e-150; numpy once raised a bare ValueError
+    argv = ["mechanism", "--data", data_file, "--u", "10", "--eps", "1", "--mech", "levy"]
+    code, out, err = _run(capsys, argv + ["--capacity", str(10**300), "--seed", "1"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bin width ") and err.endswith("more than 1048576 bins\n")
 
 
 def _opt(flag, default=None, cast=None, choices=None, required=False, action="_StoreAction"):

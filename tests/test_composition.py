@@ -211,6 +211,9 @@ def test_pseudo_user_rejects_mismatched_plan():
     occ = OccupancyArray(BASE)
     with pytest.raises(OccupancyMismatch):
         pseudo_user_optimize(occ, ClipPlan({"g1": {"u1": 2, "u2": 2}}), 1.0, 1.0)
+    other_users = ClipPlan({"g1": {"u1": 2, "u9": 2}, "g2": BASE["g2"]})
+    with pytest.raises(OccupancyMismatch, match="grid g1 does not cover its users"):
+        pseudo_user_optimize(occ, other_users, 1.0, 1.0)
     all_zero = ClipPlan(
         {"g1": {"u1": 0, "u2": 0}, "g2": {"u1": 1, "u3": 3, "u4": 3, "u5": 3}}
     )
@@ -251,6 +254,9 @@ def test_post_release_rejects_plan_grid_mismatch():
     ds = _dataset_from(BASE)
     with pytest.raises(OccupancyMismatch):
         post_release(ds, ClipPlan({"g1": {"u1": 2, "u2": 2}}), 1.0, RngStream(0))
+    other_users = ClipPlan({"g1": {"u1": 2, "u9": 2}, "g2": BASE["g2"]})
+    with pytest.raises(OccupancyMismatch, match="grid g1 does not cover its users"):
+        post_release(ds, other_users, 1.0, RngStream(0))
 
 
 def test_privacy_loss_uniform_and_per_grid():

@@ -62,6 +62,8 @@ def test_parse_rejects_malformed_rows():
         parse_dataset("user,grid,value\nu1,g1,notanumber\n", 1.0)
     with pytest.raises(MalformedRow):
         parse_dataset("wrong,header,here\nu1,g1,0.5\n", 1.0)
+    with pytest.raises(InvalidParams, match="expected a path or CSV text"):
+        parse_dataset(42, 1.0)
     with pytest.raises(MalformedRow):
         parse_occupancy("user,grid,count\nu1,,3\n")
 
@@ -69,6 +71,8 @@ def test_parse_rejects_malformed_rows():
 def test_parse_empty_inputs():
     with pytest.raises(EmptyDataset):
         parse_dataset("user,grid,value\n", 1.0)
+    with pytest.raises(EmptyDataset, match="input is empty"):
+        parse_dataset("", 1.0)
     with pytest.raises(EmptyDataset):
         parse_occupancy("user,grid,count\n\n\n")
 
@@ -265,6 +269,9 @@ def test_dataset_range_error_names_first_bad_value():
         Dataset({"h": {"a": [-1.0]}, "g": {"b": [-3.0], "a": [0.5, 2.0, -1.0]}}, 1.0)
     with pytest.raises(ValueOutOfRange, match="value nan for user 'u'"):
         Dataset({"g": {"u": [0.5, math.nan]}}, 1.0)
+    # a bad value that opens a user's block belongs to that user
+    with pytest.raises(ValueOutOfRange, match="value 7.0 for user 'b'"):
+        Dataset({"g": {"a": [0.5, 0.5], "b": [7.0]}}, 1.0)
     # each user is converted and then range-checked before the next user
     with pytest.raises(ValueOutOfRange, match="value 9.0 for user 'a'"):
         Dataset({"g": {"a": [9.0], "b": ["x"]}}, 1.0)

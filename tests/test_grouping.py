@@ -110,6 +110,8 @@ def test_grouping_errors():
         wrap_around({}, 2)
     with pytest.raises(EmptyValues):
         array_means([])
+    with pytest.raises(EmptyValues, match="array 0 is empty"):
+        array_means([ArrayGroup(0, 2, (), ())])
 
 
 def test_array_means_values():

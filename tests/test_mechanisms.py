@@ -17,10 +17,12 @@ from griddp.errors import (
     InvalidParams,
     InvalidPlan,
     NoBins,
+    TooLarge,
     ZeroRetained,
 )
 from griddp.grouping import STRATEGY_WRAP, array_means, best_fit, median_mub, wrap_around
 from griddp.mechanisms import (
+    MECHANISMS,
     MechanismParams,
     _choose,
     _interval_weights,
@@ -185,6 +187,10 @@ def test_private_interval_validation():
         private_interval([1.0], 1.0, 0.0, 4.0, RngStream(0))
     with pytest.raises(InvalidParams):
         private_interval([1.0], 0.0, 1.0, 4.0, RngStream(0))
+    # U / tau once overflowed in math.ceil (1e-320) or asked numpy for 10^300 bins
+    for tau in (1e-320, 1e-300, 4.0 / (2**20 + 1)):
+        with pytest.raises(TooLarge, match="more than 1048576 bins"):
+            private_interval([0.5], 1.0, tau, 4.0, RngStream(0))
 
 
 def _interval_weights_reference(means, eps_half, tau, bound_u):
@@ -402,6 +408,20 @@ def test_release_dispatch():
         assert got.grid == "g"
     with pytest.raises(InvalidParams):
         release(ds, "g", "midpoint", params, RngStream(5))
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_release_refuses_a_bound_other_than_the_datasets(mechanism):
+    # values up to 64 released under U = 1 once got 1/65 of the noise U = 65 needs
+    ds = Dataset({"g": {"a": [60.0, 64.0], "b": [0.5]}}, 65.0)
+    for bound_u in (1.0, 100.0):
+        params = MechanismParams(bound_u=bound_u, epsilon=1.0)
+        with pytest.raises(InvalidParams, match="differs from the data's 65.0"):
+            release(ds, "g", mechanism, params, RngStream(1))
+        if mechanism != "baseline":
+            with pytest.raises(InvalidParams, match="differs from the data's 65.0"):
+                bind(prepare(ds, "g", mechanism, params), params)
+    release(ds, "g", mechanism, MechanismParams(bound_u=65, epsilon=1.0), RngStream(1))
 
 
 GROUPED_CASES = [
