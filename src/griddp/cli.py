@@ -72,7 +72,7 @@ def _parse_eps_grid(text: str) -> list[float]:
         if ":" in text:
             lo_s, hi_s, step_s = text.split(":")
             lo, hi, step = float(lo_s), float(hi_s), float(step_s)
-            if step <= 0:
+            if step <= 0 or hi < lo:
                 raise ValueError
             n = int((hi - lo) / step + 1e-9) + 1
             if n > _MAX_EPS_POINTS:

@@ -354,6 +354,8 @@ _EXACT_INT = 2**53
 # Caps are priced this many at a time, so a grid whose counts span a wide
 # range holds a few small arrays rather than one entry per cap at once.
 _SCAN_CHUNK = 1 << 16
+# The most caps one grid's scan prices; the time of the scan grows with it.
+_MAX_CAPS = 1 << 24
 
 
 def _cap_totals(
@@ -397,7 +399,8 @@ def pseudo_user_optimize(
     Suppressed users stay at zero. Ties take the smallest cap. The cap
     equal to the largest retained count reproduces the incoming budget, so
     the result never exceeds it. A grid above 2^53 samples raises
-    TooLarge, since the array scan's float64 no longer holds its counts.
+    TooLarge, since the array scan's float64 no longer holds its counts,
+    and so does one with more than 2^24 caps to scan.
     """
     require_positive("value bound", bound_u)
     require_positive("epsilon", epsilon)
@@ -416,6 +419,8 @@ def pseudo_user_optimize(
             raise ZeroRetained(f"plan suppresses every user of grid {g}")
         prefix = np.concatenate(([0], np.cumsum(positives)))
         low, high = int(positives[0]), int(positives[-1])
+        if high - low >= _MAX_CAPS:
+            raise TooLarge(f"grid {g} has caps {low} to {high}; the cap scan takes at most 2^24")
         best_m, best_kept, best_total = low, 0, None
         for start in range(low, high + 1, _SCAN_CHUNK):
             caps = np.arange(start, min(start + _SCAN_CHUNK, high + 1), dtype=np.int64)
@@ -450,11 +455,9 @@ def post_release(
     if plan.grids() != dataset.grids():
         raise OccupancyMismatch("plan grids do not match the dataset grids")
     params = MechanismParams(bound_u=dataset.bound_u, epsilon=epsilon)
+    occupancy = dataset.occupancy()
     out: dict[str, MechanismOutput] = {}
     for g in dataset.grids():
-        row = plan.row(g)
-        # clip_release checks each retained count against the samples
-        if row.keys() != set(dataset.users_in(g)):
-            raise OccupancyMismatch(f"plan for grid {g} does not cover its users exactly")
-        out[g] = clip_release(dataset, g, row, params, rng.split(f"grid:{g}"))
+        _plan_gammas(occupancy, plan, g)
+        out[g] = clip_release(dataset, g, plan.row(g), params, rng.split(f"grid:{g}"))
     return out

@@ -246,11 +246,7 @@ class Dataset:
 
     def grid_values(self, grid: str) -> list[float]:
         """All samples of a grid, users in token order, per-user input order."""
-        row = self._require(grid)
-        out: list[float] = []
-        for user in row:
-            out.extend(row[user])
-        return out
+        return self.clipped_values(grid, {})
 
     def clipped_values(self, grid: str, retained: dict[str, int]) -> list[float]:
         """The first retained[user] samples of each user, in the same order."""

@@ -15,7 +15,7 @@ count order (ties by token):
 
 Capacity selection rules: the lower median of the counts, or the integer
 maximizing sum_l min(m_l, c) / sqrt(c) (compared in exact integer
-arithmetic, smallest maximizer on ties).
+arithmetic, smallest maximizer on ties), which is always one of the counts.
 """
 
 from __future__ import annotations
@@ -55,25 +55,23 @@ def median_mub(m_list) -> int:
 
 
 def optimized_mub(m_list) -> int:
-    """Integer c in [min m, max m] maximizing sum_l min(m_l, c) / sqrt(c).
+    """Integer c in [min m, max m] maximizing S(c) / sqrt(c), S(c) = sum_l min(m_l, c).
 
-    The comparison S(c1)^2 * c2 > S(c2)^2 * c1 is done in integers, so the
-    maximizer (and the smallest-on-tie rule) is exact.
+    Between two consecutive counts S(c) = P + k*c with P > 0, so S(c) / sqrt(c)
+    falls and then rises there, and its maximum over the integers is at a
+    count: only the counts are scanned. The comparison
+    S(c1)^2 * c2 > S(c2)^2 * c1 is done in integers, so the maximizer (and
+    the smallest-on-tie rule) is exact.
     """
     counts = sorted(require_counts(m_list))
-    lo, hi = counts[0], counts[-1]
-    best_c = lo
-    best_s = sum(min(m, lo) for m in counts)
-    # Walk c upward, maintaining sum(min(m, c)) incrementally.
-    idx = 0
-    prefix = 0
-    for c in range(lo, hi + 1):
-        while idx < len(counts) and counts[idx] < c:
-            prefix += counts[idx]
-            idx += 1
-        s = prefix + c * (len(counts) - idx)
+    n = len(counts)
+    best_c, best_s = counts[0], 0  # the first count's S beats 0
+    below = 0  # sum of the counts before index i
+    for i, c in enumerate(counts):
+        s = below + c * (n - i)
         if s * s * best_c > best_s * best_s * c:
             best_c, best_s = c, s
+        below += c
     return best_c
 
 

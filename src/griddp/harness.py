@@ -162,14 +162,14 @@ def check_scaling_laws(
     m_list,
     lambdas,
     bound_u: float = 1.0,
-    gamma: float = MechanismParams.gamma,
 ) -> list[ScalingLawCheck]:
     """Test how grouping quantities respond to dataset growth.
 
     sample mode multiplies every count by lambda: capacities scale by
     lambda, array counts and the mean/array sensitivities are invariant,
-    and the planning sensitivity of the projection mechanism shrinks by
-    sqrt(lambda) while its concentration bound stays below the value range.
+    and the planning sensitivity of the projection mechanism (at the default
+    gamma) shrinks by sqrt(lambda) while its concentration bound stays below
+    the value range.
     user mode duplicates every user lambda times: capacities are invariant,
     but the array counts need not scale by lambda; only the floor bounds
     lambda*K <= K' <= lambda*K + lambda - 1 hold, so the equality laws are
@@ -221,10 +221,10 @@ def check_scaling_laws(
 
         ub = base["optimized"]
         k_best = best_fit_count(counts, ub)
-        tau = concentration_tau(bound_u, k_best, gamma, ub)
+        tau = concentration_tau(bound_u, k_best, MechanismParams.gamma, ub)
         if 3 * tau <= bound_u:
             k_best_s = best_fit_count(sampled, lam * ub)
-            tau_s = concentration_tau(bound_u, k_best_s, gamma, lam * ub)
+            tau_s = concentration_tau(bound_u, k_best_s, MechanismParams.gamma, lam * ub)
             lhs = levy_planning_delta(bound_u, k_best_s, tau_s)
             rhs = levy_planning_delta(bound_u, k_best, tau) / math.sqrt(lam)
             checks.append(

@@ -5,11 +5,11 @@ MechanismParams bundle, and an RngStream. Randomness is consumed in a fixed
 documented order, so a given (inputs, seed) pair always yields the same
 release.
 
-Clip and the grouped mechanisms (array averaging, levy, quantile) run in
-three stages, and release() runs all three:
+Every mechanism (baseline and clip, and the grouped array averaging, levy
+and quantile) runs in three stages, and release() runs all three:
 - prepare() depends only on the data and the occupancy: it packs the grid
-  into arrays and keeps the array means (for clip: the retained counts and
-  the retained mean and variance);
+  into arrays and keeps the array means (for clip and baseline: the
+  retained counts and the retained mean and variance);
 - bind() depends on the params: the noise scales, levy's tau and interval
   ends, the sorted, clamped quantile points, and each exponential-mechanism
   choice as a table of running weight sums;
@@ -42,7 +42,6 @@ from .errors import (
     InvalidParams,
     InvalidPlan,
     NoBins,
-    NonPositiveScale,
     TooLarge,
     ZeroRetained,
     require_int,
@@ -60,7 +59,7 @@ from .grouping import (
     optimized_mub,
     wrap_around,
 )
-from .rng import RngStream, laplace_inverse_cdf
+from .rng import RngStream
 from .sensitivity import (
     array_avg_sensitivity,
     clipped_mean_sensitivity,
@@ -137,8 +136,7 @@ class MechanismOutput:
 
 def sample_laplace(scale: float, rng: RngStream) -> float:
     """One Laplace(scale) draw via the inverse CDF; consumes one uniform."""
-    require_positive("laplace scale", scale, NonPositiveScale)
-    return float(laplace_inverse_cdf(rng.random(), scale))
+    return rng.laplace(scale)
 
 
 def _noise(scale: float, rng: RngStream) -> float:
@@ -182,7 +180,6 @@ def clip_release(
     retained: dict[str, int],
     params: MechanismParams,
     rng: RngStream,
-    label: str = "clip",
 ) -> MechanismOutput:
     """Release mean and variance of the first-gamma retained samples.
 
@@ -190,14 +187,14 @@ def clip_release(
     from the mapping keep everything. Noise is calibrated to the retained
     counts only. Draw order: mean noise, then variance noise.
     """
-    return bind(_prepare_clip(dataset, grid, retained, label), params).draw(rng)
+    return bind(_prepare_clip(dataset, grid, retained, "clip"), params).draw(rng)
 
 
 def baseline_release(
     dataset: Dataset, grid: str, params: MechanismParams, rng: RngStream
 ) -> MechanismOutput:
     """Full-data release: the clip mechanism with nothing clipped."""
-    return clip_release(dataset, grid, {}, params, rng, label="baseline")
+    return bind(prepare(dataset, grid, "baseline", params), params).draw(rng)
 
 
 def array_average_release(
@@ -364,9 +361,9 @@ class Prepared:
     one Prepared serves every epsilon and every draw. A grouped mechanism
     keeps its array means, with the strategy and capacity its packing used:
     levy and quantile always pack best-fit at the optimized capacity unless
-    one is given. clip keeps the retained count of each user (in token
-    order) and the mean and population variance of the retained samples
-    (stats); its strategy and capacity are None and its means empty.
+    one is given. clip and baseline keep the retained count of each user (in
+    token order) and the mean and population variance of the retained
+    samples (stats); their strategy and capacity are None, their means empty.
     """
 
     mechanism: str
@@ -384,15 +381,15 @@ def prepare(
 ) -> Prepared:
     """The epsilon-independent stage of a release of one grid.
 
-    mechanism is array_average, levy, quantile or clip. array_average packs
-    with params.strategy at params.capacity or the lower median of the
-    counts; levy and quantile pack best-fit at params.capacity or
-    optimized_mub. clip keeps every sample, as release(..., "clip") does.
+    mechanism is array_average, levy, quantile, clip or baseline.
+    array_average packs with params.strategy at params.capacity or the lower
+    median of the counts; levy and quantile pack best-fit at params.capacity
+    or optimized_mub; clip and baseline keep every sample.
     """
-    if mechanism == "clip":
-        return _prepare_clip(dataset, grid, {}, "clip")
-    if mechanism == "baseline" or mechanism not in MECHANISMS:
-        raise InvalidParams(f"{mechanism!r} is neither a grouped mechanism nor clip")
+    if mechanism in ("clip", "baseline"):
+        return _prepare_clip(dataset, grid, {}, mechanism)
+    if mechanism not in MECHANISMS:
+        raise InvalidParams(f"unknown mechanism {mechanism!r}")
     samples = {u: dataset.values(grid, u) for u in dataset.users_in(grid)}
     counts = [len(samples[u]) for u in sorted(samples)]
     if mechanism == "array_average":

@@ -69,16 +69,11 @@ def variance_peak_value(total: int, peak: int, bound_u: float) -> tuple[str, flo
 
 
 def mean_sensitivity(m_list, bound_u: float) -> SensitivityReport:
-    counts = require_counts(m_list)
-    bound_u = require_positive("value bound", bound_u)
-    return SensitivityReport("mean", bound_u * max(counts) / sum(counts))
+    return clipped_mean_sensitivity(require_counts(m_list), bound_u)
 
 
 def variance_sensitivity(m_list, bound_u: float) -> SensitivityReport:
-    counts = require_counts(m_list)
-    bound_u = require_positive("value bound", bound_u)
-    branch, value = variance_peak_value(sum(counts), max(counts), bound_u)
-    return SensitivityReport("variance", value, branch)
+    return clipped_variance_sensitivity(require_counts(m_list), bound_u)
 
 
 def clipped_mean_sensitivity(gamma_list, bound_u: float) -> SensitivityReport:

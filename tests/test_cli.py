@@ -610,8 +610,10 @@ def test_help_is_not_a_config_key(capsys, tmp_path):
         # once built all 10^8 points before any check
         ("0:1:1e-8", "epsilon grid '0:1:1e-8' has 100000001 points, over 10000"),
         ("1:10001:1", "epsilon grid '1:10001:1' has 10001 points, over 10000"),
+        # once parsed to no epsilon at all, an InvalidParams with exit 1
+        ("1:0:0.1", "cannot parse epsilon grid '1:0:0.1'"),
     ],
-    ids=["0.1:inf:0.1", "0.1:1:1e-320", "0:1:1e-8", "1:10001:1"],
+    ids=["0.1:inf:0.1", "0.1:1:1e-320", "0:1:1e-8", "1:10001:1", "1:0:0.1"],
 )
 def test_overflowing_eps_range_is_a_usage_error(capsys, eps, message):
     argv = ["montecarlo", "--mode", "privacy", "--eps", eps, "--grids", "4", "--users", "15"]

@@ -584,6 +584,19 @@ def test_cap_scan_rejects_grids_past_float_exact_counts():
     assert res == _pseudo_user_optimize_oracle(edge, ClipPlan.full(edge), 1.0, 1.0)
 
 
+def test_cap_scan_rejects_a_wide_cap_range(monkeypatch):
+    # caps 1 to 2^30 would be priced one by one
+    occ = OccupancyArray({"g": {"a": 1, "b": 2**30}})
+    with pytest.raises(TooLarge, match=r"cap scan takes at most 2\^24"):
+        pseudo_user_optimize(occ, ClipPlan.full(occ), 1.0, 1.0)
+    monkeypatch.setattr(composition, "_MAX_CAPS", 4)
+    fits = OccupancyArray({"g": {"a": 1, "b": 4}})
+    pseudo_user_optimize(fits, ClipPlan.full(fits), 1.0, 1.0)
+    wide = OccupancyArray({"g": {"a": 1, "b": 5}})
+    with pytest.raises(TooLarge):
+        pseudo_user_optimize(wide, ClipPlan.full(wide), 1.0, 1.0)
+
+
 def test_cap_scan_chunks_keep_the_first_minimum(monkeypatch):
     # two caps per chunk, so tied minima straddle chunk boundaries: with
     # gammas (1, 0, 0, 3) of counts (4, 3, 4, 5) at epsilon 4, caps 1 and 3

@@ -79,6 +79,35 @@ def test_optimized_mub_examples():
     assert optimized_mub([1, 1, 1, 9]) == 1
 
 
+def _optimized_mub_oracle(counts):
+    """The integer walk over every c in [min m, max m], S(c) kept incrementally."""
+    counts = sorted(counts)
+    lo, hi = counts[0], counts[-1]
+    best_c = lo
+    best_s = sum(min(m, lo) for m in counts)
+    idx = 0
+    prefix = 0
+    for c in range(lo, hi + 1):
+        while idx < len(counts) and counts[idx] < c:
+            prefix += counts[idx]
+            idx += 1
+        s = prefix + c * (len(counts) - idx)
+        if s * s * best_c > best_s * best_s * c:
+            best_c, best_s = c, s
+    return best_c
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=12))
+def test_optimized_mub_matches_integer_walk(counts):
+    assert optimized_mub(counts) == _optimized_mub_oracle(counts)
+
+
+def test_optimized_mub_scans_only_the_counts():
+    # the integer walk would visit 10^12 capacities
+    assert optimized_mub([1, 5, 10**12]) == 10**12
+
+
 def _objective(counts, c):
     return Fraction(sum(min(m, c) for m in counts)) ** 2 / c
 

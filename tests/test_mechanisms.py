@@ -486,9 +486,11 @@ def test_prepare_validation():
     ds = _dataset([1])
     with pytest.raises(EmptyGrid):
         prepare(ds, "g", "array_average", _params(capacity=4, strategy=STRATEGY_WRAP))
-    for mechanism in ("baseline", "midpoint"):
-        with pytest.raises(InvalidParams):
-            prepare(ds, "g", mechanism, _params())
+    with pytest.raises(InvalidParams):
+        prepare(ds, "g", "midpoint", _params())
+    p = _params()
+    drawn = bind(prepare(ds, "g", "baseline", p), p).draw(RngStream(5))
+    assert drawn == baseline_release(ds, "g", p, RngStream(5))
 
 
 def test_params_validation():
