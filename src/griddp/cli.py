@@ -21,11 +21,10 @@ import inspect
 import json
 import sys
 from functools import partial
-from itertools import chain, repeat
 from pathlib import Path
 
 from .composition import clip_user
-from .dataset import grid_stats, parse_dataset, parse_occupancy
+from .dataset import DATA_HEADER, grid_stats, parse_dataset, parse_occupancy, write_dataset
 from .errors import GridDPError, InvalidPlan, IoError, OccupancyMismatch, UsageError, read_utf8
 from .grouping import STRATEGIES
 from .harness import (
@@ -127,17 +126,22 @@ def _write(fh, fmt: str, rows, fields: list[str], json_obj) -> None:
         writer.writerows(rows)
 
 
-def _emit(args, rows, fields: list[str], json_obj=None) -> None:
-    """Write rows, tuples in the order of fields, as CSV (None is written
-    empty) or as JSON objects (json_obj instead, when given)."""
+def _output(args, write) -> None:
+    """Call write(fh) on the --out file, or on stdout."""
     if args.out and args.out != "-":
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                _write(fh, args.format, rows, fields, json_obj)
+                write(fh)
         except OSError as exc:
             raise IoError(f"cannot write {args.out}: {exc}") from exc
     else:
-        _write(sys.stdout, args.format, rows, fields, json_obj)
+        write(sys.stdout)
+
+
+def _emit(args, rows, fields: list[str], json_obj=None) -> None:
+    """Write rows, tuples in the order of fields, as CSV (None is written
+    empty) or as JSON objects (json_obj instead, when given)."""
+    _output(args, lambda fh: _write(fh, args.format, rows, fields, json_obj))
 
 
 def _cmd_stats(args) -> None:
@@ -255,10 +259,11 @@ def _cmd_synth(args) -> None:
     if args.values:
         model = ValueModel(mean=args.mu, variance=args.sigma2, bound_u=args.u)
         ds = generate_values(occ, model, root)
-        # rows by (user, grid), each pair's values in draw order
-        pairs = sorted((u, g) for g in ds.grids() for u in ds.users_in(g))
-        rows = chain.from_iterable(zip(repeat(u), repeat(g), ds.values(g, u)) for u, g in pairs)
-        _emit(args, rows, ["user", "grid", "value"])
+        if args.format == "csv":
+            _output(args, partial(write_dataset, ds))
+        else:
+            rows = ((u, g, v) for u, g, values in ds._pairs() for v in values.tolist())
+            _emit(args, rows, list(DATA_HEADER))
         return
     rows = sorted((u, g, m) for g in occ.grids() for u, m in occ.row(g).items())
     _emit(args, rows, ["user", "grid", "count"])

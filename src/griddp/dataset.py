@@ -15,11 +15,12 @@ are made only where the public API hands them out.
 from __future__ import annotations
 
 import csv
+import io
 import os
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain, count, islice
+from itertools import chain, count, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -163,11 +164,16 @@ class OccupancyArray:
     def grids_of(self, user: str) -> list[str]:
         return [self._grids[g] for g, _, _ in self._entries([self._uid(user)])[0]]
 
-    def count(self, grid: str, user: str) -> int:
+    def _entry(self, grid: str, user: str) -> int:
+        """Position of the (grid, user) entry, or -1 if the user is absent."""
         _, lo, hi = self._span(grid)
         uid = self._uid(user)
         e = lo + int(np.searchsorted(self._ids[lo:hi], uid))
-        return int(self._counts[e]) if e < hi and self._ids[e] == uid else 0
+        return e if e < hi and self._ids[e] == uid else -1
+
+    def count(self, grid: str, user: str) -> int:
+        e = self._entry(grid, user)
+        return int(self._counts[e]) if e >= 0 else 0
 
     def counts_in(self, grid: str) -> list[int]:
         """Counts of a grid, ordered by user token."""
@@ -198,93 +204,126 @@ class OccupancyArray:
 
 
 class Dataset:
-    """Samples keyed by grid then user; per-user order is input order."""
+    """Samples keyed by grid then user; per-user order is input order.
+
+    Stored as one float64 column, ordered by grid, then user token, then
+    input order, over the OccupancyArray whose counts are its run lengths:
+    entry e of the occupancy owns _column[_starts[e]:_starts[e + 1]].
+    """
 
     def __init__(self, samples: dict[str, dict[str, list[float]]], bound_u: float):
         self.bound_u = require_positive("bound_u", bound_u)
-        cleaned: dict[str, dict[str, tuple[float, ...]]] = {}
-        for grid in sorted(samples):
-            row = samples[grid]
-            grid_row: dict[str, tuple[float, ...]] = {}
-            try:
+        counts: dict[str, dict[str, int]] = {}
+        chunks: list[tuple[float, ...]] = []
+        try:
+            for grid in sorted(samples):
+                row = samples[grid]
                 for user in sorted(row):
                     values = tuple(map(float, row[user]))
                     if values:
-                        grid_row[user] = values
-            except Exception:
-                # each user is range-checked before the next is converted
-                self._check_range(grid, grid_row)
-                raise
-            if grid_row:
-                self._check_range(grid, grid_row)
-                cleaned[grid] = grid_row
-        if not cleaned:
+                        counts.setdefault(grid, {})[user] = len(values)
+                        chunks.append(values)
+        finally:
+            # also when a conversion failed, so that a value out of range in
+            # an earlier user is what is raised
+            if counts:
+                self._set(OccupancyArray(counts), np.fromiter(chain.from_iterable(chunks), float))
+        if not counts:
             raise EmptyDataset("dataset has no records")
-        self._samples = cleaned
 
-    def _check_range(self, grid: str, row: dict[str, tuple[float, ...]]) -> None:
-        """Raise ValueOutOfRange for the first bad value in user, input order."""
-        flat = np.fromiter(chain.from_iterable(row.values()), float)
+    @classmethod
+    def _from_columns(
+        cls, occupancy: OccupancyArray, column: np.ndarray, bound_u: float
+    ) -> "Dataset":
+        """A dataset of a float64 column laid out as above; ValueOutOfRange
+        for the first value outside [0, bound_u]."""
+        ds = cls.__new__(cls)
+        ds.bound_u = require_positive("bound_u", bound_u)
+        ds._set(occupancy, column)
+        return ds
+
+    def _set(self, occupancy: OccupancyArray, column: np.ndarray) -> None:
+        self._occupancy, self._column = occupancy, column
+        self._starts = [0, *np.cumsum(occupancy._counts).tolist()]
         # NaN fails both comparisons, so it is out of range too
-        bad = np.flatnonzero(~((flat >= 0.0) & (flat <= self.bound_u)))
-        if not bad.size:
-            return
-        ends = np.cumsum([len(v) for v in row.values()])
-        user = list(row)[np.searchsorted(ends, bad[0], side="right")]
-        raise ValueOutOfRange(
-            f"value {flat[bad[0]]} for user {user!r} in grid {grid!r} outside [0, {self.bound_u}]"
-        )
+        bad = np.flatnonzero(~((column >= 0.0) & (column <= self.bound_u)))
+        if bad.size:
+            e = bisect_right(self._starts, bad[0]) - 1
+            grid = occupancy._grids[bisect_right(occupancy._bounds, e) - 1]
+            user = occupancy._tokens()[int(occupancy._ids[e])]
+            raise ValueOutOfRange(
+                f"value {column[bad[0]]} for user {user!r} in grid {grid!r} "
+                f"outside [0, {self.bound_u}]"
+            )
+
+    def _grid_column(self, grid: str) -> np.ndarray:
+        _, lo, hi = self._occupancy._span(grid)
+        return self._column[self._starts[lo] : self._starts[hi]]
+
+    def _heads(self, grid: str, users, sizes) -> np.ndarray:
+        """The first sizes[i] samples of each users[i] of a grid, in that
+        order; each size is in [0, count]."""
+        _, lo, hi = self._occupancy._span(grid)
+        start = dict(zip(self.users_in(grid), self._starts[lo:hi]))
+        firsts = np.array([start[u] for u in users], np.int64)
+        sizes = np.asarray(sizes, np.int64)
+        ends = np.cumsum(sizes)
+        # the i-th sample of a block is at its first sample's position plus i
+        return self._column[np.repeat(firsts - ends + sizes, sizes) + np.arange(ends[-1])]
+
+    def _pairs(self):
+        """(user, grid, values) of every entry, by user token, then grid."""
+        occ, starts = self._occupancy, self._starts
+        grid_of = np.repeat(np.arange(len(occ._grids)), np.diff(occ._bounds))
+        order = np.lexsort((grid_of, occ._ids)).tolist()
+        ids, grid_of, tokens = occ._ids.tolist(), grid_of.tolist(), occ._tokens()
+        for e in order:
+            yield tokens[ids[e]], occ._grids[grid_of[e]], self._column[starts[e] : starts[e + 1]]
 
     def grids(self) -> list[str]:
-        return list(self._samples)
+        return self._occupancy.grids()
 
     def users_in(self, grid: str) -> list[str]:
-        return list(self._require(grid))
+        return self._occupancy.users_in(grid)
 
     def values(self, grid: str, user: str) -> tuple[float, ...]:
-        return self._require(grid).get(user, ())
+        e = self._occupancy._entry(grid, user)
+        return tuple(self._column[self._starts[e] : self._starts[e + 1]].tolist()) if e >= 0 else ()
 
     def grid_values(self, grid: str) -> list[float]:
         """All samples of a grid, users in token order, per-user input order."""
-        return self.clipped_values(grid, {})
+        return self._grid_column(grid).tolist()
 
     def clipped_values(self, grid: str, retained: dict[str, int]) -> list[float]:
         """The first retained[user] samples of each user, in the same order."""
-        row = self._require(grid)
-        out: list[float] = []
-        for user in row:
-            keep = retained.get(user, len(row[user]))
-            out.extend(row[user][:keep])
-        return out
+        counts = self._occupancy.row(grid)
+        # as many as the slice [:retained[user]] keeps
+        keep = [len(range(m)[: retained.get(u, m)]) for u, m in counts.items()]
+        return self._heads(grid, counts, keep).tolist()
 
     def occupancy(self) -> OccupancyArray:
-        return OccupancyArray(
-            {
-                g: {u: len(vals) for u, vals in row.items()}
-                for g, row in self._samples.items()
-            }
-        )
-
-    def _require(self, grid: str) -> dict[str, tuple[float, ...]]:
-        if grid not in self._samples:
-            raise UnknownGrid(f"grid {grid!r} not present")
-        return self._samples[grid]
+        return self._occupancy
 
 
-def population_stats(values: list[float]) -> tuple[int, float, float]:
-    """(n, mean, population variance) of a non-empty value list, two-pass."""
-    n = len(values)
+def population_stats(values) -> tuple[int, float, float]:
+    """(n, mean, population variance) of non-empty float values, two-pass.
+
+    Both sums are the builtin sum, left to right (np.sum adds pairwise), and
+    each square is Python's ** 2, libm pow, which rounds differently from
+    numpy's square on some inputs."""
+    column = np.asarray(values, dtype=float)
+    n = len(column)
     if n == 0:
         raise EmptyValues("cannot compute statistics of zero samples")
-    mean = sum(values) / n
-    variance = sum((v - mean) ** 2 for v in values) / n
+    # a memoryview yields the Python floats one at a time, with no list
+    mean = sum(memoryview(column)) / n
+    variance = sum(map(pow, memoryview(column - mean), repeat(2))) / n
     return n, mean, variance
 
 
 def grid_stats(dataset: Dataset, grid: str) -> GridStats:
     """Exact mean and population variance of one grid of a dataset."""
-    values = dataset.grid_values(grid)
-    n, mean, variance = population_stats(values)
+    n, mean, variance = population_stats(dataset._grid_column(grid))
     return GridStats(grid=grid, n=n, mean=mean, variance=variance)
 
 
@@ -513,11 +552,28 @@ def parse_dataset(path_or_text, bound_u: float) -> Dataset:
     grids, users, order, run_grid, run_user, bounds, chunks = _table(
         text, DATA_HEADER, _bulk_values, _one_value
     )
-    values = np.concatenate(chunks)[order].tolist()
-    samples: dict[str, dict[str, list[float]]] = {}
-    for g, u, lo, hi in zip(run_grid.tolist(), run_user.tolist(), bounds, bounds[1:]):
-        samples.setdefault(grids[g], {})[users[u]] = values[lo:hi]
-    return Dataset(samples, bound_u)
+    offsets = np.searchsorted(run_grid, np.arange(len(grids) + 1))
+    occupancy = OccupancyArray._from_columns(grids, users, offsets, run_user, np.diff(bounds))
+    return Dataset._from_columns(occupancy, np.concatenate(chunks)[order], bound_u)
+
+
+def write_dataset(dataset: Dataset, fh) -> None:
+    """Write a dataset to a text file as `user,grid,value` CSV with LF line
+    ends: rows by user token, then grid, each pair's values in input order.
+
+    Quoting is csv.writer's, also for a token holding a CR, so the file
+    parses back to the same dataset, except that the reader strips the
+    whitespace around every token."""
+    fh.write(",".join(DATA_HEADER) + "\n")
+    buf = io.StringIO()
+    # with a CRLF terminator csv quotes a CR too; the terminator is cut off
+    writer = csv.writer(buf, lineterminator="\r\n")
+    for user, grid, values in dataset._pairs():
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((user, grid, ""))
+        prefix = buf.getvalue()[:-2]
+        fh.write(prefix + ("\n" + prefix).join(map(repr, values.tolist())) + "\n")
 
 
 def parse_occupancy(path_or_text) -> OccupancyArray:

@@ -75,23 +75,22 @@ def optimized_mub(m_list) -> int:
     return best_c
 
 
-def _packing_order(
-    samples_by_user: dict[str, tuple[float, ...]], capacity: int
-) -> tuple[int, list[str]]:
-    """The capacity as an int and the users in packing order; InvalidCapacity
-    below 1, ZeroTotal when there is no sample to pack."""
+def _packing_order(counts: dict[str, int], capacity: int) -> tuple[int, list[str]]:
+    """The capacity as an int and the users, given with their sample
+    counts, in packing order; InvalidCapacity below 1, ZeroTotal when there
+    is no sample to pack."""
     capacity = require_int("array capacity", capacity, 1, InvalidCapacity)
-    if not samples_by_user or all(len(v) == 0 for v in samples_by_user.values()):
+    if not any(counts.values()):
         raise ZeroTotal("no samples to group")
     # Non-increasing by count, ties by token.
-    return capacity, sorted(samples_by_user, key=lambda u: (-len(samples_by_user[u]), u))
+    return capacity, sorted(counts, key=lambda u: (-counts[u], u))
 
 
 def wrap_around(
     samples_by_user: dict[str, tuple[float, ...]], capacity: int
 ) -> list[ArrayGroup]:
     """Pack one grid's samples contiguously; return only the full arrays."""
-    capacity, users = _packing_order(samples_by_user, capacity)
+    capacity, users = _packing_order({u: len(v) for u, v in samples_by_user.items()}, capacity)
     values: list[float] = []
     sources: list[str] = []
     for user in users:
@@ -140,27 +139,24 @@ def _assign_best_fit(sizes: list[int], capacity: int) -> list[int]:
     return assignment
 
 
-def _best_fit_values(
-    samples_by_user: dict[str, tuple[float, ...]], capacity: int
-) -> tuple[list[tuple[str, int, int]], list[list[float]]]:
-    """A best-fit packing: (user, block size, array index) per user in
-    packing order, and each array's values as floats in that order."""
-    capacity, users = _packing_order(samples_by_user, capacity)
-    sizes = [min(len(samples_by_user[u]), capacity) for u in users]
-    assignment = _assign_best_fit(sizes, capacity)
-    values: list[list[float]] = [[] for _ in range(max(assignment) + 1)]
-    for user, size, idx in zip(users, sizes, assignment):
-        values[idx].extend(map(float, samples_by_user[user][:size]))
-    return list(zip(users, sizes, assignment)), values
+def _best_fit_placement(counts: dict[str, int], capacity: int) -> list[tuple[str, int, int]]:
+    """A best-fit packing of users given with their sample counts: (user,
+    block size, array index) per user, in packing order."""
+    capacity, users = _packing_order(counts, capacity)
+    sizes = [min(counts[u], capacity) for u in users]
+    return list(zip(users, sizes, _assign_best_fit(sizes, capacity)))
 
 
 def best_fit(
     samples_by_user: dict[str, tuple[float, ...]], capacity: int
 ) -> list[ArrayGroup]:
     """Pack one grid's samples keeping each user inside a single array."""
-    placement, values = _best_fit_values(samples_by_user, capacity)
-    sources: list[list[str]] = [[] for _ in values]
+    placement = _best_fit_placement({u: len(v) for u, v in samples_by_user.items()}, capacity)
+    n_arrays = max(idx for _, _, idx in placement) + 1
+    values: list[list[float]] = [[] for _ in range(n_arrays)]
+    sources: list[list[str]] = [[] for _ in range(n_arrays)]
     for user, size, idx in placement:
+        values[idx].extend(map(float, samples_by_user[user][:size]))
         sources[idx].extend([user] * size)
     return [
         ArrayGroup(i, int(capacity), tuple(v), tuple(s))

@@ -123,13 +123,13 @@ def mae_eval(
     those of per-draw release().
     """
     if config.mechanism == "baseline":
-        counts = [len(dataset.values(grid, u)) for u in dataset.users_in(grid)]
+        counts = dataset.occupancy().counts_in(grid)
         return [
             CurvePoint(eps, mean_sensitivity(counts, dataset.bound_u).value / eps, "baseline")
             for eps in config.epsilons
         ]
-    values = dataset.grid_values(grid)
-    true_mean = sum(values) / len(values)
+    values = dataset._grid_column(grid)
+    true_mean = sum(memoryview(values)) / len(values)
     options = dict(gamma=gamma, strategy=strategy, capacity=capacity, quantile_mode=quantile_mode)
     all_params = [MechanismParams(dataset.bound_u, eps, **options) for eps in config.epsilons]
     prepared = prepare(dataset, grid, config.mechanism, all_params[0])

@@ -32,6 +32,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 
@@ -53,7 +54,7 @@ from .grouping import (
     STRATEGIES,
     STRATEGY_BEST,
     STRATEGY_WRAP,
-    _best_fit_values,
+    _best_fit_placement,
     array_means,
     median_mub,
     optimized_mub,
@@ -162,13 +163,13 @@ def _choose(cum: list[float], total: float, u: float) -> int:
 def _prepare_clip(
     dataset: Dataset, grid: str, retained: dict[str, int], label: str
 ) -> Prepared:
-    counts = {u: len(dataset.values(grid, u)) for u in dataset.users_in(grid)}
-    unknown = set(retained) - set(counts)
+    counts = dataset.occupancy().row(grid)
+    unknown = set(retained) - counts.keys()
     if unknown:
         raise InvalidPlan(f"plan names users absent from grid {grid}: {sorted(unknown)}")
     gammas = require_plan_row(grid, counts, retained)
-    kept = dataset.clipped_values(grid, retained)
-    if not kept:
+    kept = dataset._heads(grid, counts, gammas)
+    if not len(kept):
         raise ZeroRetained(f"plan suppresses every sample in grid {grid}")
     _, mean, variance = population_stats(kept)
     return Prepared(label, grid, dataset.bound_u, None, None, (), tuple(gammas), (mean, variance))
@@ -390,8 +391,8 @@ def prepare(
         return _prepare_clip(dataset, grid, {}, mechanism)
     if mechanism not in MECHANISMS:
         raise InvalidParams(f"unknown mechanism {mechanism!r}")
-    samples = {u: dataset.values(grid, u) for u in dataset.users_in(grid)}
-    counts = [len(samples[u]) for u in sorted(samples)]
+    row = dataset.occupancy().row(grid)
+    counts = list(row.values())
     if mechanism == "array_average":
         strategy = params.strategy
         capacity = params.capacity if params.capacity is not None else median_mub(counts)
@@ -399,7 +400,7 @@ def prepare(
         strategy = STRATEGY_BEST
         capacity = params.capacity if params.capacity is not None else optimized_mub(counts)
     if strategy == STRATEGY_WRAP:
-        groups = wrap_around(samples, capacity)
+        groups = wrap_around({u: dataset.values(grid, u) for u in row}, capacity)
         if not groups:
             raise EmptyGrid(
                 f"grid {grid} fills no array of capacity {capacity}; "
@@ -407,8 +408,13 @@ def prepare(
             )
         means = array_means(groups)
     else:
-        # the sums of array_means(best_fit(...)), without the source users
-        means = [sum(v) / len(v) for v in _best_fit_values(samples, capacity)[1]]
+        # array_means(best_fit(...)): each array's blocks, in packing order,
+        # gathered from the value column and summed left to right
+        placed = sorted(_best_fit_placement(row, capacity), key=itemgetter(2))
+        users, sizes, arrays = zip(*placed)
+        packed = memoryview(dataset._heads(grid, users, sizes))
+        cuts = [0, *np.cumsum(sizes)[np.flatnonzero(np.diff(arrays))].tolist(), len(packed)]
+        means = [sum(packed[a:b]) / (b - a) for a, b in zip(cuts, cuts[1:])]
     return Prepared(mechanism, grid, dataset.bound_u, strategy, capacity, tuple(means))
 
 

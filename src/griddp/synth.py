@@ -153,16 +153,14 @@ def generate_values(
     """
     s = rng.split("values")
     sigma = math.sqrt(model.variance)
-    samples: dict[str, dict[str, list[float]]] = {}
-    for g in occupancy.grids():
-        ns = occupancy.counts_in(g)
+    totals = list(map(occupancy.total, occupancy.grids()))
+    column = np.empty(sum(totals))
+    for lo, n in zip(accumulate(totals, initial=0), totals):
         # one draw per grid takes the same stream as one draw per user, and
         # keeps the temporary arrays to the size of a grid
-        raw = s.normal(model.mean, sigma, size=sum(ns))
-        values = np.minimum(np.maximum(raw, 0.0), model.bound_u).tolist()
-        ends = list(accumulate(ns))
-        samples[g] = {u: values[e - n : e] for u, n, e in zip(occupancy.users_in(g), ns, ends)}
-    return Dataset(samples, model.bound_u)
+        raw = s.normal(model.mean, sigma, size=n)
+        np.minimum(np.maximum(raw, 0.0), model.bound_u, out=column[lo : lo + n])
+    return Dataset._from_columns(occupancy, column, model.bound_u)
 
 
 SCALE_SAMPLE = "sample"

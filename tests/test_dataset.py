@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from griddp import dataset
+from griddp.cli import cli_main
 from griddp.dataset import (
     DATA_HEADER,
     OCCUPANCY_HEADER,
@@ -19,7 +20,10 @@ from griddp.dataset import (
     parse_dataset,
     parse_occupancy,
     population_stats,
+    write_dataset,
 )
+from griddp.rng import RngStream
+from griddp.synth import SynthParams, ValueModel, generate_occupancy, generate_values
 from griddp.errors import (
     DuplicateEntry,
     EmptyDataset,
@@ -119,6 +123,17 @@ def test_grid_stats_example():
     assert st_.variance == 2.0
 
 
+def test_grid_stats_squares_as_python_pow():
+    # (v - mean) ** 2 is libm pow; numpy's square rounds the last bit of
+    # this variance differently, which large sums can hide from the digests
+    ds = Dataset({"g": {"a": [29.85073415185066], "b": [34.14926584814934]}}, 65.0)
+    st_ = grid_stats(ds, "g")
+    assert st_.mean == 32.0
+    assert st_.variance.hex() == "0x1.27a353b31c769p+2"
+    squares = np.square(np.array(ds.grid_values("g")) - st_.mean)
+    assert (sum(squares.tolist()) / 2).hex() == "0x1.27a353b31c76ap+2"
+
+
 def test_clipped_values_first_gamma_rule():
     ds = Dataset({"g": {"u1": [5.0, 1.0, 3.0], "u2": [2.0]}}, 5.0)
     kept = ds.clipped_values("g", {"u1": 2, "u2": 0})
@@ -153,6 +168,96 @@ def test_occupancy_matches_sample_counts(samples):
     for g in ds.grids():
         for u in ds.users_in(g):
             assert occ.count(g, u) == len(ds.values(g, u))
+
+
+def _assert_same_dataset(got, want):
+    """got and want agree on every accessor, with the same return types."""
+    assert got.bound_u == want.bound_u
+    assert got.grids() == want.grids()
+    assert got.occupancy().as_dict() == want.occupancy().as_dict()
+    assert got.occupancy() is got.occupancy()
+    for g in want.grids():
+        users = want.users_in(g)
+        assert got.users_in(g) == users
+        assert got.grid_values(g) == want.grid_values(g)
+        assert type(got.grid_values(g)) is list
+        assert {type(v) for v in got.grid_values(g)} == {float}
+        for u in users + ["~absent"]:
+            assert got.values(g, u) == want.values(g, u)
+            assert type(got.values(g, u)) is tuple
+            assert {type(v) for v in got.values(g, u)} <= {float}
+        retained = {u: i % 3 for i, u in enumerate(users)}
+        assert got.clipped_values(g, retained) == want.clipped_values(g, retained)
+        assert type(got.clipped_values(g, retained)) is list
+        assert grid_stats(got, g) == grid_stats(want, g)
+    with pytest.raises(UnknownGrid):
+        got.values("~absent", "u")
+
+
+def test_dataset_constructors_agree():
+    # generate_values and parse_dataset build the column directly; the
+    # dict constructor is the public path
+    occ = generate_occupancy(SynthParams(grids=4, users=15, heavy_gamma=3), RngStream(3))
+    generated = generate_values(occ, ValueModel(bound_u=65.0), RngStream(3))
+    assert generated.occupancy() is occ
+    from_dict = Dataset(_contents(generated), 65.0)
+    buf = io.StringIO()
+    write_dataset(generated, buf)
+    parsed = parse_dataset(buf.getvalue(), 65.0)
+    for got in (generated, parsed):
+        _assert_same_dataset(got, from_dict)
+
+
+_RT_CORE = st.text(alphabet='ab,"\u00e9\u4e2d\r\n', min_size=1, max_size=3).filter(str.strip)
+_RT_TOKENS = st.builds(
+    lambda before, core, after: before + core + after,
+    st.sampled_from(["", " ", "\t "]),
+    _RT_CORE,
+    st.sampled_from(["", " ", "  "]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.dictionaries(
+        _RT_TOKENS,
+        st.dictionaries(
+            _RT_TOKENS,
+            st.lists(st.floats(min_value=0.0, max_value=65.0), min_size=1, max_size=4),
+            min_size=1,
+            max_size=4,
+        ),
+        min_size=1,
+        max_size=3,
+    )
+)
+def test_write_dataset_round_trip(samples):
+    ds = Dataset(samples, 65.0)
+    buf = io.StringIO()
+    write_dataset(ds, buf)
+    # the reader strips every token, so padded tokens merge, their rows in
+    # file order: by user token, then grid
+    want: dict[str, dict[str, list[float]]] = {}
+    for u, g in sorted((u, g) for g, row in samples.items() for u in row):
+        want.setdefault(g.strip(), {}).setdefault(u.strip(), []).extend(samples[g][u])
+    _assert_same_dataset(parse_dataset(buf.getvalue(), 65.0), Dataset(want, 65.0))
+
+
+def test_quoted_crlf_rewrite_parses_to_the_same_column(tmp_path):
+    plain = tmp_path / "values.csv"
+    argv = ["synth", "--values", "--grids", "4", "--users", "15", "--seed", "8"]
+    assert cli_main([*argv, "--out", str(plain)]) == 0
+    quoted = io.StringIO()
+    with open(plain, encoding="utf-8", newline="") as fh:
+        csv.writer(quoted, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(csv.reader(fh))
+    assert quoted.getvalue().startswith('"user","grid","value"\r\n"u')
+    want = parse_dataset(plain, 65.0)
+    # every block holds quotes, so each is read with csv.reader
+    with mock.patch.object(dataset, "_records", wraps=dataset._records) as records:
+        got = parse_dataset(quoted.getvalue(), 65.0)
+    assert records.call_count >= 1
+    assert np.array_equal(got._column, want._column)
+    _assert_same_dataset(got, want)
 
 
 def test_occupancy_rejects_non_integer_counts():

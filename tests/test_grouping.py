@@ -174,7 +174,8 @@ def _wrap_around_oracle(samples_by_user, capacity):
     before it sliced flat lists, and the fast packing must reproduce it."""
     values, sources = [], []
     cursor = 0
-    for user in _packing_order(samples_by_user, capacity)[1]:
+    counts = {u: len(v) for u, v in samples_by_user.items()}
+    for user in _packing_order(counts, capacity)[1]:
         block = samples_by_user[user][: min(len(samples_by_user[user]), capacity)]
         for v in block:
             while cursor >= len(values):
