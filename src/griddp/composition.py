@@ -55,7 +55,7 @@ from .errors import (
     require_plan_row,
     require_positive,
 )
-from .mechanisms import MechanismOutput, MechanismParams, clip_release
+from .mechanisms import MechanismOutput, MechanismParams, _prepare_clip, bind
 from .rng import RngStream
 from .sensitivity import variance_peak_value
 from .worst_case_bias import bias_branch_value
@@ -328,6 +328,14 @@ def clip_user(
     )
 
 
+def _require_plan_grids(occupancy: OccupancyArray, plan: ClipPlan) -> None:
+    """OccupancyMismatch unless the plan covers exactly the occupancy's
+    grids; a plan aligned with this occupancy does, so its mapping is not
+    built."""
+    if plan._occupancy is not occupancy and plan.grids() != occupancy.grids():
+        raise OccupancyMismatch("plan grids do not match the occupancy grids")
+
+
 def _plan_gammas(occupancy: OccupancyArray, plan: ClipPlan, grid: str) -> np.ndarray:
     """The plan's retained counts of a grid as int64, in user token order."""
     if plan._occupancy is occupancy:
@@ -404,8 +412,7 @@ def pseudo_user_optimize(
     """
     require_positive("value bound", bound_u)
     require_positive("epsilon", epsilon)
-    if plan._occupancy is not occupancy and sorted(plan.grids()) != occupancy.grids():
-        raise OccupancyMismatch("plan grids do not match the occupancy grids")
+    _require_plan_grids(occupancy, plan)
     per_grid_m: dict[str, int] = {}
     per_grid_error: dict[str, ErrorBudget] = {}
     for g in occupancy.grids():
@@ -452,12 +459,12 @@ def post_release(
     Each grid gets its own child stream split off by token, so draws for
     one grid do not depend on how many other grids exist.
     """
-    if plan.grids() != dataset.grids():
-        raise OccupancyMismatch("plan grids do not match the dataset grids")
-    params = MechanismParams(bound_u=dataset.bound_u, epsilon=epsilon)
     occupancy = dataset.occupancy()
+    _require_plan_grids(occupancy, plan)
+    params = MechanismParams(bound_u=dataset.bound_u, epsilon=epsilon)
     out: dict[str, MechanismOutput] = {}
-    for g in dataset.grids():
-        _plan_gammas(occupancy, plan, g)
-        out[g] = clip_release(dataset, g, plan.row(g), params, rng.split(f"grid:{g}"))
+    for g in occupancy.grids():
+        # the release clip_release makes, on the row _plan_gammas checked
+        prepared = _prepare_clip(dataset, g, _plan_gammas(occupancy, plan, g).tolist(), "clip")
+        out[g] = bind(prepared, params).draw(rng.split(f"grid:{g}"))
     return out

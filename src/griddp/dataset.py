@@ -38,6 +38,7 @@ from .errors import (
     ValueOutOfRange,
     read_utf8,
     require_ints,
+    require_plan_row,
     require_positive,
 )
 
@@ -260,12 +261,12 @@ class Dataset:
         _, lo, hi = self._occupancy._span(grid)
         return self._column[self._starts[lo] : self._starts[hi]]
 
-    def _heads(self, grid: str, users, sizes) -> np.ndarray:
-        """The first sizes[i] samples of each users[i] of a grid, in that
-        order; each size is in [0, count]."""
+    def _heads(self, grid: str, positions, sizes) -> np.ndarray:
+        """The first sizes[i] samples of the user at positions[i] of the
+        grid's users in token order, in that order; each size is in
+        [0, count]."""
         _, lo, hi = self._occupancy._span(grid)
-        start = dict(zip(self.users_in(grid), self._starts[lo:hi]))
-        firsts = np.array([start[u] for u in users], np.int64)
+        firsts = np.array(self._starts[lo:hi], np.int64)[np.asarray(positions, np.int64)]
         sizes = np.asarray(sizes, np.int64)
         ends = np.cumsum(sizes)
         # the i-th sample of a block is at its first sample's position plus i
@@ -295,11 +296,12 @@ class Dataset:
         return self._grid_column(grid).tolist()
 
     def clipped_values(self, grid: str, retained: dict[str, int]) -> list[float]:
-        """The first retained[user] samples of each user, in the same order."""
-        counts = self._occupancy.row(grid)
-        # as many as the slice [:retained[user]] keeps
-        keep = [len(range(m)[: retained.get(u, m)]) for u, m in counts.items()]
-        return self._heads(grid, counts, keep).tolist()
+        """The first retained[user] samples of each user, in the same order;
+        a user absent from retained keeps all. The row is checked as a clip
+        plan's is: InvalidPlan for an unknown user or a count outside
+        [0, count], InvalidParams for one that is not an integer."""
+        gammas = require_plan_row(grid, self._occupancy.row(grid), retained)
+        return self._heads(grid, range(len(gammas)), gammas).tolist()
 
     def occupancy(self) -> OccupancyArray:
         return self._occupancy

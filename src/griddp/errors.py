@@ -174,7 +174,11 @@ def require_pair(m_list, gamma_list) -> tuple[list[int], list[int]]:
 def require_plan_row(grid: str, counts: dict[str, int], retained: dict[str, int]) -> list[int]:
     """The retained counts of a grid's users, in the order of counts, as
     ints; a user absent from retained keeps all counts[user] samples.
-    InvalidPlan unless each lies in [0, counts[user]]."""
+    InvalidPlan if retained names a user absent from counts, or unless each
+    count lies in [0, counts[user]]."""
+    unknown = retained.keys() - counts.keys()
+    if unknown:
+        raise InvalidPlan(f"plan names users absent from grid {grid}: {sorted(unknown)}")
     gammas = require_ints("retained count", [retained.get(u, m) for u, m in counts.items()])
     for (user, m), g in zip(counts.items(), gammas):
         if not 0 <= g <= m:

@@ -1,17 +1,19 @@
 """Packing per-user samples into fixed-capacity arrays.
 
-Two strategies over one grid's samples, both clipping each user to their
-first min(m_l, capacity) samples and processing users in non-increasing
-count order (ties by token):
+Both strategies clip each user to their first min(m_l, capacity) samples
+and place the users in packing order, non-increasing by count (ties by
+token). They share one layout, the blocks laid end to end, and differ only
+in the order of the blocks and where the layout is cut into arrays
+(_pack):
 
-- wrap_around: fills arrays contiguously, splitting a user's block across
-  array boundaries; only completely full arrays are returned, so the count
-  equals floor(sum_l min(m_l, capacity) / capacity) and any user touches at
-  most two adjacent arrays.
-- best_fit: places each user's whole block into the least-indexed most
-  filled array with room, so every user touches exactly one array and no
-  array is ever split. Arrays are bucketed by fill level, so packing n
-  users takes O(n log n).
+- wrap_around: the blocks in packing order, cut at every multiple of the
+  capacity; only completely full arrays are returned, so the count equals
+  floor(sum_l min(m_l, capacity) / capacity) and any user touches at most
+  two adjacent arrays.
+- best_fit: each block goes whole into the least-indexed most filled array
+  with room, so every user touches exactly one array and no array is ever
+  split; the blocks are laid out by array and cut at the running fills.
+  Arrays are bucketed by fill level, so packing n users takes O(n log n).
 
 Capacity selection rules: the lower median of the counts, or the integer
 maximizing sum_l min(m_l, c) / sqrt(c) (compared in exact integer
@@ -23,6 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import accumulate
 
 from .errors import EmptyValues, InvalidCapacity, ZeroTotal, require_counts, require_int
 
@@ -75,36 +78,6 @@ def optimized_mub(m_list) -> int:
     return best_c
 
 
-def _packing_order(counts: dict[str, int], capacity: int) -> tuple[int, list[str]]:
-    """The capacity as an int and the users, given with their sample
-    counts, in packing order; InvalidCapacity below 1, ZeroTotal when there
-    is no sample to pack."""
-    capacity = require_int("array capacity", capacity, 1, InvalidCapacity)
-    if not any(counts.values()):
-        raise ZeroTotal("no samples to group")
-    # Non-increasing by count, ties by token.
-    return capacity, sorted(counts, key=lambda u: (-counts[u], u))
-
-
-def wrap_around(
-    samples_by_user: dict[str, tuple[float, ...]], capacity: int
-) -> list[ArrayGroup]:
-    """Pack one grid's samples contiguously; return only the full arrays."""
-    capacity, users = _packing_order({u: len(v) for u, v in samples_by_user.items()}, capacity)
-    values: list[float] = []
-    sources: list[str] = []
-    for user in users:
-        block = samples_by_user[user][:capacity]
-        values.extend(map(float, block))
-        sources.extend([user] * len(block))
-    # consecutive cuts bound the full arrays; a partial tail is dropped
-    cuts = range(0, len(values) + 1, capacity)
-    return [
-        ArrayGroup(i, capacity, tuple(values[lo:hi]), tuple(sources[lo:hi]))
-        for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
-    ]
-
-
 def _assign_best_fit(sizes: list[int], capacity: int) -> list[int]:
     """Array index per block: least-indexed most-filled array with room.
 
@@ -139,39 +112,68 @@ def _assign_best_fit(sizes: list[int], capacity: int) -> list[int]:
     return assignment
 
 
-def _best_fit_placement(counts: dict[str, int], capacity: int) -> list[tuple[str, int, int]]:
-    """A best-fit packing of users given with their sample counts: (user,
-    block size, array index) per user, in packing order."""
-    capacity, users = _packing_order(counts, capacity)
-    sizes = [min(counts[u], capacity) for u in users]
-    return list(zip(users, sizes, _assign_best_fit(sizes, capacity)))
+def _pack(
+    counts: list[int], strategy: str, capacity: int
+) -> tuple[list[int], list[int], list[int]]:
+    """The packing layout of one grid whose counts are given in token order.
+
+    Returns the users' positions in layout order, each one's block size
+    min(m, capacity) in that order, and the cuts: array i holds the samples
+    cuts[i] to cuts[i + 1] of the blocks laid end to end. Wrap-around lays
+    the users out in packing order and cuts at the multiples of the capacity
+    through the last full array; best fit places them in packing order,
+    sorts the blocks stably by array and cuts at the running fills.
+    InvalidCapacity below 1, ZeroTotal when there is no sample to pack.
+    """
+    capacity = require_int("array capacity", capacity, 1, InvalidCapacity)
+    if not any(counts):
+        raise ZeroTotal("no samples to group")
+    # Non-increasing by count; the sort is stable, so ties stay in token order.
+    order = sorted(range(len(counts)), key=lambda i: -counts[i])
+    sizes = [min(counts[i], capacity) for i in order]
+    if strategy == STRATEGY_WRAP:
+        return order, sizes, list(range(0, sum(sizes) + 1, capacity))
+    arrays = _assign_best_fit(sizes, capacity)
+    fills = [0] * (max(arrays) + 1)
+    for idx, r in zip(arrays, sizes):
+        fills[idx] += r
+    laid = sorted(range(len(order)), key=arrays.__getitem__)
+    return [order[i] for i in laid], [sizes[i] for i in laid], list(accumulate(fills, initial=0))
+
+
+def _arrays(samples_by_user: dict, strategy: str, capacity: int) -> list[ArrayGroup]:
+    """The arrays of one grid's samples packed with the given strategy."""
+    users = sorted(samples_by_user)
+    order, sizes, cuts = _pack([len(samples_by_user[u]) for u in users], strategy, capacity)
+    values: list[float] = []
+    sources: list[str] = []
+    for i, r in zip(order, sizes):
+        values.extend(map(float, samples_by_user[users[i]][:r]))
+        sources.extend([users[i]] * r)
+    return [
+        ArrayGroup(i, int(capacity), tuple(values[lo:hi]), tuple(sources[lo:hi]))
+        for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]))
+    ]
+
+
+def wrap_around(
+    samples_by_user: dict[str, tuple[float, ...]], capacity: int
+) -> list[ArrayGroup]:
+    """Pack one grid's samples contiguously; return only the full arrays."""
+    return _arrays(samples_by_user, STRATEGY_WRAP, capacity)
 
 
 def best_fit(
     samples_by_user: dict[str, tuple[float, ...]], capacity: int
 ) -> list[ArrayGroup]:
     """Pack one grid's samples keeping each user inside a single array."""
-    placement = _best_fit_placement({u: len(v) for u, v in samples_by_user.items()}, capacity)
-    n_arrays = max(idx for _, _, idx in placement) + 1
-    values: list[list[float]] = [[] for _ in range(n_arrays)]
-    sources: list[list[str]] = [[] for _ in range(n_arrays)]
-    for user, size, idx in placement:
-        values[idx].extend(map(float, samples_by_user[user][:size]))
-        sources[idx].extend([user] * size)
-    return [
-        ArrayGroup(i, int(capacity), tuple(v), tuple(s))
-        for i, (v, s) in enumerate(zip(values, sources))
-    ]
+    return _arrays(samples_by_user, STRATEGY_BEST, capacity)
 
 
 def best_fit_count(m_list, capacity: int) -> int:
     """Number of arrays best_fit opens for the given counts alone."""
-    counts = require_counts(m_list)
-    capacity = require_int("array capacity", capacity, 1, InvalidCapacity)
-    # packing order is non-increasing by count, so by clipped size too
-    sizes = sorted((min(m, capacity) for m in counts), reverse=True)
-    assignment = _assign_best_fit(sizes, capacity)
-    return max(assignment) + 1
+    _, _, cuts = _pack(require_counts(m_list), STRATEGY_BEST, capacity)
+    return len(cuts) - 1
 
 
 def array_means(groups: list[ArrayGroup]) -> list[float]:

@@ -32,7 +32,6 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import itemgetter
 
 import numpy as np
 
@@ -41,7 +40,6 @@ from .errors import (
     EmptyGrid,
     EmptyValues,
     InvalidParams,
-    InvalidPlan,
     NoBins,
     TooLarge,
     ZeroRetained,
@@ -50,16 +48,7 @@ from .errors import (
     require_positive,
     require_probability,
 )
-from .grouping import (
-    STRATEGIES,
-    STRATEGY_BEST,
-    STRATEGY_WRAP,
-    _best_fit_placement,
-    array_means,
-    median_mub,
-    optimized_mub,
-    wrap_around,
-)
+from .grouping import STRATEGIES, STRATEGY_BEST, _pack, median_mub, optimized_mub
 from .rng import RngStream
 from .sensitivity import (
     array_avg_sensitivity,
@@ -161,14 +150,12 @@ def _choose(cum: list[float], total: float, u: float) -> int:
 
 
 def _prepare_clip(
-    dataset: Dataset, grid: str, retained: dict[str, int], label: str
+    dataset: Dataset, grid: str, gammas: list[int], label: str
 ) -> Prepared:
-    counts = dataset.occupancy().row(grid)
-    unknown = set(retained) - counts.keys()
-    if unknown:
-        raise InvalidPlan(f"plan names users absent from grid {grid}: {sorted(unknown)}")
-    gammas = require_plan_row(grid, counts, retained)
-    kept = dataset._heads(grid, counts, gammas)
+    """Prepared of a clip release keeping the first gammas[i] samples of the
+    grid's i-th user in token order; gammas are ints already checked to lie
+    in [0, count]."""
+    kept = dataset._heads(grid, range(len(gammas)), gammas)
     if not len(kept):
         raise ZeroRetained(f"plan suppresses every sample in grid {grid}")
     _, mean, variance = population_stats(kept)
@@ -188,7 +175,8 @@ def clip_release(
     from the mapping keep everything. Noise is calibrated to the retained
     counts only. Draw order: mean noise, then variance noise.
     """
-    return bind(_prepare_clip(dataset, grid, retained, "clip"), params).draw(rng)
+    gammas = require_plan_row(grid, dataset.occupancy().row(grid), retained)
+    return bind(_prepare_clip(dataset, grid, gammas, "clip"), params).draw(rng)
 
 
 def baseline_release(
@@ -387,34 +375,27 @@ def prepare(
     median of the counts; levy and quantile pack best-fit at params.capacity
     or optimized_mub; clip and baseline keep every sample.
     """
-    if mechanism in ("clip", "baseline"):
-        return _prepare_clip(dataset, grid, {}, mechanism)
     if mechanism not in MECHANISMS:
         raise InvalidParams(f"unknown mechanism {mechanism!r}")
-    row = dataset.occupancy().row(grid)
-    counts = list(row.values())
+    counts = dataset.occupancy().counts_in(grid)
+    if mechanism in ("clip", "baseline"):
+        return _prepare_clip(dataset, grid, counts, mechanism)
     if mechanism == "array_average":
         strategy = params.strategy
         capacity = params.capacity if params.capacity is not None else median_mub(counts)
     else:
         strategy = STRATEGY_BEST
         capacity = params.capacity if params.capacity is not None else optimized_mub(counts)
-    if strategy == STRATEGY_WRAP:
-        groups = wrap_around({u: dataset.values(grid, u) for u in row}, capacity)
-        if not groups:
-            raise EmptyGrid(
-                f"grid {grid} fills no array of capacity {capacity}; "
-                "wrap-around needs at least one full array"
-            )
-        means = array_means(groups)
-    else:
-        # array_means(best_fit(...)): each array's blocks, in packing order,
-        # gathered from the value column and summed left to right
-        placed = sorted(_best_fit_placement(row, capacity), key=itemgetter(2))
-        users, sizes, arrays = zip(*placed)
-        packed = memoryview(dataset._heads(grid, users, sizes))
-        cuts = [0, *np.cumsum(sizes)[np.flatnonzero(np.diff(arrays))].tolist(), len(packed)]
-        means = [sum(packed[a:b]) / (b - a) for a, b in zip(cuts, cuts[1:])]
+    order, sizes, cuts = _pack(counts, strategy, capacity)
+    if len(cuts) < 2:
+        raise EmptyGrid(
+            f"grid {grid} fills no array of capacity {capacity}; "
+            "wrap-around needs at least one full array"
+        )
+    # array_means of the packed arrays: each array's samples, gathered from
+    # the value column in layout order and summed left to right
+    packed = memoryview(dataset._heads(grid, order, sizes))
+    means = [sum(packed[a:b]) / (b - a) for a, b in zip(cuts, cuts[1:])]
     return Prepared(mechanism, grid, dataset.bound_u, strategy, capacity, tuple(means))
 
 

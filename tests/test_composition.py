@@ -42,7 +42,7 @@ from griddp.errors import (
 )
 from griddp.mechanisms import MechanismParams, clip_release
 from griddp.rng import RngStream
-from griddp.synth import SynthParams, generate_occupancy
+from griddp.synth import SynthParams, ValueModel, generate_occupancy, generate_values
 
 BASE = {
     "g1": {"u1": 2, "u2": 2},
@@ -257,6 +257,28 @@ def test_post_release_rejects_plan_grid_mismatch():
     other_users = ClipPlan({"g1": {"u1": 2, "u9": 2}, "g2": BASE["g2"]})
     with pytest.raises(OccupancyMismatch, match="grid g1 does not cover its users"):
         post_release(ds, other_users, 1.0, RngStream(0))
+
+
+def test_post_release_reads_clip_users_plan_once():
+    # a plan clip_user made on the dataset's own occupancy is read as its
+    # aligned array, so its mapping is never built; aligned or not, the
+    # releases are clip_release's on the plan's rows, and a row out of
+    # range is still refused
+    occ = generate_occupancy(SynthParams(grids=5, users=31, heavy_gamma=3), RngStream(5))
+    ds = generate_values(occ, ValueModel(), RngStream(6))
+    plan = clip_user(ds.occupancy(), ds.bound_u, 0.5).plan
+    aligned = post_release(ds, plan, 0.5, RngStream(7))
+    assert plan._retained is None
+    as_dict = post_release(ds, ClipPlan(plan.retained), 0.5, RngStream(7))
+    params = MechanismParams(bound_u=ds.bound_u, epsilon=0.5)
+    for g in ds.grids():
+        direct = clip_release(ds, g, plan.row(g), params, RngStream(7).split(f"grid:{g}"))
+        assert aligned[g] == as_dict[g] == direct
+    g = ds.grids()[0]
+    user, m = next(iter(ds.occupancy().row(g).items()))
+    too_many = ClipPlan({**plan.retained, g: {**plan.row(g), user: m + 1}})
+    with pytest.raises(InvalidPlan, match=f"user {user} in grid {g}"):
+        post_release(ds, too_many, 0.5, RngStream(7))
 
 
 def test_privacy_loss_uniform_and_per_grid():

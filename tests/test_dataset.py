@@ -29,6 +29,7 @@ from griddp.errors import (
     EmptyDataset,
     EmptyValues,
     InvalidParams,
+    InvalidPlan,
     MalformedRow,
     NonPositiveCount,
     TooLarge,
@@ -140,6 +141,26 @@ def test_clipped_values_first_gamma_rule():
     assert kept == [5.0, 1.0]
 
 
+@pytest.mark.parametrize(
+    "retained, error",
+    [
+        ({"a": -1}, InvalidPlan),
+        ({"a": 4}, InvalidPlan),
+        ({"a": 7}, InvalidPlan),
+        ({"zz": 0}, InvalidPlan),
+        ({"a": True}, InvalidParams),
+        ({"a": 1.5}, InvalidParams),
+    ],
+)
+def test_clipped_values_checks_the_row(retained, error):
+    # the row check of clip_release: a count outside [0, m] or a user the
+    # grid lacks is a bad plan, a count that is no integer a bad parameter
+    ds = Dataset({"g": {"a": [1.0, 2.0, 3.0], "b": [4.0]}}, 5.0)
+    with pytest.raises(error):
+        ds.clipped_values("g", retained)
+    assert ds.clipped_values("g", {"a": 3, "b": 0}) == [1.0, 2.0, 3.0]
+
+
 def test_dataset_validation():
     with pytest.raises(ValueOutOfRange):
         Dataset({"g": {"u": [2.0]}}, 1.0)
@@ -186,7 +207,8 @@ def _assert_same_dataset(got, want):
             assert got.values(g, u) == want.values(g, u)
             assert type(got.values(g, u)) is tuple
             assert {type(v) for v in got.values(g, u)} <= {float}
-        retained = {u: i % 3 for i, u in enumerate(users)}
+        counts = want.occupancy().row(g)
+        retained = {u: min(i % 3, counts[u]) for i, u in enumerate(users)}
         assert got.clipped_values(g, retained) == want.clipped_values(g, retained)
         assert type(got.clipped_values(g, retained)) is list
         assert grid_stats(got, g) == grid_stats(want, g)

@@ -10,7 +10,6 @@ from griddp.errors import EmptyValues, InvalidCapacity, NonPositiveCount, ZeroTo
 from griddp.grouping import (
     ArrayGroup,
     _assign_best_fit,
-    _packing_order,
     array_count_k,
     array_means,
     best_fit,
@@ -174,8 +173,8 @@ def _wrap_around_oracle(samples_by_user, capacity):
     before it sliced flat lists, and the fast packing must reproduce it."""
     values, sources = [], []
     cursor = 0
-    counts = {u: len(v) for u, v in samples_by_user.items()}
-    for user in _packing_order(counts, capacity)[1]:
+    # non-increasing by count, ties by token
+    for user in sorted(samples_by_user, key=lambda u: (-len(samples_by_user[u]), u)):
         block = samples_by_user[user][: min(len(samples_by_user[user]), capacity)]
         for v in block:
             while cursor >= len(values):
@@ -219,6 +218,7 @@ def test_best_fit_invariants(counts, capacity):
         assert placed == min(c, capacity)
     # never fewer arrays than the wrap-around count
     assert len(groups) >= array_count_k(counts, capacity)
+    assert len(groups) == best_fit_count(counts, capacity)
 
 
 def _assign_best_fit_oracle(sizes, capacity):
@@ -272,3 +272,32 @@ def test_assign_best_fit_ties_and_full_blocks():
         expected = _assign_best_fit_oracle(sizes, cap)
         assert _assign_best_fit(sizes, cap) == expected
         assert best_fit_count(counts, cap) == max(expected) + 1
+
+
+def _best_fit_oracle(samples_by_user, capacity):
+    """Reference best fit: each user's block, in packing order, goes to the
+    array _assign_best_fit_oracle picks, and each array lists its blocks in
+    that order; this is the routine best_fit used before the packing layout
+    was shared with wrap-around."""
+    users = sorted(samples_by_user, key=lambda u: (-len(samples_by_user[u]), u))
+    sizes = [min(len(samples_by_user[u]), capacity) for u in users]
+    assignment = _assign_best_fit_oracle(sizes, capacity)
+    values = [[] for _ in range(max(assignment) + 1)]
+    sources = [[] for _ in values]
+    for user, size, idx in zip(users, sizes, assignment):
+        values[idx].extend(map(float, samples_by_user[user][:size]))
+        sources[idx].extend([user] * size)
+    return [
+        ArrayGroup(i, capacity, tuple(v), tuple(s))
+        for i, (v, s) in enumerate(zip(values, sources))
+    ]
+
+
+@given(counts_strategy, st.integers(min_value=1, max_value=18))
+@settings(max_examples=300)
+def test_best_fit_matches_placement_oracle(counts, capacity):
+    samples = {
+        f"u{i + 1:02d}": tuple(float(i + 1) + j / 16 for j in range(c))
+        for i, c in enumerate(counts)
+    }
+    assert best_fit(samples, capacity) == _best_fit_oracle(samples, capacity)
