@@ -21,6 +21,7 @@ import inspect
 import json
 import sys
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 from .composition import clip_user
@@ -62,6 +63,9 @@ def _parse_int_list(text: str) -> list[int]:
 # The most points an epsilon range may have, counted before any is built;
 # the paper's curves use 20.
 _MAX_EPS_POINTS = 10_000
+
+# Rows per json.dumps call of JSON table output, which bounds its memory.
+_JSON_CHUNK = 4096
 
 
 def _parse_eps_grid(text: str) -> list[float]:
@@ -116,10 +120,23 @@ def _config_flags(argv: list[str], commands: dict) -> list[str]:
     return out
 
 
+def _write_json_rows(fh, objects) -> None:
+    """json.dumps(list(objects), indent=2) and a newline, written a chunk of
+    objects at a time: each chunk's dumps without its opening "[\n" and
+    closing "\n]", the chunks joined by ",\n"."""
+    objects = iter(objects)
+    sep = "[\n"
+    while chunk := list(islice(objects, _JSON_CHUNK)):
+        fh.write(sep + json.dumps(chunk, indent=2)[2:-2])
+        sep = ",\n"
+    fh.write("[]\n" if sep == "[\n" else "\n]\n")
+
+
 def _write(fh, fmt: str, rows, fields: list[str], json_obj) -> None:
-    if fmt == "json":
-        payload = json_obj if json_obj is not None else [dict(zip(fields, r)) for r in rows]
-        fh.write(json.dumps(payload, indent=2) + "\n")
+    if fmt == "json" and json_obj is not None:
+        fh.write(json.dumps(json_obj, indent=2) + "\n")
+    elif fmt == "json":
+        _write_json_rows(fh, (dict(zip(fields, r)) for r in rows))
     else:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(fields)

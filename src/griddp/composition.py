@@ -109,8 +109,15 @@ class ClipPlan:
     @property
     def retained(self) -> dict[str, dict[str, int]]:
         if self._retained is None:
-            self._retained = self._occupancy._rows(self._gammas)
+            self._retained = self._mapping()
             self._occupancy = self._gammas = None
+        return self._retained
+
+    def _mapping(self) -> dict[str, dict[str, int]]:
+        """The retained mapping, built afresh from an aligned plan's array,
+        which stays the plan."""
+        if self._retained is None:
+            return self._occupancy._rows(self._gammas)
         return self._retained
 
     def grids(self) -> list[str]:
@@ -130,10 +137,10 @@ class ClipPlan:
         ]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ClipPlan) and self.retained == other.retained
+        return isinstance(other, ClipPlan) and self._mapping() == other._mapping()
 
     def __repr__(self) -> str:
-        return f"ClipPlan(retained={self.retained!r})"
+        return f"ClipPlan(retained={self._mapping()!r})"
 
 
 @dataclass(frozen=True)

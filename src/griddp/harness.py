@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .composition import clip_user, pseudo_user_optimize
 from .dataset import Dataset
 from .errors import InvalidParams, require_counts, require_int, require_positive
@@ -117,10 +119,11 @@ def mae_eval(
     mean has MAE equal to its noise scale, sensitivity over epsilon. Every
     other mechanism is simulated with config.mae_draws independent releases.
     clip and the grouped mechanisms (array_average, levy, quantile) prepare
-    the grid once, before the epsilon loop, bind once per epsilon, and draw
-    every release of that epsilon from the bound object; draw i at epsilon
-    index ei uses the stream split "mae:{ei}:{i}", so the points equal
-    those of per-draw release().
+    the grid once and bind once per epsilon. Draw i at epsilon index ei
+    uses the uniforms of the stream split "mae:{ei}:{i}", so the points
+    equal those of per-draw release(); one block of uniforms holds every
+    draw of the call, and each epsilon's rows are drawn as one batch. The
+    true mean and the MAE are sums added left to right.
     """
     if config.mechanism == "baseline":
         counts = dataset.occupancy().counts_in(grid)
@@ -129,18 +132,18 @@ def mae_eval(
             for eps in config.epsilons
         ]
     values = dataset._grid_column(grid)
-    true_mean = sum(memoryview(values)) / len(values)
+    true_mean = np.cumsum(values)[-1] / len(values)
     options = dict(gamma=gamma, strategy=strategy, capacity=capacity, quantile_mode=quantile_mode)
     all_params = [MechanismParams(dataset.bound_u, eps, **options) for eps in config.epsilons]
     prepared = prepare(dataset, grid, config.mechanism, all_params[0])
-    root = RngStream(config.seed)
+    bounds = [bind(prepared, params) for params in all_params]
+    draws = config.mae_draws
+    labels = (f"mae:{ei}:{i}" for ei in range(len(bounds)) for i in range(draws))
+    block = RngStream(config.seed).split_uniforms(labels, max(b.uniforms for b in bounds))
     points: list[CurvePoint] = []
-    for ei, params in enumerate(all_params):
-        bound = bind(prepared, params)
-        value = _mean(
-            abs(bound.draw(root.split(f"mae:{ei}:{i}")).noisy_mean - true_mean)
-            for i in range(config.mae_draws)
-        )
+    for ei, (params, bound) in enumerate(zip(all_params, bounds)):
+        noisy = bound.draw_batch(block[ei * draws : (ei + 1) * draws]).noisy_mean
+        value = float(np.cumsum(np.abs(noisy - true_mean))[-1] / draws)
         points.append(CurvePoint(params.epsilon, value, config.mechanism))
     return points
 

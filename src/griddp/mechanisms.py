@@ -13,9 +13,13 @@ and quantile) runs in three stages, and release() runs all three:
 - bind() depends on the params: the noise scales, levy's tau and interval
   ends, the sorted, clamped quantile points, and each exponential-mechanism
   choice as a table of running weight sums;
-- draw() on the bound object is the only random stage: one uniform per
-  choice, found by bisecting its table, then the Laplace noise.
-Repeated releases of one grid prepare once and bind once per epsilon.
+- draw_batch() on the bound object is the only random stage. It takes a
+  block of uniforms, one row per release, and makes every row's choices
+  with one searchsorted per choice table, then its Laplace noise, as numpy
+  vector operations; draw(rng) is draw_batch on a block of one row, read
+  from the stream in the documented order.
+Repeated releases of one grid prepare once, bind once per epsilon, and draw
+every release of an epsilon as one batch.
 
 Budget layout per mechanism, for a total privacy cost of epsilon:
 - baseline / clip: epsilon/2 on the mean, epsilon/2 on the variance, i.e.
@@ -30,8 +34,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from itertools import accumulate
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,7 +52,7 @@ from .errors import (
     require_probability,
 )
 from .grouping import STRATEGIES, STRATEGY_BEST, _pack, median_mub, optimized_mub
-from .rng import RngStream
+from .rng import RngStream, laplace_inverse_cdf
 from .sensitivity import (
     array_avg_sensitivity,
     clipped_mean_sensitivity,
@@ -129,24 +132,28 @@ def sample_laplace(scale: float, rng: RngStream) -> float:
     return rng.laplace(scale)
 
 
-def _noise(scale: float, rng: RngStream) -> float:
-    # Zero-sensitivity coordinates get no noise and burn no randomness.
-    if scale > 0:
-        return sample_laplace(scale, rng)
-    return 0.0
+def _noise(scales: np.ndarray, block, col: int) -> np.ndarray:
+    """Laplace noise at each row's scale from column col of block. Rows of
+    zero sensitivity get 0.0, and a block whose rows all have it reads no
+    uniform, so a single draw burns no randomness on them."""
+    out = np.zeros(len(scales))
+    positive = scales > 0
+    if positive.any():
+        out[positive] = laplace_inverse_cdf(block[:, col][positive], scales[positive])
+    return out
 
 
-def _table(weights: list[float]) -> tuple[list[float], float]:
-    """The running sums of weights, left to right from 0.0, and sum(weights):
-    the lookup table of one exponential-mechanism choice."""
-    return list(accumulate(weights, initial=0.0))[1:], sum(weights)
+def _table(weights: list[float]) -> tuple[np.ndarray, float]:
+    """The running sums of weights, left to right, and sum(weights): the
+    lookup table of one exponential-mechanism choice."""
+    return np.cumsum(weights), sum(weights)
 
 
-def _choose(cum: list[float], total: float, u: float) -> int:
-    """Index i with probability weights[i] / total, for one uniform u: the
+def _choose(cum: np.ndarray, total: float, u):
+    """Index i with probability weights[i] / total for each uniform u: the
     first index whose running sum exceeds u * total, else the last. The
     total must be positive and the weights non-negative, so cum is sorted."""
-    return min(bisect_right(cum, u * total), len(cum) - 1)
+    return np.minimum(np.searchsorted(cum, u * total, side="right"), len(cum) - 1)
 
 
 def _prepare_clip(
@@ -302,12 +309,11 @@ def _quantile_weights(pts: list[float], q_level: float, eps_q: float) -> list[fl
     ]
 
 
-def _quantile_pick(
-    pts: list[float], table: tuple[list[float], float], rng: RngStream
-) -> float:
-    """One uniform picks an interval, a second a point inside it."""
-    chosen = _choose(*table, rng.random())
-    return pts[chosen] + rng.random() * (pts[chosen + 1] - pts[chosen])
+def _quantile_pick(pts, table: tuple[np.ndarray, float], u_choice, u_point):
+    """One uniform picks an interval, a second a point inside it; pts is an
+    array when the uniforms are."""
+    chosen = _choose(*table, u_choice)
+    return pts[chosen] + u_point * (pts[chosen + 1] - pts[chosen])
 
 
 def private_quantile(
@@ -325,7 +331,8 @@ def private_quantile(
         raise InvalidParams(f"quantile level must be in [0, 1], got {q_level}")
     require_positive("quantile budget", eps_q)
     require_positive("value bound", bound_u)
-    return _quantile_pick(pts, _table(_quantile_weights(pts, q_level, eps_q)), rng)
+    table = _table(_quantile_weights(pts, q_level, eps_q))
+    return _quantile_pick(pts, table, rng.random(), rng.random())
 
 
 def quantile_release(
@@ -399,10 +406,75 @@ def prepare(
     return Prepared(mechanism, grid, dataset.bound_u, strategy, capacity, tuple(means))
 
 
+# Rows of the (rows, arrays) matrix of clamped means summed per pass, which
+# bounds the memory of a batch of projections.
+_PROJECTED_CHUNK = 1 << 20
+
+
+def _projected_sums(means: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """For each row i, the sum of the means clamped to [a[i], b[i]], added
+    left to right as the builtin sum adds. np.clip is min(max(v, a), b) bit
+    for bit on non-NaN means, and cumsum accumulates in order (np.sum would
+    add pairwise)."""
+    out = np.empty(len(a))
+    step = max(1, _PROJECTED_CHUNK // len(means))
+    for lo in range(0, len(a), step):
+        rows = slice(lo, lo + step)
+        clamped = np.clip(means, a[rows, None], b[rows, None])
+        out[rows] = np.cumsum(clamped, axis=1)[:, -1]
+    return out
+
+
+class _StreamRow:
+    """A block of one row over a stream: a column is read from the stream
+    when a draw first indexes it (as block[:, col]), so the draw consumes
+    the uniforms it uses, in column order, and no others."""
+
+    def __init__(self, rng: RngStream):
+        self._rng = rng
+        self._read: list[float] = []
+
+    def __len__(self) -> int:
+        return 1
+
+    def __getitem__(self, index) -> np.ndarray:
+        _, col = index
+        while len(self._read) <= col:
+            self._read.append(self._rng.random())
+        return np.array(self._read[col : col + 1])
+
+
+def _row(out: MechanismOutput, i: int) -> MechanismOutput:
+    """Release i of a MechanismOutput that draw_batch filled with arrays."""
+
+    def pick(value):
+        return float(value[i]) if isinstance(value, np.ndarray) else value
+
+    return replace(
+        out,
+        noisy_mean=pick(out.noisy_mean),
+        noise_scale_mean=pick(out.noise_scale_mean),
+        noisy_variance=pick(out.noisy_variance),
+        interval=out.interval and (pick(out.interval[0]), pick(out.interval[1])),
+    )
+
+
+class _Draws:
+    """What the bound objects share. draw_batch(block) makes one release per
+    row of an (N, uniforms) block of uniforms, such as
+    RngStream.split_uniforms gives, and returns them as one MechanismOutput
+    whose noisy values, noise scales and interval ends are arrays with an
+    entry per row; draw(rng) is draw_batch on a block of one row."""
+
+    def draw(self, rng: RngStream) -> MechanismOutput:
+        return _row(self.draw_batch(_StreamRow(rng)), 0)
+
+
 @dataclass(frozen=True, eq=False)
-class _NoisyStats:
+class _NoisyStats(_Draws):
     """Laplace noise on a fixed mean, and on a fixed variance if there is one:
-    the draw of array averaging and clip."""
+    the draw of array averaging and clip. A draw reads one uniform per
+    coordinate of positive noise scale, the mean's first."""
 
     mechanism: str
     grid: str
@@ -412,11 +484,17 @@ class _NoisyStats:
     scale_var: float | None = None
     arrays: int | None = None
 
-    def draw(self, rng: RngStream) -> MechanismOutput:
-        noisy_mean = self.mean + _noise(self.scale_mean, rng)
+    @property
+    def uniforms(self) -> int:
+        return 1 + (self.variance is not None)
+
+    def draw_batch(self, block) -> MechanismOutput:
+        rows = len(block)
+        noisy_mean = self.mean + _noise(np.full(rows, self.scale_mean), block, 0)
         noisy_variance = None
         if self.variance is not None:
-            noisy_variance = self.variance + _noise(self.scale_var, rng)
+            col = int(self.scale_mean > 0)
+            noisy_variance = self.variance + _noise(np.full(rows, self.scale_var), block, col)
         return MechanismOutput(
             mechanism=self.mechanism,
             grid=self.grid,
@@ -430,28 +508,26 @@ class _NoisyStats:
 
 @dataclass(frozen=True, eq=False)
 class _Projection:
-    """The release of levy and quantile once [a, b] is drawn: the mean of the
-    array means clamped to [a, b], with Laplace noise for sensitivity
-    (b - a) / k_bar on half the budget; one uniform unless a == b."""
+    """The releases of levy and quantile once each row's [a, b] is drawn: the
+    mean of the array means clamped to [a, b], with Laplace noise for
+    sensitivity (b - a) / k_bar on half the budget from column col, read
+    unless a == b."""
 
     mechanism: str
     grid: str
     means: np.ndarray
     epsilon: float
 
-    def release(
-        self, a: float, b: float, rng: RngStream, degenerate: bool = False
-    ) -> MechanismOutput:
+    def release(self, a, b, block, col: int, degenerate: bool = False) -> MechanismOutput:
         k_bar = len(self.means)
-        # np.clip is min(max(v, a), b) bit for bit on non-NaN means, and the
-        # builtin sum adds in array order, so the mean equals the per-value form
-        projected = np.clip(self.means, a, b).tolist()
         delta = (b - a) / k_bar
-        scale = 2 * delta / self.epsilon
+        # a scale that overflows to inf fails the noise's check, as with floats
+        with np.errstate(over="ignore"):
+            scale = 2 * delta / self.epsilon
         return MechanismOutput(
             mechanism=self.mechanism,
             grid=self.grid,
-            noisy_mean=sum(projected) / k_bar + _noise(scale, rng),
+            noisy_mean=_projected_sums(self.means, a, b) / k_bar + _noise(scale, block, col),
             noise_scale_mean=scale,
             interval=(a, b),
             degenerate_ranks=degenerate,
@@ -460,34 +536,38 @@ class _Projection:
 
 
 @dataclass(frozen=True, eq=False)
-class _LevyDraw:
-    """One uniform picks a bin; its interval ends were computed by bind."""
+class _LevyDraw(_Draws):
+    """One uniform picks a bin, whose interval ends bind computed; the
+    second is the noise."""
 
     projection: _Projection
-    ends: tuple[tuple[float, float], ...]
-    table: tuple[list[float], float]
+    ends: np.ndarray
+    table: tuple[np.ndarray, float]
+    uniforms = 2
 
-    def draw(self, rng: RngStream) -> MechanismOutput:
-        a, b = self.ends[_choose(*self.table, rng.random())]
-        return self.projection.release(a, b, rng)
+    def draw_batch(self, block) -> MechanismOutput:
+        a, b = self.ends[_choose(*self.table, block[:, 0])].T
+        return self.projection.release(a, b, block, 1)
 
 
 @dataclass(frozen=True, eq=False)
-class _QuantileDraw:
-    """Two uniforms per quantile (low, then high) over shared points."""
+class _QuantileDraw(_Draws):
+    """Two uniforms per quantile (low, then high) over shared points, then
+    the noise."""
 
     projection: _Projection
-    pts: list[float]
-    low: tuple[list[float], float]
-    high: tuple[list[float], float]
+    pts: np.ndarray
+    low: tuple[np.ndarray, float]
+    high: tuple[np.ndarray, float]
     degenerate: bool
+    uniforms = 5
 
-    def draw(self, rng: RngStream) -> MechanismOutput:
-        a = _quantile_pick(self.pts, self.low, rng)
-        b = _quantile_pick(self.pts, self.high, rng)
-        if a > b:
-            a, b = b, a
-        return self.projection.release(a, b, rng, self.degenerate)
+    def draw_batch(self, block) -> MechanismOutput:
+        a = _quantile_pick(self.pts, self.low, block[:, 0], block[:, 1])
+        b = _quantile_pick(self.pts, self.high, block[:, 2], block[:, 3])
+        swap = a > b
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+        return self.projection.release(a, b, block, 4, self.degenerate)
 
 
 def _bind_clip(prep: Prepared, params: MechanismParams) -> _NoisyStats:
@@ -522,7 +602,7 @@ def _bind_levy(prep: Prepared, params: MechanismParams) -> _LevyDraw:
     midpoints, _, weights = _interval_weights(means, params.epsilon / 2, tau, params.bound_u)
     return _LevyDraw(
         _Projection("levy", prep.grid, np.array(means), params.epsilon),
-        tuple(_interval_ends(c, tau, params.bound_u) for c in midpoints),
+        np.array([_interval_ends(c, tau, params.bound_u) for c in midpoints]),
         _table(weights),
     )
 
@@ -546,7 +626,7 @@ def _bind_quantile(prep: Prepared, params: MechanismParams) -> _QuantileDraw:
     pts = _quantile_points(means, params.bound_u)
     return _QuantileDraw(
         _Projection(f"quantile_{params.quantile_mode}", prep.grid, np.array(means), params.epsilon),
-        pts,
+        np.array(pts),
         _table(_quantile_weights(pts, q_lo, eps_q)),
         _table(_quantile_weights(pts, q_hi, eps_q)),
         degenerate,
@@ -568,8 +648,10 @@ def bind(
     """The epsilon-dependent stage: everything a release needs but the draw.
 
     Returns a frozen object whose draw(rng) makes one release, consuming
-    uniforms exactly as release() does; bind once per params and draw many
-    times. Strategy and capacity come from prepared; epsilon, gamma and
+    uniforms exactly as release() does, and whose draw_batch(block) makes
+    one release per row of an (N, uniforms) block, row i equal to draw on a
+    stream whose first uniforms are that row; bind once per params and draw
+    many times. Strategy and capacity come from prepared; epsilon, gamma and
     quantile_mode from params, whose bound_u must be prepared's (InvalidParams).
     """
     if params.bound_u != prepared.bound_u:

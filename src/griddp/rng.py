@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from itertools import islice
 
 import numpy as np
 
@@ -40,6 +41,26 @@ class RngStream:
     def split(self, label: str) -> "RngStream":
         return RngStream(self.seed, self._path + (_label_entropy(label),))
 
+    def split_uniforms(self, labels, m: int) -> np.ndarray:
+        """An (N, m) float64 block for N labels (any iterable of them): row i
+        is the first m values of self.split(labels[i]).random(), bit for bit,
+        without building the N child streams."""
+        return self._children_uniforms(map(_label_entropy, labels), m)
+
+    def _children_uniforms(self, keys, m: int) -> np.ndarray:
+        """split_uniforms for children whose last path ints are keys, each
+        below 2^256; the children are generated _CHILDREN at a time."""
+        m = require_int("uniforms per child", m, low=0)
+        pool, hc = _path_pool(int(self.seed), self._path)
+        keys = iter(keys)
+        blocks = [np.empty((0, m))]
+        while chunk := list(islice(keys, _CHILDREN)):
+            words = np.frombuffer(
+                b"".join(k.to_bytes(32, "little") for k in chunk), dtype="<u4"
+            ).reshape(-1, 8)
+            blocks.append(_pcg64_uniforms(_generate_state(_mix_keys(pool, hc, words)), m))
+        return np.concatenate(blocks)
+
     def random(self, size: int | None = None):
         """Uniform draws in [0, 1): a float for size=None, else an ndarray."""
         return self._gen.random() if size is None else self._gen.random(size)
@@ -59,6 +80,143 @@ class RngStream:
             return mu + float(_normal_inverse_cdf(np.array([u]))[0]) * sigma
         u = np.clip(self.random(size), _EPS, 1.0 - _EPS)
         return mu + _normal_inverse_cdf(u) * sigma
+
+
+# A numpy port of SeedSequence (pool size 4) and PCG64 for split_uniforms,
+# after numpy's bit_generator.pyx and pcg64.h (O'Neill 2014, "PCG: A Family
+# of Simple Fast Space-Efficient Statistically Good Algorithms for Random
+# Number Generation"). Words are uint32 and 64-bit limbs uint64 arrays, whose
+# arithmetic wraps silently; constants shared by every child are Python ints,
+# never numpy integer scalars, whose arithmetic warns on overflow.
+_MASK32 = 0xFFFF_FFFF
+_MASK64 = 0xFFFF_FFFF_FFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# Children generated per pass of _children_uniforms, which bounds its memory.
+_CHILDREN = 1 << 14
+
+
+def _words(n: int) -> list[int]:
+    """n as little-endian uint32 words, high zero words dropped; 0 is [0]."""
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hash_consts(hc: int, mult: int, count: int) -> list[int]:
+    """hc and the count hash constants after it: each is the last times mult."""
+    out = [hc]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+def _hashmix(value: int, hc: int) -> tuple[int, int]:
+    """SeedSequence's hashmix of one word, and the next hash constant."""
+    nxt = hc * _MULT_A & _MASK32
+    value = (value ^ hc) * nxt & _MASK32
+    return value ^ value >> 16, nxt
+
+
+def _mix(x: int, y: int) -> int:
+    value = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return value ^ value >> 16
+
+
+def _path_pool(seed: int, path: tuple[int, ...]) -> tuple[list[int], int]:
+    """The pool of SeedSequence(seed, spawn_key=path + (key,)) before key's
+    words are mixed in, and the hash constant they start from. A spawn key
+    pads the seed's words to the pool size, so this part is shared by every
+    child of one stream."""
+    entropy = _words(seed)
+    entropy += [0] * (4 - len(entropy))
+    for key in path:
+        entropy += _words(key)
+    pool, hc = [], _INIT_A
+    for word in entropy[:4]:
+        value, hc = _hashmix(word, hc)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, hc = _hashmix(pool[src], hc)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[4:]:
+        for dst in range(4):
+            value, hc = _hashmix(word, hc)
+            pool[dst] = _mix(pool[dst], value)
+    return pool, hc
+
+
+def _mix_keys(pool: list[int], hc: int, words: np.ndarray) -> np.ndarray:
+    """(N, 4) uint32 pools after mixing each row's key words (N, 8) into
+    pool, one source word at a time, each into the 4 pool words with 4
+    consecutive hash constants. A key has as many words as its highest
+    nonzero word (at least one), so rows are grouped by word count."""
+    nonzero = words != 0
+    counts = np.where(nonzero.any(axis=1), 8 - np.argmax(nonzero[:, ::-1], axis=1), 1)
+    consts = np.array(_hash_consts(hc, _MULT_A, 32), dtype=np.uint32)
+    out = np.empty((len(words), 4), dtype=np.uint32)
+    for count in np.unique(counts).tolist():
+        rows = counts == count
+        mixed = np.broadcast_to(np.array(pool, dtype=np.uint32), (int(rows.sum()), 4))
+        for j, word in enumerate(words[rows, :count].T):
+            h = (word[:, None] ^ consts[4 * j : 4 * j + 4]) * consts[4 * j + 1 : 4 * j + 5]
+            h ^= h >> 16
+            mixed = _MIX_L * mixed - _MIX_R * h
+            mixed ^= mixed >> 16
+        out[rows] = mixed
+    return out
+
+
+def _generate_state(pools: np.ndarray) -> np.ndarray:
+    """generate_state(4, uint64) of each (N, 4) pool: an (N, 4) uint64 array."""
+    consts = np.array(_hash_consts(_INIT_B, _MULT_B, 8), dtype=np.uint32)
+    state = (np.tile(pools, 2) ^ consts[:8]) * consts[1:]
+    state ^= state >> 16
+    state = state.astype(np.uint64)
+    return state[:, 0::2] | state[:, 1::2] << 32
+
+
+def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
+    """The high 64 bits of a * b, from 32-bit limb products."""
+    a0, a1 = a & _MASK32, a >> 32
+    b0, b1 = b & _MASK32, b >> 32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+
+
+_MULT_HI, _MULT_LO = _PCG_MULT >> 64, _PCG_MULT & _MASK64
+
+
+def _lcg_step(hi, lo, inc_hi, inc_lo):
+    """state * _PCG_MULT + inc modulo 2^128, on (hi, lo) uint64 limbs."""
+    new_lo = lo * _MULT_LO + inc_lo
+    carry = new_lo < inc_lo
+    new_hi = hi * _MULT_LO + lo * _MULT_HI + _mulhi64(lo, _MULT_LO) + inc_hi + carry
+    return new_hi, new_lo
+
+
+def _pcg64_uniforms(seeds: np.ndarray, m: int) -> np.ndarray:
+    """The first m Generator.random() values of PCG64 seeded with each row
+    of seeds, generate_state's (N, 4) uint64 words: initstate s0 << 64 | s1,
+    initseq s2 << 64 | s3. Each value is one LCG step, then XSL-RR."""
+    s0, s1, s2, s3 = seeds.T
+    inc_hi, inc_lo = s2 << 1 | s3 >> 63, s3 << 1 | 1
+    # state = 0, step, add initstate, step
+    lo = inc_lo + s1
+    hi, lo = _lcg_step(inc_hi + s0 + (lo < s1), lo, inc_hi, inc_lo)
+    out = np.empty((len(seeds), m))
+    for j in range(m):
+        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        x = x >> rot | x << (-rot & 63)
+        out[:, j] = (x >> 11) * 2.0**-53
+    return out
 
 
 # AS241 (Wichura 1988) rational approximations, highest degree first, in the
@@ -128,16 +286,23 @@ def _normal_inverse_cdf(p: np.ndarray) -> np.ndarray:
 def laplace_inverse_cdf(u, scale: float):
     """Map uniform u in [0, 1) to a centered Laplace variate of given scale.
 
-    u = 0.5 maps to exactly 0. Inputs at the open ends are nudged by one ulp
-    so the transform never returns an infinity. The offset from 0.5 is taken
-    through 1 - u, so u and the float 1 - u map to exact negatives; on the
-    2^-53 grid of RngStream.random() it equals u - 0.5 exactly.
+    scale is one positive finite float, or an array of them broadcast
+    against u. u = 0.5 maps to exactly 0. Inputs at the open ends are nudged
+    by one ulp so the transform never returns an infinity. The offset from
+    0.5 is taken through 1 - u, so u and the float 1 - u map to exact
+    negatives; on the 2^-53 grid of RngStream.random() it equals u - 0.5
+    exactly.
     """
-    require_positive("laplace scale", scale, NonPositiveScale)
+    if np.ndim(scale) == 0:
+        require_positive("laplace scale", scale, NonPositiveScale)
+    else:
+        scale = np.asarray(scale, dtype=float)
+        if not np.all((scale > 0) & (scale < math.inf)):
+            raise NonPositiveScale(f"laplace scales must be positive and finite, got {scale}")
     u_arr = np.asarray(u, dtype=float)
     shifted = 0.5 - (1.0 - u_arr)
     inner = np.clip(1.0 - 2.0 * np.abs(shifted), _EPS, None)
     out = -scale * np.sign(shifted) * np.log(inner)
-    if np.ndim(u) == 0:
+    if np.ndim(out) == 0:
         return float(out)
     return out

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from griddp.cli import _build_parser, _parse_eps_grid, cli_main
+from griddp.cli import _build_parser, _parse_eps_grid, _write, cli_main
 from griddp.dataset import parse_dataset, parse_occupancy
 from griddp.harness import ExperimentConfig, check_scaling_laws
 from griddp.mechanisms import MechanismParams
@@ -222,6 +222,19 @@ def test_mechanism_rejects_malformed_plan(capsys, data_file, tmp_path, plan_obj,
     assert "Traceback" not in err
     for name in names:
         assert name in err
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 7])
+def test_json_rows_are_streamed_as_json_dumps_writes_them(n, monkeypatch):
+    # chunks of 3 rows: 3 rows fill one chunk exactly, 7 end in a partial one
+    monkeypatch.setattr("griddp.cli._JSON_CHUNK", 3)
+    fields = ["user", "grid", "value", "note"]
+    texts = [None, 'say "hi"', "caf\u00e9 \u2192 \U0001f600", "a\nb\\c", ""]
+    rows = [(f"u{i}", "g1", i / 3 if i % 2 else None, texts[i % len(texts)]) for i in range(n)]
+    fh = io.StringIO()
+    _write(fh, "json", iter(rows), fields, None)
+    want = json.dumps([dict(zip(fields, r)) for r in rows], indent=2) + "\n"
+    assert fh.getvalue() == want
 
 
 def test_clip_user_json(capsys, occ_file):

@@ -545,6 +545,18 @@ def test_clip_plan_repr_shows_the_counts():
     assert "plan=ClipPlan(retained={'g1': {'u1': 2, 'u2': 2}, 'g2': {'u1': 0, " in repr(res)
 
 
+def test_compared_or_printed_plan_keeps_its_aligned_array():
+    # == and repr build the mapping without making it the plan, so the
+    # plan's readers keep the array path
+    occ = OccupancyArray(BASE)
+    plan = clip_user(occ, 1.0, 1.0).plan
+    gammas = plan._gammas
+    mapping = occ._rows(gammas)
+    assert plan == plan and plan == ClipPlan(mapping)
+    assert repr(plan) == f"ClipPlan(retained={mapping!r})"
+    assert plan._gammas is gammas and plan._retained is None and plan._occupancy is occ
+
+
 @settings(max_examples=200, deadline=None)
 @given(_small_occupancies(), st.randoms(use_true_random=False), st.sampled_from([0.2, 1.0, 4.0]))
 def test_cap_scan_matches_reference_on_partial_plans(occ, rnd, epsilon):

@@ -31,7 +31,7 @@ from griddp.harness import (
     monte_carlo_error,
     monte_carlo_privacy,
 )
-from griddp.mechanisms import MechanismParams, release
+from griddp.mechanisms import MechanismParams, _row, bind, prepare, release
 from griddp.rng import RngStream
 from griddp.synth import SynthParams, ValueModel, generate_occupancy, generate_values
 
@@ -102,6 +102,20 @@ def _mae(name):
 @pytest.mark.parametrize("name", sorted(MAE_CASES))
 def test_mae_eval_golden(name):
     assert _mae(name) == MAE_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(MAE_CASES))
+def test_draw_batch_rows_equal_draws_on_the_same_split(name):
+    # the rows of one block, as mae_eval draws them, against one draw per split
+    mechanism, kwargs = MAE_CASES[name]
+    ds, root = _dataset(), RngStream(7)
+    labels = [f"mae:{ei}:{i}" for ei in range(2) for i in range(30)]
+    for eps in (0.5, 2.0):
+        params = MechanismParams(BOUND_U, eps, **kwargs)
+        bound = bind(prepare(ds, "b", mechanism, params), params)
+        batch = bound.draw_batch(root.split_uniforms(labels, bound.uniforms))
+        for i, label in enumerate(labels):
+            assert _fields(_row(batch, i)) == _fields(bound.draw(root.split(label)))
 
 
 # name -> (mechanism, MechanismParams keyword arguments)

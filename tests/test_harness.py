@@ -13,6 +13,7 @@ from griddp.harness import (
     monte_carlo_error,
     monte_carlo_privacy,
 )
+from griddp.rng import RngStream
 from griddp.sensitivity import mean_sensitivity
 from griddp.synth import SynthParams
 
@@ -137,3 +138,22 @@ def test_config_validation():
 def test_config_rejects_non_integer_counts(kwargs):
     with pytest.raises(InvalidParams, match="must be an integer"):
         ExperimentConfig(epsilons=(1.0,), seed=1, **kwargs)
+
+
+def test_mae_eval_draws_every_release_from_one_block(monkeypatch):
+    blocks = []
+    split_uniforms = RngStream.split_uniforms
+
+    def one_block(self, labels, m):
+        blocks.append(m)
+        return split_uniforms(self, labels, m)
+
+    def no_split(self, label):
+        raise AssertionError(f"per-draw split {label!r}")
+
+    monkeypatch.setattr(RngStream, "split_uniforms", one_block)
+    monkeypatch.setattr(RngStream, "split", no_split)
+    for mechanism, uniforms in (("clip", 2), ("levy", 2), ("quantile", 5)):
+        blocks.clear()
+        mae_eval(_equal_count_dataset(), "g", _config(mechanism=mechanism, mae_draws=7))
+        assert blocks == [uniforms]

@@ -5,6 +5,7 @@ import math
 import random
 from bisect import bisect_left
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -116,9 +117,51 @@ def test_clip_plan_validation():
         clip_release(ds, "g", {"u1": 0, "u2": 0}, _params(), RngStream(0))
 
 
+def _reads(count, seed):
+    """The uniform after the first count of RngStream(seed)."""
+    ref = RngStream(seed)
+    ref.random(count)
+    return ref.random()
+
+
+@pytest.mark.parametrize(
+    "mechanism, kw, count",
+    [
+        ("baseline", {}, 2),
+        ("clip", {}, 2),
+        ("array_average", {}, 1),
+        ("levy", {}, 2),
+        ("quantile", {}, 5),
+        ("quantile", {"quantile_mode": "optimized"}, 5),
+    ],
+)
+def test_release_reads_the_documented_uniforms(mechanism, kw, count):
+    ds = _dataset([7, 1, 4, 4, 9, 2, 5, 3, 6, 8, 2, 2], seed=8)
+    for seed in range(3):
+        rng = RngStream(seed)
+        release(ds, "g", mechanism, _params(**kw), rng)
+        assert rng.random() == _reads(count, seed)
+
+
+def test_quantile_with_equal_ends_reads_no_noise_uniform():
+    # a bound of the least subnormal puts both quantiles on 0 or U, so some
+    # draws have a == b, a zero noise scale, and read 4 uniforms, not 5
+    tiny = 5e-324
+    ds = Dataset({"g": {f"u{i}": [0.0] * 3 for i in range(8)}}, tiny)
+    equal_ends = 0
+    for seed in range(10):
+        rng = RngStream(seed)
+        out = quantile_release(ds, "g", MechanismParams(tiny, 1.0), rng)
+        equal_ends += out.interval[0] == out.interval[1]
+        assert out.noise_scale_mean == 0.0
+        assert rng.random() == _reads(4, seed)
+    assert equal_ends >= 3
+
+
 def test_single_retained_sample_has_zero_variance_noise():
     ds = _dataset([3, 2])
-    out = clip_release(ds, "g", {"u1": 1, "u2": 0}, _params(), RngStream(4))
+    rng = RngStream(4)
+    out = clip_release(ds, "g", {"u1": 1, "u2": 0}, _params(), rng)
     assert out.noise_scale_var == 0.0
     assert out.noisy_variance == 0.0
     # the variance coordinate burns no randomness: the mean draw is the
@@ -126,6 +169,7 @@ def test_single_retained_sample_has_zero_variance_noise():
     replay = RngStream(4)
     expected = ds.values("g", "u1")[0] + laplace_inverse_cdf(replay.random(), out.noise_scale_mean)
     assert out.noisy_mean == expected
+    assert rng.random() == replay.random()
 
 
 def test_array_average_scale_best_and_wrap():
@@ -320,6 +364,7 @@ _WEIGHTS = st.lists(
 @example([0.0, 0.0, 0.0], None)  # zero total: the last index
 @example([1.0, 1.0, 2.0], None)  # u = 0.25 puts r exactly on cum[0]
 @example([1.0, 0.0, 0.0, 1.0], None)  # r = 1.0 on a run of equal sums
+@example([5e-324], None)  # u = 1 - 2^-53 rounds r up to cum[-1]
 def test_choose_table_matches_running_sum(weights, data):
     cum, total = _table(weights)
     uniforms = [0.0, 0.25, 0.5, 0.75, 1 - 2**-53]
@@ -329,6 +374,9 @@ def test_choose_table_matches_running_sum(weights, data):
         uniforms.append(data.draw(st.floats(0.0, 1.0, exclude_max=True)))
     for u in uniforms:
         assert _choose(cum, total, u) == _choose_reference(weights, u)
+    # one searchsorted over a block of uniforms chooses as one call per uniform
+    want = [_choose_reference(weights, u) for u in uniforms]
+    assert _choose(cum, total, np.array(uniforms)).tolist() == want
 
 
 def test_choose_boundary_and_fallback_cases():

@@ -1,6 +1,7 @@
 """Stream splitting, determinism, and the inverse-CDF samplers."""
 
 import math
+import random
 from statistics import NormalDist
 
 import numpy as np
@@ -8,7 +9,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from griddp.errors import InvalidParams, NonPositiveScale
-from griddp.rng import _EPS, RngStream, _normal_inverse_cdf, laplace_inverse_cdf
+from griddp.rng import (
+    _EPS,
+    RngStream,
+    _label_entropy,
+    _normal_inverse_cdf,
+    laplace_inverse_cdf,
+)
 from test_synth import geometric, randbelow, subset
 
 
@@ -40,6 +47,79 @@ def test_nested_split_paths_distinct():
         root.split("a").split("b").random(size=4),
         root.split("b").split("a").random(size=4),
     )
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def test_split_uniforms_equal_split_streams():
+    # the numpy port of SeedSequence and PCG64 against numpy itself, on the
+    # labels mae_eval uses: a change in either numpy algorithm fails here
+    root = RngStream(0)
+    labels = [f"mae:{i // 5000}:{i % 5000}" for i in range(100_000)]
+    got = root.split_uniforms(iter(labels), 5)
+    assert got.shape == (100_000, 5)
+    want = np.array([root.split(label).random(5) for label in labels])
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64, 2**70 + 3, 2**130 + 5])
+def test_split_uniforms_of_seeds_and_nested_paths(seed):
+    labels = ["a", "mae:0:0", "grid:g04", "", "\u00e9"]
+    for stream in (RngStream(seed), RngStream(seed).split("grid:g04").split("x")):
+        want = np.array([stream.split(label).random(3) for label in labels])
+        assert np.array_equal(_bits(stream.split_uniforms(labels, 3)), _bits(want))
+    assert RngStream(seed).split_uniforms([], 3).shape == (0, 3)
+    assert RngStream(seed).split_uniforms(labels, 0).shape == (5, 0)
+
+
+def _key_of_words(rnd, count):
+    """A random int of exactly count little-endian uint32 words."""
+    return rnd.randrange(1, 2**32) << 32 * (count - 1) | rnd.getrandbits(32 * (count - 1))
+
+
+@pytest.mark.parametrize(
+    "seed, path",
+    [(0, ()), (2**70 + 3, ()), (2**130 + 5, ()), (9, (_label_entropy("grid:g04"),)), (1, (0, 2**32))],
+)
+def test_children_uniforms_for_keys_of_one_to_eight_words(seed, path):
+    # SeedSequence drops a key's high zero words; no sha256 of a real label
+    # is known to have a zero top word, so such keys are made up here
+    rnd = random.Random(seed)
+    keys = [0, 1, 2**32 - 1, 2**32, 2**64 + 2**32, 2**160 + 1, 2**224 - 1, 2**224, 2**256 - 1]
+    keys += [_key_of_words(rnd, count) for count in range(1, 9) for _ in range(4)]
+    keys += [rnd.getrandbits(256) >> 32 for _ in range(4)]
+    got = RngStream(seed, path)._children_uniforms(keys, 4)
+    want = np.array([RngStream(seed, path + (k,)).random(4) for k in keys])
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_vector_laplace_equals_scalar_calls():
+    # numpy may run np.log through another loop for one element than for
+    # many; batched draws rely on both giving the same bits. u = k 2^-53,
+    # the grid of RngStream.random(), with both ends and the middle
+    k = np.concatenate(
+        [
+            np.arange(100_000),
+            2**52 - 50_000 + np.arange(100_000),
+            2**53 - 100_000 + np.arange(100_000),
+            np.floor(RngStream(3).random(300_000) * 2**53),
+        ]
+    )
+    u = k * 2.0**-53
+    assert u[0] == 0.0 and u[299_999] == 1 - 2.0**-53
+    scales = np.resize([1.0, 0.37, 2.5e3, 7e-300], len(u))
+    want = [laplace_inverse_cdf(x, s) for x, s in zip(u.tolist(), scales.tolist())]
+    assert np.array_equal(_bits(laplace_inverse_cdf(u, scales)), _bits(want))
+    ones = laplace_inverse_cdf(u, 1.0)
+    assert np.array_equal(_bits(ones[::4]), _bits(want[::4]))
+
+
+def test_laplace_rejects_bad_scale_arrays():
+    for bad in ([1.0, 0.0], [1.0, math.inf], [math.nan, 1.0]):
+        with pytest.raises(NonPositiveScale):
+            laplace_inverse_cdf(np.array([0.2, 0.7]), np.array(bad))
 
 
 def test_laplace_inverse_cdf_quantiles():
