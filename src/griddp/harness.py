@@ -27,7 +27,7 @@ from .mechanisms import (
     levy_planning_delta,
     prepare,
 )
-from .rng import RngStream
+from .rng import _CHILDREN, RngStream
 from .sensitivity import mean_sensitivity
 from .synth import SynthParams, generate_occupancy
 
@@ -53,6 +53,7 @@ class ExperimentConfig:
             raise InvalidParams("need at least one epsilon")
         for e in self.epsilons:
             require_positive("epsilon", e)
+        require_int("seed", self.seed, low=0)
         require_int("trial count", self.trials, low=1)
         require_int("mae_draws", self.mae_draws, low=1)
 
@@ -121,9 +122,11 @@ def mae_eval(
     clip and the grouped mechanisms (array_average, levy, quantile) prepare
     the grid once and bind once per epsilon. Draw i at epsilon index ei
     uses the uniforms of the stream split "mae:{ei}:{i}", so the points
-    equal those of per-draw release(); one block of uniforms holds every
-    draw of the call, and each epsilon's rows are drawn as one batch. The
-    true mean and the MAE are sums added left to right.
+    equal those of per-draw release(). The labels are taken _CHILDREN at a
+    time, across epsilons, into one block of uniforms each, and each
+    epsilon's rows of a block are drawn as one batch, so memory does not
+    grow with the number of epsilons. The true mean and each MAE are sums
+    added left to right, the MAE's carried from block to block.
     """
     if config.mechanism == "baseline":
         counts = dataset.occupancy().counts_in(grid)
@@ -137,15 +140,21 @@ def mae_eval(
     all_params = [MechanismParams(dataset.bound_u, eps, **options) for eps in config.epsilons]
     prepared = prepare(dataset, grid, config.mechanism, all_params[0])
     bounds = [bind(prepared, params) for params in all_params]
-    draws = config.mae_draws
-    labels = (f"mae:{ei}:{i}" for ei in range(len(bounds)) for i in range(draws))
-    block = RngStream(config.seed).split_uniforms(labels, max(b.uniforms for b in bounds))
-    points: list[CurvePoint] = []
-    for ei, (params, bound) in enumerate(zip(all_params, bounds)):
-        noisy = bound.draw_batch(block[ei * draws : (ei + 1) * draws]).noisy_mean
-        value = float(np.cumsum(np.abs(noisy - true_mean))[-1] / draws)
-        points.append(CurvePoint(params.epsilon, value, config.mechanism))
-    return points
+    root, draws = RngStream(config.seed), config.mae_draws
+    m, n = max(b.uniforms for b in bounds), len(bounds) * draws
+    totals = [0.0] * len(bounds)
+    for start in range(0, n, _CHILDREN):
+        stop = min(start + _CHILDREN, n)
+        labels = (f"mae:{row // draws}:{row % draws}" for row in range(start, stop))
+        block = root.split_uniforms(labels, m)
+        for ei in range(start // draws, (stop - 1) // draws + 1):
+            part = block[max(ei * draws - start, 0) : (ei + 1) * draws - start]
+            errors = np.abs(bounds[ei].draw_batch(part).noisy_mean - true_mean)
+            totals[ei] = np.cumsum(np.concatenate(([totals[ei]], errors)))[-1]
+    return [
+        CurvePoint(params.epsilon, float(total / draws), config.mechanism)
+        for params, total in zip(all_params, totals)
+    ]
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ class RngStream:
     """
 
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
-        self.seed = require_int("seed", seed)
+        self.seed = require_int("seed", seed, low=0)
         self._path = _path
         ss = np.random.SeedSequence(entropy=seed, spawn_key=_path)
         self._gen = np.random.Generator(np.random.PCG64(ss))
@@ -51,7 +51,13 @@ class RngStream:
         """split_uniforms for children whose last path ints are keys, each
         below 2^256; the children are generated _CHILDREN at a time."""
         m = require_int("uniforms per child", m, low=0)
-        pool, hc = _path_pool(int(self.seed), self._path)
+        # A child's SeedSequence mixes its key's words into this stream's own
+        # pool: the spawn key pads the seed's words to the pool size with
+        # the zeros that the pool of a short seed already mixed in. The hash
+        # constant has advanced once per hashmix, 4 per entropy word.
+        pool = self._gen.bit_generator.seed_seq.pool
+        n = max(4, _word_count(self.seed)) + sum(map(_word_count, self._path))
+        hc = _INIT_A * pow(_MULT_A, 4 * n, 1 << 32) & _MASK32
         keys = iter(keys)
         blocks = [np.empty((0, m))]
         while chunk := list(islice(keys, _CHILDREN)):
@@ -74,20 +80,19 @@ class RngStream:
     def normal(self, mu: float, sigma: float, size: int | None = None):
         """Gaussian draws via the inverse CDF, bit for bit NormalDist(mu, sigma).inv_cdf."""
         require_positive("normal sigma", sigma)
-        mu, sigma = float(mu), float(sigma)
-        if size is None:
-            u = min(max(self.random(), _EPS), 1.0 - _EPS)
-            return mu + float(_normal_inverse_cdf(np.array([u]))[0]) * sigma
-        u = np.clip(self.random(size), _EPS, 1.0 - _EPS)
-        return mu + _normal_inverse_cdf(u) * sigma
+        u = np.clip(self.random(1 if size is None else size), _EPS, 1.0 - _EPS)
+        out = float(mu) + _normal_inverse_cdf(u) * float(sigma)
+        return float(out[0]) if size is None else out
 
 
-# A numpy port of SeedSequence (pool size 4) and PCG64 for split_uniforms,
-# after numpy's bit_generator.pyx and pcg64.h (O'Neill 2014, "PCG: A Family
-# of Simple Fast Space-Efficient Statistically Good Algorithms for Random
-# Number Generation"). Words are uint32 and 64-bit limbs uint64 arrays, whose
-# arithmetic wraps silently; constants shared by every child are Python ints,
-# never numpy integer scalars, whose arithmetic warns on overflow.
+# A numpy port of SeedSequence's mixing of a spawn key and generate_state
+# (pool size 4), and of PCG64, for split_uniforms, after numpy's
+# bit_generator.pyx and pcg64.h (O'Neill 2014, "PCG: A Family of Simple Fast
+# Space-Efficient Statistically Good Algorithms for Random Number
+# Generation"); the pool the keys are mixed into is numpy's own. Words are
+# uint32 and 64-bit limbs uint64 arrays, whose arithmetic wraps silently;
+# constants shared by every child are Python ints, never numpy integer
+# scalars, whose arithmetic warns on overflow.
 _MASK32 = 0xFFFF_FFFF
 _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -98,12 +103,10 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _CHILDREN = 1 << 14
 
 
-def _words(n: int) -> list[int]:
-    """n as little-endian uint32 words, high zero words dropped; 0 is [0]."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
+def _word_count(n: int) -> int:
+    """The uint32 words SeedSequence makes of n: high zero words dropped,
+    and 0 is one word."""
+    return max(1, (n.bit_length() + 31) // 32)
 
 
 def _hash_consts(hc: int, mult: int, count: int) -> list[int]:
@@ -114,44 +117,7 @@ def _hash_consts(hc: int, mult: int, count: int) -> list[int]:
     return out
 
 
-def _hashmix(value: int, hc: int) -> tuple[int, int]:
-    """SeedSequence's hashmix of one word, and the next hash constant."""
-    nxt = hc * _MULT_A & _MASK32
-    value = (value ^ hc) * nxt & _MASK32
-    return value ^ value >> 16, nxt
-
-
-def _mix(x: int, y: int) -> int:
-    value = (_MIX_L * x - _MIX_R * y) & _MASK32
-    return value ^ value >> 16
-
-
-def _path_pool(seed: int, path: tuple[int, ...]) -> tuple[list[int], int]:
-    """The pool of SeedSequence(seed, spawn_key=path + (key,)) before key's
-    words are mixed in, and the hash constant they start from. A spawn key
-    pads the seed's words to the pool size, so this part is shared by every
-    child of one stream."""
-    entropy = _words(seed)
-    entropy += [0] * (4 - len(entropy))
-    for key in path:
-        entropy += _words(key)
-    pool, hc = [], _INIT_A
-    for word in entropy[:4]:
-        value, hc = _hashmix(word, hc)
-        pool.append(value)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                value, hc = _hashmix(pool[src], hc)
-                pool[dst] = _mix(pool[dst], value)
-    for word in entropy[4:]:
-        for dst in range(4):
-            value, hc = _hashmix(word, hc)
-            pool[dst] = _mix(pool[dst], value)
-    return pool, hc
-
-
-def _mix_keys(pool: list[int], hc: int, words: np.ndarray) -> np.ndarray:
+def _mix_keys(pool: np.ndarray, hc: int, words: np.ndarray) -> np.ndarray:
     """(N, 4) uint32 pools after mixing each row's key words (N, 8) into
     pool, one source word at a time, each into the 4 pool words with 4
     consecutive hash constants. A key has as many words as its highest
@@ -162,7 +128,7 @@ def _mix_keys(pool: list[int], hc: int, words: np.ndarray) -> np.ndarray:
     out = np.empty((len(words), 4), dtype=np.uint32)
     for count in np.unique(counts).tolist():
         rows = counts == count
-        mixed = np.broadcast_to(np.array(pool, dtype=np.uint32), (int(rows.sum()), 4))
+        mixed = np.broadcast_to(pool, (int(rows.sum()), 4))
         for j, word in enumerate(words[rows, :count].T):
             h = (word[:, None] ^ consts[4 * j : 4 * j + 4]) * consts[4 * j + 1 : 4 * j + 5]
             h ^= h >> 16
@@ -293,12 +259,9 @@ def laplace_inverse_cdf(u, scale: float):
     negatives; on the 2^-53 grid of RngStream.random() it equals u - 0.5
     exactly.
     """
-    if np.ndim(scale) == 0:
-        require_positive("laplace scale", scale, NonPositiveScale)
-    else:
-        scale = np.asarray(scale, dtype=float)
-        if not np.all((scale > 0) & (scale < math.inf)):
-            raise NonPositiveScale(f"laplace scales must be positive and finite, got {scale}")
+    scale = np.asarray(scale, dtype=float)
+    if not np.all((scale > 0) & (scale < math.inf)):
+        raise NonPositiveScale(f"laplace scale must be positive and finite, got {scale}")
     u_arr = np.asarray(u, dtype=float)
     shifted = 0.5 - (1.0 - u_arr)
     inner = np.clip(1.0 - 2.0 * np.abs(shifted), _EPS, None)

@@ -495,6 +495,26 @@ def test_bad_input_file_is_an_error_line(capsys, tmp_path, data_file, flag, cont
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "--grids", "3", "--users", "7"],
+        ["synth", "--values", "--grids", "3", "--users", "7"],
+        ["montecarlo", "--mode", "privacy", "--eps", "0.5", "--grids", "3", "--users", "7"],
+        ["mechanism", "--u", "10", "--eps", "1", "--mech", "clip"],
+        ["mae", "--u", "10", "--eps", "1", "--mech", "baseline", "--grid", "g1"],
+    ],
+    ids=["synth", "synth-values", "montecarlo", "mechanism", "mae-baseline"],
+)
+def test_negative_seed_is_an_error_line(capsys, data_file, argv):
+    # numpy's SeedSequence once raised a bare ValueError on a negative seed
+    if "--u" in argv:
+        argv = argv + ["--data", data_file]
+    code, out, err = _run(capsys, argv + ["--seed", "-1"])
+    assert (code, out) == (1, "")
+    assert err == "error: seed must be >= 0, got -1\n"
+
+
 def test_synth_values_rejects_infinite_mean(capsys):
     code, out, err = _run(capsys, ["synth", "--values", "--mu", "inf", "--seed", "1"])
     assert code == 1

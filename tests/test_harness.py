@@ -1,9 +1,11 @@
 """Monte Carlo loops: reproducibility and the scaling checks."""
 
 import random
+import tracemalloc
 
 import pytest
 
+from griddp import harness, rng
 from griddp.dataset import Dataset
 from griddp.errors import InvalidParams
 from griddp.harness import (
@@ -122,6 +124,8 @@ def test_config_validation():
         ExperimentConfig(epsilons=(1.0,), seed=1, trials=0)
     with pytest.raises(InvalidParams):
         ExperimentConfig(epsilons=(1.0,), seed=1, mae_draws=0)
+    with pytest.raises(InvalidParams, match="seed must be >= 0"):
+        ExperimentConfig(epsilons=(1.0,), seed=-1)
 
 
 @pytest.mark.parametrize(
@@ -157,3 +161,40 @@ def test_mae_eval_draws_every_release_from_one_block(monkeypatch):
         blocks.clear()
         mae_eval(_equal_count_dataset(), "g", _config(mechanism=mechanism, mae_draws=7))
         assert blocks == [uniforms]
+
+
+def test_mae_points_do_not_depend_on_the_block_size(monkeypatch):
+    # 3 epsilons x 10 draws in blocks of 7 rows: blocks cross epsilon
+    # boundaries and each MAE is carried over three or four blocks
+    ds = _equal_count_dataset(n_users=12, count=4)
+    for mechanism in ("clip", "array_average", "levy", "quantile"):
+        cfg = _config(epsilons=(0.3, 1.0, 2.5), mechanism=mechanism, mae_draws=10)
+        want = [p.value.hex() for p in mae_eval(ds, "g", cfg)]
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_CHILDREN", 7)
+            patch.setattr(rng, "_CHILDREN", 3)
+            assert [p.value.hex() for p in mae_eval(ds, "g", cfg)] == want
+
+
+def _mae_peak_mib(epsilon_count):
+    # 10 epsilons already fill more than one block of labels
+    cfg = _config(
+        epsilons=tuple(0.1 * (i + 1) for i in range(epsilon_count)),
+        mechanism="quantile",
+        mae_draws=rng._CHILDREN // 8,
+    )
+    ds = _equal_count_dataset()
+    tracemalloc.start()
+    try:
+        mae_eval(ds, "g", cfg)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_mae_memory_does_not_grow_with_the_epsilons():
+    # one block for every draw once took 2048 x 5 floats per epsilon, twice
+    # over while split_uniforms joined its passes: about 25 MiB at 160.
+    # An untraced call first makes the one-time allocations of a first call.
+    mae_eval(_equal_count_dataset(), "g", _config(mechanism="quantile", mae_draws=10))
+    assert abs(_mae_peak_mib(160) - _mae_peak_mib(10)) < 2

@@ -25,6 +25,12 @@ def test_same_seed_same_sequence():
     assert np.array_equal(a, b)
 
 
+def test_negative_seed_is_invalid():
+    # numpy's SeedSequence once raised a bare ValueError
+    with pytest.raises(InvalidParams, match="seed must be >= 0, got -1"):
+        RngStream(-1)
+
+
 def test_split_labels_diverge():
     root = RngStream(5)
     x = root.split("alpha").random(size=8)
