@@ -19,14 +19,15 @@ import argparse
 import csv
 import inspect
 import json
+import os
 import sys
 from functools import partial
 from itertools import islice
 from pathlib import Path
 
-from .composition import clip_user
+from .composition import ClipPlan, clip_user, post_release
 from .dataset import DATA_HEADER, grid_stats, parse_dataset, parse_occupancy, write_dataset
-from .errors import GridDPError, InvalidPlan, IoError, OccupancyMismatch, UsageError, read_utf8
+from .errors import GridDPError, InvalidPlan, IoError, UsageError, read_utf8
 from .grouping import STRATEGIES
 from .harness import (
     ExperimentConfig,
@@ -39,7 +40,6 @@ from .mechanisms import (
     MECHANISMS,
     QUANTILE_MODES,
     MechanismParams,
-    clip_release,
     release,
 )
 from .rng import RngStream
@@ -200,12 +200,6 @@ def _load_plan(path: str) -> dict:
     for grid, row in obj.items():
         if not isinstance(row, dict):
             raise InvalidPlan(f"plan entry for grid {grid} must map users to counts, got {row!r}")
-        for user, count in row.items():
-            # JSON true/false load as bool, a subclass of int.
-            if isinstance(count, bool) or not isinstance(count, int):
-                raise InvalidPlan(
-                    f"plan count for user {user} in grid {grid} must be an integer, got {count!r}"
-                )
     return obj
 
 
@@ -221,18 +215,13 @@ def _cmd_mechanism(args) -> None:
     plan = _load_plan(args.plan) if args.plan else None
     if plan is not None and args.mech != "clip":
         raise UsageError("--plan only applies to the clip mechanism")
-    missing = sorted(set(plan or ()) - set(ds.grids()))
-    if missing:
-        raise OccupancyMismatch(f"plan names grids absent from the data: {missing}")
     grids = [args.grid] if args.grid else ds.grids()
     root = RngStream(args.seed)
+    # post_release releases every grid of the data, and release() refuses any other
+    released = post_release(ds, ClipPlan(plan), args.eps, root) if plan is not None else {}
     rows = []
     for g in grids:
-        sub = root.split(f"grid:{g}")
-        if args.mech == "clip" and plan is not None:
-            out = clip_release(ds, g, plan.get(g, {}), params, sub)
-        else:
-            out = release(ds, g, args.mech, params, sub)
+        out = released.get(g) or release(ds, g, args.mech, params, root.split(f"grid:{g}"))
         a, b = out.interval or (None, None)
         means = (out.noisy_mean, out.noise_scale_mean, out.noisy_variance, out.noise_scale_var)
         rows.append((out.grid, out.mechanism, *means, a, b, out.arrays, out.degenerate_ranks))
@@ -421,7 +410,13 @@ def cli_main(argv=None) -> int:
         if "seed" in args and args.seed is None:
             raise UsageError("--seed is required (on the command line or via --config)")
         args.handler(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
         return 0
+    except BrokenPipeError:
+        # the reader closed stdout; what is still buffered goes to devnull,
+        # so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -55,7 +55,7 @@ from .errors import (
     require_plan_row,
     require_positive,
 )
-from .mechanisms import MechanismOutput, MechanismParams, _prepare_clip, bind
+from .mechanisms import MechanismOutput, MechanismParams, clip_release
 from .rng import RngStream
 from .sensitivity import variance_peak_value
 from .worst_case_bias import bias_branch_value
@@ -86,7 +86,8 @@ class Suppression:
 class ClipPlan:
     """Retained sample counts per grid and user; 0 means fully suppressed.
 
-    retained maps grid -> user -> count. A plan made from an occupancy
+    retained maps grid -> user -> count; a grid or user it omits keeps all
+    its samples. A plan made from an occupancy
     (clip_user, full) holds its counts as an array aligned with the
     occupancy's entries, which pseudo_user_optimize reads, until retained
     is first read; from then on that mapping, edits included, is the plan.
@@ -164,13 +165,20 @@ class PseudoUserResult:
 def _budget_terms(
     sum_m: int, sum_gamma: int, gamma_star: int, bound_u: float, epsilon: float
 ) -> tuple[float, float, float, float]:
-    """bias_mean, bias_var, noise_mean and noise_var of a grid's budget;
-    sum() adds them in that order, and 0 + bias_mean is bias_mean."""
+    """bias_mean, bias_var, noise_mean and noise_var of a grid's budget,
+    in the order _budget_total adds them."""
     bias_mean = bound_u * (sum_m - sum_gamma) / sum_m
     _, bias_var = bias_branch_value(sum_m, sum_gamma, bound_u)
     noise_mean = 2 * (bound_u * gamma_star / sum_gamma) / epsilon
     _, var_sens = variance_peak_value(sum_gamma, gamma_star, bound_u)
     return bias_mean, bias_var, noise_mean, 2 * var_sens / epsilon
+
+
+def _budget_total(terms: tuple[float, float, float, float]) -> float:
+    """A budget's four terms added left to right, as _cap_totals adds them;
+    the builtin sum adds floats with compensation from Python 3.12 on."""
+    bias_mean, bias_var, noise_mean, noise_var = terms
+    return bias_mean + bias_var + noise_mean + noise_var
 
 
 def budget_from_aggregates(
@@ -188,7 +196,7 @@ def budget_from_aggregates(
     and the largest retained count gamma_star.
     """
     terms = _budget_terms(sum_m, sum_gamma, gamma_star, bound_u, epsilon)
-    return ErrorBudget(grid, *terms, total=sum(terms))
+    return ErrorBudget(grid, *terms, total=_budget_total(terms))
 
 
 def grid_error(
@@ -302,7 +310,7 @@ def clip_user(
                 if e == top[g]:  # a grid with two retained users has a second
                     second = next_kept(g, ptr[g] + 1)
                     pk = int(counts[desc[g][second]])
-                total = sum(_budget_terms(sum_m[g], sum_gamma[g] - c, pk, bound_u, epsilon))
+                total = _budget_total(_budget_terms(sum_m[g], sum_gamma[g] - c, pk, bound_u, epsilon))
                 # grids come in token order, so a tie keeps the earlier grid
                 if best is None or total < best[0]:
                     best = (total, g, e, c)
@@ -335,27 +343,25 @@ def clip_user(
     )
 
 
-def _require_plan_grids(occupancy: OccupancyArray, plan: ClipPlan) -> None:
-    """OccupancyMismatch unless the plan covers exactly the occupancy's
-    grids; a plan aligned with this occupancy does, so its mapping is not
-    built."""
-    if plan._occupancy is not occupancy and plan.grids() != occupancy.grids():
-        raise OccupancyMismatch("plan grids do not match the occupancy grids")
+def _plan_rows(grids: list[str], plan: ClipPlan) -> dict[str, dict[str, int]]:
+    """The plan's mapping; OccupancyMismatch if it names a grid outside grids."""
+    rows = plan._mapping()
+    missing = sorted(rows.keys() - set(grids))
+    if missing:
+        raise OccupancyMismatch(f"plan names grids absent from the data: {missing}")
+    return rows
 
 
-def _plan_gammas(occupancy: OccupancyArray, plan: ClipPlan, grid: str) -> np.ndarray:
-    """The plan's retained counts of a grid as int64, in user token order."""
+def _plan_gammas(occupancy: OccupancyArray, plan: ClipPlan) -> list[np.ndarray]:
+    """Each grid's retained counts as int64, in user token order, each row
+    checked as clip_release checks it; an aligned plan is read as its array."""
     if plan._occupancy is occupancy:
-        _, lo, hi = occupancy._span(grid)
-        return plan._gammas[lo:hi]
-    counts = occupancy.row(grid)  # in token order
-    row = plan.row(grid)
-    if row.keys() != counts.keys():
-        raise OccupancyMismatch(
-            f"plan for grid {grid} does not cover its users exactly"
-        )
-    gammas = require_plan_row(grid, counts, row)
-    return np.array(gammas, dtype=np.int64)
+        return [plan._gammas[lo:hi] for lo, hi in occupancy._spans()]
+    rows = _plan_rows(occupancy.grids(), plan)
+    return [
+        np.array(require_plan_row(g, occupancy.row(g), rows.get(g, {})), dtype=np.int64)
+        for g in occupancy.grids()
+    ]
 
 
 # Counts up to 2^53 are exact in float64, so every product of two counts
@@ -419,11 +425,9 @@ def pseudo_user_optimize(
     """
     require_positive("value bound", bound_u)
     require_positive("epsilon", epsilon)
-    _require_plan_grids(occupancy, plan)
     per_grid_m: dict[str, int] = {}
     per_grid_error: dict[str, ErrorBudget] = {}
-    for g in occupancy.grids():
-        gammas = _plan_gammas(occupancy, plan, g)
+    for g, gammas in zip(occupancy.grids(), _plan_gammas(occupancy, plan)):
         sum_m = occupancy.total(g)
         if sum_m > _EXACT_INT:
             raise TooLarge(f"grid {g} holds {sum_m} samples; the cap scan takes at most 2^53")
@@ -463,15 +467,13 @@ def post_release(
 ) -> dict[str, MechanismOutput]:
     """Apply the plan to the actual samples and release every grid.
 
-    Each grid gets its own child stream split off by token, so draws for
-    one grid do not depend on how many other grids exist.
+    Each grid is clip_release on its row of the plan, with its own child
+    stream split off by token, so draws for one grid do not depend on how
+    many other grids exist.
     """
-    occupancy = dataset.occupancy()
-    _require_plan_grids(occupancy, plan)
+    rows = _plan_rows(dataset.grids(), plan)
     params = MechanismParams(bound_u=dataset.bound_u, epsilon=epsilon)
-    out: dict[str, MechanismOutput] = {}
-    for g in occupancy.grids():
-        # the release clip_release makes, on the row _plan_gammas checked
-        prepared = _prepare_clip(dataset, g, _plan_gammas(occupancy, plan, g).tolist(), "clip")
-        out[g] = bind(prepared, params).draw(rng.split(f"grid:{g}"))
-    return out
+    return {
+        g: clip_release(dataset, g, rows.get(g, {}), params, rng.split(f"grid:{g}"))
+        for g in dataset.grids()
+    }

@@ -175,12 +175,16 @@ def require_plan_row(grid: str, counts: dict[str, int], retained: dict[str, int]
     """The retained counts of a grid's users, in the order of counts, as
     ints; a user absent from retained keeps all counts[user] samples.
     InvalidPlan if retained names a user absent from counts, or unless each
-    count lies in [0, counts[user]]."""
+    count lies in [0, counts[user]]; InvalidParams, naming the user and the
+    grid, for a count that is not an integer."""
     unknown = retained.keys() - counts.keys()
     if unknown:
         raise InvalidPlan(f"plan names users absent from grid {grid}: {sorted(unknown)}")
-    gammas = require_ints("retained count", [retained.get(u, m) for u, m in counts.items()])
-    for (user, m), g in zip(counts.items(), gammas):
+    gammas = [retained.get(u, m) for u, m in counts.items()]
+    for i, (user, m) in enumerate(counts.items()):
+        g = gammas[i]
+        if type(g) is not int:
+            gammas[i] = g = require_int(f"retained count for user {user} in grid {grid}", g)
         if not 0 <= g <= m:
             raise InvalidPlan(
                 f"retained count for user {user} in grid {grid} must be in [0, {m}], got {g}"

@@ -13,7 +13,7 @@ import numpy as np
 
 from .composition import clip_user, pseudo_user_optimize
 from .dataset import Dataset
-from .errors import InvalidParams, require_counts, require_int, require_positive
+from .errors import InvalidParams, TooLarge, require_counts, require_int, require_positive
 from .grouping import (
     array_count_k,
     best_fit_count,
@@ -65,14 +65,17 @@ def _mean(xs) -> float:
 
 def _trial_means(params: SynthParams, config: ExperimentConfig, reduce):
     """Each epsilon with the trial means of the numbers reduce(occupancy,
-    epsilon, clip_user result) gives. The trial occupancies are generated
-    once per call, and each result is reduced before the next is made."""
+    epsilon, clip_user result) gives. One trial occupancy is held at a time,
+    each result is reduced before the next is made, and each epsilon's rows
+    are averaged in trial order."""
     root = RngStream(config.seed)
-    occs = [generate_occupancy(params, root.split(f"trial:{i}")) for i in range(config.trials)]
     protect = config.protect_min_error_grid
-    for eps in config.epsilons:
-        rows = [reduce(occ, eps, clip_user(occ, params.bound_u, eps, protect)) for occ in occs]
-        yield eps, [_mean(col) for col in zip(*rows)]
+    rows: list[list] = [[] for _ in config.epsilons]
+    for i in range(config.trials):
+        occ = generate_occupancy(params, root.split(f"trial:{i}"))
+        for eps, eps_rows in zip(config.epsilons, rows):
+            eps_rows.append(reduce(occ, eps, clip_user(occ, params.bound_u, eps, protect)))
+    return [(eps, [_mean(col) for col in zip(*r)]) for eps, r in zip(config.epsilons, rows)]
 
 
 def monte_carlo_privacy(
@@ -157,6 +160,11 @@ def mae_eval(
     ]
 
 
+# The most users user mode duplicates a count list into (lambda times its
+# length); they are listed and packed in Python.
+_MAX_DUPLICATED = 1 << 20
+
+
 @dataclass(frozen=True)
 class ScalingLawCheck:
     law: str
@@ -185,13 +193,18 @@ def check_scaling_laws(
     user mode duplicates every user lambda times: capacities are invariant,
     but the array counts need not scale by lambda; only the floor bounds
     lambda*K <= K' <= lambda*K + lambda - 1 hold, so the equality laws are
-    reported as they actually come out.
+    reported as they actually come out, and a lambda that would duplicate
+    the counts into more than 2^20 users raises TooLarge before any check.
     """
     counts = require_counts(m_list)
+    lambdas = [require_int("scale factor", lam, low=1) for lam in lambdas]
+    if lambdas and max(lambdas) * len(counts) > _MAX_DUPLICATED:
+        raise TooLarge(
+            f"user mode would pack {max(lambdas) * len(counts)} users; it takes at most 2^20"
+        )
     checks: list[ScalingLawCheck] = []
     base = {"median": median_mub(counts), "optimized": optimized_mub(counts)}
     for lam in lambdas:
-        lam = require_int("scale factor", lam, low=1)
         sampled = [lam * m for m in counts]
         duplicated = counts * lam
 

@@ -3,12 +3,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from inspect import signature
 from pathlib import Path
 
 import pytest
 
+import griddp
 from griddp.cli import _build_parser, _parse_eps_grid, _write, cli_main
+from griddp.composition import ClipPlan, post_release
 from griddp.dataset import parse_dataset, parse_occupancy
 from griddp.harness import ExperimentConfig, check_scaling_laws
 from griddp.mechanisms import MechanismParams
@@ -199,6 +204,30 @@ def test_mechanism_plan_grids_must_be_in_the_data(capsys, data_file, tmp_path):
     code, out, err = _run(capsys, argv + ["--plan", str(plan), "--seed", "3", "--grid", "g1"])
     assert code == 0, err
     assert [r["grid"] for r in _rows(out)] == ["g1"]
+
+
+def test_mechanism_plan_is_checked_in_full(capsys, data_file, tmp_path):
+    # --plan releases through post_release: every row is checked, also with
+    # --grid naming another grid, and the rows printed are post_release's
+    plan = tmp_path / "plan.json"
+    argv = ["mechanism", "--data", data_file, "--u", "10", "--eps", "1", "--mech", "clip"]
+    argv += ["--plan", str(plan), "--seed", "3"]
+    plan.write_text(json.dumps({"g1": {"u1": 1}, "g2": {"u3": 5}}))
+    code, out, err = _run(capsys, argv + ["--grid", "g1"])
+    assert (code, out) == (1, "")
+    assert "user u3 in grid g2 must be in [0, 1]" in err
+    plan.write_text(json.dumps({"g2": {"u1": 0}}))
+    code, out, err = _run(capsys, argv + ["--grid", "g9"])
+    assert (code, out, err) == (1, "", "error: grid 'g9' not present\n")
+    released = post_release(
+        parse_dataset(data_file, 10.0), ClipPlan({"g2": {"u1": 0}}), 1.0, RngStream(3)
+    )
+    for grid in (["--grid", "g2"], []):
+        code, out, _ = _run(capsys, argv + grid)
+        assert code == 0
+        for row in _rows(out):
+            assert float(row["noisy_mean"]) == released[row["grid"]].noisy_mean
+            assert float(row["noisy_variance"]) == released[row["grid"]].noisy_variance
 
 
 @pytest.mark.parametrize(
@@ -826,3 +855,40 @@ def test_option_defaults_are_the_library_defaults(commands, dest, library):
     _, parsers = _build_parser()
     for name in commands:
         assert parsers[name].get_default(dest) == library, (name, dest)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [(), ("--format", "json"), ("--values", "--grids", "8", "--users", "255")],
+    ids=["occupancy", "occupancy-json", "values"],
+)
+def test_closed_stdout_ends_without_a_traceback(extra):
+    # as `griddp synth --seed 1 | head -1`: the reader takes one line and
+    # closes its end while the command still writes
+    env = {**os.environ, "PYTHONPATH": str(Path(griddp.__file__).parents[1])}
+    argv = [sys.executable, "-m", "griddp", "synth", "--seed", "1", *extra]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
+def test_synth_values_json_rows_equal_the_csv_rows(capsys):
+    argv = ["synth", "--values", "--seed", "4", "--grids", "4", "--users", "15"]
+    code, out_csv, _ = _run(capsys, argv)
+    assert code == 0
+    code, out_json, _ = _run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    from_csv = [(r["user"], r["grid"], float(r["value"])) for r in _rows(out_csv)]
+    from_json = [(r["user"], r["grid"], r["value"]) for r in json.loads(out_json)]
+    assert from_json == from_csv
+    assert len(from_csv) > 15
+
+
+def test_scaling_past_the_user_limit_is_one_error_line(capsys):
+    code, out, err = _run(capsys, ["scaling", "--counts", "1,4,9", "--lambdas", "2,100000000"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -10,7 +10,9 @@ costs 0.1 + 0.09 + 2/3 + 4/9 ~ 1.3011 <= 1.5, dropping u1 from g1 costs
 3.25, so the loop removes u1 from g2 and the grid factor falls from 2 to 1.
 """
 
+import builtins
 import heapq
+import math
 import random
 
 import numpy as np
@@ -207,13 +209,39 @@ def test_pseudo_user_scan_matches_naive_rescan():
             assert res.per_grid_error[g].total <= result.per_grid_errors[g].total + 1e-12
 
 
+# plans that post_release and pseudo_user_optimize refuse on BASE, with the
+# error and the part of its message that names the cause
+_MISMATCHED_PLANS = [
+    (
+        {"g1": {}, "g9": {"u1": 1}, "G2": {}},
+        OccupancyMismatch,
+        r"plan names grids absent from the data: \['G2', 'g9'\]",
+    ),
+    ({"g1": {"u1": 2, "u9": 2}}, InvalidPlan, r"users absent from grid g1: \['u9'\]"),
+    ({"g2": {"u3": 4}}, InvalidPlan, r"user u3 in grid g2 must be in \[0, 3\]"),
+    ({"g2": {"u3": -1}}, InvalidPlan, "user u3 in grid g2"),
+    ({"g2": {"u3": 2.0}}, InvalidParams, "user u3 in grid g2 must be an integer"),
+    ({"g1": {"u2": True}}, InvalidParams, "user u2 in grid g1 must be an integer"),
+    ({"g1": {"u2": "1"}}, InvalidParams, "user u2 in grid g1 must be an integer"),
+]
+
+
 def test_pseudo_user_rejects_mismatched_plan():
+    # a grid or user the plan omits keeps all its samples, as in
+    # clip_release; only a grid the occupancy lacks, a user its grid lacks
+    # or a count that is not an integer in [0, m] is refused
     occ = OccupancyArray(BASE)
-    with pytest.raises(OccupancyMismatch):
-        pseudo_user_optimize(occ, ClipPlan({"g1": {"u1": 2, "u2": 2}}), 1.0, 1.0)
-    other_users = ClipPlan({"g1": {"u1": 2, "u9": 2}, "g2": BASE["g2"]})
-    with pytest.raises(OccupancyMismatch, match="grid g1 does not cover its users"):
-        pseudo_user_optimize(occ, other_users, 1.0, 1.0)
+    partial = ClipPlan({"g2": {"u1": 0, "u3": 2}})
+    filled = ClipPlan({"g1": BASE["g1"], "g2": {**BASE["g2"], "u1": 0, "u3": 2}})
+    assert pseudo_user_optimize(occ, partial, 1.0, 1.0) == pseudo_user_optimize(
+        occ, filled, 1.0, 1.0
+    )
+    assert pseudo_user_optimize(occ, ClipPlan({}), 1.0, 1.0) == pseudo_user_optimize(
+        occ, ClipPlan.full(occ), 1.0, 1.0
+    )
+    for plan, error, message in _MISMATCHED_PLANS:
+        with pytest.raises(error, match=message):
+            pseudo_user_optimize(occ, ClipPlan(plan), 1.0, 1.0)
     all_zero = ClipPlan(
         {"g1": {"u1": 0, "u2": 0}, "g2": {"u1": 1, "u3": 3, "u4": 3, "u5": 3}}
     )
@@ -251,19 +279,27 @@ def test_post_release_grid_draws_do_not_depend_on_other_grids():
 
 
 def test_post_release_rejects_plan_grid_mismatch():
+    # the rule of pseudo_user_optimize: an omitted grid or user keeps all its
+    # samples, and the releases equal those of the plan filled in
     ds = _dataset_from(BASE)
-    with pytest.raises(OccupancyMismatch):
-        post_release(ds, ClipPlan({"g1": {"u1": 2, "u2": 2}}), 1.0, RngStream(0))
-    other_users = ClipPlan({"g1": {"u1": 2, "u9": 2}, "g2": BASE["g2"]})
-    with pytest.raises(OccupancyMismatch, match="grid g1 does not cover its users"):
-        post_release(ds, other_users, 1.0, RngStream(0))
+    partial = ClipPlan({"g2": {"u1": 0, "u3": 2}})
+    filled = ClipPlan({"g1": BASE["g1"], "g2": {**BASE["g2"], "u1": 0, "u3": 2}})
+    assert post_release(ds, partial, 1.0, RngStream(0)) == post_release(
+        ds, filled, 1.0, RngStream(0)
+    )
+    assert post_release(ds, ClipPlan({}), 1.0, RngStream(0)) == post_release(
+        ds, ClipPlan.full(ds.occupancy()), 1.0, RngStream(0)
+    )
+    for plan, error, message in _MISMATCHED_PLANS:
+        with pytest.raises(error, match=message):
+            post_release(ds, ClipPlan(plan), 1.0, RngStream(0))
 
 
 def test_post_release_reads_clip_users_plan_once():
-    # a plan clip_user made on the dataset's own occupancy is read as its
-    # aligned array, so its mapping is never built; aligned or not, the
-    # releases are clip_release's on the plan's rows, and a row out of
-    # range is still refused
+    # a plan clip_user made on the dataset's own occupancy stays aligned:
+    # post_release reads its rows without making that mapping the plan;
+    # aligned or not, the releases are clip_release's on the plan's rows,
+    # and a row out of range is still refused
     occ = generate_occupancy(SynthParams(grids=5, users=31, heavy_gamma=3), RngStream(5))
     ds = generate_values(occ, ValueModel(), RngStream(6))
     plan = clip_user(ds.occupancy(), ds.bound_u, 0.5).plan
@@ -606,6 +642,24 @@ def test_cap_totals_exact_on_large_aggregates():
         for peak in ([(a + 1) // 2 for a in kept], [a // 3 + 1 for a in kept], kept):
             _assert_totals_exact(sum_m, kept, peak)
             _assert_totals_exact(sum_m, kept, peak, bound_u=1.0, epsilon=3.0)
+
+
+def test_budget_totals_do_not_depend_on_builtin_sum(monkeypatch):
+    # from Python 3.12 the builtin sum adds floats with compensation, while
+    # _cap_totals adds a budget's terms left to right; with sum patched to
+    # math.fsum, a budget and clip_user's candidate prices still match it
+    occ = generate_occupancy(SynthParams(grids=8, users=255, heavy_gamma=3), RngStream(12))
+    unpatched = clip_user(occ, 65.0, 0.5)
+    rnd = random.Random(12)
+    budgets = []
+    for _ in range(50):
+        sum_m = rnd.randrange(2, 10**6)
+        kept = [rnd.randrange(1, sum_m + 1) for _ in range(100)]
+        budgets.append((sum_m, kept, [rnd.randrange(1, a + 1) for a in kept]))
+    monkeypatch.setattr(builtins, "sum", math.fsum)
+    for sum_m, kept, peak in budgets:
+        _assert_totals_exact(sum_m, kept, peak)
+    assert clip_user(occ, 65.0, 0.5) == unpatched
 
 
 def test_cap_scan_rejects_grids_past_float_exact_counts():
