@@ -25,9 +25,9 @@ from functools import partial
 from itertools import islice
 from pathlib import Path
 
-from .composition import ClipPlan, clip_user, post_release
+from .composition import ClipPlan, clip_user
 from .dataset import DATA_HEADER, grid_stats, parse_dataset, parse_occupancy, write_dataset
-from .errors import GridDPError, InvalidPlan, IoError, UsageError, read_utf8
+from .errors import GridDPError, IoError, UsageError, read_utf8
 from .grouping import STRATEGIES
 from .harness import (
     ExperimentConfig,
@@ -40,6 +40,7 @@ from .mechanisms import (
     MECHANISMS,
     QUANTILE_MODES,
     MechanismParams,
+    clip_release,
     release,
 )
 from .rng import RngStream
@@ -197,9 +198,6 @@ def _load_plan(path: str) -> dict:
         obj = obj["plan"]
     if not isinstance(obj, dict):
         raise UsageError(f"plan {path} must be a grid -> user -> count mapping")
-    for grid, row in obj.items():
-        if not isinstance(row, dict):
-            raise InvalidPlan(f"plan entry for grid {grid} must map users to counts, got {row!r}")
     return obj
 
 
@@ -215,13 +213,17 @@ def _cmd_mechanism(args) -> None:
     plan = _load_plan(args.plan) if args.plan else None
     if plan is not None and args.mech != "clip":
         raise UsageError("--plan only applies to the clip mechanism")
+    # the whole plan is checked before any grid is released
+    plan = ClipPlan.for_occupancy(ds.occupancy(), plan) if plan is not None else None
     grids = [args.grid] if args.grid else ds.grids()
     root = RngStream(args.seed)
-    # post_release releases every grid of the data, and release() refuses any other
-    released = post_release(ds, ClipPlan(plan), args.eps, root) if plan is not None else {}
     rows = []
     for g in grids:
-        out = released.get(g) or release(ds, g, args.mech, params, root.split(f"grid:{g}"))
+        rng = root.split(f"grid:{g}")
+        if plan is not None:
+            out = clip_release(ds, g, plan.row(g), params, rng)
+        else:
+            out = release(ds, g, args.mech, params, rng)
         a, b = out.interval or (None, None)
         means = (out.noisy_mean, out.noise_scale_mean, out.noisy_variance, out.noise_scale_var)
         rows.append((out.grid, out.mechanism, *means, a, b, out.arrays, out.degenerate_ranks))
@@ -250,7 +252,7 @@ def _cmd_clip_user(args) -> None:
         ],
         "initial_errors": {g: res.initial_errors[g].total for g in occ.grids()},
         "per_grid_errors": {g: res.per_grid_errors[g].total for g in occ.grids()},
-        "plan": {g: res.plan.retained[g] for g in occ.grids()},
+        "plan": res.plan.retained,
     }
     _emit(args, rows, fields, json_obj)
 

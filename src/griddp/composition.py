@@ -52,10 +52,9 @@ from .errors import (
     TooLarge,
     ZeroRetained,
     require_pair,
-    require_plan_row,
     require_positive,
 )
-from .mechanisms import MechanismOutput, MechanismParams, clip_release
+from .mechanisms import MechanismOutput, MechanismParams, _prepare_clip, bind
 from .rng import RngStream
 from .sensitivity import variance_peak_value
 from .worst_case_bias import bias_branch_value
@@ -84,64 +83,57 @@ class Suppression:
 
 
 class ClipPlan:
-    """Retained sample counts per grid and user; 0 means fully suppressed.
+    """Retained sample counts of an occupancy's (grid, user) entries; 0
+    means fully suppressed.
 
-    retained maps grid -> user -> count; a grid or user it omits keeps all
-    its samples. A plan made from an occupancy
-    (clip_user, full) holds its counts as an array aligned with the
-    occupancy's entries, which pseudo_user_optimize reads, until retained
-    is first read; from then on that mapping, edits included, is the plan.
+    The counts are a read-only int64 array aligned with the occupancy's
+    entries, each in [0, count], as clip_user and full make it; a mapping
+    becomes a plan only through for_occupancy. retained, row, grids,
+    suppressed_pairs, == and repr are built from the array when asked for.
     """
 
-    def __init__(self, retained: dict[str, dict[str, int]]):
-        self._retained = retained
-        self._occupancy = self._gammas = None
+    def __init__(self, occupancy: OccupancyArray, gammas: np.ndarray):
+        self._occupancy, self._gammas = occupancy, gammas.view()
+        self._gammas.flags.writeable = False
 
     @classmethod
-    def _aligned(cls, occupancy: OccupancyArray, gammas: np.ndarray) -> "ClipPlan":
-        plan = cls(None)
-        plan._occupancy, plan._gammas = occupancy, gammas
-        return plan
+    def for_occupancy(cls, occupancy: OccupancyArray, retained: dict) -> "ClipPlan":
+        """The plan of a grid -> user -> count mapping, read and checked by
+        OccupancyArray._plan_counts; what it omits keeps all its samples."""
+        return cls(occupancy, occupancy._plan_counts(retained))
 
     @staticmethod
     def full(occupancy: OccupancyArray) -> "ClipPlan":
-        return ClipPlan._aligned(occupancy, occupancy._counts)
+        return ClipPlan(occupancy, occupancy._counts)
+
+    def _counts_for(self, occupancy: OccupancyArray) -> np.ndarray:
+        """The counts aligned with occupancy's entries: the plan's own, or,
+        for another occupancy, retained read again by for_occupancy's reader."""
+        if occupancy is self._occupancy:
+            return self._gammas
+        return occupancy._plan_counts(self.retained)
 
     @property
     def retained(self) -> dict[str, dict[str, int]]:
-        if self._retained is None:
-            self._retained = self._mapping()
-            self._occupancy = self._gammas = None
-        return self._retained
-
-    def _mapping(self) -> dict[str, dict[str, int]]:
-        """The retained mapping, built afresh from an aligned plan's array,
-        which stays the plan."""
-        if self._retained is None:
-            return self._occupancy._rows(self._gammas)
-        return self._retained
+        """grid -> user -> count, every entry of the occupancy; a new
+        mapping each time, whose edits do not change the plan."""
+        return self._occupancy._rows(self._gammas)
 
     def grids(self) -> list[str]:
-        return sorted(self.retained)
+        return self._occupancy.grids()
 
     def row(self, grid: str) -> dict[str, int]:
-        if grid not in self.retained:
-            raise OccupancyMismatch(f"plan has no grid {grid}")
-        return dict(self.retained[grid])
+        _, lo, hi = self._occupancy._span(grid)
+        return dict(zip(self._occupancy.users_in(grid), self._gammas[lo:hi].tolist()))
 
     def suppressed_pairs(self) -> list[tuple[str, str]]:
-        return [
-            (g, u)
-            for g in self.grids()
-            for u, kept in sorted(self.retained[g].items())
-            if kept == 0
-        ]
+        return [(g, u) for g, row in self.retained.items() for u, kept in row.items() if kept == 0]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ClipPlan) and self._mapping() == other._mapping()
+        return isinstance(other, ClipPlan) and self.retained == other.retained
 
     def __repr__(self) -> str:
-        return f"ClipPlan(retained={self._mapping()!r})"
+        return f"ClipPlan(retained={self.retained!r})"
 
 
 @dataclass(frozen=True)
@@ -333,7 +325,7 @@ def clip_user(
 
     gammas = np.where(suppressed, 0, counts)
     return ClipUserResult(
-        plan=ClipPlan._aligned(occupancy, gammas),
+        plan=ClipPlan(occupancy, gammas),
         k_factor=int(level.max()),
         error_cap=error_cap,
         initial_errors=initial,
@@ -341,27 +333,6 @@ def clip_user(
         trace=tuple(trace),
         stage_max_errors=tuple(stage_max),
     )
-
-
-def _plan_rows(grids: list[str], plan: ClipPlan) -> dict[str, dict[str, int]]:
-    """The plan's mapping; OccupancyMismatch if it names a grid outside grids."""
-    rows = plan._mapping()
-    missing = sorted(rows.keys() - set(grids))
-    if missing:
-        raise OccupancyMismatch(f"plan names grids absent from the data: {missing}")
-    return rows
-
-
-def _plan_gammas(occupancy: OccupancyArray, plan: ClipPlan) -> list[np.ndarray]:
-    """Each grid's retained counts as int64, in user token order, each row
-    checked as clip_release checks it; an aligned plan is read as its array."""
-    if plan._occupancy is occupancy:
-        return [plan._gammas[lo:hi] for lo, hi in occupancy._spans()]
-    rows = _plan_rows(occupancy.grids(), plan)
-    return [
-        np.array(require_plan_row(g, occupancy.row(g), rows.get(g, {})), dtype=np.int64)
-        for g in occupancy.grids()
-    ]
 
 
 # Counts up to 2^53 are exact in float64, so every product of two counts
@@ -427,11 +398,12 @@ def pseudo_user_optimize(
     require_positive("epsilon", epsilon)
     per_grid_m: dict[str, int] = {}
     per_grid_error: dict[str, ErrorBudget] = {}
-    for g, gammas in zip(occupancy.grids(), _plan_gammas(occupancy, plan)):
+    counts = plan._counts_for(occupancy)
+    for g, (lo, hi) in zip(occupancy.grids(), occupancy._spans()):
         sum_m = occupancy.total(g)
         if sum_m > _EXACT_INT:
             raise TooLarge(f"grid {g} holds {sum_m} samples; the cap scan takes at most 2^53")
-        positives = np.sort(gammas)
+        positives = np.sort(counts[lo:hi])
         positives = positives[positives > 0]
         if not len(positives):
             raise ZeroRetained(f"plan suppresses every user of grid {g}")
@@ -467,13 +439,17 @@ def post_release(
 ) -> dict[str, MechanismOutput]:
     """Apply the plan to the actual samples and release every grid.
 
-    Each grid is clip_release on its row of the plan, with its own child
-    stream split off by token, so draws for one grid do not depend on how
-    many other grids exist.
+    Each grid is clip_release on its row of the plan, read as a slice of
+    the plan's counts aligned with the dataset's occupancy, with its own
+    child stream split off by token, so draws for one grid do not depend on
+    how many other grids exist.
     """
-    rows = _plan_rows(dataset.grids(), plan)
+    occupancy = dataset.occupancy()
+    counts = plan._counts_for(occupancy)
     params = MechanismParams(bound_u=dataset.bound_u, epsilon=epsilon)
     return {
-        g: clip_release(dataset, g, rows.get(g, {}), params, rng.split(f"grid:{g}"))
-        for g in dataset.grids()
+        g: bind(_prepare_clip(dataset, g, counts[lo:hi].tolist(), "clip"), params).draw(
+            rng.split(f"grid:{g}")
+        )
+        for g, (lo, hi) in zip(occupancy.grids(), occupancy._spans())
     }

@@ -19,6 +19,7 @@ import io
 import os
 import re
 from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain, count, islice, repeat
 from operator import itemgetter
@@ -31,14 +32,16 @@ from .errors import (
     EmptyDataset,
     EmptyValues,
     InvalidParams,
+    InvalidPlan,
     MalformedRow,
     NonPositiveCount,
+    OccupancyMismatch,
     TooLarge,
     UnknownGrid,
     ValueOutOfRange,
     read_utf8,
+    require_int,
     require_ints,
-    require_plan_row,
     require_positive,
 )
 
@@ -151,6 +154,45 @@ class OccupancyArray:
             g: dict(zip(self.users_in(g), values[lo:hi].tolist()))
             for g, (lo, hi) in zip(self._grids, self._spans())
         }
+
+    def _plan_counts(self, plan: Mapping) -> np.ndarray:
+        """A plan's grid -> user -> count as an int64 array aligned with the
+        entries; a grid or user it omits keeps all its samples. First
+        OccupancyMismatch for grids absent from the occupancy, then, by grid
+        token, InvalidPlan for a row that is no mapping or names a user the
+        grid lacks, then, by user token, InvalidParams for a count that is
+        no integer or InvalidPlan for one outside [0, count]."""
+        if not isinstance(plan, Mapping):
+            raise InvalidPlan(f"a plan must map grids to rows, got {plan!r}")
+        missing = sorted(plan.keys() - self._index.keys())
+        if missing:
+            raise OccupancyMismatch(f"plan names grids absent from the data: {missing}")
+        gammas = self._counts.copy()
+        for grid, row in sorted(plan.items()):
+            if not isinstance(row, Mapping):
+                raise InvalidPlan(f"plan entry for grid {grid} must map users to counts, got {row!r}")
+            _, lo, hi = self._span(grid)
+            users, ms = self.users_in(grid), self._counts[lo:hi].tolist()
+            unknown = row.keys() - set(users)
+            if unknown:
+                raise InvalidPlan(f"plan names users absent from grid {grid}: {sorted(unknown)}")
+            # each count is checked as a Python int, so one past int64 is
+            # out of range, not an overflow
+            kept = [row.get(u, m) for u, m in zip(users, ms)]
+            for i, (user, m, g) in enumerate(zip(users, ms, kept)):
+                if type(g) is not int:
+                    kept[i] = g = require_int(f"retained count for user {user} in grid {grid}", g)
+                if not 0 <= g <= m:
+                    raise InvalidPlan(
+                        f"retained count for user {user} in grid {grid} must be in [0, {m}], got {g}"
+                    )
+            gammas[lo:hi] = kept
+        return gammas
+
+    def _plan_row(self, grid: str, row) -> list[int]:
+        """The grid's counts, by user token, of the plan {grid: row}."""
+        _, lo, hi = self._span(grid)
+        return self._plan_counts({grid: row})[lo:hi].tolist()
 
     def grids(self) -> list[str]:
         return list(self._grids)
@@ -297,10 +339,9 @@ class Dataset:
 
     def clipped_values(self, grid: str, retained: dict[str, int]) -> list[float]:
         """The first retained[user] samples of each user, in the same order;
-        a user absent from retained keeps all. The row is checked as a clip
-        plan's is: InvalidPlan for an unknown user or a count outside
-        [0, count], InvalidParams for one that is not an integer."""
-        gammas = require_plan_row(grid, self._occupancy.row(grid), retained)
+        a user absent from retained keeps all. The row is read as a clip
+        plan's {grid: retained} is, by OccupancyArray._plan_row."""
+        gammas = self._occupancy._plan_row(grid, retained)
         return self._heads(grid, range(len(gammas)), gammas).tolist()
 
     def occupancy(self) -> OccupancyArray:

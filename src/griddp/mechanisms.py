@@ -47,7 +47,6 @@ from .errors import (
     TooLarge,
     ZeroRetained,
     require_int,
-    require_plan_row,
     require_positive,
     require_probability,
 )
@@ -186,7 +185,7 @@ def clip_release(
     from the mapping keep everything. Noise is calibrated to the retained
     counts only. Draw order: mean noise, then variance noise.
     """
-    gammas = require_plan_row(grid, dataset.occupancy().row(grid), retained)
+    gammas = dataset.occupancy()._plan_row(grid, retained)
     return bind(_prepare_clip(dataset, grid, gammas, "clip"), params).draw(rng)
 
 

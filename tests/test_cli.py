@@ -219,15 +219,36 @@ def test_mechanism_plan_is_checked_in_full(capsys, data_file, tmp_path):
     plan.write_text(json.dumps({"g2": {"u1": 0}}))
     code, out, err = _run(capsys, argv + ["--grid", "g9"])
     assert (code, out, err) == (1, "", "error: grid 'g9' not present\n")
-    released = post_release(
-        parse_dataset(data_file, 10.0), ClipPlan({"g2": {"u1": 0}}), 1.0, RngStream(3)
-    )
+    ds = parse_dataset(data_file, 10.0)
+    plan_of_g2 = ClipPlan.for_occupancy(ds.occupancy(), {"g2": {"u1": 0}})
+    released = post_release(ds, plan_of_g2, 1.0, RngStream(3))
     for grid in (["--grid", "g2"], []):
         code, out, _ = _run(capsys, argv + grid)
         assert code == 0
         for row in _rows(out):
             assert float(row["noisy_mean"]) == released[row["grid"]].noisy_mean
             assert float(row["noisy_variance"]) == released[row["grid"]].noisy_variance
+
+
+def test_mechanism_plan_grid_releases_only_that_grid(capsys, data_file, tmp_path, monkeypatch):
+    # the whole plan is checked, then --grid g2 releases g2 alone, and its
+    # row is the g2 row of the command without --grid, byte for byte
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"g1": {"u1": 1}, "g2": {"u1": 0}}))
+    argv = ["mechanism", "--data", data_file, "--u", "10", "--eps", "1", "--mech", "clip"]
+    argv += ["--plan", str(plan), "--seed", "3"]
+    code, every, _ = _run(capsys, argv)
+    assert code == 0
+    header, *lines = every.splitlines()
+    released = []
+    clip_release = griddp.cli.clip_release
+    monkeypatch.setattr(
+        griddp.cli, "clip_release", lambda ds, g, *rest: released.append(g) or clip_release(ds, g, *rest)
+    )
+    code, one, _ = _run(capsys, argv + ["--grid", "g2"])
+    assert code == 0
+    assert one == f"{header}\n{next(line for line in lines if line.startswith('g2,'))}\n"
+    assert released == ["g2"]
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ import builtins
 import heapq
 import math
 import random
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from griddp.errors import (
     InvalidPlan,
     OccupancyMismatch,
     TooLarge,
+    UnknownGrid,
     ZeroRetained,
 )
 from griddp.mechanisms import MechanismParams, clip_release
@@ -209,8 +211,9 @@ def test_pseudo_user_scan_matches_naive_rescan():
             assert res.per_grid_error[g].total <= result.per_grid_errors[g].total + 1e-12
 
 
-# plans that post_release and pseudo_user_optimize refuse on BASE, with the
-# error and the part of its message that names the cause
+# plans that ClipPlan.for_occupancy refuses on BASE, and so post_release
+# and pseudo_user_optimize, with the error and the part of its message that
+# names the cause
 _MISMATCHED_PLANS = [
     (
         {"g1": {}, "g9": {"u1": 1}, "G2": {}},
@@ -223,6 +226,13 @@ _MISMATCHED_PLANS = [
     ({"g2": {"u3": 2.0}}, InvalidParams, "user u3 in grid g2 must be an integer"),
     ({"g1": {"u2": True}}, InvalidParams, "user u2 in grid g1 must be an integer"),
     ({"g1": {"u2": "1"}}, InvalidParams, "user u2 in grid g1 must be an integer"),
+    ({"g1": [1]}, InvalidPlan, "plan entry for grid g1 must map users to counts"),
+    ({"g1": None}, InvalidPlan, "plan entry for grid g1 must map users to counts"),
+    ([("g1", {})], InvalidPlan, "a plan must map grids to rows"),
+    # counts past int64 are range-checked as Python ints, not converted first
+    ({"g2": {"u3": 2**63}}, InvalidPlan, r"user u3 in grid g2 must be in \[0, 3\]"),
+    ({"g2": {"u3": 2**70}}, InvalidPlan, r"user u3 in grid g2 must be in \[0, 3\]"),
+    ({"g2": {"u3": -(2**70)}}, InvalidPlan, r"user u3 in grid g2 must be in \[0, 3\]"),
 ]
 
 
@@ -231,19 +241,20 @@ def test_pseudo_user_rejects_mismatched_plan():
     # clip_release; only a grid the occupancy lacks, a user its grid lacks
     # or a count that is not an integer in [0, m] is refused
     occ = OccupancyArray(BASE)
-    partial = ClipPlan({"g2": {"u1": 0, "u3": 2}})
-    filled = ClipPlan({"g1": BASE["g1"], "g2": {**BASE["g2"], "u1": 0, "u3": 2}})
+    partial = ClipPlan.for_occupancy(occ, {"g2": {"u1": 0, "u3": 2}})
+    filled = {"g1": BASE["g1"], "g2": {**BASE["g2"], "u1": 0, "u3": 2}}
+    assert partial == ClipPlan.for_occupancy(occ, filled)
     assert pseudo_user_optimize(occ, partial, 1.0, 1.0) == pseudo_user_optimize(
-        occ, filled, 1.0, 1.0
+        occ, ClipPlan.for_occupancy(OccupancyArray(BASE), filled), 1.0, 1.0
     )
-    assert pseudo_user_optimize(occ, ClipPlan({}), 1.0, 1.0) == pseudo_user_optimize(
-        occ, ClipPlan.full(occ), 1.0, 1.0
-    )
+    assert pseudo_user_optimize(
+        occ, ClipPlan.for_occupancy(occ, {}), 1.0, 1.0
+    ) == pseudo_user_optimize(occ, ClipPlan.full(occ), 1.0, 1.0)
     for plan, error, message in _MISMATCHED_PLANS:
         with pytest.raises(error, match=message):
-            pseudo_user_optimize(occ, ClipPlan(plan), 1.0, 1.0)
-    all_zero = ClipPlan(
-        {"g1": {"u1": 0, "u2": 0}, "g2": {"u1": 1, "u3": 3, "u4": 3, "u5": 3}}
+            pseudo_user_optimize(occ, ClipPlan.for_occupancy(occ, plan), 1.0, 1.0)
+    all_zero = ClipPlan.for_occupancy(
+        occ, {"g1": {"u1": 0, "u2": 0}, "g2": {"u1": 1, "u3": 3, "u4": 3, "u5": 3}}
     )
     with pytest.raises(ZeroRetained):
         pseudo_user_optimize(occ, all_zero, 1.0, 1.0)
@@ -282,38 +293,40 @@ def test_post_release_rejects_plan_grid_mismatch():
     # the rule of pseudo_user_optimize: an omitted grid or user keeps all its
     # samples, and the releases equal those of the plan filled in
     ds = _dataset_from(BASE)
-    partial = ClipPlan({"g2": {"u1": 0, "u3": 2}})
-    filled = ClipPlan({"g1": BASE["g1"], "g2": {**BASE["g2"], "u1": 0, "u3": 2}})
+    occ = ds.occupancy()
+    partial = ClipPlan.for_occupancy(occ, {"g2": {"u1": 0, "u3": 2}})
+    filled = {"g1": BASE["g1"], "g2": {**BASE["g2"], "u1": 0, "u3": 2}}
     assert post_release(ds, partial, 1.0, RngStream(0)) == post_release(
-        ds, filled, 1.0, RngStream(0)
+        ds, ClipPlan.for_occupancy(OccupancyArray(BASE), filled), 1.0, RngStream(0)
     )
-    assert post_release(ds, ClipPlan({}), 1.0, RngStream(0)) == post_release(
-        ds, ClipPlan.full(ds.occupancy()), 1.0, RngStream(0)
+    assert post_release(ds, ClipPlan.for_occupancy(occ, {}), 1.0, RngStream(0)) == post_release(
+        ds, ClipPlan.full(occ), 1.0, RngStream(0)
     )
     for plan, error, message in _MISMATCHED_PLANS:
         with pytest.raises(error, match=message):
-            post_release(ds, ClipPlan(plan), 1.0, RngStream(0))
+            post_release(ds, ClipPlan.for_occupancy(occ, plan), 1.0, RngStream(0))
 
 
 def test_post_release_reads_clip_users_plan_once():
-    # a plan clip_user made on the dataset's own occupancy stays aligned:
-    # post_release reads its rows without making that mapping the plan;
-    # aligned or not, the releases are clip_release's on the plan's rows,
-    # and a row out of range is still refused
+    # post_release reads slices of a plan made on the dataset's own
+    # occupancy, and re-aligns one made on another occupancy object through
+    # for_occupancy's reader; either way the releases are clip_release's on
+    # the plan's rows, and a row out of range for the data is refused
     occ = generate_occupancy(SynthParams(grids=5, users=31, heavy_gamma=3), RngStream(5))
     ds = generate_values(occ, ValueModel(), RngStream(6))
     plan = clip_user(ds.occupancy(), ds.bound_u, 0.5).plan
     aligned = post_release(ds, plan, 0.5, RngStream(7))
-    assert plan._retained is None
-    as_dict = post_release(ds, ClipPlan(plan.retained), 0.5, RngStream(7))
+    other = ClipPlan.for_occupancy(OccupancyArray(occ.as_dict()), plan.retained)
+    realigned = post_release(ds, other, 0.5, RngStream(7))
     params = MechanismParams(bound_u=ds.bound_u, epsilon=0.5)
     for g in ds.grids():
         direct = clip_release(ds, g, plan.row(g), params, RngStream(7).split(f"grid:{g}"))
-        assert aligned[g] == as_dict[g] == direct
+        assert aligned[g] == realigned[g] == direct
     g = ds.grids()[0]
     user, m = next(iter(ds.occupancy().row(g).items()))
-    too_many = ClipPlan({**plan.retained, g: {**plan.row(g), user: m + 1}})
-    with pytest.raises(InvalidPlan, match=f"user {user} in grid {g}"):
+    bigger = OccupancyArray({**occ.as_dict(), g: {**occ.row(g), user: m + 1}})
+    too_many = ClipPlan.for_occupancy(bigger, {g: {user: m + 1}})
+    with pytest.raises(InvalidPlan, match=f"user {user} in grid {g} must be in \\[0, {m}\\]"):
         post_release(ds, too_many, 0.5, RngStream(7))
 
 
@@ -334,10 +347,21 @@ def test_clip_plan_helpers():
     plan = ClipPlan.full(occ)
     assert plan.grids() == ["g1", "g2"]
     assert plan.suppressed_pairs() == []
-    with pytest.raises(OccupancyMismatch):
-        plan.row("g7")
-    pruned = ClipPlan({"g1": {"u1": 0, "u2": 2}, "g2": {"u1": 1, "u3": 0, "u4": 3, "u5": 3}})
+    pruned = ClipPlan.for_occupancy(
+        occ, {"g1": {"u1": 0, "u2": 2}, "g2": {"u1": 1, "u3": 0, "u4": 3, "u5": 3}}
+    )
     assert pruned.suppressed_pairs() == [("g1", "u1"), ("g2", "u3")]
+    # a partial plan covers every grid of its occupancy: an omitted grid's
+    # row is its full row, and only a grid the occupancy lacks raises
+    partial = ClipPlan.for_occupancy(occ, {"g2": {"u3": 0}})
+    assert partial.grids() == ["g1", "g2"]
+    assert partial.row("g1") == BASE["g1"]
+    assert partial.row("g2") == {**BASE["g2"], "u3": 0}
+    with pytest.raises(UnknownGrid):
+        partial.row("g7")
+    # any mapping is read as a dict is
+    proxy = MappingProxyType({"g2": MappingProxyType({"u3": 0})})
+    assert ClipPlan.for_occupancy(occ, proxy) == partial
 
 
 def test_parameter_validation():
@@ -443,11 +467,12 @@ def _clip_user_oracle(occupancy, bound_u, epsilon, protect_min_error_grid=False)
             trace.append(Suppression(stage, user, g, budget.total))
         stage_max.append(max(current_budget(g).total for g in grids))
         stage += 1
-    plan = ClipPlan(
+    plan = ClipPlan.for_occupancy(
+        occupancy,
         {
             g: {u: (0 if u in state[g].suppressed else c) for u, c in state[g].counts.items()}
             for g in grids
-        }
+        },
     )
     return ClipUserResult(
         plan=plan,
@@ -560,18 +585,24 @@ def test_peaks_fall_in_turn_on_the_harmonic_occupancy():
     assert res == _clip_user_oracle(occ, 65.0, 0.05)
 
 
-def test_edited_plan_is_the_plan_the_cap_scan_reads():
-    # once retained is read, its edits are the plan: used and range-checked
+def test_edited_copy_realigned_is_the_plan_the_cap_scan_reads():
+    # retained is a new mapping each time: editing it leaves the plan as it
+    # was, and the edited copy becomes a plan, range-checked, through
+    # for_occupancy
     occ = OccupancyArray(BASE)
     res = clip_user(occ, 1.0, 1.0)
-    res.plan.retained["g1"]["u2"] = 1
-    edited = ClipPlan({g: dict(row) for g, row in res.plan.retained.items()})
-    got = pseudo_user_optimize(occ, res.plan, 1.0, 1.0)
-    assert got == pseudo_user_optimize(occ, edited, 1.0, 1.0)
+    before = pseudo_user_optimize(occ, res.plan, 1.0, 1.0)
+    retained = res.plan.retained
+    retained["g1"]["u2"] = 1
+    assert res.plan.retained["g1"]["u2"] == 2
+    assert pseudo_user_optimize(occ, res.plan, 1.0, 1.0) == before
+    edited = ClipPlan.for_occupancy(occ, retained)
+    got = pseudo_user_optimize(occ, edited, 1.0, 1.0)
+    assert got != before
     assert got == _pseudo_user_optimize_oracle(occ, edited, 1.0, 1.0)
-    res.plan.retained["g1"]["u2"] = 3
-    with pytest.raises(InvalidPlan):
-        pseudo_user_optimize(occ, res.plan, 1.0, 1.0)
+    retained["g1"]["u2"] = 3
+    with pytest.raises(InvalidPlan, match=r"user u2 in grid g1 must be in \[0, 2\]"):
+        ClipPlan.for_occupancy(occ, retained)
 
 
 def test_clip_plan_repr_shows_the_counts():
@@ -582,15 +613,18 @@ def test_clip_plan_repr_shows_the_counts():
 
 
 def test_compared_or_printed_plan_keeps_its_aligned_array():
-    # == and repr build the mapping without making it the plan, so the
-    # plan's readers keep the array path
+    # == and repr build the mapping from the array, which stays the plan
+    # and cannot be written to
     occ = OccupancyArray(BASE)
     plan = clip_user(occ, 1.0, 1.0).plan
     gammas = plan._gammas
     mapping = occ._rows(gammas)
-    assert plan == plan and plan == ClipPlan(mapping)
+    assert plan == plan and plan == ClipPlan.for_occupancy(OccupancyArray(BASE), mapping)
     assert repr(plan) == f"ClipPlan(retained={mapping!r})"
-    assert plan._gammas is gammas and plan._retained is None and plan._occupancy is occ
+    assert plan._gammas is gammas and plan._occupancy is occ
+    with pytest.raises(ValueError):
+        gammas[0] = 1
+    assert not ClipPlan.full(occ)._gammas.flags.writeable
 
 
 @settings(max_examples=200, deadline=None)
@@ -603,8 +637,9 @@ def test_cap_scan_matches_reference_on_partial_plans(occ, rnd, epsilon):
         keep = rnd.choice(sorted(row))
         row[keep] = max(row[keep], 1)
         plan[g] = row
-    got = pseudo_user_optimize(occ, ClipPlan(plan), 1.0, epsilon)
-    assert got == _pseudo_user_optimize_oracle(occ, ClipPlan(plan), 1.0, epsilon)
+    plan = ClipPlan.for_occupancy(occ, plan)
+    got = pseudo_user_optimize(occ, plan, 1.0, epsilon)
+    assert got == _pseudo_user_optimize_oracle(occ, plan, 1.0, epsilon)
 
 
 def _assert_totals_exact(sum_m, kept, peak, bound_u=65.0, epsilon=0.7):
@@ -691,13 +726,13 @@ def test_cap_scan_chunks_keep_the_first_minimum(monkeypatch):
     # both cost exactly 1.5 and cap 1 must win
     monkeypatch.setattr(composition, "_SCAN_CHUNK", 2)
     occ = OccupancyArray({"g": {"u1": 4, "u2": 3, "u3": 4, "u4": 5}})
-    plan = ClipPlan({"g": {"u1": 1, "u2": 0, "u3": 0, "u4": 3}})
+    plan = ClipPlan.for_occupancy(occ, {"g": {"u1": 1, "u2": 0, "u3": 0, "u4": 3}})
     assert pseudo_user_optimize(occ, plan, 1.0, 4.0).per_grid_m == {"g": 1}
     rnd = random.Random(3)
     for _ in range(300):
         occ = _random_occupancy(rnd)
-        plan = ClipPlan(
-            {g: {u: rnd.randint(1, m) for u, m in occ.row(g).items()} for g in occ.grids()}
+        plan = ClipPlan.for_occupancy(
+            occ, {g: {u: rnd.randint(1, m) for u, m in occ.row(g).items()} for g in occ.grids()}
         )
         for epsilon in (0.2, 1.0, 4.0):
             got = pseudo_user_optimize(occ, plan, 1.0, epsilon)

@@ -150,11 +150,13 @@ def test_clipped_values_first_gamma_rule():
         ({"zz": 0}, InvalidPlan),
         ({"a": True}, InvalidParams),
         ({"a": 1.5}, InvalidParams),
+        (None, InvalidPlan),
     ],
 )
 def test_clipped_values_checks_the_row(retained, error):
-    # the row check of clip_release: a count outside [0, m] or a user the
-    # grid lacks is a bad plan, a count that is no integer a bad parameter
+    # the row check of clip_release: a row that is no mapping, a count
+    # outside [0, m] or a user the grid lacks is a bad plan, a count that is
+    # no integer a bad parameter
     ds = Dataset({"g": {"a": [1.0, 2.0, 3.0], "b": [4.0]}}, 5.0)
     with pytest.raises(error):
         ds.clipped_values("g", retained)

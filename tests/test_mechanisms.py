@@ -113,6 +113,8 @@ def test_clip_plan_validation():
         clip_release(ds, "g", {"u1": 4}, _params(), RngStream(0))
     with pytest.raises(InvalidPlan):
         clip_release(ds, "g", {"u1": -1}, _params(), RngStream(0))
+    with pytest.raises(InvalidPlan, match="plan entry for grid g must map users to counts"):
+        clip_release(ds, "g", None, _params(), RngStream(0))
     with pytest.raises(ZeroRetained):
         clip_release(ds, "g", {"u1": 0, "u2": 0}, _params(), RngStream(0))
 
