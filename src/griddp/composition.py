@@ -167,8 +167,7 @@ def _budget_terms(
 
 
 def _budget_total(terms: tuple[float, float, float, float]) -> float:
-    """A budget's four terms added left to right, as _cap_totals adds them;
-    the builtin sum adds floats with compensation from Python 3.12 on."""
+    """A budget's four terms added left to right, as _cap_totals adds them."""
     bias_mean, bias_var, noise_mean, noise_var = terms
     return bias_mean + bias_var + noise_mean + noise_var
 

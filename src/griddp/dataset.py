@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 import re
 from bisect import bisect_left, bisect_right
@@ -164,7 +165,7 @@ class OccupancyArray:
         no integer or InvalidPlan for one outside [0, count]."""
         if not isinstance(plan, Mapping):
             raise InvalidPlan(f"a plan must map grids to rows, got {plan!r}")
-        missing = sorted(plan.keys() - self._index.keys())
+        missing = sorted(plan.keys() - self._index.keys(), key=str)
         if missing:
             raise OccupancyMismatch(f"plan names grids absent from the data: {missing}")
         gammas = self._counts.copy()
@@ -173,9 +174,9 @@ class OccupancyArray:
                 raise InvalidPlan(f"plan entry for grid {grid} must map users to counts, got {row!r}")
             _, lo, hi = self._span(grid)
             users, ms = self.users_in(grid), self._counts[lo:hi].tolist()
-            unknown = row.keys() - set(users)
+            unknown = sorted(row.keys() - set(users), key=str)
             if unknown:
-                raise InvalidPlan(f"plan names users absent from grid {grid}: {sorted(unknown)}")
+                raise InvalidPlan(f"plan names users absent from grid {grid}: {unknown}")
             # each count is checked as a Python int, so one past int64 is
             # out of range, not an overflow
             kept = [row.get(u, m) for u, m in zip(users, ms)]
@@ -348,20 +349,26 @@ class Dataset:
         return self._occupancy
 
 
+def left_sum(values, start: float = 0.0):
+    """values added left to right from start, as `acc += v` in a loop adds
+    floats: one float, or the sums along the last axis. np.sum adds pairwise."""
+    x = np.asarray(values, dtype=float)
+    run = np.concatenate((np.full((*x.shape[:-1], 1), start), x), axis=-1)
+    np.cumsum(run, axis=-1, out=run)
+    return float(run[-1]) if x.ndim == 1 else run[..., -1]
+
+
 def population_stats(values) -> tuple[int, float, float]:
     """(n, mean, population variance) of non-empty float values, two-pass.
-
-    Both sums are the builtin sum, left to right (np.sum adds pairwise), and
-    each square is Python's ** 2, libm pow, which rounds differently from
-    numpy's square on some inputs."""
+    Each square is libm pow(|d|, 2.0), the call Python's d ** 2 makes; pow is
+    not correctly rounded, so d * d would move the variance's last bits."""
     column = np.asarray(values, dtype=float)
     n = len(column)
     if n == 0:
         raise EmptyValues("cannot compute statistics of zero samples")
-    # a memoryview yields the Python floats one at a time, with no list
-    mean = sum(memoryview(column)) / n
-    variance = sum(map(pow, memoryview(column - mean), repeat(2))) / n
-    return n, mean, variance
+    mean = left_sum(column) / n
+    squares = np.fromiter(map(math.pow, memoryview(abs(column - mean)), repeat(2.0)), float, n)
+    return n, mean, left_sum(squares) / n
 
 
 def grid_stats(dataset: Dataset, grid: str) -> GridStats:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import accumulate
 
+from .dataset import left_sum
 from .errors import EmptyValues, InvalidCapacity, ZeroTotal, require_counts, require_int
 
 STRATEGY_WRAP = "wrap"
@@ -180,9 +181,7 @@ def array_means(groups: list[ArrayGroup]) -> list[float]:
     """Mean of each array, in array index order."""
     if not groups:
         raise EmptyValues("no arrays to average")
-    out = []
     for g in groups:
         if not g.values:
             raise EmptyValues(f"array {g.index} is empty")
-        out.append(sum(g.values) / len(g.values))
-    return out
+    return [left_sum(g.values) / len(g.values) for g in groups]

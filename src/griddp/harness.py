@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import clip_user, pseudo_user_optimize
-from .dataset import Dataset
+from .dataset import Dataset, left_sum
 from .errors import InvalidParams, TooLarge, require_counts, require_int, require_positive
 from .grouping import (
     array_count_k,
@@ -58,11 +58,6 @@ class ExperimentConfig:
         require_int("mae_draws", self.mae_draws, low=1)
 
 
-def _mean(xs) -> float:
-    xs = list(xs)
-    return sum(xs) / len(xs)
-
-
 def _trial_means(params: SynthParams, config: ExperimentConfig, reduce):
     """Each epsilon with the trial means of the numbers reduce(occupancy,
     epsilon, clip_user result) gives. One trial occupancy is held at a time,
@@ -75,7 +70,7 @@ def _trial_means(params: SynthParams, config: ExperimentConfig, reduce):
         occ = generate_occupancy(params, root.split(f"trial:{i}"))
         for eps, eps_rows in zip(config.epsilons, rows):
             eps_rows.append(reduce(occ, eps, clip_user(occ, params.bound_u, eps, protect)))
-    return [(eps, [_mean(col) for col in zip(*r)]) for eps, r in zip(config.epsilons, rows)]
+    return list(zip(config.epsilons, (left_sum(np.swapaxes(rows, 1, 2)) / config.trials).tolist()))
 
 
 def monte_carlo_privacy(
@@ -128,8 +123,7 @@ def mae_eval(
     equal those of per-draw release(). The labels are taken _CHILDREN at a
     time, across epsilons, into one block of uniforms each, and each
     epsilon's rows of a block are drawn as one batch, so memory does not
-    grow with the number of epsilons. The true mean and each MAE are sums
-    added left to right, the MAE's carried from block to block.
+    grow with the number of epsilons; each MAE's sum carries across blocks.
     """
     if config.mechanism == "baseline":
         counts = dataset.occupancy().counts_in(grid)
@@ -137,8 +131,7 @@ def mae_eval(
             CurvePoint(eps, mean_sensitivity(counts, dataset.bound_u).value / eps, "baseline")
             for eps in config.epsilons
         ]
-    values = dataset._grid_column(grid)
-    true_mean = np.cumsum(values)[-1] / len(values)
+    true_mean = left_sum(dataset._grid_column(grid)) / dataset.occupancy().total(grid)
     options = dict(gamma=gamma, strategy=strategy, capacity=capacity, quantile_mode=quantile_mode)
     all_params = [MechanismParams(dataset.bound_u, eps, **options) for eps in config.epsilons]
     prepared = prepare(dataset, grid, config.mechanism, all_params[0])
@@ -153,7 +146,7 @@ def mae_eval(
         for ei in range(start // draws, (stop - 1) // draws + 1):
             part = block[max(ei * draws - start, 0) : (ei + 1) * draws - start]
             errors = np.abs(bounds[ei].draw_batch(part).noisy_mean - true_mean)
-            totals[ei] = np.cumsum(np.concatenate(([totals[ei]], errors)))[-1]
+            totals[ei] = left_sum(errors, totals[ei])
     return [
         CurvePoint(params.epsilon, float(total / draws), config.mechanism)
         for params, total in zip(all_params, totals)

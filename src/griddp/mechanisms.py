@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset, population_stats
+from .dataset import Dataset, left_sum, population_stats
 from .errors import (
     EmptyGrid,
     EmptyValues,
@@ -402,10 +402,15 @@ def prepare(
             f"grid {grid} fills no array of capacity {capacity}; "
             "wrap-around needs at least one full array"
         )
-    # array_means of the packed arrays: each array's samples, gathered from
-    # the value column in layout order and summed left to right
-    packed = memoryview(dataset._heads(grid, order, sizes))
-    means = [sum(packed[a:b]) / (b - a) for a, b in zip(cuts, cuts[1:])]
+    # array_means of the packed arrays, 64 at a time, each a zero-padded row:
+    # a matrix of all arrays, freed on every call, has its pages refault
+    packed = dataset._heads(grid, order, sizes)
+    means: list[float] = []
+    for lo in range(0, len(cuts) - 1, 64):
+        fills = np.diff(cuts[lo : lo + 65])
+        rows = np.zeros((len(fills), fills.max()))
+        rows[np.arange(fills.max()) < fills[:, None]] = packed[cuts[lo] : cuts[lo + len(fills)]]
+        means += (left_sum(rows) / fills).tolist()
     return Prepared(mechanism, grid, dataset.bound_u, strategy, capacity, tuple(means))
 
 
@@ -415,16 +420,13 @@ _PROJECTED_CHUNK = 1 << 20
 
 
 def _projected_sums(means: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """For each row i, the sum of the means clamped to [a[i], b[i]], added
-    left to right as the builtin sum adds. np.clip is min(max(v, a), b) bit
-    for bit on non-NaN means, and cumsum accumulates in order (np.sum would
-    add pairwise)."""
+    """For each row i, the left_sum of the means clamped to [a[i], b[i]].
+    np.clip is min(max(v, a), b) bit for bit on non-NaN means."""
     out = np.empty(len(a))
     step = max(1, _PROJECTED_CHUNK // len(means))
     for lo in range(0, len(a), step):
         rows = slice(lo, lo + step)
-        clamped = np.clip(means, a[rows, None], b[rows, None])
-        out[rows] = np.cumsum(clamped, axis=1)[:, -1]
+        out[rows] = left_sum(np.clip(means, a[rows, None], b[rows, None]))
     return out
 
 
@@ -593,7 +595,7 @@ def _bind_array_average(prep: Prepared, params: MechanismParams) -> _NoisyStats:
     return _NoisyStats(
         f"array_average_{prep.strategy}",
         prep.grid,
-        sum(means) / len(means),
+        left_sum(means) / len(means),
         delta / params.epsilon,
         arrays=len(means),
     )

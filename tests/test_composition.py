@@ -14,6 +14,8 @@ import builtins
 import heapq
 import math
 import random
+from functools import reduce
+from operator import add
 from types import MappingProxyType
 
 import numpy as np
@@ -233,6 +235,9 @@ _MISMATCHED_PLANS = [
     ({"g2": {"u3": 2**63}}, InvalidPlan, r"user u3 in grid g2 must be in \[0, 3\]"),
     ({"g2": {"u3": 2**70}}, InvalidPlan, r"user u3 in grid g2 must be in \[0, 3\]"),
     ({"g2": {"u3": -(2**70)}}, InvalidPlan, r"user u3 in grid g2 must be in \[0, 3\]"),
+    # keys of mixed types are listed without comparing a str to an int
+    ({1: {}, "g9": {}}, OccupancyMismatch, r"grids absent from the data: \[1, 'g9'\]"),
+    ({"g1": {"u9": 1, 5: 2}}, InvalidPlan, r"users absent from grid g1: \[5, 'u9'\]"),
 ]
 
 
@@ -541,7 +546,7 @@ def _synth_occupancies(draw):
 def test_per_grid_privacy_loss_matches_per_user_sums(occ, eps):
     # each user's epsilons added in grid order, as a per-user loop adds them
     per_grid = dict(zip(occ.grids(), eps))
-    want = max(sum(per_grid[g] for g in occ.grids_of(u)) for u in occ.users())
+    want = max(reduce(add, (per_grid[g] for g in occ.grids_of(u)), 0.0) for u in occ.users())
     assert float.hex(privacy_loss(occ, per_grid)) == float.hex(want)
 
 

@@ -116,6 +116,44 @@ def test_population_stats_matches_numpy():
         population_stats([])
 
 
+def _loop_sum(xs, start=0.0):
+    acc = start
+    for v in xs:
+        acc += v
+    return acc
+
+
+_SUMMANDS = st.lists(
+    st.one_of(st.just(-0.0), st.just(0.0), st.floats(-1e6, 1e6), st.floats(-1e-300, 1e-300)),
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_SUMMANDS, min_size=1, max_size=4), st.sampled_from([0.0, -0.0, 0.1, -3e5]))
+def test_left_sum_is_the_loop(blocks, start):
+    # 1-D, with the total carried from block to block as mae_eval carries it
+    total = start
+    for block in blocks:
+        total = dataset.left_sum(block, total)
+        assert isinstance(total, float)
+    assert total.hex() == _loop_sum([v for b in blocks for v in b], start).hex()
+    # 2-D: each ragged row zero-padded at the end, as prepare pads its arrays
+    width = max(map(len, blocks))
+    rows = np.array([b + [0.0] * (width - len(b)) for b in blocks]).reshape(len(blocks), width)
+    assert list(map(float.hex, dataset.left_sum(rows))) == [_loop_sum(b).hex() for b in blocks]
+
+
+def test_population_stats_edges():
+    # the sums start from +0.0, as a loop from 0.0 does; a bare running sum
+    # of the values would give -0.0
+    _, mean, variance = population_stats([-0.0, -0.0])
+    assert math.copysign(1.0, mean) == 1.0 and variance == 0.0
+    # the squares are libm pow(d, 2), which rounds this d away from d * d
+    v = 4.717544224108858
+    assert population_stats([0.0, 2 * v]) == (2, v, pow(v, 2))
+
+
 def test_grid_stats_example():
     ds = Dataset({"g": {"u1": [0.0, 1.0, 2.0], "u2": [3.0, 4.0]}}, 4.0)
     st_ = grid_stats(ds, "g")

@@ -4,6 +4,8 @@ import dataclasses
 import math
 import random
 from bisect import bisect_left
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -345,7 +347,7 @@ def test_private_quantile_neighbours_share_support():
 
 def _choose_reference(weights, u):
     """The running-sum loop that the table lookup replaced."""
-    r = u * sum(weights)
+    r = u * reduce(add, weights, 0.0)
     acc = 0.0
     for i, w in enumerate(weights):
         acc += w
