@@ -16,17 +16,18 @@ subcommand is a usage error. Identical inputs and seed give identical output.
 from __future__ import annotations
 
 import argparse
-import csv
 import inspect
 import json
 import os
 import sys
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
-from .composition import ClipPlan, clip_user
-from .dataset import DATA_HEADER, grid_stats, parse_dataset, parse_occupancy, write_dataset
+from .composition import clip_user
+from .dataset import (
+    DATA_HEADER, ClipPlan, csv_lines, grid_stats, parse_dataset, parse_occupancy, write_dataset
+)
 from .errors import GridDPError, IoError, UsageError, read_utf8
 from .grouping import STRATEGIES
 from .harness import (
@@ -139,9 +140,7 @@ def _write(fh, fmt: str, rows, fields: list[str], json_obj) -> None:
     elif fmt == "json":
         _write_json_rows(fh, (dict(zip(fields, r)) for r in rows))
     else:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(fields)
-        writer.writerows(rows)
+        fh.writelines(csv_lines(chain([fields], rows)))
 
 
 def _output(args, write) -> None:

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset, OccupancyArray
+from .dataset import ClipPlan, OccupancyArray
 from .errors import (
     InvalidParams,
     OccupancyMismatch,
@@ -54,8 +54,6 @@ from .errors import (
     require_pair,
     require_positive,
 )
-from .mechanisms import MechanismOutput, MechanismParams, _prepare_clip, bind
-from .rng import RngStream
 from .sensitivity import variance_peak_value
 from .worst_case_bias import bias_branch_value
 
@@ -80,60 +78,6 @@ class Suppression:
     user: str
     grid: str
     error: float
-
-
-class ClipPlan:
-    """Retained sample counts of an occupancy's (grid, user) entries; 0
-    means fully suppressed.
-
-    The counts are a read-only int64 array aligned with the occupancy's
-    entries, each in [0, count], as clip_user and full make it; a mapping
-    becomes a plan only through for_occupancy. retained, row, grids,
-    suppressed_pairs, == and repr are built from the array when asked for.
-    """
-
-    def __init__(self, occupancy: OccupancyArray, gammas: np.ndarray):
-        self._occupancy, self._gammas = occupancy, gammas.view()
-        self._gammas.flags.writeable = False
-
-    @classmethod
-    def for_occupancy(cls, occupancy: OccupancyArray, retained: dict) -> "ClipPlan":
-        """The plan of a grid -> user -> count mapping, read and checked by
-        OccupancyArray._plan_counts; what it omits keeps all its samples."""
-        return cls(occupancy, occupancy._plan_counts(retained))
-
-    @staticmethod
-    def full(occupancy: OccupancyArray) -> "ClipPlan":
-        return ClipPlan(occupancy, occupancy._counts)
-
-    def _counts_for(self, occupancy: OccupancyArray) -> np.ndarray:
-        """The counts aligned with occupancy's entries: the plan's own, or,
-        for another occupancy, retained read again by for_occupancy's reader."""
-        if occupancy is self._occupancy:
-            return self._gammas
-        return occupancy._plan_counts(self.retained)
-
-    @property
-    def retained(self) -> dict[str, dict[str, int]]:
-        """grid -> user -> count, every entry of the occupancy; a new
-        mapping each time, whose edits do not change the plan."""
-        return self._occupancy._rows(self._gammas)
-
-    def grids(self) -> list[str]:
-        return self._occupancy.grids()
-
-    def row(self, grid: str) -> dict[str, int]:
-        _, lo, hi = self._occupancy._span(grid)
-        return dict(zip(self._occupancy.users_in(grid), self._gammas[lo:hi].tolist()))
-
-    def suppressed_pairs(self) -> list[tuple[str, str]]:
-        return [(g, u) for g, row in self.retained.items() for u, kept in row.items() if kept == 0]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ClipPlan) and self.retained == other.retained
-
-    def __repr__(self) -> str:
-        return f"ClipPlan(retained={self.retained!r})"
 
 
 @dataclass(frozen=True)
@@ -429,26 +373,3 @@ def pseudo_user_optimize(
         new_error=max(b.total for b in per_grid_error.values()),
     )
 
-
-def post_release(
-    dataset: Dataset,
-    plan: ClipPlan,
-    epsilon: float,
-    rng: RngStream,
-) -> dict[str, MechanismOutput]:
-    """Apply the plan to the actual samples and release every grid.
-
-    Each grid is clip_release on its row of the plan, read as a slice of
-    the plan's counts aligned with the dataset's occupancy, with its own
-    child stream split off by token, so draws for one grid do not depend on
-    how many other grids exist.
-    """
-    occupancy = dataset.occupancy()
-    counts = plan._counts_for(occupancy)
-    params = MechanismParams(bound_u=dataset.bound_u, epsilon=epsilon)
-    return {
-        g: bind(_prepare_clip(dataset, g, counts[lo:hi].tolist(), "clip"), params).draw(
-            rng.split(f"grid:{g}")
-        )
-        for g, (lo, hi) in zip(occupancy.grids(), occupancy._spans())
-    }

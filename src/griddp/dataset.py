@@ -1,4 +1,4 @@
-"""Datasets partitioned into grids, and their occupancy arrays.
+"""Datasets partitioned into grids, their occupancy arrays and clip plans.
 
 A dataset is a multiset of (user, grid, value) records with values in
 [0, bound_u]; the occupancy array is the public table of per-(grid, user)
@@ -22,7 +22,7 @@ import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, islice, repeat, tee
 from operator import itemgetter
 from pathlib import Path
 
@@ -53,6 +53,13 @@ OCCUPANCY_HEADER = ("user", "grid", "count")
 COUNT_MAX = 2**63 - 1
 
 
+def _require_tokens(keys, kind: str, where: str = "") -> None:
+    """InvalidParams naming the first key that is not a str: tokens are strings."""
+    for key in keys:
+        if not isinstance(key, str):
+            raise InvalidParams(f"{kind} token {key!r}{where} is not a string")
+
+
 @dataclass(frozen=True)
 class GridStats:
     """Exact (non-private) statistics of one grid."""
@@ -74,10 +81,12 @@ class OccupancyArray:
 
     def __init__(self, counts: dict[str, dict[str, int]]):
         cleaned: dict[str, dict[str, int]] = {}
+        _require_tokens(counts, "grid")
         for grid in sorted(counts):
             row = counts[grid]
             if not row:
                 continue
+            _require_tokens(row, "user", f" in grid {grid!r}")
             users = sorted(row)
             ms = require_ints(f"count in grid {grid!r}", map(row.__getitem__, users))
             if min(ms) <= 0:
@@ -247,6 +256,60 @@ class OccupancyArray:
         return f"OccupancyArray(grids={len(self._grids)}, users={len(self._users)})"
 
 
+class ClipPlan:
+    """Retained sample counts of an occupancy's (grid, user) entries; 0
+    means fully suppressed.
+
+    The counts are a read-only int64 array aligned with the occupancy's
+    entries, each in [0, count], as clip_user and full make it; a mapping
+    becomes a plan only through for_occupancy. retained, row, grids,
+    suppressed_pairs, == and repr are built from the array when asked for.
+    """
+
+    def __init__(self, occupancy: OccupancyArray, gammas: np.ndarray):
+        self._occupancy, self._gammas = occupancy, gammas.view()
+        self._gammas.flags.writeable = False
+
+    @classmethod
+    def for_occupancy(cls, occupancy: OccupancyArray, retained: dict) -> "ClipPlan":
+        """The plan of a grid -> user -> count mapping, read and checked by
+        OccupancyArray._plan_counts; what it omits keeps all its samples."""
+        return cls(occupancy, occupancy._plan_counts(retained))
+
+    @staticmethod
+    def full(occupancy: OccupancyArray) -> "ClipPlan":
+        return ClipPlan(occupancy, occupancy._counts)
+
+    def _counts_for(self, occupancy: OccupancyArray) -> np.ndarray:
+        """The counts aligned with occupancy's entries: the plan's own, or,
+        for another occupancy, retained read again by for_occupancy's reader."""
+        if occupancy is self._occupancy:
+            return self._gammas
+        return occupancy._plan_counts(self.retained)
+
+    @property
+    def retained(self) -> dict[str, dict[str, int]]:
+        """grid -> user -> count, every entry of the occupancy; a new
+        mapping each time, whose edits do not change the plan."""
+        return self._occupancy._rows(self._gammas)
+
+    def grids(self) -> list[str]:
+        return self._occupancy.grids()
+
+    def row(self, grid: str) -> dict[str, int]:
+        _, lo, hi = self._occupancy._span(grid)
+        return dict(zip(self._occupancy.users_in(grid), self._gammas[lo:hi].tolist()))
+
+    def suppressed_pairs(self) -> list[tuple[str, str]]:
+        return [(g, u) for g, row in self.retained.items() for u, kept in row.items() if kept == 0]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ClipPlan) and self.retained == other.retained
+
+    def __repr__(self) -> str:
+        return f"ClipPlan(retained={self.retained!r})"
+
+
 class Dataset:
     """Samples keyed by grid then user; per-user order is input order.
 
@@ -259,9 +322,11 @@ class Dataset:
         self.bound_u = require_positive("bound_u", bound_u)
         counts: dict[str, dict[str, int]] = {}
         chunks: list[tuple[float, ...]] = []
+        _require_tokens(samples, "grid")
         try:
             for grid in sorted(samples):
                 row = samples[grid]
+                _require_tokens(row, "user", f" in grid {grid!r}")
                 for user in sorted(row):
                     values = tuple(map(float, row[user]))
                     if values:
@@ -615,15 +680,24 @@ def write_dataset(dataset: Dataset, fh) -> None:
     parses back to the same dataset, except that the reader strips the
     whitespace around every token."""
     fh.write(",".join(DATA_HEADER) + "\n")
+    pairs, keys = tee(dataset._pairs())
+    prefixes = csv_lines((user, grid, "") for user, grid, _ in keys)
+    for (_, _, values), line in zip(pairs, prefixes):
+        prefix = line[:-1]
+        fh.write(prefix + ("\n" + prefix).join(map(repr, values.tolist())) + "\n")
+
+
+def csv_lines(rows):
+    """Each row as one CSV line ending in LF, quoted as csv.writer quotes it,
+    also a field holding a CR, so every line reads back as one record."""
     buf = io.StringIO()
     # with a CRLF terminator csv quotes a CR too; the terminator is cut off
     writer = csv.writer(buf, lineterminator="\r\n")
-    for user, grid, values in dataset._pairs():
+    for row in rows:
         buf.seek(0)
         buf.truncate()
-        writer.writerow((user, grid, ""))
-        prefix = buf.getvalue()[:-2]
-        fh.write(prefix + ("\n" + prefix).join(map(repr, values.tolist())) + "\n")
+        writer.writerow(row)
+        yield buf.getvalue()[:-2] + "\n"
 
 
 def parse_occupancy(path_or_text) -> OccupancyArray:

@@ -29,7 +29,7 @@ from .mechanisms import (
 )
 from .rng import _CHILDREN, RngStream
 from .sensitivity import mean_sensitivity
-from .synth import SynthParams, generate_occupancy
+from .synth import _MAX_DUPLICATED, SynthParams, generate_occupancy
 
 
 @dataclass(frozen=True)
@@ -151,11 +151,6 @@ def mae_eval(
         CurvePoint(params.epsilon, float(total / draws), config.mechanism)
         for params, total in zip(all_params, totals)
     ]
-
-
-# The most users user mode duplicates a count list into (lambda times its
-# length); they are listed and packed in Python.
-_MAX_DUPLICATED = 1 << 20
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataset import Dataset, left_sum, population_stats
+from .dataset import ClipPlan, Dataset, left_sum, population_stats
 from .errors import (
     EmptyGrid,
     EmptyValues,
@@ -189,6 +189,27 @@ def clip_release(
     return bind(_prepare_clip(dataset, grid, gammas, "clip"), params).draw(rng)
 
 
+def post_release(
+    dataset: Dataset, plan: ClipPlan, epsilon: float, rng: RngStream
+) -> dict[str, MechanismOutput]:
+    """Apply the plan to the actual samples and release every grid.
+
+    Each grid is clip_release on its row of the plan, read as a slice of
+    the plan's counts aligned with the dataset's occupancy, with its own
+    child stream split off by token, so draws for one grid do not depend on
+    how many other grids exist.
+    """
+    occupancy = dataset.occupancy()
+    counts = plan._counts_for(occupancy)
+    params = MechanismParams(bound_u=dataset.bound_u, epsilon=epsilon)
+    return {
+        g: bind(_prepare_clip(dataset, g, counts[lo:hi].tolist(), "clip"), params).draw(
+            rng.split(f"grid:{g}")
+        )
+        for g, (lo, hi) in zip(occupancy.grids(), occupancy._spans())
+    }
+
+
 def baseline_release(
     dataset: Dataset, grid: str, params: MechanismParams, rng: RngStream
 ) -> MechanismOutput:
@@ -285,13 +306,16 @@ def levy_release(
 
 
 def _quantile_points(values, bound_u: float) -> list[float]:
-    """0, the values clamped to [0, U] and sorted, then U."""
-    xs = sorted(min(max(float(v), 0.0), float(bound_u)) for v in values)
-    if not xs:
+    """0, the values clamped to [0, U] and sorted, then U. np.clip is
+    min(max(v, 0.0), U) bit for bit on non-NaN values, and the stable sort
+    keeps ties, -0.0 and 0.0 among them, in input order, as sorted does."""
+    xs = np.fromiter(values, dtype=float)
+    if not xs.size:
         raise EmptyValues("no values to take a quantile of")
-    if any(map(math.isnan, xs)):
+    if np.isnan(xs).any():
         raise InvalidParams("values must not be NaN")
-    return [0.0] + xs + [float(bound_u)]
+    xs = np.sort(np.clip(xs, 0.0, float(bound_u)), kind="stable")
+    return [0.0, *xs.tolist(), float(bound_u)]
 
 
 def _quantile_weights(pts: list[float], q_level: float, eps_q: float) -> list[float]:
@@ -682,24 +706,3 @@ def release(
         raise InvalidParams(f"unknown mechanism {mechanism!r}")
     return _RELEASES[mechanism](dataset, grid, params, rng)
 
-
-__all__ = [
-    "MechanismParams",
-    "IntervalEstimate",
-    "MechanismOutput",
-    "sample_laplace",
-    "clip_release",
-    "baseline_release",
-    "array_average_release",
-    "concentration_tau",
-    "levy_planning_delta",
-    "private_interval",
-    "levy_release",
-    "private_quantile",
-    "quantile_release",
-    "MECHANISMS",
-    "Prepared",
-    "prepare",
-    "bind",
-    "release",
-]

@@ -165,6 +165,9 @@ def generate_values(
 
 SCALE_SAMPLE = "sample"
 SCALE_USER = "user"
+# The most users user mode duplicates into, here and in check_scaling_laws
+# (lambda times the user count); they are built and packed in Python.
+_MAX_DUPLICATED = 1 << 20
 
 
 def scale_occupancy(
@@ -173,9 +176,13 @@ def scale_occupancy(
     """Grow an occupancy by an integer factor lam.
 
     sample mode multiplies every count by lam; user mode replaces each user
-    with lam clones (token suffixed ~r) carrying identical rows.
+    with lam clones (token suffixed ~r) carrying identical rows, and raises
+    TooLarge before building any when that makes more than 2^20 users.
     """
     require_int("scale factor", lam, low=1)
+    users = lam * len(occupancy._users)
+    if mode == SCALE_USER and users > _MAX_DUPLICATED:
+        raise TooLarge(f"user mode would make {users} users; it takes at most 2^20")
     base = occupancy.as_dict()
     if mode == SCALE_SAMPLE:
         return OccupancyArray(

@@ -13,10 +13,10 @@ import pytest
 
 import griddp
 from griddp.cli import _build_parser, _parse_eps_grid, _write, cli_main
-from griddp.composition import ClipPlan, post_release
+from griddp.composition import ClipPlan
 from griddp.dataset import parse_dataset, parse_occupancy
 from griddp.harness import ExperimentConfig, check_scaling_laws
-from griddp.mechanisms import MechanismParams
+from griddp.mechanisms import MechanismParams, post_release
 from griddp.rng import RngStream
 from griddp.synth import SynthParams, ValueModel, generate_occupancy
 
@@ -110,6 +110,21 @@ def test_stats(capsys, data_file):
     assert int(rows["g1"]["n"]) == 3
     assert float(rows["g1"]["mean"]) == 2.0
     assert float(rows["g1"]["variance"]) == pytest.approx(2 / 3)
+
+
+def test_csv_output_quotes_a_cr_in_a_token(capsys, tmp_path):
+    # with an LF terminator csv.writer left a CR bare, and g\r1 read back
+    # as two records
+    data = tmp_path / "cr.csv"
+    data.write_bytes(b'user,grid,value\nu1,"g\r1",1.0\n')
+    seeded = ["--mech", "baseline", "--eps", "1", "--seed", "1"]
+    for command in (["stats"], ["mechanism", *seeded]):
+        out = tmp_path / "out.csv"
+        argv = [*command, "--data", str(data), "--u", "10", "--out", str(out)]
+        assert _run(capsys, argv)[0] == 0
+        with open(out, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert len(rows) == 2 and rows[1][0] == "g\r1"
 
 
 def test_mechanism_requires_seed(capsys, data_file):

@@ -33,7 +33,6 @@ from griddp.composition import (
     budget_from_aggregates,
     clip_user,
     grid_error,
-    post_release,
     privacy_loss,
     pseudo_user_optimize,
 )
@@ -46,7 +45,7 @@ from griddp.errors import (
     UnknownGrid,
     ZeroRetained,
 )
-from griddp.mechanisms import MechanismParams, clip_release
+from griddp.mechanisms import MechanismParams, clip_release, post_release
 from griddp.rng import RngStream
 from griddp.synth import SynthParams, ValueModel, generate_occupancy, generate_values
 

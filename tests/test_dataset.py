@@ -336,6 +336,19 @@ def test_occupancy_rejects_non_integer_counts():
     assert occ.count("g", "u") == 3 and type(occ.count("g", "u")) is int
 
 
+def test_non_str_tokens_are_invalid_params():
+    # mixed key types raised a bare TypeError from sorted, and a lone int
+    # user token was stored
+    with pytest.raises(InvalidParams, match="user token 1 in grid 'g' is not a string"):
+        OccupancyArray({"g": {1: 2, "a": 3}})
+    with pytest.raises(InvalidParams, match="grid token 1 is not a string"):
+        OccupancyArray({1: {"a": 2}, "g": {"a": 3}})
+    with pytest.raises(InvalidParams, match="user token 1 in grid 'g' is not a string"):
+        Dataset({"g": {1: [1.0], "a": [2.0]}}, 65.0)
+    with pytest.raises(InvalidParams, match="user token 1 in grid 'g' is not a string"):
+        OccupancyArray({"g": {1: 2}})
+
+
 def test_counts_past_int64_are_too_large():
     big = OccupancyArray({"g": {"u": 2**63 - 1, "v": 2**63 - 1}, "h": {"v": 1}})
     assert big.count("g", "u") == 2**63 - 1

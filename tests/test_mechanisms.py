@@ -29,6 +29,7 @@ from griddp.mechanisms import (
     MechanismParams,
     _choose,
     _interval_weights,
+    _quantile_points,
     _table,
     array_average_release,
     baseline_release,
@@ -413,6 +414,26 @@ def test_private_quantile_validation():
         private_quantile([1.0], 1.5, 1.0, 10.0, RngStream(0))
     with pytest.raises(InvalidParams):
         private_quantile([1.0], 0.5, 0.0, 10.0, RngStream(0))
+
+
+def _sorted_quantile_points(values, bound_u):
+    """_quantile_points as a clamp per value and Python's stable sort."""
+    xs = sorted(min(max(float(v), 0.0), float(bound_u)) for v in values)
+    return [0.0] + xs + [float(bound_u)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([-0.0, 0.0, 2.5, 10.0]), st.floats(allow_nan=False)),
+        min_size=1,
+        max_size=40,
+    ),
+    st.sampled_from([10.0, 65.0, 5e-324]),
+)
+def test_quantile_points_match_the_sorted_comprehension(values, bound_u):
+    want = _sorted_quantile_points(values, bound_u)
+    assert list(map(float.hex, _quantile_points(values, bound_u))) == list(map(float.hex, want))
 
 
 def test_quantile_release_scale_and_interval():

@@ -132,6 +132,12 @@ def test_scale_occupancy_identity_and_validation():
         scale_occupancy(occ, 2, "grid")
 
 
+def test_scale_occupancy_caps_user_mode():
+    # 2^20 + 1 clones of one user were built, about 3.6 s and 274 MB
+    with pytest.raises(TooLarge, match="1048577 users"):
+        scale_occupancy(OccupancyArray({"g": {"u": 1}}), 2**20 + 1, SCALE_USER)
+
+
 def test_params_validation():
     with pytest.raises(InvalidParams):
         SynthParams(grids=0)
