@@ -220,7 +220,7 @@ def _cmd_mechanism(args) -> None:
     for g in grids:
         rng = root.split(f"grid:{g}")
         if plan is not None:
-            out = clip_release(ds, g, plan.row(g), params, rng)
+            out = clip_release(ds, g, plan, params, rng)
         else:
             out = release(ds, g, args.mech, params, rng)
         a, b = out.interval or (None, None)

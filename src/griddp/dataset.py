@@ -74,8 +74,8 @@ class OccupancyArray:
     """Per-(grid, user) sample counts plus the derived structural quantities.
 
     Stored column-wise: grid i's entries are positions _bounds[i] to
-    _bounds[i + 1] of the int64 arrays _ids (user ids, ascending) and
-    _counts. A user id indexes the sorted token table _users, which may
+    _bounds[i + 1] of the read-only int64 arrays _ids (user ids, ascending)
+    and _counts. A user id indexes the sorted token table _users, which may
     make its tokens on demand; it is listed only when all are needed.
     """
 
@@ -119,6 +119,7 @@ class OccupancyArray:
         self._index = dict(zip(grids, count()))
         self._bounds = np.asarray(offsets).tolist()
         self._ids, self._counts = np.asarray(ids, np.int64), np.asarray(counts, np.int64)
+        self._ids.flags.writeable = self._counts.flags.writeable = False
         # Python ints, since a grid's total may pass int64
         self._totals = [sum(self._counts[lo:hi].tolist()) for lo, hi in self._spans()]
 
@@ -315,7 +316,10 @@ class Dataset:
 
     Stored as one float64 column, ordered by grid, then user token, then
     input order, over the OccupancyArray whose counts are its run lengths:
-    entry e of the occupancy owns _column[_starts[e]:_starts[e + 1]].
+    entry e of the occupancy owns _column[_starts[e]:_starts[e + 1]]. The
+    column and the occupancy's arrays are read-only, so mechanisms.prepare
+    keeps each packing of the data, by grid, strategy and capacity rule, in
+    _packings.
     """
 
     def __init__(self, samples: dict[str, dict[str, list[float]]], bound_u: float):
@@ -353,6 +357,8 @@ class Dataset:
 
     def _set(self, occupancy: OccupancyArray, column: np.ndarray) -> None:
         self._occupancy, self._column = occupancy, column
+        column.flags.writeable = False
+        self._packings: dict = {}
         self._starts = [0, *np.cumsum(occupancy._counts).tolist()]
         # NaN fails both comparisons, so it is out of range too
         bad = np.flatnonzero(~((column >= 0.0) & (column <= self.bound_u)))

@@ -8,18 +8,22 @@ release.
 Every mechanism (baseline and clip, and the grouped array averaging, levy
 and quantile) runs in three stages, and release() runs all three:
 - prepare() depends only on the data and the occupancy: it packs the grid
-  into arrays and keeps the array means (for clip and baseline: the
-  retained counts and the retained mean and variance);
+  into arrays and keeps the array means, and for quantile their sorted,
+  clamped points (for clip and baseline: the retained counts and the
+  retained mean and variance);
 - bind() depends on the params: the noise scales, levy's tau and interval
-  ends, the sorted, clamped quantile points, and each exponential-mechanism
-  choice as a table of running weight sums;
+  ends, and each exponential-mechanism choice as a table of running weight
+  sums;
 - draw_batch() on the bound object is the only random stage. It takes a
   block of uniforms, one row per release, and makes every row's choices
   with one searchsorted per choice table, then its Laplace noise, as numpy
   vector operations; draw(rng) is draw_batch on a block of one row, read
   from the stream in the documented order.
 Repeated releases of one grid prepare once, bind once per epsilon, and draw
-every release of an epsilon as one batch.
+every release of an epsilon as one batch. The grouped packings are kept on
+the dataset, one per grid, strategy and capacity rule, so every release and
+MAE curve of a dataset packs each of them once: the dataset's value column
+and occupancy arrays are read-only, so the data cannot change under them.
 
 Budget layout per mechanism, for a total privacy cost of epsilon:
 - baseline / clip: epsilon/2 on the mean, epsilon/2 on the variance, i.e.
@@ -175,17 +179,24 @@ def _prepare_clip(
 def clip_release(
     dataset: Dataset,
     grid: str,
-    retained: dict[str, int],
+    retained: dict[str, int] | ClipPlan,
     params: MechanismParams,
     rng: RngStream,
 ) -> MechanismOutput:
     """Release mean and variance of the first-gamma retained samples.
 
-    retained maps user token to the number of samples kept; users absent
-    from the mapping keep everything. Noise is calibrated to the retained
-    counts only. Draw order: mean noise, then variance noise.
+    retained maps user token to the number of samples kept, and users absent
+    from the mapping keep everything; or it is a ClipPlan, checked when it
+    was made, whose row of the grid is read as a slice of its counts aligned
+    with the dataset's occupancy. Noise is calibrated to the retained counts
+    only. Draw order: mean noise, then variance noise.
     """
-    gammas = dataset.occupancy()._plan_row(grid, retained)
+    occupancy = dataset.occupancy()
+    if isinstance(retained, ClipPlan):
+        _, lo, hi = occupancy._span(grid)
+        gammas = retained._counts_for(occupancy)[lo:hi].tolist()
+    else:
+        gammas = occupancy._plan_row(grid, retained)
     return bind(_prepare_clip(dataset, grid, gammas, "clip"), params).draw(rng)
 
 
@@ -194,19 +205,16 @@ def post_release(
 ) -> dict[str, MechanismOutput]:
     """Apply the plan to the actual samples and release every grid.
 
-    Each grid is clip_release on its row of the plan, read as a slice of
-    the plan's counts aligned with the dataset's occupancy, with its own
-    child stream split off by token, so draws for one grid do not depend on
-    how many other grids exist.
+    Each grid is clip_release on the plan, read once as counts aligned with
+    the dataset's occupancy, with its own child stream split off by token,
+    so draws for one grid do not depend on how many other grids exist.
     """
     occupancy = dataset.occupancy()
-    counts = plan._counts_for(occupancy)
+    aligned = ClipPlan(occupancy, plan._counts_for(occupancy))
     params = MechanismParams(bound_u=dataset.bound_u, epsilon=epsilon)
     return {
-        g: bind(_prepare_clip(dataset, g, counts[lo:hi].tolist(), "clip"), params).draw(
-            rng.split(f"grid:{g}")
-        )
-        for g, (lo, hi) in zip(occupancy.grids(), occupancy._spans())
+        g: clip_release(dataset, g, aligned, params, rng.split(f"grid:{g}"))
+        for g in occupancy.grids()
     }
 
 
@@ -384,9 +392,12 @@ class Prepared:
     one Prepared serves every epsilon and every draw. A grouped mechanism
     keeps its array means, with the strategy and capacity its packing used:
     levy and quantile always pack best-fit at the optimized capacity unless
-    one is given. clip and baseline keep the retained count of each user (in
-    token order) and the mean and population variance of the retained
-    samples (stats); their strategy and capacity are None, their means empty.
+    one is given; quantile also keeps its points, the means clamped to
+    [0, U] and sorted between 0 and U. Each packing's capacity and means are
+    kept on the dataset, whose read-only columns cannot change under them.
+    clip and baseline keep the retained count of each user (in token order)
+    and the mean and population variance of the retained samples (stats);
+    their strategy and capacity are None, their means empty.
     """
 
     mechanism: str
@@ -397,6 +408,7 @@ class Prepared:
     means: tuple[float, ...]
     retained: tuple[int, ...] = ()
     stats: tuple[float, float] | None = None
+    points: tuple[float, ...] = ()
 
 
 def prepare(
@@ -407,19 +419,33 @@ def prepare(
     mechanism is array_average, levy, quantile, clip or baseline.
     array_average packs with params.strategy at params.capacity or the lower
     median of the counts; levy and quantile pack best-fit at params.capacity
-    or optimized_mub; clip and baseline keep every sample.
+    or optimized_mub, each packing computed once per dataset and kept on it;
+    clip and baseline keep every sample.
     """
     if mechanism not in MECHANISMS:
         raise InvalidParams(f"unknown mechanism {mechanism!r}")
-    counts = dataset.occupancy().counts_in(grid)
     if mechanism in ("clip", "baseline"):
-        return _prepare_clip(dataset, grid, counts, mechanism)
+        return _prepare_clip(dataset, grid, dataset.occupancy().counts_in(grid), mechanism)
     if mechanism == "array_average":
-        strategy = params.strategy
-        capacity = params.capacity if params.capacity is not None else median_mub(counts)
+        strategy, rule = params.strategy, median_mub
     else:
-        strategy = STRATEGY_BEST
-        capacity = params.capacity if params.capacity is not None else optimized_mub(counts)
+        strategy, rule = STRATEGY_BEST, optimized_mub
+    key = (grid, strategy, params.capacity, rule)
+    if key not in dataset._packings:
+        dataset._packings[key] = _packed_means(dataset, grid, strategy, params.capacity, rule)
+    capacity, means = dataset._packings[key]
+    points = tuple(_quantile_points(means, dataset.bound_u)) if mechanism == "quantile" else ()
+    return Prepared(mechanism, grid, dataset.bound_u, strategy, capacity, means, points=points)
+
+
+def _packed_means(
+    dataset: Dataset, grid: str, strategy: str, capacity: int | None, rule
+) -> tuple[int, tuple[float, ...]]:
+    """The capacity, rule(counts) unless one is given, and the array means
+    of the grid packed with strategy at that capacity."""
+    counts = dataset.occupancy().counts_in(grid)
+    if capacity is None:
+        capacity = rule(counts)
     order, sizes, cuts = _pack(counts, strategy, capacity)
     if len(cuts) < 2:
         raise EmptyGrid(
@@ -435,7 +461,7 @@ def prepare(
         rows = np.zeros((len(fills), fills.max()))
         rows[np.arange(fills.max()) < fills[:, None]] = packed[cuts[lo] : cuts[lo + len(fills)]]
         means += (left_sum(rows) / fills).tolist()
-    return Prepared(mechanism, grid, dataset.bound_u, strategy, capacity, tuple(means))
+    return capacity, tuple(means)
 
 
 # Rows of the (rows, arrays) matrix of clamped means summed per pass, which
@@ -652,7 +678,7 @@ def _bind_quantile(prep: Prepared, params: MechanismParams) -> _QuantileDraw:
         q_lo = t_lo / k_bar
         q_hi = 1 - t_hi / k_bar
     eps_q = params.epsilon / 4
-    pts = _quantile_points(means, params.bound_u)
+    pts = prep.points
     return _QuantileDraw(
         _Projection(f"quantile_{params.quantile_mode}", prep.grid, np.array(means), params.epsilon),
         np.array(pts),

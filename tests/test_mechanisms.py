@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from griddp.dataset import Dataset, population_stats
+from griddp.dataset import ClipPlan, Dataset, population_stats
 from griddp.errors import (
     EmptyGrid,
     EmptyValues,
@@ -598,3 +598,77 @@ def test_sample_laplace_requires_positive_scale():
 def test_private_quantile_always_in_range(values, q_level, eps_q, seed):
     out = private_quantile(values, q_level, eps_q, 10.0, RngStream(seed))
     assert 0.0 <= out <= 10.0
+
+
+def _copy(ds, column=None):
+    """A fresh dataset over the same occupancy, with ds's values or column."""
+    return Dataset._from_columns(
+        ds.occupancy(), np.array(ds._column if column is None else column), ds.bound_u
+    )
+
+
+def test_mae_curves_of_one_grid_share_one_packing(monkeypatch):
+    from griddp import mechanisms
+    from griddp.harness import ExperimentConfig, mae_eval
+
+    packs = []
+    pack = mechanisms._pack
+    monkeypatch.setattr(mechanisms, "_pack", lambda *a: packs.append(a[1:]) or pack(*a))
+    ds = _dataset([7, 1, 4, 4, 9, 2, 5, 3, 6, 8, 2, 2], seed=8)
+    runs = [("levy", "fixed"), ("quantile", "fixed"), ("quantile", "optimized")]
+    points = []
+    for _ in range(2):
+        for mechanism, mode in runs:
+            config = ExperimentConfig(epsilons=(0.5, 2.0), seed=3, mechanism=mechanism, mae_draws=4)
+            points.append(mae_eval(ds, "g", config, quantile_mode=mode))
+        # levy and both quantile modes pack best-fit at the optimized capacity
+        assert len(packs) == 1
+    assert points[:3] == points[3:]
+
+
+def test_kept_packings_equal_packings_of_a_fresh_copy():
+    ds = _dataset([7, 1, 4, 4, 9, 2, 5, 3, 6, 8, 2, 2], seed=8)
+    cases = [
+        ("array_average", _params(capacity=4, strategy=STRATEGY_WRAP)),
+        ("array_average", _params(capacity=4)),
+        ("levy", _params(capacity=4)),
+        ("levy", _params()),
+        ("quantile", _params(capacity=4)),
+    ]
+    for _ in range(2):
+        for mechanism, params in cases:
+            assert prepare(ds, "g", mechanism, params) == prepare(_copy(ds), "g", mechanism, params)
+
+
+def test_datasets_over_one_occupancy_keep_their_own_means():
+    ds = _dataset([7, 1, 4, 4, 9, 2, 5, 3, 6, 8, 2, 2], seed=8)
+    other = _copy(ds, 10.0 - ds._column)
+    for mechanism in ("array_average", "levy", "quantile"):
+        mine, theirs = (prepare(d, "g", mechanism, _params()) for d in (ds, other))
+        assert mine.capacity == theirs.capacity
+        assert theirs.means == prepare(_copy(other), "g", mechanism, _params()).means
+        assert mine.means != theirs.means
+
+
+def test_an_empty_packing_raises_on_every_call():
+    ds = _dataset([1, 2])
+    params = _params(capacity=4, strategy=STRATEGY_WRAP)
+    for _ in range(2):
+        with pytest.raises(EmptyGrid):
+            prepare(ds, "g", "array_average", params)
+    assert ds._packings == {}
+
+
+def test_dataset_columns_are_read_only():
+    ds = _dataset([3, 2])
+    occ = ds.occupancy()
+    for column in (ds._column, occ._counts, occ._ids):
+        with pytest.raises(ValueError):
+            column[0] = column[0]
+
+
+def test_clip_release_of_a_plan_equals_release_of_its_row():
+    ds = _dataset([3, 2, 4])
+    plan = ClipPlan.for_occupancy(ds.occupancy(), {"g": {"u1": 2, "u3": 1}})
+    want = clip_release(ds, "g", plan.row("g"), _params(), RngStream(7))
+    assert clip_release(ds, "g", plan, _params(), RngStream(7)) == want
