@@ -154,6 +154,10 @@ class OccupancyArray:
         ends = np.cumsum(present.sum(axis=1)).tolist()
         return [triples[a:b] for a, b in zip([0, *ends], ends)]
 
+    def _owner(self, e: int) -> tuple[str, str]:
+        """The grid and user tokens of entry e."""
+        return self._grids[bisect_right(self._bounds, e) - 1], self._tokens()[int(self._ids[e])]
+
     def _uid(self, user: str) -> int:
         """The id of a user token, or -1, which no entry holds."""
         i = bisect_left(self._users, user)
@@ -199,11 +203,6 @@ class OccupancyArray:
                     )
             gammas[lo:hi] = kept
         return gammas
-
-    def _plan_row(self, grid: str, row) -> list[int]:
-        """The grid's counts, by user token, of the plan {grid: row}."""
-        _, lo, hi = self._span(grid)
-        return self._plan_counts({grid: row})[lo:hi].tolist()
 
     def grids(self) -> list[str]:
         return list(self._grids)
@@ -265,10 +264,27 @@ class ClipPlan:
     entries, each in [0, count], as clip_user and full make it; a mapping
     becomes a plan only through for_occupancy. retained, row, grids,
     suppressed_pairs, == and repr are built from the array when asked for.
+    Counts that are not integers are InvalidParams; counts of another shape,
+    or one outside [0, count], InvalidPlan, naming the first bad entry.
     """
 
-    def __init__(self, occupancy: OccupancyArray, gammas: np.ndarray):
-        self._occupancy, self._gammas = occupancy, gammas.view()
+    def __init__(self, occupancy: OccupancyArray, gammas):
+        gammas = np.asarray(gammas)
+        # bool is kind "b", so True is no count
+        if gammas.dtype.kind not in "iu":
+            raise InvalidParams(f"retained counts must be integers, got dtype {gammas.dtype}")
+        ms = occupancy._counts
+        if gammas.shape != ms.shape:
+            raise InvalidPlan(f"a plan needs one count per entry ({len(ms)}), got {gammas.shape}")
+        bad = np.flatnonzero((gammas < 0) | (gammas > ms))
+        if bad.size:
+            e = int(bad[0])
+            grid, user = occupancy._owner(e)
+            raise InvalidPlan(
+                f"retained count for user {user} in grid {grid} "
+                f"must be in [0, {ms[e]}], got {gammas[e]}"
+            )
+        self._occupancy, self._gammas = occupancy, gammas.astype(np.int64, copy=False).view()
         self._gammas.flags.writeable = False
 
     @classmethod
@@ -363,9 +379,7 @@ class Dataset:
         # NaN fails both comparisons, so it is out of range too
         bad = np.flatnonzero(~((column >= 0.0) & (column <= self.bound_u)))
         if bad.size:
-            e = bisect_right(self._starts, bad[0]) - 1
-            grid = occupancy._grids[bisect_right(occupancy._bounds, e) - 1]
-            user = occupancy._tokens()[int(occupancy._ids[e])]
+            grid, user = occupancy._owner(bisect_right(self._starts, bad[0]) - 1)
             raise ValueOutOfRange(
                 f"value {column[bad[0]]} for user {user!r} in grid {grid!r} "
                 f"outside [0, {self.bound_u}]"
@@ -411,10 +425,11 @@ class Dataset:
 
     def clipped_values(self, grid: str, retained: dict[str, int]) -> list[float]:
         """The first retained[user] samples of each user, in the same order;
-        a user absent from retained keeps all. The row is read as a clip
-        plan's {grid: retained} is, by OccupancyArray._plan_row."""
-        gammas = self._occupancy._plan_row(grid, retained)
-        return self._heads(grid, range(len(gammas)), gammas).tolist()
+        a user absent from retained keeps all. The row is read as the clip
+        plan ClipPlan.for_occupancy(occupancy, {grid: retained})."""
+        _, lo, hi = self._occupancy._span(grid)
+        gammas = ClipPlan.for_occupancy(self._occupancy, {grid: retained})._gammas[lo:hi]
+        return self._heads(grid, range(hi - lo), gammas).tolist()
 
     def occupancy(self) -> OccupancyArray:
         return self._occupancy
@@ -580,16 +595,17 @@ class _Codes(dict):
 def _table(text: str, header: tuple[str, ...], bulk, one):
     """Parse a user,grid,<field> CSV, reading exactly what csv.reader reads.
 
-    The data rows are read in blocks of whole lines. A block with a quote,
-    a CR other than in a CRLF line end, NUL or a line longer than csv's
-    field limit is read with csv.reader; any other block is split at commas
-    and newlines, which leaves a line end's CR on the third field, where
-    float() and int() ignore it. Either way the third fields are converted
-    by bulk(users, grids, raws). A block
-    whose conversion fails (bulk raises ValueError), or that holds a blank
-    or malformed line, is scanned again row by row with one(user, grid,
-    raw, lineno), which raises the first error in file order, with its line
-    number (the csv record number); a csv.Error is raised as MalformedRow.
+    The data rows are read in blocks of whole lines, each down one chain. A
+    block free of quotes, NULs, CRs outside CRLF line ends and lines longer
+    than csv's field limit is split at commas and newlines, which leaves a
+    line end's CR on the third field, where float() and int() ignore it; any
+    other block, or one whose split or conversion fails, is read with
+    csv.reader. Either way the third fields are converted by bulk(users,
+    grids, raws). A block whose conversion fails there too (bulk raises
+    ValueError), or that holds a blank or malformed line, is scanned row by
+    row with one(user, grid, raw, lineno), which raises the first error in
+    file order, with its line number (the csv record number); a csv.Error is
+    raised as MalformedRow.
 
     Returns the grid and user tokens in sorted order, the stable (grid,
     user) order of the data rows, the runs of that order (their grid
@@ -622,16 +638,14 @@ def _table(text: str, header: tuple[str, ...], bulk, one):
         # csv in Python 3.10 rejects NUL, and it caps the length of a field
         crlf = "\r" not in block or block.count("\r") == block.count("\r\n")
         clean = crlf and not ('"' in block or "\0" in block or longest > limit)
-        rows = error = None
+        rows = error = split = None
         if clean:
             cursor[0] = stop
             split = _convert(_split(block, codes), bulk)
-        else:
+        if split is None:
             rows, error = _records(text, pos, stop, cursor)
             split = None if error else _convert(_columns(rows), bulk)
         if split is None:
-            if rows is None:
-                rows, error = _records(text, pos, stop, cursor)
             split = ([], [], [])
             _scan(zip(count(lineno), rows), len(header), one, split)
             if error is not None:

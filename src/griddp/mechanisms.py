@@ -185,18 +185,19 @@ def clip_release(
 ) -> MechanismOutput:
     """Release mean and variance of the first-gamma retained samples.
 
-    retained maps user token to the number of samples kept, and users absent
-    from the mapping keep everything; or it is a ClipPlan, checked when it
-    was made, whose row of the grid is read as a slice of its counts aligned
-    with the dataset's occupancy. Noise is calibrated to the retained counts
-    only. Draw order: mean noise, then variance noise.
+    retained maps user token to the number of samples kept (users absent
+    from it keep everything) and is read as the plan {grid: retained}; or it
+    is a ClipPlan, checked when it was made. The grid's row is a slice of
+    the plan's counts aligned with the dataset's occupancy. Noise is
+    calibrated to the retained counts only. Draw order: mean noise, then
+    variance noise.
     """
     occupancy = dataset.occupancy()
-    if isinstance(retained, ClipPlan):
-        _, lo, hi = occupancy._span(grid)
-        gammas = retained._counts_for(occupancy)[lo:hi].tolist()
-    else:
-        gammas = occupancy._plan_row(grid, retained)
+    # an absent grid is UnknownGrid before a mapping is read as a plan
+    _, lo, hi = occupancy._span(grid)
+    if not isinstance(retained, ClipPlan):
+        retained = ClipPlan.for_occupancy(occupancy, {grid: retained})
+    gammas = retained._counts_for(occupancy)[lo:hi].tolist()
     return bind(_prepare_clip(dataset, grid, gammas, "clip"), params).draw(rng)
 
 
@@ -562,11 +563,11 @@ class _NoisyStats(_Draws):
 
 
 @dataclass(frozen=True, eq=False)
-class _Projection:
-    """The releases of levy and quantile once each row's [a, b] is drawn: the
-    mean of the array means clamped to [a, b], with Laplace noise for
-    sensitivity (b - a) / k_bar on half the budget from column col, read
-    unless a == b."""
+class _Projection(_Draws):
+    """The draws of levy and quantile: once each row's [a, b] is drawn,
+    release is the mean of the array means clamped to [a, b], with Laplace
+    noise for sensitivity (b - a) / k_bar on half the budget from column
+    col, read unless a == b."""
 
     mechanism: str
     grid: str
@@ -591,26 +592,24 @@ class _Projection:
 
 
 @dataclass(frozen=True, eq=False)
-class _LevyDraw(_Draws):
+class _LevyDraw(_Projection):
     """One uniform picks a bin, whose interval ends bind computed; the
     second is the noise."""
 
-    projection: _Projection
     ends: np.ndarray
     table: tuple[np.ndarray, float]
     uniforms = 2
 
     def draw_batch(self, block) -> MechanismOutput:
         a, b = self.ends[_choose(*self.table, block[:, 0])].T
-        return self.projection.release(a, b, block, 1)
+        return self.release(a, b, block, 1)
 
 
 @dataclass(frozen=True, eq=False)
-class _QuantileDraw(_Draws):
+class _QuantileDraw(_Projection):
     """Two uniforms per quantile (low, then high) over shared points, then
     the noise."""
 
-    projection: _Projection
     pts: np.ndarray
     low: tuple[np.ndarray, float]
     high: tuple[np.ndarray, float]
@@ -622,7 +621,7 @@ class _QuantileDraw(_Draws):
         b = _quantile_pick(self.pts, self.high, block[:, 2], block[:, 3])
         swap = a > b
         a, b = np.where(swap, b, a), np.where(swap, a, b)
-        return self.projection.release(a, b, block, 4, self.degenerate)
+        return self.release(a, b, block, 4, self.degenerate)
 
 
 def _bind_clip(prep: Prepared, params: MechanismParams) -> _NoisyStats:
@@ -656,7 +655,7 @@ def _bind_levy(prep: Prepared, params: MechanismParams) -> _LevyDraw:
     tau = concentration_tau(params.bound_u, len(means), params.gamma, prep.capacity)
     midpoints, _, weights = _interval_weights(means, params.epsilon / 2, tau, params.bound_u)
     return _LevyDraw(
-        _Projection("levy", prep.grid, np.array(means), params.epsilon),
+        "levy", prep.grid, np.array(means), params.epsilon,
         np.array([_interval_ends(c, tau, params.bound_u) for c in midpoints]),
         _table(weights),
     )
@@ -680,7 +679,7 @@ def _bind_quantile(prep: Prepared, params: MechanismParams) -> _QuantileDraw:
     eps_q = params.epsilon / 4
     pts = prep.points
     return _QuantileDraw(
-        _Projection(f"quantile_{params.quantile_mode}", prep.grid, np.array(means), params.epsilon),
+        f"quantile_{params.quantile_mode}", prep.grid, np.array(means), params.epsilon,
         np.array(pts),
         _table(_quantile_weights(pts, q_lo, eps_q)),
         _table(_quantile_weights(pts, q_hi, eps_q)),

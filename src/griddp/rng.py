@@ -21,8 +21,12 @@ from .errors import NonPositiveScale, require_int, require_positive
 _EPS = 2.0 ** -53
 
 
+def _label_digest(label: str) -> bytes:
+    return hashlib.sha256(label.encode("utf-8")).digest()
+
+
 def _label_entropy(label: str) -> int:
-    return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest(), "little")
+    return int.from_bytes(_label_digest(label), "little")
 
 
 class RngStream:
@@ -45,11 +49,12 @@ class RngStream:
         """An (N, m) float64 block for N labels (any iterable of them): row i
         is the first m values of self.split(labels[i]).random(), bit for bit,
         without building the N child streams."""
-        return self._children_uniforms(map(_label_entropy, labels), m)
+        return self._children_uniforms(map(_label_digest, labels), m)
 
     def _children_uniforms(self, keys, m: int) -> np.ndarray:
         """split_uniforms for children whose last path ints are keys, each
-        below 2^256; the children are generated _CHILDREN at a time."""
+        32 bytes read little-endian, as a label's sha256 digest is read by
+        split; the children are generated _CHILDREN at a time."""
         m = require_int("uniforms per child", m, low=0)
         # A child's SeedSequence mixes its key's words into this stream's own
         # pool: the spawn key pads the seed's words to the pool size with
@@ -61,9 +66,7 @@ class RngStream:
         keys = iter(keys)
         blocks = [np.empty((0, m))]
         while chunk := list(islice(keys, _CHILDREN)):
-            words = np.frombuffer(
-                b"".join(k.to_bytes(32, "little") for k in chunk), dtype="<u4"
-            ).reshape(-1, 8)
+            words = np.frombuffer(b"".join(chunk), dtype="<u4").reshape(-1, 8)
             blocks.append(_pcg64_uniforms(_generate_state(_mix_keys(pool, hc, words)), m))
         return np.concatenate(blocks)
 

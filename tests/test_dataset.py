@@ -14,6 +14,7 @@ from griddp.cli import cli_main
 from griddp.dataset import (
     DATA_HEADER,
     OCCUPANCY_HEADER,
+    ClipPlan,
     Dataset,
     OccupancyArray,
     grid_stats,
@@ -199,6 +200,34 @@ def test_clipped_values_checks_the_row(retained, error):
     with pytest.raises(error):
         ds.clipped_values("g", retained)
     assert ds.clipped_values("g", {"a": 3, "b": 0}) == [1.0, 2.0, 3.0]
+    # the grid is looked up before the row is read as a plan
+    with pytest.raises(UnknownGrid):
+        ds.clipped_values("absent", {})
+
+
+def test_clip_plan_checks_its_counts_when_made():
+    # entries in grid, then user token, order: (g, a) of 2, (g, b) of 3,
+    # (h, a) of 1
+    occ = Dataset({"g": {"a": [1, 2], "b": [10, 20, 30]}, "h": {"a": [5]}}, 65).occupancy()
+    bad = [
+        ([3, 3, 1], "user a in grid g"),
+        ([-1, 3, 1], "user a in grid g"),
+        ([2, 3, 2], "user a in grid h"),
+    ]
+    for counts, where in bad:
+        with pytest.raises(InvalidPlan, match=f"retained count for {where} must be in"):
+            ClipPlan(occ, np.array(counts))
+    for counts in ([1, 1], [[2, 3, 1]], [2, 3, 1, 0]):
+        with pytest.raises(InvalidPlan, match="one count per entry"):
+            ClipPlan(occ, np.array(counts))
+    for counts in ([2.0, 3.0, 1.0], [True, True, True], ["2", "3", "1"]):
+        with pytest.raises(InvalidParams, match="must be integers"):
+            ClipPlan(occ, np.array(counts))
+    # a list or another integer dtype is stored as a read-only int64 array
+    for counts in ([2, 0, 1], np.array([2, 0, 1], np.uint8)):
+        plan = ClipPlan(occ, counts)
+        assert plan._gammas.dtype == np.int64 and not plan._gammas.flags.writeable
+        assert plan.retained == {"g": {"a": 2, "b": 0}, "h": {"a": 1}}
 
 
 def test_dataset_validation():

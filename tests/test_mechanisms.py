@@ -21,6 +21,7 @@ from griddp.errors import (
     InvalidPlan,
     NoBins,
     TooLarge,
+    UnknownGrid,
     ZeroRetained,
 )
 from griddp.grouping import STRATEGY_WRAP, array_means, best_fit, median_mub, wrap_around
@@ -120,6 +121,9 @@ def test_clip_plan_validation():
         clip_release(ds, "g", None, _params(), RngStream(0))
     with pytest.raises(ZeroRetained):
         clip_release(ds, "g", {"u1": 0, "u2": 0}, _params(), RngStream(0))
+    # the grid is looked up before the row is read as a plan
+    with pytest.raises(UnknownGrid):
+        clip_release(ds, "absent", {"ghost": 1}, _params(), RngStream(0))
 
 
 def _reads(count, seed):

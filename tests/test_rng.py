@@ -96,7 +96,7 @@ def test_children_uniforms_for_keys_of_one_to_eight_words(seed, path):
     keys = [0, 1, 2**32 - 1, 2**32, 2**64 + 2**32, 2**160 + 1, 2**224 - 1, 2**224, 2**256 - 1]
     keys += [_key_of_words(rnd, count) for count in range(1, 9) for _ in range(4)]
     keys += [rnd.getrandbits(256) >> 32 for _ in range(4)]
-    got = RngStream(seed, path)._children_uniforms(keys, 4)
+    got = RngStream(seed, path)._children_uniforms([k.to_bytes(32, "little") for k in keys], 4)
     want = np.array([RngStream(seed, path + (k,)).random(4) for k in keys])
     assert np.array_equal(_bits(got), _bits(want))
 
