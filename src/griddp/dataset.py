@@ -335,7 +335,7 @@ class Dataset:
     entry e of the occupancy owns _column[_starts[e]:_starts[e + 1]]. The
     column and the occupancy's arrays are read-only, so mechanisms.prepare
     keeps each packing of the data, by grid, strategy and capacity rule, in
-    _packings.
+    _packings, and _grid_mean keeps each grid's exact mean in _means.
     """
 
     def __init__(self, samples: dict[str, dict[str, list[float]]], bound_u: float):
@@ -375,6 +375,7 @@ class Dataset:
         self._occupancy, self._column = occupancy, column
         column.flags.writeable = False
         self._packings: dict = {}
+        self._means: dict[str, float] = {}
         self._starts = [0, *np.cumsum(occupancy._counts).tolist()]
         # NaN fails both comparisons, so it is out of range too
         bad = np.flatnonzero(~((column >= 0.0) & (column <= self.bound_u)))
@@ -388,6 +389,13 @@ class Dataset:
     def _grid_column(self, grid: str) -> np.ndarray:
         _, lo, hi = self._occupancy._span(grid)
         return self._column[self._starts[lo] : self._starts[hi]]
+
+    def _grid_mean(self, grid: str) -> float:
+        """The left_sum of the grid's samples over their count, computed on
+        the first call and kept."""
+        if grid not in self._means:
+            self._means[grid] = left_sum(self._grid_column(grid)) / self._occupancy.total(grid)
+        return self._means[grid]
 
     def _heads(self, grid: str, positions, sizes) -> np.ndarray:
         """The first sizes[i] samples of the user at positions[i] of the

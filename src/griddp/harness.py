@@ -124,6 +124,8 @@ def mae_eval(
     time, across epsilons, into one block of uniforms each, and each
     epsilon's rows of a block are drawn as one batch, so memory does not
     grow with the number of epsilons; each MAE's sum carries across blocks.
+    The grid's exact mean is computed once per dataset and kept on it, as
+    the packings are.
     """
     if config.mechanism == "baseline":
         counts = dataset.occupancy().counts_in(grid)
@@ -131,7 +133,7 @@ def mae_eval(
             CurvePoint(eps, mean_sensitivity(counts, dataset.bound_u).value / eps, "baseline")
             for eps in config.epsilons
         ]
-    true_mean = left_sum(dataset._grid_column(grid)) / dataset.occupancy().total(grid)
+    true_mean = dataset._grid_mean(grid)
     options = dict(gamma=gamma, strategy=strategy, capacity=capacity, quantile_mode=quantile_mode)
     all_params = [MechanismParams(dataset.bound_u, eps, **options) for eps in config.epsilons]
     prepared = prepare(dataset, grid, config.mechanism, all_params[0])

@@ -15,7 +15,8 @@ and quantile) runs in three stages, and release() runs all three:
   ends, and each exponential-mechanism choice as a table of running weight
   sums;
 - draw_batch() on the bound object is the only random stage. It takes a
-  block of uniforms, one row per release, and makes every row's choices
+  block of uniforms in [0, 1], one row per release (InvalidParams for any
+  other value, NaN included), and makes every row's choices
   with one searchsorted per choice table, then its Laplace noise, as numpy
   vector operations; draw(rng) is draw_batch on a block of one row, read
   from the stream in the documented order.
@@ -55,7 +56,7 @@ from .errors import (
     require_probability,
 )
 from .grouping import STRATEGIES, STRATEGY_BEST, _pack, median_mub, optimized_mub
-from .rng import RngStream, laplace_inverse_cdf
+from .rng import RngStream, _require_uniforms, laplace_inverse_cdf
 from .sensitivity import (
     array_avg_sensitivity,
     clipped_mean_sensitivity,
@@ -149,7 +150,13 @@ def _noise(scales: np.ndarray, block, col: int) -> np.ndarray:
     return out
 
 
-def _table(weights: list[float]) -> tuple[np.ndarray, float]:
+def _exps(args: np.ndarray) -> np.ndarray:
+    """libm exp of each arg, one math.exp call each: np.exp differs from it
+    in the last bit on some inputs, which would move the seeded choices."""
+    return np.fromiter(map(math.exp, args.tolist()), float, len(args))
+
+
+def _table(weights: np.ndarray) -> tuple[np.ndarray, float]:
     """The running sums of weights, left to right, and their total, the
     last of them: the lookup table of one exponential-mechanism choice."""
     cum = np.cumsum(weights)
@@ -251,7 +258,7 @@ def levy_planning_delta(bound_u: float, k_bar: int, tau: float) -> float:
 
 def _interval_weights(
     means, eps_half: float, tau: float, bound_u: float
-) -> tuple[list[float], list[int], list[float]]:
+) -> tuple[list[float], list[int], np.ndarray]:
     """Bin midpoints, costs and selection weights of private_interval."""
     means = np.fromiter(means, dtype=float)
     if not means.size:
@@ -274,10 +281,9 @@ def _interval_weights(
     snapped = np.bincount(nearest, minlength=nbins)
     # a midpoint's cost: the larger of the snapped counts below and above it
     up_to = np.cumsum(snapped)
-    costs = np.maximum(up_to - snapped, len(means) - up_to).tolist()
-    c_min = min(costs)
-    weights = [math.exp(-eps_half * (c - c_min) / 2) for c in costs]
-    return midpoints.tolist(), costs, weights
+    costs = np.maximum(up_to - snapped, len(means) - up_to)
+    weights = _exps(-eps_half * (costs - costs.min()) / 2)
+    return midpoints.tolist(), costs.tolist(), weights
 
 
 def _interval_ends(center: float, tau: float, bound_u: float) -> tuple[float, float]:
@@ -327,8 +333,9 @@ def _quantile_points(values, bound_u: float) -> list[float]:
     return [0.0, *xs.tolist(), float(bound_u)]
 
 
-def _quantile_weights(pts: list[float], q_level: float, eps_q: float) -> list[float]:
-    """Selection weight of each interval between consecutive points."""
+def _quantile_weights(pts: np.ndarray, q_level: float, eps_q: float) -> np.ndarray:
+    """Selection weight of each interval between consecutive points of the
+    sorted array pts."""
     n = len(pts) - 2
     target = q_level * n
     # Shift by the utility of the positive-width interval nearest the target,
@@ -339,10 +346,13 @@ def _quantile_weights(pts: list[float], q_level: float, eps_q: float) -> list[fl
     near = (bisect_left(pts, v) - 1, bisect_right(pts, v) - 1)
     shift = max(-abs(i - target) for i in near if 0 <= i <= n)
     half = eps_q / 2
-    return [
-        (hi - lo) * math.exp(half * (-abs(i - target) - shift)) if hi > lo else 0.0
-        for i, lo, hi in zip(range(n + 1), pts, pts[1:])
-    ]
+    widths = pts[1:] - pts[:-1]
+    # exp only of positive widths: a zero-width interval may lie nearer the
+    # target than the shift, where exp would overflow
+    positive = np.flatnonzero(widths > 0)
+    weights = np.zeros(n + 1)
+    weights[positive] = widths[positive] * _exps(half * (-abs(positive - target) - shift))
+    return weights
 
 
 def _quantile_pick(pts, table: tuple[np.ndarray, float], u_choice, u_point):
@@ -367,7 +377,7 @@ def private_quantile(
         raise InvalidParams(f"quantile level must be in [0, 1], got {q_level}")
     require_positive("quantile budget", eps_q)
     require_positive("value bound", bound_u)
-    table = _table(_quantile_weights(pts, q_level, eps_q))
+    table = _table(_quantile_weights(np.array(pts), q_level, eps_q))
     return _quantile_pick(pts, table, rng.random(), rng.random())
 
 
@@ -520,10 +530,15 @@ class _Draws:
     row of an (N, uniforms) block of uniforms, such as
     RngStream.split_uniforms gives, and returns them as one MechanismOutput
     whose noisy values, noise scales and interval ends are arrays with an
-    entry per row; draw(rng) is draw_batch on a block of one row."""
+    entry per row; a value of the block outside [0, 1], or NaN, raises
+    InvalidParams. draw(rng) is the same draw on a block of one row read
+    from the stream. Each bound object draws in _draw(block)."""
 
     def draw(self, rng: RngStream) -> MechanismOutput:
-        return _row(self.draw_batch(_StreamRow(rng)), 0)
+        return _row(self._draw(_StreamRow(rng)), 0)
+
+    def draw_batch(self, block) -> MechanismOutput:
+        return self._draw(_require_uniforms(block))
 
 
 @dataclass(frozen=True, eq=False)
@@ -544,7 +559,7 @@ class _NoisyStats(_Draws):
     def uniforms(self) -> int:
         return 1 + (self.variance is not None)
 
-    def draw_batch(self, block) -> MechanismOutput:
+    def _draw(self, block) -> MechanismOutput:
         rows = len(block)
         noisy_mean = self.mean + _noise(np.full(rows, self.scale_mean), block, 0)
         noisy_variance = None
@@ -600,7 +615,7 @@ class _LevyDraw(_Projection):
     table: tuple[np.ndarray, float]
     uniforms = 2
 
-    def draw_batch(self, block) -> MechanismOutput:
+    def _draw(self, block) -> MechanismOutput:
         a, b = self.ends[_choose(*self.table, block[:, 0])].T
         return self.release(a, b, block, 1)
 
@@ -616,7 +631,7 @@ class _QuantileDraw(_Projection):
     degenerate: bool
     uniforms = 5
 
-    def draw_batch(self, block) -> MechanismOutput:
+    def _draw(self, block) -> MechanismOutput:
         a = _quantile_pick(self.pts, self.low, block[:, 0], block[:, 1])
         b = _quantile_pick(self.pts, self.high, block[:, 2], block[:, 3])
         swap = a > b
@@ -677,10 +692,10 @@ def _bind_quantile(prep: Prepared, params: MechanismParams) -> _QuantileDraw:
         q_lo = t_lo / k_bar
         q_hi = 1 - t_hi / k_bar
     eps_q = params.epsilon / 4
-    pts = prep.points
+    pts = np.array(prep.points)
     return _QuantileDraw(
         f"quantile_{params.quantile_mode}", prep.grid, np.array(means), params.epsilon,
-        np.array(pts),
+        pts,
         _table(_quantile_weights(pts, q_lo, eps_q)),
         _table(_quantile_weights(pts, q_hi, eps_q)),
         degenerate,

@@ -15,7 +15,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import NonPositiveScale, require_int, require_positive
+from .errors import InvalidParams, NonPositiveScale, require_int, require_positive
 
 # Smallest uniform kept away from 0 and 1 so inverse CDFs stay finite.
 _EPS = 2.0 ** -53
@@ -65,8 +65,8 @@ class RngStream:
         hc = _INIT_A * pow(_MULT_A, 4 * n, 1 << 32) & _MASK32
         keys = iter(keys)
         blocks = [np.empty((0, m))]
-        while chunk := list(islice(keys, _CHILDREN)):
-            words = np.frombuffer(b"".join(chunk), dtype="<u4").reshape(-1, 8)
+        while chunk := b"".join(islice(keys, _CHILDREN)):
+            words = np.frombuffer(chunk, dtype="<u4").reshape(-1, 8)
             blocks.append(_pcg64_uniforms(_generate_state(_mix_keys(pool, hc, words)), m))
         return np.concatenate(blocks)
 
@@ -93,15 +93,24 @@ class RngStream:
 # bit_generator.pyx and pcg64.h (O'Neill 2014, "PCG: A Family of Simple Fast
 # Space-Efficient Statistically Good Algorithms for Random Number
 # Generation"); the pool the keys are mixed into is numpy's own. Words are
-# uint32 and 64-bit limbs uint64 arrays, whose arithmetic wraps silently;
-# constants shared by every child are Python ints, never numpy integer
-# scalars, whose arithmetic warns on overflow.
+# uint32 and 64-bit limbs uint64 arrays with one row per word or limb and one
+# column per child, whose arithmetic wraps silently and runs in place where
+# it can. Constants that meet those arrays are numpy scalars of their dtype,
+# so no operation converts a Python int; no two numpy scalars are ever
+# combined, since numpy scalar arithmetic warns on overflow.
 _MASK32 = 0xFFFF_FFFF
 _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# The multiplier's high and low 64-bit limbs, and the low limb's 32-bit halves.
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
+_MULT_LO0, _MULT_LO1 = np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32)
+_LOW32 = np.uint64(_MASK32)
+# Shift counts (and the increment's low bit) in the dtype they meet.
+_S1, _S11, _S32, _S58, _S63 = (np.uint64(n) for n in (1, 11, 32, 58, 63))
+_S16 = np.uint32(16)
 # Children generated per pass of _children_uniforms, which bounds its memory.
 _CHILDREN = 1 << 14
 
@@ -121,71 +130,109 @@ def _hash_consts(hc: int, mult: int, count: int) -> list[int]:
 
 
 def _mix_keys(pool: np.ndarray, hc: int, words: np.ndarray) -> np.ndarray:
-    """(N, 4) uint32 pools after mixing each row's key words (N, 8) into
+    """(4, N) uint32 pools after mixing each row's key words (N, 8) into
     pool, one source word at a time, each into the 4 pool words with 4
     consecutive hash constants. A key has as many words as its highest
     nonzero word (at least one), so rows are grouped by word count."""
-    nonzero = words != 0
-    counts = np.where(nonzero.any(axis=1), 8 - np.argmax(nonzero[:, ::-1], axis=1), 1)
+    # A row's nonzero flags are the bytes of one little-endian uint64, whose
+    # float value lies in [2^(8j), 2^(8j + 1)) for its highest nonzero word j
+    # (rounding cannot reach the next power of two), so frexp's exponent is
+    # 8j + 1; an all-zero row gives exponent 0, and a key of one word.
+    flags = (words != 0).view("<u8")[:, 0]
+    counts = np.maximum((np.frexp(flags.astype(float))[1] + 7) // 8, 1)
     consts = np.array(_hash_consts(hc, _MULT_A, 32), dtype=np.uint32)
-    out = np.empty((len(words), 4), dtype=np.uint32)
-    for count in np.unique(counts).tolist():
-        rows = counts == count
-        mixed = np.broadcast_to(pool, (int(rows.sum()), 4))
-        for j, word in enumerate(words[rows, :count].T):
-            h = (word[:, None] ^ consts[4 * j : 4 * j + 4]) * consts[4 * j + 1 : 4 * j + 5]
-            h ^= h >> 16
-            mixed = _MIX_L * mixed - _MIX_R * h
-            mixed ^= mixed >> 16
-        out[rows] = mixed
+    out = np.empty((4, len(words)), dtype=np.uint32)
+    groups = np.unique(counts).tolist()
+    for count in groups:
+        # sha256 keys nearly always have 8 words: one group is read by slice
+        rows = counts == count if len(groups) > 1 else slice(None)
+        # every hashmix of the group in one pass: h[j, k] is word j hashed
+        # with the constants of pool word k; the mixes then run in order
+        h = words[rows, :count].T[:, None] ^ consts[: 4 * count].reshape(count, 4, 1)
+        h *= consts[1 : 4 * count + 1].reshape(count, 4, 1)
+        mixed = np.repeat(pool[:, None], h.shape[2], axis=1)
+        shifted = np.empty_like(mixed)
+        for hj in h:
+            hj ^= np.right_shift(hj, _S16, out=shifted)
+            hj *= _MIX_R
+            mixed *= _MIX_L
+            mixed -= hj
+            mixed ^= np.right_shift(mixed, _S16, out=shifted)
+        out[:, rows] = mixed
     return out
 
 
 def _generate_state(pools: np.ndarray) -> np.ndarray:
-    """generate_state(4, uint64) of each (N, 4) pool: an (N, 4) uint64 array."""
-    consts = np.array(_hash_consts(_INIT_B, _MULT_B, 8), dtype=np.uint32)
-    state = (np.tile(pools, 2) ^ consts[:8]) * consts[1:]
-    state ^= state >> 16
+    """generate_state(4, uint64) of each column of (4, N) pools: a (4, N)
+    uint64 array."""
+    consts = np.array(_hash_consts(_INIT_B, _MULT_B, 8), dtype=np.uint32)[:, None]
+    state = (np.tile(pools, (2, 1)) ^ consts[:8]) * consts[1:]
+    state ^= state >> _S16
     state = state.astype(np.uint64)
-    return state[:, 0::2] | state[:, 1::2] << 32
+    return state[0::2] | state[1::2] << _S32
 
 
-def _mulhi64(a: np.ndarray, b: int) -> np.ndarray:
-    """The high 64 bits of a * b, from 32-bit limb products."""
-    a0, a1 = a & _MASK32, a >> 32
-    b0, b1 = b & _MASK32, b >> 32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+def _add_mulhi64(acc: np.ndarray, a: np.ndarray, scratch: np.ndarray) -> None:
+    """acc += the high 64 bits of a * _MULT_LO, from 32-bit limb products
+    (Warren, Hacker's Delight, mulhu): with t = a1 b0 + (a0 b0 >> 32) and
+    w = (t & mask) + a0 b1, none of which overflows, the high bits are
+    a1 b1 + (t >> 32) + (w >> 32). scratch is four arrays of a's shape."""
+    a0, a1, t, w = scratch
+    np.bitwise_and(a, _LOW32, out=a0)
+    np.right_shift(a, _S32, out=a1)
+    np.multiply(a0, _MULT_LO0, out=t)
+    t >>= _S32
+    t += np.multiply(a1, _MULT_LO0, out=w)
+    a0 *= _MULT_LO1
+    np.bitwise_and(t, _LOW32, out=w)
+    w += a0
+    t >>= _S32
+    acc += t
+    w >>= _S32
+    acc += w
+    a1 *= _MULT_LO1
+    acc += a1
 
 
-_MULT_HI, _MULT_LO = _PCG_MULT >> 64, _PCG_MULT & _MASK64
-
-
-def _lcg_step(hi, lo, inc_hi, inc_lo):
-    """state * _PCG_MULT + inc modulo 2^128, on (hi, lo) uint64 limbs."""
-    new_lo = lo * _MULT_LO + inc_lo
-    carry = new_lo < inc_lo
-    new_hi = hi * _MULT_LO + lo * _MULT_HI + _mulhi64(lo, _MULT_LO) + inc_hi + carry
-    return new_hi, new_lo
+def _lcg_step(hi, lo, inc_hi, inc_lo, scratch: np.ndarray) -> None:
+    """state * _PCG_MULT + inc modulo 2^128, in place on (hi, lo) uint64
+    limbs; scratch is four arrays of their shape."""
+    hi *= _MULT_LO
+    hi += np.multiply(lo, _MULT_HI, out=scratch[0])
+    hi += inc_hi
+    _add_mulhi64(hi, lo, scratch)
+    lo *= _MULT_LO
+    lo += inc_lo
+    # the carry out of the low limb's addition
+    hi += np.less(lo, inc_lo, out=scratch[0])
 
 
 def _pcg64_uniforms(seeds: np.ndarray, m: int) -> np.ndarray:
-    """The first m Generator.random() values of PCG64 seeded with each row
-    of seeds, generate_state's (N, 4) uint64 words: initstate s0 << 64 | s1,
-    initseq s2 << 64 | s3. Each value is one LCG step, then XSL-RR."""
-    s0, s1, s2, s3 = seeds.T
-    inc_hi, inc_lo = s2 << 1 | s3 >> 63, s3 << 1 | 1
+    """The first m Generator.random() values of PCG64 seeded with each column
+    of seeds, generate_state's (4, N) uint64 words: initstate s0 << 64 | s1,
+    initseq s2 << 64 | s3; an (N, m) array. Each value is one LCG step, then
+    XSL-RR."""
+    s0, s1, s2, s3 = seeds
+    inc_hi, inc_lo = s2 << _S1 | s3 >> _S63, s3 << _S1 | _S1
     # state = 0, step, add initstate, step
     lo = inc_lo + s1
-    hi, lo = _lcg_step(inc_hi + s0 + (lo < s1), lo, inc_hi, inc_lo)
-    out = np.empty((len(seeds), m))
-    for j in range(m):
-        hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-        x, rot = hi ^ lo, hi >> 58
-        x = x >> rot | x << (-rot & 63)
-        out[:, j] = (x >> 11) * 2.0**-53
-    return out
+    hi = inc_hi + s0 + (lo < s1)
+    scratch = np.empty((4, len(lo)), np.uint64)
+    _lcg_step(hi, lo, inc_hi, inc_lo, scratch)
+    x, rot, right = scratch[:3]
+    out = np.empty((m, len(lo)))
+    for row in out:
+        _lcg_step(hi, lo, inc_hi, inc_lo, scratch)
+        np.bitwise_xor(hi, lo, out=x)
+        np.right_shift(hi, _S58, out=rot)
+        np.right_shift(x, rot, out=right)
+        np.negative(rot, out=rot)
+        rot &= _S63
+        x <<= rot
+        x |= right
+        x >>= _S11
+        np.multiply(x, 2.0**-53, out=row)
+    return out.T
 
 
 # AS241 (Wichura 1988) rational approximations, highest degree first, in the
@@ -252,20 +299,31 @@ def _normal_inverse_cdf(p: np.ndarray) -> np.ndarray:
     return x
 
 
-def laplace_inverse_cdf(u, scale: float):
-    """Map uniform u in [0, 1) to a centered Laplace variate of given scale.
+def _require_uniforms(u) -> np.ndarray:
+    """u as a float array; InvalidParams unless every value lies in [0, 1]
+    (NaN fails both comparisons)."""
+    u = np.asarray(u, dtype=float)
+    inside = (u >= 0.0) & (u <= 1.0)
+    if not inside.all():
+        raise InvalidParams(f"uniforms must lie in [0, 1], got {u[~inside].flat[0]}")
+    return u
 
-    scale is one positive finite float, or an array of them broadcast
-    against u. u = 0.5 maps to exactly 0. Inputs at the open ends are nudged
-    by one ulp so the transform never returns an infinity. The offset from
-    0.5 is taken through 1 - u, so u and the float 1 - u map to exact
-    negatives; on the 2^-53 grid of RngStream.random() it equals u - 0.5
-    exactly.
+
+def laplace_inverse_cdf(u, scale: float):
+    """Map uniform u in [0, 1] to a centered Laplace variate of given scale.
+
+    u is one float or an array of them; any value outside [0, 1], or NaN,
+    raises InvalidParams. scale is one positive finite float, or an array of
+    them broadcast against u. u = 0.5 maps to exactly 0. Inputs at the ends
+    are nudged by one ulp so the transform never returns an infinity. The
+    offset from 0.5 is taken through 1 - u, so u and the float 1 - u map to
+    exact negatives; on the 2^-53 grid of RngStream.random() it equals
+    u - 0.5 exactly.
     """
     scale = np.asarray(scale, dtype=float)
     if not np.all((scale > 0) & (scale < math.inf)):
         raise NonPositiveScale(f"laplace scale must be positive and finite, got {scale}")
-    u_arr = np.asarray(u, dtype=float)
+    u_arr = _require_uniforms(u)
     shifted = 0.5 - (1.0 - u_arr)
     inner = np.clip(1.0 - 2.0 * np.abs(shifted), _EPS, None)
     out = -scale * np.sign(shifted) * np.log(inner)

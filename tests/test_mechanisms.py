@@ -3,7 +3,7 @@
 import dataclasses
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import reduce
 from operator import add
 
@@ -31,6 +31,7 @@ from griddp.mechanisms import (
     _choose,
     _interval_weights,
     _quantile_points,
+    _quantile_weights,
     _table,
     array_average_release,
     baseline_release,
@@ -440,6 +441,73 @@ def test_quantile_points_match_the_sorted_comprehension(values, bound_u):
     assert list(map(float.hex, _quantile_points(values, bound_u))) == list(map(float.hex, want))
 
 
+def _quantile_weights_reference(pts, q_level, eps_q):
+    """Each interval's weight in a Python loop, one math.exp per interval of
+    positive width."""
+    n = len(pts) - 2
+    target = q_level * n
+    v = pts[round(target)]
+    near = (bisect_left(pts, v) - 1, bisect_right(pts, v) - 1)
+    shift = max(-abs(i - target) for i in near if 0 <= i <= n)
+    half = eps_q / 2
+    return [
+        (hi - lo) * math.exp(half * (-abs(i - target) - shift)) if hi > lo else 0.0
+        for i, lo, hi in zip(range(n + 1), pts, pts[1:])
+    ]
+
+
+def _assert_quantile_weights_match(values, q_level, eps_q):
+    pts = _quantile_points(values, 10.0)
+    got = _quantile_weights(np.array(pts), q_level, eps_q).tolist()
+    want = _quantile_weights_reference(pts, q_level, eps_q)
+    assert list(map(float.hex, got)) == list(map(float.hex, want))
+    return pts, got
+
+
+@pytest.mark.parametrize(
+    "values, q_level, eps_q",
+    [
+        # a run of equal points holds pts[round(q n)]
+        ([1.0, 2.0, 3.0, 3.0, 3.0, 3.0, 3.0, 4.0, 5.0], 0.5, 1.0),
+        ([1.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 9.0], 0.1, 4.0),
+        # zero-width intervals nearer the target than the shift, where exp
+        # of their exponent would overflow
+        ([3.0] * 20, 0.5, 1e3),
+        ([2.0] * 7 + [5.0] * 7, 0.3, 1e3),
+        ([0.0, 0.0, 0.0, 10.0, 10.0], 0.5, 1e3),
+        # both ends of the level range
+        ([1.0, 2.0, 2.0, 6.0], 0.0, 1.0),
+        ([1.0, 2.0, 2.0, 6.0], 1.0, 1.0),
+        ([0.0, 0.0, 4.0], 0.0, 40.0),
+        ([4.0, 10.0, 10.0], 1.0, 40.0),
+        # a single point, inside and at either end
+        ([4.0], 0.5, 1.0),
+        ([0.0], 0.9, 1.0),
+        ([10.0], 0.1, 1.0),
+    ],
+)
+def test_quantile_weights_match_the_interval_loop(values, q_level, eps_q):
+    _assert_quantile_weights_match(values, q_level, eps_q)
+
+
+def test_quantile_weights_underflow_to_zero_as_the_loop_does():
+    values = [i / 10 for i in range(1, 100)]
+    pts, got = _assert_quantile_weights_match(values, 0.5, 1e3)
+    widths = np.diff(pts)
+    assert ((widths > 0) & (np.array(got) == 0.0)).sum() > 80
+    assert max(got) > 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from([0.0, 1.0, 2.5, 7.0, 10.0]) | st.floats(-1.0, 11.0), min_size=1, max_size=40),
+    st.sampled_from([0.0, 1.0, 0.1, 0.9]) | st.floats(0.0, 1.0),
+    st.sampled_from([1e-3, 0.25, 40.0, 1e3]) | st.floats(1e-3, 1e3),
+)
+def test_quantile_weights_match_the_interval_loop_on_random_points(values, q_level, eps_q):
+    _assert_quantile_weights_match(values, q_level, eps_q)
+
+
 def test_quantile_release_scale_and_interval():
     ds = _dataset([4, 4, 4, 4, 4, 4], seed=5)
     params = _params(capacity=4, epsilon=1.0)
@@ -652,6 +720,43 @@ def test_datasets_over_one_occupancy_keep_their_own_means():
         assert mine.capacity == theirs.capacity
         assert theirs.means == prepare(_copy(other), "g", mechanism, _params()).means
         assert mine.means != theirs.means
+
+
+def test_kept_grid_mean_equals_the_mean_of_a_fresh_copy():
+    from griddp.dataset import left_sum
+    from griddp.harness import ExperimentConfig, mae_eval
+
+    ds = _dataset([7, 1, 4, 4, 9, 2, 5, 3, 6, 8, 2, 2], seed=8)
+    assert ds._means == {}
+
+    def curve(dataset, mechanism):
+        config = ExperimentConfig(epsilons=(0.5, 2.0), seed=3, mechanism=mechanism, mae_draws=4)
+        return [p.value.hex() for p in mae_eval(dataset, "g", config)]
+
+    # the dataset serves clip first, and each mechanism after the one before
+    curve(ds, "clip")
+    for mechanism in ("array_average", "levy", "quantile"):
+        fresh = _copy(ds)
+        assert fresh._means == {}
+        assert curve(ds, mechanism) == curve(fresh, mechanism)
+    column = ds._grid_column("g")
+    assert list(ds._means) == ["g"]
+    assert ds._means["g"].hex() == (left_sum(column) / len(column)).hex()
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.5, math.nan])
+@pytest.mark.parametrize("mechanism", ["clip", "array_average", "levy", "quantile"])
+def test_draw_batch_rejects_uniforms_outside_the_unit_interval(mechanism, bad):
+    ds = _dataset([4, 4, 4, 4, 4, 4], seed=5)
+    params = _params(capacity=4)
+    bound = bind(prepare(ds, "g", mechanism, params), params)
+    block = np.full((3, bound.uniforms), 0.25)
+    bound.draw_batch(block)
+    for col in range(bound.uniforms):
+        block[2, col] = bad
+        with pytest.raises(InvalidParams, match=r"uniforms must lie in \[0, 1\]"):
+            bound.draw_batch(block)
+        block[2, col] = 0.25
 
 
 def test_an_empty_packing_raises_on_every_call():

@@ -134,6 +134,15 @@ def test_laplace_inverse_cdf_quantiles():
     assert math.isclose(laplace_inverse_cdf(0.25, 1.0), -math.log(2.0), rel_tol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "u", [1.5, -0.5, math.nan, np.array([0.2, 1.5]), np.array([[0.3], [math.nan]])]
+)
+def test_laplace_inverse_cdf_rejects_uniforms_outside_the_unit_interval(u):
+    # 1.5 and -0.5 once mapped to +-36.74 and NaN to NaN, with no error
+    with pytest.raises(InvalidParams, match=r"uniforms must lie in \[0, 1\]"):
+        laplace_inverse_cdf(u, 1.0)
+
+
 def test_laplace_inverse_cdf_finite_at_extremes():
     for u in (0.0, 1.0, 1e-300, 1 - 1e-16):
         out = laplace_inverse_cdf(u, 1.0)
