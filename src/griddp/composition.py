@@ -17,17 +17,21 @@ grid token), skipping grids where they are the last retained user; halt
 the whole routine the first time a user's best option exceeds E or a user
 has no evaluable option.
 
-clip_user runs on the occupancy's integer columns. The users are bucketed
-by level, the number of grids each still occupies: one bincount of the
-user ids, indexed in token order. A stage's top level is its maximum and
-its frozen set is the users at that level, so a stage costs no pass over
-the users in Python. A grid's peak is its first largest count in token
-order, one argmax over the grid's entries. The first time a peak user is
-suppressed or priced, the grid's entries are sorted by descending count
-(stable, so ties stay in token order), and a pointer past the suppressed
-ones gives the peak from then on. A candidate is priced as a float total
-in budget_from_aggregates' operation order; ErrorBudget objects are built
-only for the per-stage, initial and final budgets of each grid.
+clip_user runs on the occupancy's integer columns. A user's level is the
+number of grids it still occupies. The users are bucketed once by starting
+level (one bincount of the user ids and one stable sort), and a stage that
+completes leaves every user it froze one level lower, so the next stage's
+frozen set is this one's merged with the users who start at that level,
+both in token order. A user's entries are built, a chunk of users at a
+time, when the loop first reaches it. A grid's peak is its first largest
+count in token order, one argmax over the grid's entries. The first time a
+peak user is suppressed or priced, the grid's entries are sorted by
+descending count (stable, so ties stay in token order), and a pointer past
+the suppressed ones gives the peak from then on. A candidate, and each
+grid after a stage, is priced by one inline float total in
+budget_from_aggregates' operation order, with each grid's constant parts
+worked out once; ErrorBudget objects are built only for the initial and
+final budgets of each grid.
 
 pseudo_user_optimize then re-clips each grid's retained counts to the best
 uniform cap m (suppressed users stay suppressed), which can only lower the
@@ -41,6 +45,7 @@ minimum taken.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,24 +103,6 @@ class PseudoUserResult:
     new_error: float
 
 
-def _budget_terms(
-    sum_m: int, sum_gamma: int, gamma_star: int, bound_u: float, epsilon: float
-) -> tuple[float, float, float, float]:
-    """bias_mean, bias_var, noise_mean and noise_var of a grid's budget,
-    in the order _budget_total adds them."""
-    bias_mean = bound_u * (sum_m - sum_gamma) / sum_m
-    _, bias_var = bias_branch_value(sum_m, sum_gamma, bound_u)
-    noise_mean = 2 * (bound_u * gamma_star / sum_gamma) / epsilon
-    _, var_sens = variance_peak_value(sum_gamma, gamma_star, bound_u)
-    return bias_mean, bias_var, noise_mean, 2 * var_sens / epsilon
-
-
-def _budget_total(terms: tuple[float, float, float, float]) -> float:
-    """A budget's four terms added left to right, as _cap_totals adds them."""
-    bias_mean, bias_var, noise_mean, noise_var = terms
-    return bias_mean + bias_var + noise_mean + noise_var
-
-
 def budget_from_aggregates(
     grid: str,
     sum_m: int,
@@ -130,8 +117,14 @@ def budget_from_aggregates(
     a uniform cap, so the clipped sensitivities depend only on sum_gamma
     and the largest retained count gamma_star.
     """
-    terms = _budget_terms(sum_m, sum_gamma, gamma_star, bound_u, epsilon)
-    return ErrorBudget(grid, *terms, total=_budget_total(terms))
+    bias_mean = bound_u * (sum_m - sum_gamma) / sum_m
+    _, bias_var = bias_branch_value(sum_m, sum_gamma, bound_u)
+    noise_mean = 2 * (bound_u * gamma_star / sum_gamma) / epsilon
+    _, var_sens = variance_peak_value(sum_gamma, gamma_star, bound_u)
+    noise_var = 2 * var_sens / epsilon
+    # added left to right, as _cap_totals and _pricer add them
+    total = bias_mean + bias_var + noise_mean + noise_var
+    return ErrorBudget(grid, bias_mean, bias_var, noise_mean, noise_var, total)
 
 
 def grid_error(
@@ -168,6 +161,44 @@ def privacy_loss(occupancy: OccupancyArray, eps_per_grid) -> float:
     return float(np.bincount(occupancy._ids, weights=weights).max())
 
 
+def _pricer(sum_m: int, bound_u: float, epsilon: float) -> Callable[[int, int], float]:
+    """price(kept, peak) = budget_from_aggregates(g, sum_m, kept, peak,
+    bound_u, epsilon).total, in the same operation order, with the parts
+    that depend only on sum_m and bound_u worked out once."""
+    n, nn = sum_m, sum_m * sum_m
+    u2 = bound_u * bound_u
+    quarter = u2 / 4
+    # the parity cap of sum_m is the bias when nothing is kept
+    _, parity = bias_branch_value(sum_m, 0, bound_u)
+
+    def price(kept: int, peak: int) -> float:
+        if kept == n:
+            bias_var = 0.0
+        elif n < 2 * kept:
+            bias_var = u2 * kept * (n - kept) / nn
+        else:
+            bias_var = parity
+        if kept > 2 * peak:
+            var_sens = u2 * peak * (kept - peak) / (kept * kept)
+        elif kept % 2:
+            var_sens = quarter * (1 - 1 / (kept * kept))
+        else:
+            var_sens = quarter
+        return (
+            bound_u * (n - kept) / n
+            + bias_var
+            + 2 * (bound_u * peak / kept) / epsilon
+            + 2 * var_sens / epsilon
+        )
+
+    return price
+
+
+# Frozen users get their entries this many at a time, as the stage loop
+# reaches them, so a stage that halts early builds few.
+_ENTRY_CHUNK = 256
+
+
 def clip_user(
     occupancy: OccupancyArray,
     bound_u: float,
@@ -190,13 +221,16 @@ def clip_user(
     ids, counts = occupancy._ids, occupancy._counts
     sum_m = list(occupancy._totals)
     sum_gamma = list(sum_m)
+    prices = [_pricer(n, bound_u, epsilon) for n in sum_m]
     spans = list(occupancy._spans())
-    retained = [hi - lo for lo, hi in spans]  # users still in each grid
-    suppressed = np.zeros(len(ids), dtype=bool)
+    # spare[g] counts the users grid g may still lose: never its last one
+    spare = [hi - lo - 1 for lo, hi in spans]
+    suppressed = bytearray(len(ids))
+    count_of = counts.tolist()
     # top[g] is the entry of grid g's peak and desc[g][ptr[g]] is top[g]
     # once the peak is first suppressed or priced
     top = [lo + int(np.argmax(counts[lo:hi])) for lo, hi in spans]
-    peak = [int(counts[e]) for e in top]
+    peak = [count_of[e] for e in top]
     desc: dict[int, list[int]] = {}
     ptr = [0] * len(grids)
 
@@ -206,7 +240,8 @@ def clip_user(
         if g not in desc:
             lo, hi = spans[g]
             desc[g] = (lo + np.argsort(-counts[lo:hi], kind="stable")).tolist()
-        while suppressed[desc[g][i]]:
+        order = desc[g]
+        while suppressed[order[i]]:
             i += 1
         return i
 
@@ -218,58 +253,68 @@ def clip_user(
 
     initial = budgets()
     error_cap = max(b.total for b in initial.values())
-    protected = -1
     if protect_min_error_grid:
-        protected = grids.index(min(grids, key=lambda g: (initial[g].total, g)))
+        spare[grids.index(min(grids, key=lambda g: (initial[g].total, g)))] = 0
 
-    # level[i] counts the grids user i still occupies, and active[i] lists
-    # its retained entries once user i is first frozen
+    # A stage at level k suppresses each frozen user once, so when it ends
+    # every user it froze is at k - 1, beside the users who start there:
+    # the next frozen set is those two id-ordered runs merged. by_level
+    # lists the users by starting level, each level in id order.
     level = np.bincount(ids, minlength=len(occupancy._users))
+    by_level = np.argsort(level.astype(np.min_scalar_type(len(grids))), kind="stable")
+    ends = np.cumsum(np.bincount(level)).tolist()
+    k = len(ends) - 1  # every grid keeps a user, so k stays at least 1
+    frozen: list[int] = []
+    # active[i] lists user i's retained entries once the loop reaches it
     active: dict[int, list[tuple[int, int, int]]] = {}
     trace: list[Suppression] = []
     stage_max = [error_cap]
     stage = 1
     halted = False
     while not halted:
-        # every grid keeps a user, so the top level is at least 1
-        frozen = np.flatnonzero(level == level.max()).tolist()
-        fresh = [i for i in frozen if i not in active]
-        if fresh:
-            active.update(zip(fresh, occupancy._entries(fresh)))
+        fresh = by_level[ends[k - 1] : ends[k]].tolist()
+        frozen = sorted(frozen + fresh)
+        built = 0  # fresh[:built] have entries
         for i in frozen:
-            best: tuple[float, int, int, int] | None = None
-            for g, e, c in active[i]:
-                if g == protected or retained[g] <= 1:
+            entries = active.get(i)
+            if entries is None:  # i is fresh[built]
+                chunk = fresh[built : built + _ENTRY_CHUNK]
+                active.update(zip(chunk, occupancy._entries(chunk)))
+                built += len(chunk)
+                entries = active[i]
+            best, pick = None, -1
+            for j, (g, e, c) in enumerate(entries):
+                if not spare[g]:
                     continue
                 pk = peak[g]
                 if e == top[g]:  # a grid with two retained users has a second
                     second = next_kept(g, ptr[g] + 1)
-                    pk = int(counts[desc[g][second]])
-                total = _budget_total(_budget_terms(sum_m[g], sum_gamma[g] - c, pk, bound_u, epsilon))
+                    pk = count_of[desc[g][second]]
+                total = prices[g](sum_gamma[g] - c, pk)
                 # grids come in token order, so a tie keeps the earlier grid
-                if best is None or total < best[0]:
-                    best = (total, g, e, c)
-            if best is None or best[0] > error_cap:
+                if best is None or total < best:
+                    best, pick = total, j
+            if best is None or best > error_cap:
                 halted = True
                 break
-            total, g, e, c = best
-            suppressed[e] = True
+            g, e, c = entries.pop(pick)
+            suppressed[e] = 1
             sum_gamma[g] -= c
-            retained[g] -= 1
+            spare[g] -= 1
             if e == top[g]:
                 ptr[g] = next_kept(g, ptr[g])
                 top[g] = desc[g][ptr[g]]
-                peak[g] = int(counts[top[g]])
-            active[i].remove((g, e, c))
-            level[i] -= 1
-            trace.append(Suppression(stage, occupancy._users[i], grids[g], total))
-        stage_max.append(max(b.total for b in budgets().values()))
+                peak[g] = count_of[top[g]]
+            trace.append(Suppression(stage, occupancy._users[i], grids[g], best))
+        stage_max.append(max(p(a, pk) for p, a, pk in zip(prices, sum_gamma, peak)))
         stage += 1
+        if not halted:
+            k -= 1
 
-    gammas = np.where(suppressed, 0, counts)
+    gammas = np.where(np.frombuffer(suppressed, dtype=bool), 0, counts)
     return ClipUserResult(
         plan=ClipPlan(occupancy, gammas),
-        k_factor=int(level.max()),
+        k_factor=k,
         error_cap=error_cap,
         initial_errors=initial,
         per_grid_errors=budgets(),

@@ -89,12 +89,15 @@ def generate_occupancy(params: SynthParams, rng: RngStream) -> OccupancyArray:
     s = rng.split("occupancy")
     grids, users = int(params.grids), int(params.users)
     log_q = math.log1p(-params.geometric_q)
+    # grid indices in the smallest dtype that holds them, which numpy
+    # radix-sorts when it has 16 bits or fewer
+    small = np.min_scalar_type(grids - 1)
     user_idx, grid_idx, draws = [], [], []
     for tier in range(users.bit_length()):
         first, last = 2**tier, min(2 ** (tier + 1) - 1, users)
         n, k = last - first + 1, grids - tier
         u = s.random(n * 2 * k).reshape(n, 2 * k)
-        pool = np.tile(np.arange(grids), (n, 1))
+        pool = np.tile(np.arange(grids, dtype=small), (n, 1))
         rows = np.arange(n)
         for i in range(k):
             j = i + np.minimum((u[:, i] * (grids - i)).astype(np.int64), grids - i - 1)
@@ -104,12 +107,13 @@ def generate_occupancy(params: SynthParams, rng: RngStream) -> OccupancyArray:
         # floor(log(1-u)/log(1-q)) + 1: a geometric draw by the inverse CDF;
         # kept as exact floats until the int64 range is checked
         draws.append((np.floor(np.log1p(-u[:, k:]) / log_q) + 1).ravel())
-    # users are already ascending, so a stable sort by grid gives (grid, user)
+    # users are already ascending, so a stable sort by grid gives (grid, user);
+    # a stable order is unique, whichever algorithm numpy picks
     grid_idx = np.concatenate(grid_idx)
     order = np.argsort(grid_idx, kind="stable")
     draws = np.concatenate(draws)[order]
     # user 1 occupies every grid, so no row is empty
-    offsets = np.searchsorted(grid_idx[order], np.arange(grids + 1))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(grid_idx, minlength=grids))))
     if params.heavy_gamma > 0:
         # rows are in token order, so argmax takes the first of tied peaks
         tops = [lo + np.argmax(draws[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
@@ -131,12 +135,13 @@ class _UserTokens:
 
     def __init__(self, n: int):
         self._n = n
+        self._pattern = f"u%0{len(str(n))}d"  # user_token's format, width fixed once
 
     def __len__(self) -> int:
         return self._n
 
     def __getitem__(self, i: int) -> str:
-        return user_token(i + 1, self._n)
+        return self._pattern % (i + 1)
 
     def __iter__(self):
         return map(self.__getitem__, range(self._n))

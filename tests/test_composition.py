@@ -11,6 +11,7 @@ costs 0.1 + 0.09 + 2/3 + 4/9 ~ 1.3011 <= 1.5, dropping u1 from g1 costs
 """
 
 import builtins
+import hashlib
 import heapq
 import math
 import random
@@ -20,7 +21,7 @@ from types import MappingProxyType
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from griddp import composition
@@ -741,3 +742,88 @@ def test_cap_scan_chunks_keep_the_first_minimum(monkeypatch):
         for epsilon in (0.2, 1.0, 4.0):
             got = pseudo_user_optimize(occ, plan, 1.0, epsilon)
             assert got == _pseudo_user_optimize_oracle(occ, plan, 1.0, epsilon)
+
+
+@st.composite
+def _priced_candidates(draw):
+    """(sum_m, kept, peak) with each branch of both variance terms drawn on
+    purpose: nothing dropped, fewer or more dropped than kept (sum_m even or
+    odd), and kept above or at most twice the peak (kept even or odd)."""
+    sum_m = draw(st.integers(1, 2**40))
+    kept = draw(
+        st.one_of(
+            st.just(sum_m),
+            st.integers(sum_m // 2 + 1, sum_m),
+            st.integers(1, max(1, sum_m // 2)),
+        )
+    )
+    if kept >= 3 and draw(st.booleans()):
+        peak = draw(st.integers(1, (kept - 1) // 2))
+    else:
+        peak = draw(st.integers((kept + 1) // 2, kept))
+    return sum_m, kept, peak
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    _priced_candidates(),
+    st.sampled_from([1, 65, 1.0, 65.0]),
+    st.floats(0.01, 10.0),
+)
+@example((10, 10, 3), 65.0, 0.5)  # nothing dropped
+@example((10, 7, 3), 65.0, 0.5)  # fewer dropped than kept; kept > 2 * peak
+@example((10, 4, 2), 65.0, 0.5)  # even sum_m, at most half kept; even kept <= 2 * peak
+@example((11, 5, 3), 1.0, 3.0)  # odd sum_m; odd kept <= 2 * peak
+@example((2**40, 2**39 + 1, 2**38), 1, 0.01)
+def test_inline_price_is_the_budget_total(candidate, bound_u, epsilon):
+    sum_m, kept, peak = candidate
+    price = composition._pricer(sum_m, bound_u, epsilon)
+    want = budget_from_aggregates("g", sum_m, kept, peak, bound_u, epsilon).total
+    assert float.hex(price(kept, peak)) == float.hex(want)
+
+
+@pytest.fixture(scope="module")
+def paper_occupancy():
+    return generate_occupancy(SynthParams(grids=12, users=4095, heavy_gamma=9), RngStream(5))
+
+
+@pytest.mark.parametrize(
+    "epsilon, protect", [(0.5, False), (0.5, True), (2.0, False), (2.0, True), (0.05, False)]
+)
+def test_clip_user_matches_reference_at_paper_scale(paper_occupancy, epsilon, protect):
+    # 12 grids x 4095 users, where a stage freezes up to 1024 users; the
+    # strategies above reach 8 grids and 255 users
+    res = clip_user(paper_occupancy, 65.0, epsilon, protect)
+    assert res == _clip_user_oracle(paper_occupancy, 65.0, epsilon, protect)
+
+
+def test_paper_scale_case_builds_entries_past_one_chunk(paper_occupancy):
+    # at epsilon 0.05 the stage before the halting one completes with more
+    # users new to the loop than one chunk of entries holds
+    res = clip_user(paper_occupancy, 65.0, 0.05)
+    users_per_level = np.bincount(np.bincount(paper_occupancy._ids))
+    assert users_per_level[res.k_factor + 1] > composition._ENTRY_CHUNK
+
+
+def test_entry_chunks_do_not_change_the_result(monkeypatch):
+    occs = [
+        generate_occupancy(SynthParams(grids=6, users=63, heavy_gamma=h), RngStream(seed))
+        for seed, h in ((1, 0.0), (2, 3.0), (3, 9.0))
+    ]
+    want = [clip_user(o, 65.0, e, p) for o in occs for e in (0.1, 1.0) for p in (False, True)]
+    monkeypatch.setattr(composition, "_ENTRY_CHUNK", 2)
+    got = [clip_user(o, 65.0, e, p) for o in occs for e in (0.1, 1.0) for p in (False, True)]
+    assert got == want
+
+
+def test_clip_user_result_is_pinned_at_two_to_the_sixteen_users():
+    # sha256 of the retained counts, the trace, the stage maxima and the
+    # composition factor, pinned so that a rewrite of the loop keeps every bit
+    occ = generate_occupancy(SynthParams(16, 65535, heavy_gamma=9), RngStream(5))
+    res = clip_user(occ, 65.0, 0.5)
+    h = hashlib.sha256(res.plan._gammas.tobytes())
+    h.update(repr(res.trace).encode())
+    h.update(" ".join(map(float.hex, res.stage_max_errors)).encode())
+    h.update(f"{res.k_factor}".encode())
+    assert (len(res.trace), res.k_factor) == (4489, 5)
+    assert h.hexdigest() == "744266fdfab26a348d01d731fa554bbbea09853020420ff6c7e20557eee6c7f6"

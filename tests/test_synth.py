@@ -1,5 +1,6 @@
 """Synthetic generator: tier structure, heavy-user inflation, scaling."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -37,6 +38,40 @@ def test_tokens_are_zero_padded():
     assert user_token(3, 9) == "u3"
     assert grid_token(12, 12) == "g12"
     assert grid_token(2, 12) == "g02"
+
+
+def test_occupancy_user_tokens_are_user_token():
+    for n in (1, 9, 10, 99, 4095, 65535):
+        occ = generate_occupancy(SynthParams(grids=n.bit_length(), users=n), RngStream(1))
+        ids = sorted({0, n // 3, n - 1})
+        assert [occ._users[i] for i in ids] == [user_token(i + 1, n) for i in ids]
+    assert list(generate_occupancy(_params(), RngStream(1))._users) == [
+        user_token(l, 31) for l in range(1, 32)
+    ]
+
+
+@pytest.mark.parametrize(
+    "params, want",
+    [
+        (
+            SynthParams(16, 65535, heavy_gamma=9),
+            "ba8b19291579b766b26aa37d7976ca6a5224877850540e6b222e67058cff2e3d",
+        ),
+        # 300 grids: the grid indices take 16 bits, not 8
+        (
+            SynthParams(grids=300, users=500),
+            "afb9b05378132ac226314c1cbb01ed834420d288a4d347bbec3dba4646babe8a",
+        ),
+    ],
+)
+def test_occupancy_columns_are_pinned(params, want):
+    # sha256 of the grid offsets, user ids and counts, pinned so that a
+    # change of dtype or sort keeps every entry in place
+    occ = generate_occupancy(params, RngStream(5))
+    h = hashlib.sha256()
+    for column in (np.asarray(occ._bounds, np.int64), occ._ids, occ._counts):
+        h.update(column.tobytes())
+    assert h.hexdigest() == want
 
 
 def test_user_l_occupies_grids_minus_tier_grids():
