@@ -40,7 +40,7 @@ from .errors import (
     TooLarge,
     UnknownGrid,
     ValueOutOfRange,
-    read_utf8,
+    read_utf8_bytes,
     require_int,
     require_ints,
     require_positive,
@@ -68,6 +68,16 @@ class GridStats:
     n: int
     mean: float
     variance: float
+
+
+def _grid_totals(counts: np.ndarray, bounds: list[int]) -> list[int]:
+    """The sum of each grid's counts, counts[bounds[i]:bounds[i + 1]], as
+    Python ints: an int64 sum when the largest count times the number of
+    counts is below 2^63, so that no total can pass int64, else exact
+    Python sums."""
+    if int(counts.max()) * len(counts) < 2**63:
+        return np.add.reduceat(counts, bounds[:-1]).tolist()
+    return [sum(counts[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
 
 
 class OccupancyArray:
@@ -120,8 +130,7 @@ class OccupancyArray:
         self._bounds = np.asarray(offsets).tolist()
         self._ids, self._counts = np.asarray(ids, np.int64), np.asarray(counts, np.int64)
         self._ids.flags.writeable = self._counts.flags.writeable = False
-        # Python ints, since a grid's total may pass int64
-        self._totals = [sum(self._counts[lo:hi].tolist()) for lo, hi in self._spans()]
+        self._totals = _grid_totals(self._counts, self._bounds)
 
     def _spans(self):
         """(start, stop) of every grid's entries, in grid order."""
@@ -471,48 +480,57 @@ def grid_stats(dataset: Dataset, grid: str) -> GridStats:
     return GridStats(grid=grid, n=n, mean=mean, variance=variance)
 
 
-def _read_source(path_or_text) -> str:
-    if isinstance(path_or_text, Path):
-        return read_utf8(path_or_text)
-    if isinstance(path_or_text, str):
-        if "\n" not in path_or_text and os.path.isfile(path_or_text):
-            return read_utf8(path_or_text)
-        return path_or_text
+def _read_source(path_or_text) -> bytes:
+    """The UTF-8 bytes of a CSV file, named by a Path or by a str that holds
+    no newline, or of CSV text; a lone surrogate in the text is kept."""
+    if isinstance(path_or_text, str) and ("\n" in path_or_text or not os.path.isfile(path_or_text)):
+        return _utf8(path_or_text)
+    if isinstance(path_or_text, (str, Path)):
+        return read_utf8_bytes(path_or_text)
     raise InvalidParams(f"expected a path or CSV text, got {type(path_or_text)}")
 
 
-# Characters per parse block: large enough that per-block costs vanish,
-# small enough that a block's tokens and csv records are freed before the
-# garbage collector moves them to its oldest generation and rescans them.
-_BLOCK_CHARS = 1 << 16
+def _utf8(text: str) -> bytes:
+    return text.encode("utf-8", "surrogatepass")
+
+
+def _text(data: bytes) -> str:
+    return data.decode("utf-8", "surrogatepass")
+
+
+# Bytes per parse block: large enough that per-block costs vanish, small
+# enough that a block's tokens and csv records are freed before the garbage
+# collector moves them to its oldest generation and rescans them.
+_BLOCK_BYTES = 1 << 16
 
 # A line as io.StringIO yields it, with its newline.
 _LINE = re.compile(r"[^\n]*\n|[^\n]+")
 
 # What str.strip() removes from an ASCII token, apart from newlines.
-_PADDING = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+_PADDING = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
-def _lines(text: str, pos: int, cursor: list[int]):
-    """Lines of text from pos, each with its newline, as io.StringIO yields
-    them; cursor[0] is the end of the last line handed out."""
-    while pos < len(text):
-        nl = text.find("\n", pos)
-        end = len(text) if nl < 0 else nl + 1
+def _lines(data: bytes, pos: int, cursor: list[int]):
+    """Lines of data from pos, each decoded with its newline, as io.StringIO
+    yields those of the text; cursor[0] is the end of the last line handed
+    out."""
+    while pos < len(data):
+        nl = data.find(b"\n", pos)
+        end = len(data) if nl < 0 else nl + 1
         cursor[0] = end
-        yield text[pos:end]
+        yield _text(data[pos:end])
         pos = end
 
 
-def _records(text: str, pos: int, stop: int, cursor: list[int]):
-    """The csv records from pos through the one that reaches stop, and the
-    csv.Error that cut the read short, if one did; cursor[0] ends at the end
-    of the last record read."""
-    lines = _LINE.findall(text, pos, stop)
+def _records(text: str, data: bytes, stop: int, cursor: list[int]):
+    """The csv records of text, the decoded block of data that ends at stop,
+    through the one that reaches stop, and the csv.Error that cut the read
+    short, if one did; cursor[0] ends at the end of the last record read."""
+    lines = _LINE.findall(text)
     cursor[0] = stop
     # lines past stop are read one at a time, and only by a record that
     # crosses stop or follows one that did
-    reader = csv.reader(chain(lines, _lines(text, stop, cursor)))
+    reader = csv.reader(chain(lines, _lines(data, stop, cursor)))
     rows: list[list[str]] = []
     try:
         # each record takes at least one line
@@ -540,43 +558,56 @@ def _scan(records, width: int, one, out: tuple[list, list, list]) -> None:
         grids.append(grid)
 
 
-def _split(block: str, codes: np.ndarray):
-    """User and grid tokens, stripped, and raw third fields of a block of
-    lines that csv splits at each comma, or None unless every line holds
-    two commas. codes is the block's UTF-8 encoding, whose commas and
-    newlines are the block's own."""
-    kinds = codes[(codes == 44) | (codes == 10)]
-    if not block.endswith("\n"):
-        kinds = np.append(kinds, 10)
-    if len(kinds) % 3 or not (kinds.reshape(-1, 3) == (44, 44, 10)).all():
+def _split(block, codes: np.ndarray, ends: np.ndarray):
+    """User and grid tokens and raw third fields of a block of lines, bytes
+    or its decoded text, that csv splits at each comma, or None unless every
+    line holds two commas. codes is the block's UTF-8 encoding and ends the
+    positions of its newlines."""
+    closed = codes[-1] == 10
+    stops = ends if closed else np.append(ends, len(codes))
+    commas = np.flatnonzero(codes == 44)
+    # the commas before the end of line i number 2 (i + 1)
+    if len(commas) != 2 * len(stops) or (
+        np.searchsorted(commas, stops) != np.arange(2, len(commas) + 1, 2)
+    ).any():
         return None
-    parts = block.replace("\n", ",").split(",")
-    if block.endswith("\n"):
+    comma, newline = (",", "\n") if isinstance(block, str) else (b",", b"\n")
+    parts = block.replace(newline, comma).split(comma)
+    if closed:
         parts.pop()
-    users, grids = parts[0::3], parts[1::3]
-    if not block.isascii() or any(c in block for c in _PADDING):
-        users = list(map(str.strip, users))
-        grids = list(map(str.strip, grids))
-    return users, grids, parts[2::3]
+    return parts[0::3], parts[1::3], parts[2::3]
 
 
 def _columns(rows: list[list[str]]):
-    """User and grid tokens, stripped, and raw third fields of csv records,
-    or None unless every record holds three fields."""
+    """User and grid tokens and raw third fields of csv records, or None
+    unless every record holds three fields."""
     if set(map(len, rows)) != {3}:
         return None
-    users, grids, raws = (list(map(itemgetter(i), rows)) for i in range(3))
-    return list(map(str.strip, users)), list(map(str.strip, grids)), raws
+    return tuple(list(map(itemgetter(i), rows)) for i in range(3))
+
+
+def _encoded(tokens) -> list[bytes]:
+    """Each token as _utf8 encodes it, without a Python call per token."""
+    return list(map(str.encode, tokens, repeat("utf-8"), repeat("surrogatepass")))
+
+
+def _stripped(fields):
+    """fields with its user and grid tokens stripped and UTF-8 encoded."""
+    if fields is None:
+        return None
+    users, grids, raws = fields
+    return _encoded(map(str.strip, users)), _encoded(map(str.strip, grids)), raws
 
 
 def _convert(fields, bulk):
     """fields with its third fields converted by bulk(users, grids, raws),
     or None if fields is None, a user or grid token is empty or bulk raises
     ValueError."""
-    if fields is None or "" in fields[0] or "" in fields[1]:
+    if fields is None or not all(fields[0]) or not all(fields[1]):
         return None
-    # float() and int() skip the padding str.strip() removes, or fail and
-    # send the rows to the row scan, so the third field stays raw
+    # float() and int() skip the padding str.strip() removes and a CRLF
+    # line end's CR, or fail and send the rows to the row scan, so the third
+    # field stays raw
     try:
         return fields[0], fields[1], bulk(*fields)
     except ValueError:
@@ -584,36 +615,49 @@ def _convert(fields, bulk):
 
 
 class _Codes(dict):
-    """Token -> integer code, in arbitrary order; ranks() gives the sorted one."""
+    """UTF-8 token -> integer code, in arbitrary order; ranks() gives the
+    sorted one."""
 
-    def encode(self, tokens: list[str]) -> np.ndarray:
-        for token in dict.fromkeys(tokens).keys() - self.keys():
-            self[token] = len(self)
-        return np.fromiter(map(self.__getitem__, tokens), np.int64, len(tokens))
+    def encode(self, tokens: list[bytes]) -> np.ndarray:
+        """The codes of tokens in the smallest integer dtype, new tokens
+        added first; most blocks bring none, so they are looked for only
+        when a lookup fails."""
+        try:
+            return np.fromiter(map(self.__getitem__, tokens), np.min_scalar_type(len(self)), len(tokens))
+        except KeyError:
+            for token in dict.fromkeys(tokens).keys() - self.keys():
+                self[token] = len(self)
+            return self.encode(tokens)
 
     def ranks(self) -> tuple[list[str], np.ndarray]:
-        """The tokens in sorted order, and the position of each code in it."""
+        """The tokens in sorted order, decoded, and the position of each
+        code in it. UTF-8 bytes sort as their code points do."""
         tokens = sorted(self)
         rank = np.empty(len(tokens), np.int64)
         codes = np.fromiter(map(self.__getitem__, tokens), np.int64, len(tokens))
         rank[codes] = np.arange(len(tokens))
-        return tokens, rank
+        return list(map(_text, tokens)), rank
 
 
-def _table(text: str, header: tuple[str, ...], bulk, one):
-    """Parse a user,grid,<field> CSV, reading exactly what csv.reader reads.
+def _table(data: bytes, header: tuple[str, ...], bulk, one):
+    """Parse a user,grid,<field> CSV from its UTF-8 bytes, reading exactly
+    what csv.reader reads from its text; the bytes are dropped before the
+    sort, so the caller must hold no other reference to them.
 
     The data rows are read in blocks of whole lines, each down one chain. A
     block free of quotes, NULs, CRs outside CRLF line ends and lines longer
     than csv's field limit is split at commas and newlines, which leaves a
-    line end's CR on the third field, where float() and int() ignore it; any
-    other block, or one whose split or conversion fails, is read with
-    csv.reader. Either way the third fields are converted by bulk(users,
-    grids, raws). A block whose conversion fails there too (bulk raises
-    ValueError), or that holds a blank or malformed line, is scanned row by
-    row with one(user, grid, raw, lineno), which raises the first error in
-    file order, with its line number (the csv record number); a csv.Error is
-    raised as MalformedRow.
+    line end's CR on the third field, where float() and int() ignore it. If
+    it is ASCII and free of the padding str.strip() removes, the bytes are
+    split, and each token is its bytes; otherwise, or if its split or
+    conversion fails, the block is decoded, and a clean block that is not
+    ASCII or padded is split and stripped as text, and any other block is
+    read with csv.reader. Either way the third fields are converted by
+    bulk(users, grids, raws), given the tokens UTF-8 encoded. A block whose
+    conversion fails there too (bulk raises ValueError), or that holds a
+    blank or malformed line, is scanned row by row with one(user, grid, raw,
+    lineno), which raises the first error in file order, with its line
+    number (the csv record number); a csv.Error is raised as MalformedRow.
 
     Returns the grid and user tokens in sorted order, the stable (grid,
     user) order of the data rows, the runs of that order (their grid
@@ -622,7 +666,7 @@ def _table(text: str, header: tuple[str, ...], bulk, one):
     """
     cursor = [0]
     try:
-        first = next(csv.reader(_lines(text, 0, cursor)))
+        first = next(csv.reader(_lines(data, 0, cursor)))
     except StopIteration:
         raise EmptyDataset("input is empty") from None
     except csv.Error as exc:
@@ -635,39 +679,48 @@ def _table(text: str, header: tuple[str, ...], bulk, one):
     grid_codes, user_codes = _Codes(), _Codes()
     gcode, ucode, chunks = [], [], []
     pos, lineno = cursor[0], 2
-    while pos < len(text):
-        nl = text.find("\n", pos + _BLOCK_CHARS)
-        stop = len(text) if nl < 0 else nl + 1
-        block = text[pos:stop]
-        codes = np.frombuffer(block.encode(), np.uint8)
-        # a line's UTF-8 length bounds its length in characters
+    while pos < len(data):
+        nl = data.find(b"\n", pos + _BLOCK_BYTES)
+        stop = len(data) if nl < 0 else nl + 1
+        block = data[pos:stop]
+        codes = np.frombuffer(block, np.uint8)
         ends = np.flatnonzero(codes == 10)
-        longest = np.diff(ends, prepend=-1, append=len(codes)).max() - 1
-        # csv in Python 3.10 rejects NUL, and it caps the length of a field
-        crlf = "\r" not in block or block.count("\r") == block.count("\r\n")
-        clean = crlf and not ('"' in block or "\0" in block or longest > limit)
+        # csv in Python 3.10 rejects NUL, and it caps the length of a field;
+        # a line's UTF-8 length bounds its length in characters
+        long = len(block) > limit and np.diff(ends, prepend=-1, append=len(block)).max() > limit + 1
+        crlf = b"\r" not in block or block.count(b"\r") == block.count(b"\r\n")
+        clean = crlf and not (b'"' in block or b"\0" in block or long)
+        plain = clean and block.isascii() and not any(c in block for c in _PADDING)
         rows = error = split = None
-        if clean:
-            cursor[0] = stop
-            split = _convert(_split(block, codes), bulk)
+        cursor[0] = stop
+        if plain:
+            split = _convert(_split(block, codes, ends), bulk)
         if split is None:
-            rows, error = _records(text, pos, stop, cursor)
-            split = None if error else _convert(_columns(rows), bulk)
+            text = _text(block)
+            if clean and not plain:
+                split = _convert(_stripped(_split(text, codes, ends)), bulk)
         if split is None:
-            split = ([], [], [])
-            _scan(zip(count(lineno), rows), len(header), one, split)
+            rows, error = _records(text, data, stop, cursor)
+            split = None if error else _convert(_stripped(_columns(rows)), bulk)
+        if split is None:
+            users, grids, fields = [], [], []
+            _scan(zip(count(lineno), rows), len(header), one, (users, grids, fields))
             if error is not None:
                 raise MalformedRow(f"line {lineno + len(rows)}: {error}") from None
+            split = (_encoded(users), _encoded(grids), fields)
         lineno += len(split[0]) if rows is None else len(rows)
         gcode.append(grid_codes.encode(split[1]))
         ucode.append(user_codes.encode(split[0]))
         chunks.append(split[2])
         pos = cursor[0]
+    del data
     if not grid_codes:
         raise EmptyDataset("no data rows after header")
     grids, grank = grid_codes.ranks()
     users, urank = user_codes.ranks()
-    key = grank[np.concatenate(gcode)] * len(users) + urank[np.concatenate(ucode)]
+    key = grank[np.concatenate(gcode)] * len(users)
+    key += urank[np.concatenate(ucode)]
+    del gcode, ucode
     order = np.argsort(key, kind="stable")
     key = key[order]
     bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(key)]
@@ -691,9 +744,8 @@ def parse_dataset(path_or_text, bound_u: float) -> Dataset:
 
     Repeated (user, grid) rows accumulate samples in file order.
     """
-    text = _read_source(path_or_text)
     grids, users, order, run_grid, run_user, bounds, chunks = _table(
-        text, DATA_HEADER, _bulk_values, _one_value
+        _read_source(path_or_text), DATA_HEADER, _bulk_values, _one_value
     )
     offsets = np.searchsorted(run_grid, np.arange(len(grids) + 1))
     occupancy = OccupancyArray._from_columns(grids, users, offsets, run_user, np.diff(bounds))
@@ -730,8 +782,8 @@ def csv_lines(rows):
 
 def parse_occupancy(path_or_text) -> OccupancyArray:
     """Parse `user,grid,count` CSV into an OccupancyArray."""
-    text = _read_source(path_or_text)
-    seen: set[tuple[str, str]] = set()
+    # (user, grid) pairs of UTF-8 tokens, as _table gives them to bulk
+    seen: set[tuple[bytes, bytes]] = set()
 
     def bulk(users, grids, raws) -> list[int]:
         counts = list(map(int, raws))
@@ -752,12 +804,15 @@ def parse_occupancy(path_or_text) -> OccupancyArray:
             raise NonPositiveCount(f"line {lineno}: count {m} must be >= 1")
         if m > COUNT_MAX:
             raise TooLarge(f"line {lineno}: count {m} exceeds 2^63 - 1")
-        if (user, grid) in seen:
+        pair = (_utf8(user), _utf8(grid))
+        if pair in seen:
             raise DuplicateEntry(f"line {lineno}: duplicate entry ({user}, {grid})")
-        seen.add((user, grid))
+        seen.add(pair)
         return m
 
-    grids, users, order, run_grid, run_user, _, chunks = _table(text, OCCUPANCY_HEADER, bulk, one)
+    grids, users, order, run_grid, run_user, _, chunks = _table(
+        _read_source(path_or_text), OCCUPANCY_HEADER, bulk, one
+    )
     # no pair repeats, so every run is one row
     counts = np.fromiter(chain.from_iterable(chunks), np.int64, len(order))[order]
     offsets = np.searchsorted(run_grid, np.arange(len(grids) + 1))

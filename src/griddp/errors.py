@@ -4,12 +4,13 @@ Every input-validation failure raises a named subclass of GridDPError so
 callers (and the CLI) can distinguish bad data from bugs. The require_*
 functions below are the checks every module shares: positive finite
 scalars, integers (with an optional lower bound, as for capacities),
-count lists, retained-count lists and their pairing. read_utf8 reads every
-input file, so an unreadable or undecodable one is an IoError.
+count lists, retained-count lists and their pairing. read_utf8_bytes reads
+every input file, so an unreadable or undecodable one is an IoError.
 """
 
 from __future__ import annotations
 
+import codecs
 import math
 import numbers
 
@@ -171,12 +172,34 @@ def require_pair(m_list, gamma_list) -> tuple[list[int], list[int]]:
     return counts, gammas
 
 
-def read_utf8(path, what: str = "") -> str:
-    """The text of a UTF-8 file, line endings as written, so that a file
-    parses as its text does; IoError if it cannot be read or decoded.
-    what names the file's role in the message, such as "plan "."""
+# Bytes per slice of a file's UTF-8 check: the decoded slice is dropped
+# before the next one, so no decoded copy of the whole file is made.
+_CHECK_BYTES = 1 << 20
+
+
+def read_utf8_bytes(path, what: str = "") -> bytes:
+    """The bytes of a UTF-8 file, checked to decode; IoError if it cannot be
+    read or decoded, whose message gives the position a decode of the whole
+    file reports. what names the file's role in the message, such as "plan "."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        if not data.isascii():
+            decoder = codecs.getincrementaldecoder("utf-8")()
+            for pos in range(0, len(data), _CHECK_BYTES):
+                try:
+                    decoder.decode(data[pos : pos + _CHECK_BYTES], pos + _CHECK_BYTES >= len(data))
+                except UnicodeDecodeError as exc:
+                    # the decoder read the slice after the bytes it held back
+                    start = pos - len(decoder.getstate()[0]) + exc.start
+                    end = start + exc.end - exc.start
+                    raise UnicodeDecodeError(exc.encoding, data, start, end, exc.reason) from None
     except (OSError, UnicodeDecodeError) as exc:
         raise IoError(f"cannot read {what}{path}: {exc}") from exc
+    return data
+
+
+def read_utf8(path, what: str = "") -> str:
+    """The text of a UTF-8 file, line endings as written, so that a file
+    parses as its text does; IoError as read_utf8_bytes raises it."""
+    return read_utf8_bytes(path, what).decode()
