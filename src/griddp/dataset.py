@@ -70,16 +70,6 @@ class GridStats:
     variance: float
 
 
-def _grid_totals(counts: np.ndarray, bounds: list[int]) -> list[int]:
-    """The sum of each grid's counts, counts[bounds[i]:bounds[i + 1]], as
-    Python ints: an int64 sum when the largest count times the number of
-    counts is below 2^63, so that no total can pass int64, else exact
-    Python sums."""
-    if int(counts.max()) * len(counts) < 2**63:
-        return np.add.reduceat(counts, bounds[:-1]).tolist()
-    return [sum(counts[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])]
-
-
 class OccupancyArray:
     """Per-(grid, user) sample counts plus the derived structural quantities.
 
@@ -130,7 +120,8 @@ class OccupancyArray:
         self._bounds = np.asarray(offsets).tolist()
         self._ids, self._counts = np.asarray(ids, np.int64), np.asarray(counts, np.int64)
         self._ids.flags.writeable = self._counts.flags.writeable = False
-        self._totals = _grid_totals(self._counts, self._bounds)
+        # Python ints, since a grid's total may pass int64
+        self._totals = [sum(self._counts[lo:hi].tolist()) for lo, hi in self._spans()]
 
     def _spans(self):
         """(start, stop) of every grid's entries, in grid order."""
@@ -509,6 +500,14 @@ _LINE = re.compile(r"[^\n]*\n|[^\n]+")
 # What str.strip() removes from an ASCII token, apart from newlines.
 _PADDING = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
+# The non-ASCII characters str.strip() removes; the UTF-8 of each as an
+# int of three bytes, a two-byte one followed by a zero byte, in sorted
+# order; and the bytes that begin them.
+_SPACES = "\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B)))
+_SPACES += "\u2028\u2029\u202f\u205f\u3000"
+_SPACE_WORDS = np.array([int.from_bytes(c.encode().ljust(3, b"\0"), "big") for c in _SPACES])
+_SPACE_LEADS = bytes(sorted({c.encode()[0] for c in _SPACES}))
+
 
 def _lines(data: bytes, pos: int, cursor: list[int]):
     """Lines of data from pos, each decoded with its newline, as io.StringIO
@@ -578,6 +577,32 @@ def _split(block, codes: np.ndarray, ends: np.ndarray):
     return parts[0::3], parts[1::3], parts[2::3]
 
 
+def _spaced(block: bytes, codes: np.ndarray) -> bool:
+    """Whether block, whose bytes are codes, holds a character of _SPACES."""
+    if not any(c in block for c in _SPACE_LEADS):
+        return False
+    lead = codes == _SPACE_LEADS[0]
+    for c in _SPACE_LEADS[1:]:
+        lead |= codes == c
+    at = np.flatnonzero(lead)
+    last = len(codes) - 1
+    words = codes[at].astype(np.int64) << 16 | codes[np.minimum(at + 1, last)].astype(np.int64) << 8
+    # every character that begins with 0xC2 has two bytes
+    words |= np.where(codes[at] == 0xC2, 0, codes[np.minimum(at + 2, last)])
+    found = np.searchsorted(_SPACE_WORDS, words)
+    return bool((_SPACE_WORDS[np.minimum(found, len(_SPACE_WORDS) - 1)] == words).any())
+
+
+def _trimmed(fields, block: bytes):
+    """fields, split from block, with the ASCII padding str.strip() removes
+    stripped from the user and grid tokens."""
+    if fields is None or not any(c in block for c in _PADDING):
+        return fields
+    users, grids, raws = fields
+    users = list(map(bytes.strip, users, repeat(_PADDING)))
+    return users, list(map(bytes.strip, grids, repeat(_PADDING))), raws
+
+
 def _columns(rows: list[list[str]]):
     """User and grid tokens and raw third fields of csv records, or None
     unless every record holds three fields."""
@@ -586,9 +611,11 @@ def _columns(rows: list[list[str]]):
     return tuple(list(map(itemgetter(i), rows)) for i in range(3))
 
 
-def _encoded(tokens) -> list[bytes]:
-    """Each token as _utf8 encodes it, without a Python call per token."""
-    return list(map(str.encode, tokens, repeat("utf-8"), repeat("surrogatepass")))
+def _encoded(tokens: list[str]) -> list[bytes]:
+    """Each token as _utf8 encodes it, in one call unless one holds a
+    newline."""
+    parts = _utf8("\n".join(tokens)).split(b"\n")
+    return parts if len(parts) == len(tokens) else list(map(_utf8, tokens))
 
 
 def _stripped(fields):
@@ -596,7 +623,8 @@ def _stripped(fields):
     if fields is None:
         return None
     users, grids, raws = fields
-    return _encoded(map(str.strip, users)), _encoded(map(str.strip, grids)), raws
+    users = _encoded(list(map(str.strip, users)))
+    return users, _encoded(list(map(str.strip, grids))), raws
 
 
 def _convert(fields, bulk):
@@ -623,7 +651,8 @@ class _Codes(dict):
         added first; most blocks bring none, so they are looked for only
         when a lookup fails."""
         try:
-            return np.fromiter(map(self.__getitem__, tokens), np.min_scalar_type(len(self)), len(tokens))
+            dtype = np.min_scalar_type(len(self))
+            return np.fromiter(map(self.__getitem__, tokens), dtype, len(tokens))
         except KeyError:
             for token in dict.fromkeys(tokens).keys() - self.keys():
                 self[token] = len(self)
@@ -639,20 +668,20 @@ class _Codes(dict):
         return list(map(_text, tokens)), rank
 
 
-def _table(data: bytes, header: tuple[str, ...], bulk, one):
-    """Parse a user,grid,<field> CSV from its UTF-8 bytes, reading exactly
-    what csv.reader reads from its text; the bytes are dropped before the
-    sort, so the caller must hold no other reference to them.
+def _table(path_or_text, header: tuple[str, ...], bulk, one):
+    """Parse a user,grid,<field> CSV file or text from its UTF-8 bytes,
+    reading exactly what csv.reader reads from its text; the bytes are
+    dropped before the sort.
 
     The data rows are read in blocks of whole lines, each down one chain. A
-    block free of quotes, NULs, CRs outside CRLF line ends and lines longer
-    than csv's field limit is split at commas and newlines, which leaves a
-    line end's CR on the third field, where float() and int() ignore it. If
-    it is ASCII and free of the padding str.strip() removes, the bytes are
-    split, and each token is its bytes; otherwise, or if its split or
-    conversion fails, the block is decoded, and a clean block that is not
-    ASCII or padded is split and stripped as text, and any other block is
-    read with csv.reader. Either way the third fields are converted by
+    clean block, one free of quotes, NULs, CRs outside CRLF line ends and
+    lines longer than csv's field limit, is split at commas and newlines,
+    which leaves a line end's CR on the third field, where float() and int()
+    ignore it. If it holds no non-ASCII character str.strip() removes, the
+    bytes are split, and each token is its bytes, stripped of ASCII padding;
+    otherwise the block is decoded, split and stripped as text. A block that
+    is not clean, or whose split or conversion fails, is decoded and read
+    with csv.reader. Either way the third fields are converted by
     bulk(users, grids, raws), given the tokens UTF-8 encoded. A block whose
     conversion fails there too (bulk raises ValueError), or that holds a
     blank or malformed line, is scanned row by row with one(user, grid, raw,
@@ -664,6 +693,7 @@ def _table(data: bytes, header: tuple[str, ...], bulk, one):
     indices, their user indices and the list of their bounds in it), and
     the converted fields in file order as a list of chunks.
     """
+    data = _read_source(path_or_text)
     cursor = [0]
     try:
         first = next(csv.reader(_lines(data, 0, cursor)))
@@ -690,11 +720,13 @@ def _table(data: bytes, header: tuple[str, ...], bulk, one):
         long = len(block) > limit and np.diff(ends, prepend=-1, append=len(block)).max() > limit + 1
         crlf = b"\r" not in block or block.count(b"\r") == block.count(b"\r\n")
         clean = crlf and not (b'"' in block or b"\0" in block or long)
-        plain = clean and block.isascii() and not any(c in block for c in _PADDING)
+        # a token can need more than its ASCII padding stripped only if the
+        # block holds a non-ASCII space
+        plain = clean and not _spaced(block, codes)
         rows = error = split = None
         cursor[0] = stop
         if plain:
-            split = _convert(_split(block, codes, ends), bulk)
+            split = _convert(_trimmed(_split(block, codes, ends), block), bulk)
         if split is None:
             text = _text(block)
             if clean and not plain:
@@ -745,7 +777,7 @@ def parse_dataset(path_or_text, bound_u: float) -> Dataset:
     Repeated (user, grid) rows accumulate samples in file order.
     """
     grids, users, order, run_grid, run_user, bounds, chunks = _table(
-        _read_source(path_or_text), DATA_HEADER, _bulk_values, _one_value
+        path_or_text, DATA_HEADER, _bulk_values, _one_value
     )
     offsets = np.searchsorted(run_grid, np.arange(len(grids) + 1))
     occupancy = OccupancyArray._from_columns(grids, users, offsets, run_user, np.diff(bounds))
@@ -811,7 +843,7 @@ def parse_occupancy(path_or_text) -> OccupancyArray:
         return m
 
     grids, users, order, run_grid, run_user, _, chunks = _table(
-        _read_source(path_or_text), OCCUPANCY_HEADER, bulk, one
+        path_or_text, OCCUPANCY_HEADER, bulk, one
     )
     # no pair repeats, so every run is one row
     counts = np.fromiter(chain.from_iterable(chunks), np.int64, len(order))[order]
