@@ -497,17 +497,6 @@ _BLOCK_BYTES = 1 << 16
 # A line as io.StringIO yields it, with its newline.
 _LINE = re.compile(r"[^\n]*\n|[^\n]+")
 
-# What str.strip() removes from an ASCII token, apart from newlines.
-_PADDING = b" \t\x0b\x0c\x1c\x1d\x1e\x1f"
-
-# The non-ASCII characters str.strip() removes; the UTF-8 of each as an
-# int of three bytes, a two-byte one followed by a zero byte, in sorted
-# order; and the bytes that begin them.
-_SPACES = "\x85\xa0\u1680" + "".join(map(chr, range(0x2000, 0x200B)))
-_SPACES += "\u2028\u2029\u202f\u205f\u3000"
-_SPACE_WORDS = np.array([int.from_bytes(c.encode().ljust(3, b"\0"), "big") for c in _SPACES])
-_SPACE_LEADS = bytes(sorted({c.encode()[0] for c in _SPACES}))
-
 
 def _lines(data: bytes, pos: int, cursor: list[int]):
     """Lines of data from pos, each decoded with its newline, as io.StringIO
@@ -540,28 +529,28 @@ def _records(text: str, data: bytes, stop: int, cursor: list[int]):
     return rows, None
 
 
-def _scan(records, width: int, one, out: tuple[list, list, list]) -> None:
+def _scan(records, width: int, tables, one, out: tuple[list, list, list]) -> None:
     """The row-by-row parse: append the data rows of records, (line number,
-    csv fields) pairs, to out's user, grid and converted-field lists."""
+    csv fields) pairs, to out's user and grid token lists and converted-field
+    list; each field is one((user code, grid code), fields, line number)."""
     users, grids, fields = out
     for lineno, row in records:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != width:
             raise MalformedRow(f"line {lineno}: expected {width} fields")
-        user, grid, raw = map(str.strip, row)
-        if not user or not grid:
+        pair = tuple(map(_Codes.code, tables, row))
+        if None in pair:
             raise MalformedRow(f"line {lineno}: empty user or grid token")
-        fields.append(one(user, grid, raw, lineno))
-        users.append(user)
-        grids.append(grid)
+        fields.append(one(pair, row, lineno))
+        users.append(row[0])
+        grids.append(row[1])
 
 
-def _split(block, codes: np.ndarray, ends: np.ndarray):
-    """User and grid tokens and raw third fields of a block of lines, bytes
-    or its decoded text, that csv splits at each comma, or None unless every
-    line holds two commas. codes is the block's UTF-8 encoding and ends the
-    positions of its newlines."""
+def _split(block: bytes, codes: np.ndarray, ends: np.ndarray):
+    """User and grid tokens and raw third fields of a block of lines, which
+    csv splits at each comma, or None unless every line holds two commas.
+    codes is the block as uint8 and ends the positions of its newlines."""
     closed = codes[-1] == 10
     stops = ends if closed else np.append(ends, len(codes))
     commas = np.flatnonzero(codes == 44)
@@ -570,37 +559,10 @@ def _split(block, codes: np.ndarray, ends: np.ndarray):
         np.searchsorted(commas, stops) != np.arange(2, len(commas) + 1, 2)
     ).any():
         return None
-    comma, newline = (",", "\n") if isinstance(block, str) else (b",", b"\n")
-    parts = block.replace(newline, comma).split(comma)
+    parts = block.replace(b"\n", b",").split(b",")
     if closed:
         parts.pop()
     return parts[0::3], parts[1::3], parts[2::3]
-
-
-def _spaced(block: bytes, codes: np.ndarray) -> bool:
-    """Whether block, whose bytes are codes, holds a character of _SPACES."""
-    if not any(c in block for c in _SPACE_LEADS):
-        return False
-    lead = codes == _SPACE_LEADS[0]
-    for c in _SPACE_LEADS[1:]:
-        lead |= codes == c
-    at = np.flatnonzero(lead)
-    last = len(codes) - 1
-    words = codes[at].astype(np.int64) << 16 | codes[np.minimum(at + 1, last)].astype(np.int64) << 8
-    # every character that begins with 0xC2 has two bytes
-    words |= np.where(codes[at] == 0xC2, 0, codes[np.minimum(at + 2, last)])
-    found = np.searchsorted(_SPACE_WORDS, words)
-    return bool((_SPACE_WORDS[np.minimum(found, len(_SPACE_WORDS) - 1)] == words).any())
-
-
-def _trimmed(fields, block: bytes):
-    """fields, split from block, with the ASCII padding str.strip() removes
-    stripped from the user and grid tokens."""
-    if fields is None or not any(c in block for c in _PADDING):
-        return fields
-    users, grids, raws = fields
-    users = list(map(bytes.strip, users, repeat(_PADDING)))
-    return users, list(map(bytes.strip, grids, repeat(_PADDING))), raws
 
 
 def _columns(rows: list[list[str]]):
@@ -618,54 +580,92 @@ def _encoded(tokens: list[str]) -> list[bytes]:
     return parts if len(parts) == len(tokens) else list(map(_utf8, tokens))
 
 
-def _stripped(fields):
-    """fields with its user and grid tokens stripped and UTF-8 encoded."""
+def _decoded(tokens: list[bytes]) -> list[str]:
+    """Each token as _text decodes it, in one call unless one holds a
+    newline."""
+    parts = _text(b"\n".join(tokens)).split("\n")
+    return parts if len(parts) == len(tokens) else list(map(_text, tokens))
+
+
+def _convert(fields, tables, bulk):
+    """fields with its user and grid tokens encoded by tables and its third
+    fields converted by bulk(users, grids, raws), given the codes; None if
+    fields is None, a token strips to nothing or bulk raises ValueError."""
     if fields is None:
         return None
-    users, grids, raws = fields
-    users = _encoded(list(map(str.strip, users)))
-    return users, _encoded(list(map(str.strip, grids))), raws
-
-
-def _convert(fields, bulk):
-    """fields with its third fields converted by bulk(users, grids, raws),
-    or None if fields is None, a user or grid token is empty or bulk raises
-    ValueError."""
-    if fields is None or not all(fields[0]) or not all(fields[1]):
+    users, grids = map(_Codes.encode, tables, fields)
+    if users is None or grids is None:
         return None
     # float() and int() skip the padding str.strip() removes and a CRLF
     # line end's CR, or fail and send the rows to the row scan, so the third
     # field stays raw
     try:
-        return fields[0], fields[1], bulk(*fields)
+        return users, grids, bulk(users, grids, fields[2])
     except ValueError:
         return None
 
 
 class _Codes(dict):
-    """UTF-8 token -> integer code, in arbitrary order; ranks() gives the
-    sorted one."""
+    """Token -> integer code, in arbitrary order; ranks() gives the sorted
+    one. A token is keyed as the bytes split or csv.reader gives it, padding
+    and all, and its code is that of its str.strip() form, which is keyed
+    too, as UTF-8; names lists those forms by code.
 
-    def encode(self, tokens: list[bytes]) -> np.ndarray:
+    A token enters the table only from a row that the parse returns or from
+    a row whose block ends in a raised error: csv.reader yields the same
+    fields as the bytes split of a clean block, so a block that the split
+    keys but cannot convert adds no name when csv.reader reads it again. So
+    ranks() lists no name without rows."""
+
+    def __init__(self):
+        super().__init__()
+        self.names: list[bytes] = []
+
+    def encode(self, tokens: list) -> np.ndarray | None:
         """The codes of tokens in the smallest integer dtype, new tokens
-        added first; most blocks bring none, so they are looked for only
-        when a lookup fails."""
+        added first, or None, adding none, if one strips to nothing; most
+        blocks bring none, so they are looked for only when a lookup
+        fails."""
         try:
-            dtype = np.min_scalar_type(len(self))
+            dtype = np.min_scalar_type(len(self.names))
             return np.fromiter(map(self.__getitem__, tokens), dtype, len(tokens))
         except KeyError:
-            for token in dict.fromkeys(tokens).keys() - self.keys():
-                self[token] = len(self)
-            return self.encode(tokens)
+            return self.encode(tokens) if self._add(tokens) else None
+
+    def code(self, token) -> int | None:
+        """The code of one token, as encode gives it."""
+        return self[token] if token in self or self._add([token]) else None
+
+    def _add(self, tokens: list) -> bool:
+        """Key the tokens not yet keyed, decoded, stripped and encoded in
+        one pass; False, adding none, if one strips to nothing."""
+        new = list(dict.fromkeys(tokens).keys() - self.keys())
+        # csv.reader gives str
+        split = isinstance(new[0], bytes)
+        text = _decoded(new) if split else new
+        stripped = list(map(str.strip, text))
+        if not all(stripped):
+            return False
+        # split tokens that strip to themselves are their own stripped forms,
+        # all new; any other token takes the code of its stripped UTF-8
+        keys = fresh = new
+        if not (split and stripped == text):
+            keys = _encoded(stripped)
+            fresh = list(dict.fromkeys(keys).keys() - self.keys())
+        self.update(zip(fresh, count(len(self.names))))
+        self.names += fresh
+        if keys is not new:
+            self.update(zip(new, map(self.__getitem__, keys)))
+        return True
 
     def ranks(self) -> tuple[list[str], np.ndarray]:
-        """The tokens in sorted order, decoded, and the position of each
-        code in it. UTF-8 bytes sort as their code points do."""
-        tokens = sorted(self)
-        rank = np.empty(len(tokens), np.int64)
-        codes = np.fromiter(map(self.__getitem__, tokens), np.int64, len(tokens))
-        rank[codes] = np.arange(len(tokens))
-        return list(map(_text, tokens)), rank
+        """The names in sorted order, decoded, and the position of each code
+        in it. UTF-8 bytes sort as their code points do."""
+        names = sorted(self.names)
+        rank = np.empty(len(names), np.int64)
+        codes = np.fromiter(map(self.__getitem__, names), np.int64, len(names))
+        rank[codes] = np.arange(len(names))
+        return _decoded(names), rank
 
 
 def _table(path_or_text, header: tuple[str, ...], bulk, one):
@@ -675,18 +675,18 @@ def _table(path_or_text, header: tuple[str, ...], bulk, one):
 
     The data rows are read in blocks of whole lines, each down one chain. A
     clean block, one free of quotes, NULs, CRs outside CRLF line ends and
-    lines longer than csv's field limit, is split at commas and newlines,
-    which leaves a line end's CR on the third field, where float() and int()
-    ignore it. If it holds no non-ASCII character str.strip() removes, the
-    bytes are split, and each token is its bytes, stripped of ASCII padding;
-    otherwise the block is decoded, split and stripped as text. A block that
-    is not clean, or whose split or conversion fails, is decoded and read
-    with csv.reader. Either way the third fields are converted by
-    bulk(users, grids, raws), given the tokens UTF-8 encoded. A block whose
-    conversion fails there too (bulk raises ValueError), or that holds a
-    blank or malformed line, is scanned row by row with one(user, grid, raw,
-    lineno), which raises the first error in file order, with its line
-    number (the csv record number); a csv.Error is raised as MalformedRow.
+    lines longer than csv's field limit, is split at commas and newlines as
+    bytes, which leaves a line end's CR on the third field, where float()
+    and int() ignore it. A block that is not clean, or whose split or
+    conversion fails, is decoded and read with csv.reader. Either way the
+    user and grid tokens are encoded by their _Codes tables, which strip
+    each distinct token once, and the third fields are converted by
+    bulk(users, grids, raws), given the codes. A block with a token that
+    strips to nothing, whose conversion fails there too (bulk raises
+    ValueError), or that holds a blank or malformed line, is scanned row by
+    row with one((user code, grid code), csv fields, lineno), which raises
+    the first error in file order, with its line number (the csv record
+    number); a csv.Error is raised as MalformedRow.
 
     Returns the grid and user tokens in sorted order, the stable (grid,
     user) order of the data rows, the runs of that order (their grid
@@ -706,8 +706,8 @@ def _table(path_or_text, header: tuple[str, ...], bulk, one):
             f"expected header {','.join(header)!r}, got {','.join(first)!r}"
         )
     limit = csv.field_size_limit()
-    grid_codes, user_codes = _Codes(), _Codes()
-    gcode, ucode, chunks = [], [], []
+    user_codes, grid_codes = tables = _Codes(), _Codes()
+    ucode, gcode, chunks = [], [], []
     pos, lineno = cursor[0], 2
     while pos < len(data):
         nl = data.find(b"\n", pos + _BLOCK_BYTES)
@@ -720,29 +720,22 @@ def _table(path_or_text, header: tuple[str, ...], bulk, one):
         long = len(block) > limit and np.diff(ends, prepend=-1, append=len(block)).max() > limit + 1
         crlf = b"\r" not in block or block.count(b"\r") == block.count(b"\r\n")
         clean = crlf and not (b'"' in block or b"\0" in block or long)
-        # a token can need more than its ASCII padding stripped only if the
-        # block holds a non-ASCII space
-        plain = clean and not _spaced(block, codes)
         rows = error = split = None
         cursor[0] = stop
-        if plain:
-            split = _convert(_trimmed(_split(block, codes, ends), block), bulk)
+        if clean:
+            split = _convert(_split(block, codes, ends), tables, bulk)
         if split is None:
-            text = _text(block)
-            if clean and not plain:
-                split = _convert(_stripped(_split(text, codes, ends)), bulk)
-        if split is None:
-            rows, error = _records(text, data, stop, cursor)
-            split = None if error else _convert(_stripped(_columns(rows)), bulk)
+            rows, error = _records(_text(block), data, stop, cursor)
+            split = None if error else _convert(_columns(rows), tables, bulk)
         if split is None:
             users, grids, fields = [], [], []
-            _scan(zip(count(lineno), rows), len(header), one, (users, grids, fields))
+            _scan(zip(count(lineno), rows), len(header), tables, one, (users, grids, fields))
             if error is not None:
                 raise MalformedRow(f"line {lineno + len(rows)}: {error}") from None
-            split = (_encoded(users), _encoded(grids), fields)
+            split = (user_codes.encode(users), grid_codes.encode(grids), fields)
         lineno += len(split[0]) if rows is None else len(rows)
-        gcode.append(grid_codes.encode(split[1]))
-        ucode.append(user_codes.encode(split[0]))
+        ucode.append(split[0])
+        gcode.append(split[1])
         chunks.append(split[2])
         pos = cursor[0]
     del data
@@ -764,7 +757,8 @@ def _bulk_values(users, grids, raws) -> np.ndarray:
     return np.fromiter(map(float, raws), float, len(raws))
 
 
-def _one_value(user, grid, raw, lineno) -> float:
+def _one_value(pair, row, lineno) -> float:
+    raw = row[2].strip()
     try:
         return float(raw)
     except ValueError:
@@ -814,12 +808,12 @@ def csv_lines(rows):
 
 def parse_occupancy(path_or_text) -> OccupancyArray:
     """Parse `user,grid,count` CSV into an OccupancyArray."""
-    # (user, grid) pairs of UTF-8 tokens, as _table gives them to bulk
-    seen: set[tuple[bytes, bytes]] = set()
+    # (user, grid) code pairs, as _table gives them to bulk and one
+    seen: set[tuple[int, int]] = set()
 
     def bulk(users, grids, raws) -> list[int]:
         counts = list(map(int, raws))
-        pairs = set(zip(users, grids))
+        pairs = set(zip(users.tolist(), grids.tolist()))
         # a count out of range or a repeated pair is reported by the row scan
         in_range = min(counts) >= 1 and max(counts) <= COUNT_MAX
         if not in_range or len(pairs) < len(counts) or not seen.isdisjoint(pairs):
@@ -827,7 +821,8 @@ def parse_occupancy(path_or_text) -> OccupancyArray:
         seen.update(pairs)
         return counts
 
-    def one(user, grid, raw, lineno) -> int:
+    def one(pair, row, lineno) -> int:
+        user, grid, raw = map(str.strip, row)
         try:
             m = int(raw)
         except ValueError:
@@ -836,7 +831,6 @@ def parse_occupancy(path_or_text) -> OccupancyArray:
             raise NonPositiveCount(f"line {lineno}: count {m} must be >= 1")
         if m > COUNT_MAX:
             raise TooLarge(f"line {lineno}: count {m} exceeds 2^63 - 1")
-        pair = (_utf8(user), _utf8(grid))
         if pair in seen:
             raise DuplicateEntry(f"line {lineno}: duplicate entry ({user}, {grid})")
         seen.add(pair)

@@ -598,24 +598,45 @@ _TOKENS += ["\u2019u", " \u00fc2\x1f", "\u3000u\x85"]
 _VALUES = ["0", "1.5", " 2 ", "4e0", "+3", "1_0", "3.0", "-1", "7", "nan", "inf", "x", "", "\x1c1", "0x1"]
 _VALUES += [str(2**63 - 1), str(2**63), "\u0661", " 2\u00a0"]
 _ENDINGS = ["\n", "\n", "\n", "\r\n", "\r"]
+# every character str.strip() removes
+_WHITESPACE = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+# tokens and numbers that read without error once stripped, and
+# lines csv.reader skips
+_NAMES = ["u1", "u2", "g1", "g2", "a,b", 'q"t', "two\nlines", "\u00fc1", "\u2019u", "u\u00a0v"]
+_GOOD = {
+    "value": ["0", "1.5", "4e0", "+3", "5", "0.25", "\u0661"],
+    "count": ["1", "2", "+4", "1_0", "\u0661", str(2**63 - 1)],
+}
+_SKIPPED = [" ", "\t ", '" "', "\u00a0", "\x1f\u3000"]
 
 
 @st.composite
 def _csv_text(draw, header):
-    """CSV text: quoted and padded fields, CRLF and lone CR, blank and
-    whitespace-only lines, wrong field counts, bad or out-of-range numbers,
-    empty tokens and repeated pairs."""
-    head = draw(st.sampled_from([",".join(header), ",".join(header).upper(), " user , grid," + header[2], "user,grid"]))
-    lines = [head]
-    for _ in range(draw(st.integers(0, 12))):
-        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "spaces", "short", "long"]))
+    """CSV text: quoted and padded fields, CRLF line ends and blank and
+    whitespace-only lines. Half the examples also hold lone CRs, wrong field
+    counts, bad or out-of-range numbers, empty tokens and repeated pairs;
+    the other half hold no error, and pad every field with any whitespace."""
+    valid = draw(st.booleans())
+    heads = [",".join(header), ",".join(header).upper(), " user , grid," + header[2]]
+    lines = [draw(st.sampled_from(heads if valid else [*heads, "user,grid"]))]
+    pad = st.sampled_from(["", "", *_WHITESPACE])
+    seen = set()
+    for _ in range(draw(st.integers(int(valid), 12))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "spaces"] + ["short", "long"] * (not valid)))
         if kind == "blank":
             lines.append("")
             continue
         if kind == "spaces":
-            lines.append(draw(st.sampled_from([" ", "\t ", '" "'])))
+            lines.append(draw(st.sampled_from(_SKIPPED)))
             continue
-        fields = [draw(st.sampled_from(_TOKENS)), draw(st.sampled_from(_TOKENS)), draw(st.sampled_from(_VALUES))]
+        if valid:
+            fields = [draw(st.sampled_from(_NAMES)), draw(st.sampled_from(_NAMES))]
+            if header == OCCUPANCY_HEADER and tuple(fields) in seen:
+                continue
+            seen.add(tuple(fields))
+            fields = [draw(pad) + f + draw(pad) for f in [*fields, draw(st.sampled_from(_GOOD[header[2]]))]]
+        else:
+            fields = [draw(st.sampled_from(_TOKENS)), draw(st.sampled_from(_TOKENS)), draw(st.sampled_from(_VALUES))]
         if kind == "short":
             fields.pop()
         elif kind == "long":
@@ -627,7 +648,7 @@ def _csv_text(draw, header):
         lines.append(",".join(rendered))
     text = ""
     for line in lines:
-        text += line + draw(st.sampled_from(_ENDINGS))
+        text += line + draw(st.sampled_from(_ENDINGS[:-1] if valid else _ENDINGS))
     if draw(st.booleans()):
         text = text.rstrip("\r\n")
     return text
@@ -641,7 +662,7 @@ def _write(tmp_path, text):
 
 # each example is parsed from its text and from a file of it
 _FILE_AND_TEXT = settings(
-    max_examples=600, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    max_examples=1300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 
 
@@ -721,16 +742,30 @@ def test_lone_surrogate_in_text_is_a_token():
             parse_occupancy(text + "u\udc80,g1,2\n")
 
 
-def test_spaces_are_the_non_ascii_characters_str_strip_removes():
-    # a block without them is split as bytes, with ASCII padding stripped
-    spaces = [c for c in map(chr, range(0x80, sys.maxunicode + 1)) if c.isspace()]
-    assert dataset._SPACES == "".join(spaces)
-    for text in ["u1,g1,1\n", "\u2019u,\u00e9,1\n", " \u00fc1\x1f,g1,1\r\n"]:
-        data = text.encode()
-        assert not dataset._spaced(data, np.frombuffer(data, np.uint8))
-    for c in spaces:
-        for data in [c.encode(), f"u,g{c},1\n".encode(), f"\u20ac{c}\u00a9".encode()]:
-            assert dataset._spaced(data, np.frombuffer(data, np.uint8))
+@pytest.mark.parametrize("c", [c for c in _WHITESPACE if c not in "\r\n"], ids=lambda c: f"U+{ord(c):04X}")
+def test_tokens_lose_every_padding_str_strip_removes(c):
+    # each distinct token is stripped once, in its _Codes table, so padded
+    # blocks are split as bytes, ASCII or not
+    text = f"user,grid,value\n{c}u1{c},{c}g1{c},1\n{c}\u00fc2{c},g2{c},2\nu1,g1,3\n"
+    with mock.patch.object(dataset, "_records", side_effect=AssertionError):
+        got = parse_dataset(text, 5.0)
+    assert _contents(got) == _parse_dataset_reference(text, 5.0)
+    assert got.occupancy().users() == ["u1", "\u00fc2"]
+    for row in (f"{c},g1,2", f"u1,{c}{c},2", f'"{c}",g1,2'):
+        text = f"user,grid,value\nu1,g1,1\n{row}\n"
+        with pytest.raises(MalformedRow, match="^line 3: empty user or grid token$"):
+            parse_dataset(text, 5.0)
+    for row, block in product((f"{c}u1{c},g1,2", f'"{c}u1{c}",g1,2'), (1, 1 << 20)):
+        text = f"user,grid,count\nu1,g1,1\n{row}\n"
+        with mock.patch.object(dataset, "_BLOCK_BYTES", block):
+            with pytest.raises(DuplicateEntry, match="^line 3: duplicate entry \\(u1, g1\\)$"):
+                parse_occupancy(text)
+    # float() reads the Arabic-Indic digit one from its text but not from its
+    # bytes, so csv.reader reads the block again and keys the same tokens
+    text = f"user,grid,value\n{c}u1{c},g1{c},\u0661\n{c}u2,g1,2\n"
+    got = parse_dataset(text, 5.0)
+    assert _contents(got) == _parse_dataset_reference(text, 5.0)
+    assert got.occupancy().users() == ["u1", "u2"] and got.grids() == ["g1"]
 
 
 def _decode_error(data):
