@@ -32,15 +32,17 @@ from .errors import (
     DuplicateEntry,
     EmptyDataset,
     EmptyValues,
+    GridDPError,
     InvalidParams,
     InvalidPlan,
+    IoError,
     MalformedRow,
     NonPositiveCount,
     OccupancyMismatch,
     TooLarge,
     UnknownGrid,
+    Utf8File,
     ValueOutOfRange,
-    read_utf8_bytes,
     require_int,
     require_ints,
     require_positive,
@@ -471,13 +473,14 @@ def grid_stats(dataset: Dataset, grid: str) -> GridStats:
     return GridStats(grid=grid, n=n, mean=mean, variance=variance)
 
 
-def _read_source(path_or_text) -> bytes:
-    """The UTF-8 bytes of a CSV file, named by a Path or by a str that holds
-    no newline, or of CSV text; a lone surrogate in the text is kept."""
+def _read_source(path_or_text):
+    """A binary stream of a CSV file, named by a Path or by a str that holds
+    no newline, whose reads Utf8File checks as UTF-8 as they arrive, or of
+    CSV text, as its UTF-8 bytes, with a lone surrogate kept."""
     if isinstance(path_or_text, str) and ("\n" in path_or_text or not os.path.isfile(path_or_text)):
-        return _utf8(path_or_text)
+        return io.BytesIO(_utf8(path_or_text))
     if isinstance(path_or_text, (str, Path)):
-        return read_utf8_bytes(path_or_text)
+        return Utf8File(path_or_text)
     raise InvalidParams(f"expected a path or CSV text, got {type(path_or_text)}")
 
 
@@ -489,36 +492,30 @@ def _text(data: bytes) -> str:
     return data.decode("utf-8", "surrogatepass")
 
 
-# Bytes per parse block: large enough that per-block costs vanish, small
-# enough that a block's tokens and csv records are freed before the garbage
-# collector moves them to its oldest generation and rescans them.
+# Bytes per read of the parse, which reads on to the end of the line: large
+# enough that per-block costs vanish, small enough that a block's tokens and
+# csv records are freed before the garbage collector moves them to its
+# oldest generation and rescans them.
 _BLOCK_BYTES = 1 << 16
 
 # A line as io.StringIO yields it, with its newline.
 _LINE = re.compile(r"[^\n]*\n|[^\n]+")
 
 
-def _lines(data: bytes, pos: int, cursor: list[int]):
-    """Lines of data from pos, each decoded with its newline, as io.StringIO
-    yields those of the text; cursor[0] is the end of the last line handed
-    out."""
-    while pos < len(data):
-        nl = data.find(b"\n", pos)
-        end = len(data) if nl < 0 else nl + 1
-        cursor[0] = end
-        yield _text(data[pos:end])
-        pos = end
+def _lines(fh):
+    """The lines of a binary stream from where it stands, each decoded with
+    its newline, as io.StringIO yields those of the text."""
+    for line in iter(fh.readline, b""):
+        yield _text(line)
 
 
-def _records(text: str, data: bytes, stop: int, cursor: list[int]):
-    """The csv records of text, the decoded block of data that ends at stop,
-    through the one that reaches stop, and the csv.Error that cut the read
-    short, if one did; cursor[0] ends at the end of the last record read."""
+def _records(text: str, fh):
+    """The csv records of text, a decoded block of whole lines, through the
+    one that reaches its end, and the csv.Error that cut the read short, if
+    one did. A record that crosses the end of the block reads its next lines
+    from fh, the stream the block was read from, one at a time."""
     lines = _LINE.findall(text)
-    cursor[0] = stop
-    # lines past stop are read one at a time, and only by a record that
-    # crosses stop or follows one that did
-    reader = csv.reader(chain(lines, _lines(data, stop, cursor)))
+    reader = csv.reader(chain(lines, _lines(fh)))
     rows: list[list[str]] = []
     try:
         # each record takes at least one line
@@ -668,35 +665,23 @@ class _Codes(dict):
         return _decoded(names), rank
 
 
-def _table(path_or_text, header: tuple[str, ...], bulk, one):
-    """Parse a user,grid,<field> CSV file or text from its UTF-8 bytes,
-    reading exactly what csv.reader reads from its text; the bytes are
-    dropped before the sort.
+def _runs(users: np.ndarray, grids: np.ndarray):
+    """The runs of equal (user code, grid code) in a block's rows: the codes
+    of each and its length, in the smallest dtype that holds the block's
+    row count."""
+    new = np.ones(len(users), bool)
+    new[1:] = (users[1:] != users[:-1]) | (grids[1:] != grids[:-1])
+    starts = np.flatnonzero(new)
+    lengths = np.diff(starts, append=len(users)).astype(np.min_scalar_type(len(users)))
+    return users[starts], grids[starts], lengths
 
-    The data rows are read in blocks of whole lines, each down one chain. A
-    clean block, one free of quotes, NULs, CRs outside CRLF line ends and
-    lines longer than csv's field limit, is split at commas and newlines as
-    bytes, which leaves a line end's CR on the third field, where float()
-    and int() ignore it. A block that is not clean, or whose split or
-    conversion fails, is decoded and read with csv.reader. Either way the
-    user and grid tokens are encoded by their _Codes tables, which strip
-    each distinct token once, and the third fields are converted by
-    bulk(users, grids, raws), given the codes. A block with a token that
-    strips to nothing, whose conversion fails there too (bulk raises
-    ValueError), or that holds a blank or malformed line, is scanned row by
-    row with one((user code, grid code), csv fields, lineno), which raises
-    the first error in file order, with its line number (the csv record
-    number); a csv.Error is raised as MalformedRow.
 
-    Returns the grid and user tokens in sorted order, the stable (grid,
-    user) order of the data rows, the runs of that order (their grid
-    indices, their user indices and the list of their bounds in it), and
-    the converted fields in file order as a list of chunks.
-    """
-    data = _read_source(path_or_text)
-    cursor = [0]
+def _blocks(fh, header: tuple[str, ...], bulk, one, dtype):
+    """Read the header and the data rows of a binary stream, as _table
+    describes; the user and grid _Codes tables, and the runs and the
+    converted fields, as a dtype array, of each block that holds rows."""
     try:
-        first = next(csv.reader(_lines(data, 0, cursor)))
+        first = next(csv.reader(_lines(fh)))
     except StopIteration:
         raise EmptyDataset("input is empty") from None
     except csv.Error as exc:
@@ -706,13 +691,12 @@ def _table(path_or_text, header: tuple[str, ...], bulk, one):
             f"expected header {','.join(header)!r}, got {','.join(first)!r}"
         )
     limit = csv.field_size_limit()
-    user_codes, grid_codes = tables = _Codes(), _Codes()
-    ucode, gcode, chunks = [], [], []
-    pos, lineno = cursor[0], 2
-    while pos < len(data):
-        nl = data.find(b"\n", pos + _BLOCK_BYTES)
-        stop = len(data) if nl < 0 else nl + 1
-        block = data[pos:stop]
+    tables = _Codes(), _Codes()
+    runs, chunks = [], []
+    lineno = 2
+    while block := fh.read(_BLOCK_BYTES):
+        if block[-1] != 10:
+            block += fh.readline()
         codes = np.frombuffer(block, np.uint8)
         ends = np.flatnonzero(codes == 10)
         # csv in Python 3.10 rejects NUL, and it caps the length of a field;
@@ -721,36 +705,107 @@ def _table(path_or_text, header: tuple[str, ...], bulk, one):
         crlf = b"\r" not in block or block.count(b"\r") == block.count(b"\r\n")
         clean = crlf and not (b'"' in block or b"\0" in block or long)
         rows = error = split = None
-        cursor[0] = stop
         if clean:
             split = _convert(_split(block, codes, ends), tables, bulk)
         if split is None:
-            rows, error = _records(_text(block), data, stop, cursor)
+            rows, error = _records(_text(block), fh)
             split = None if error else _convert(_columns(rows), tables, bulk)
         if split is None:
             users, grids, fields = [], [], []
             _scan(zip(count(lineno), rows), len(header), tables, one, (users, grids, fields))
             if error is not None:
                 raise MalformedRow(f"line {lineno + len(rows)}: {error}") from None
-            split = (user_codes.encode(users), grid_codes.encode(grids), fields)
+            split = (tables[0].encode(users), tables[1].encode(grids), fields)
         lineno += len(split[0]) if rows is None else len(rows)
-        ucode.append(split[0])
-        gcode.append(split[1])
-        chunks.append(split[2])
-        pos = cursor[0]
-    del data
+        if len(split[0]):
+            runs.append(_runs(split[0], split[1]))
+            chunks.append(np.asarray(split[2], dtype))
+    return tables, runs, chunks
+
+
+def _table(path_or_text, header: tuple[str, ...], bulk, one, dtype):
+    """Parse a user,grid,<field> CSV file or text from its UTF-8 bytes,
+    reading exactly what csv.reader reads from its text, as a stream: no
+    copy of the whole file is held.
+
+    The data rows are read in blocks of whole lines, each a read of
+    _BLOCK_BYTES and the rest of its last line, and each down one chain. A
+    clean block, one free of quotes, NULs, CRs outside CRLF line ends and
+    lines longer than csv's field limit, is split at commas and newlines as
+    bytes, which leaves a line end's CR on the third field, where float()
+    and int() ignore it. A block that is not clean, or whose split or
+    conversion fails, is decoded and read with csv.reader; a record that
+    crosses the end of the block reads its next lines from the stream.
+    Either way the user and grid tokens are encoded by their _Codes tables,
+    which strip each distinct token once, and the third fields are
+    converted by bulk(users, grids, raws), given the codes. A block with a
+    token that strips to nothing, whose conversion fails there too (bulk
+    raises ValueError), or that holds a blank or malformed line, is scanned
+    row by row with one((user code, grid code), csv fields, lineno), which
+    raises the first error in file order, with its line number (the csv
+    record number); a csv.Error is raised as MalformedRow. A parse error is
+    raised only once the rest of the file has been read and decodes, so an
+    undecodable file is the IoError a decode of the whole file names.
+
+    Each block keeps its converted fields and the runs of equal (user,
+    grid) codes in its rows. The runs are sorted stably by (grid, user), so
+    the rows of each (grid, user) entry keep file order, and each block's
+    runs are then copied to their places in the column.
+
+    Returns the grid and user tokens in sorted order, the offsets of each
+    grid's entries, the user index and row count of every entry, in (grid,
+    user) order, and the converted fields in that order as a dtype column.
+    """
+    with _read_source(path_or_text) as fh:
+        try:
+            (user_codes, grid_codes), runs, chunks = _blocks(fh, header, bulk, one, dtype)
+        except GridDPError as exc:
+            if not isinstance(exc, IoError):
+                while fh.read(_BLOCK_BYTES):
+                    pass
+            raise
     if not grid_codes:
         raise EmptyDataset("no data rows after header")
     grids, grank = grid_codes.ranks()
     users, urank = user_codes.ranks()
-    key = grank[np.concatenate(gcode)] * len(users)
-    key += urank[np.concatenate(ucode)]
-    del gcode, ucode
+    block_runs = [len(lengths) for _, _, lengths in runs]
+    run_users, run_grids, lengths = map(np.concatenate, zip(*runs))
+    del runs
+    # each run's (grid rank, user rank) as one key, in the smallest dtype
+    # that holds every key
+    kind = np.min_scalar_type(len(grids) * len(users))
+    key = grank.astype(kind)[run_grids]
+    key *= len(users)
+    key += urank.astype(kind)[run_users]
+    del run_grids, run_users
     order = np.argsort(key, kind="stable")
     key = key[order]
-    bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(key)]
-    heads = key[bounds[:-1]]
-    return grids, users, order, heads // len(users), heads % len(users), bounds, chunks
+    # the last run of each (grid, user) entry, whose rows end the entry's
+    last = np.append(key[1:] != key[:-1], True)
+    entries = key[last]
+    del key
+    total = sum(map(len, chunks))
+    ends = lengths[order].astype(np.min_scalar_type(total))
+    np.cumsum(ends, out=ends)
+    counts = np.diff(ends[last], prepend=0)
+    del last
+    # the place of each run's first row in the column, in file order
+    dest = np.empty_like(ends)
+    dest[order] = ends
+    del order, ends
+    dest -= lengths
+    column = np.empty(total, dtype)
+    hi = len(dest)
+    while chunks:
+        lo = hi - block_runs.pop()
+        size = lengths[lo:hi].astype(np.int64)
+        ends = np.cumsum(size)
+        # the i-th row of a run goes to the run's place plus i
+        index = np.repeat(dest[lo:hi].astype(np.int64) - ends + size, size) + np.arange(ends[-1])
+        column[index] = chunks.pop()
+        hi = lo
+    offsets = np.searchsorted(entries // len(users), np.arange(len(grids) + 1))
+    return grids, users, offsets, entries % len(users), counts, column
 
 
 def _bulk_values(users, grids, raws) -> np.ndarray:
@@ -770,12 +825,11 @@ def parse_dataset(path_or_text, bound_u: float) -> Dataset:
 
     Repeated (user, grid) rows accumulate samples in file order.
     """
-    grids, users, order, run_grid, run_user, bounds, chunks = _table(
-        path_or_text, DATA_HEADER, _bulk_values, _one_value
+    grids, users, offsets, ids, counts, column = _table(
+        path_or_text, DATA_HEADER, _bulk_values, _one_value, np.float64
     )
-    offsets = np.searchsorted(run_grid, np.arange(len(grids) + 1))
-    occupancy = OccupancyArray._from_columns(grids, users, offsets, run_user, np.diff(bounds))
-    return Dataset._from_columns(occupancy, np.concatenate(chunks)[order], bound_u)
+    occupancy = OccupancyArray._from_columns(grids, users, offsets, ids, counts)
+    return Dataset._from_columns(occupancy, column, bound_u)
 
 
 def write_dataset(dataset: Dataset, fh) -> None:
@@ -836,10 +890,8 @@ def parse_occupancy(path_or_text) -> OccupancyArray:
         seen.add(pair)
         return m
 
-    grids, users, order, run_grid, run_user, _, chunks = _table(
-        path_or_text, OCCUPANCY_HEADER, bulk, one
+    grids, users, offsets, ids, _, counts = _table(
+        path_or_text, OCCUPANCY_HEADER, bulk, one, np.int64
     )
-    # no pair repeats, so every run is one row
-    counts = np.fromiter(chain.from_iterable(chunks), np.int64, len(order))[order]
-    offsets = np.searchsorted(run_grid, np.arange(len(grids) + 1))
-    return OccupancyArray._from_columns(grids, users, offsets, run_user, counts)
+    # no pair repeats, so every entry is one row, whose count the column holds
+    return OccupancyArray._from_columns(grids, users, offsets, ids, counts)

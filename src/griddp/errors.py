@@ -4,7 +4,7 @@ Every input-validation failure raises a named subclass of GridDPError so
 callers (and the CLI) can distinguish bad data from bugs. The require_*
 functions below are the checks every module shares: positive finite
 scalars, integers (with an optional lower bound, as for capacities),
-count lists, retained-count lists and their pairing. read_utf8_bytes reads
+count lists, retained-count lists and their pairing. Utf8File reads
 every input file, so an unreadable or undecodable one is an IoError.
 """
 
@@ -172,34 +172,65 @@ def require_pair(m_list, gamma_list) -> tuple[list[int], list[int]]:
     return counts, gammas
 
 
-# Bytes per slice of a file's UTF-8 check: the decoded slice is dropped
-# before the next one, so no decoded copy of the whole file is made.
-_CHECK_BYTES = 1 << 20
+def _decode_message(exc: UnicodeDecodeError, start: int) -> str:
+    """str(exc) with its bad bytes at position start, as a decode of the whole
+    file would name them."""
+    if exc.end - exc.start == 1:
+        where = f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+    else:
+        where = f"bytes in position {start}-{start + exc.end - exc.start - 1}"
+    return f"'{exc.encoding}' codec can't decode {where}: {exc.reason}"
 
 
-def read_utf8_bytes(path, what: str = "") -> bytes:
-    """The bytes of a UTF-8 file, checked to decode; IoError if it cannot be
-    read or decoded, whose message gives the position a decode of the whole
-    file reports. what names the file's role in the message, such as "plan "."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        if not data.isascii():
-            decoder = codecs.getincrementaldecoder("utf-8")()
-            for pos in range(0, len(data), _CHECK_BYTES):
-                try:
-                    decoder.decode(data[pos : pos + _CHECK_BYTES], pos + _CHECK_BYTES >= len(data))
-                except UnicodeDecodeError as exc:
-                    # the decoder read the slice after the bytes it held back
-                    start = pos - len(decoder.getstate()[0]) + exc.start
-                    end = start + exc.end - exc.start
-                    raise UnicodeDecodeError(exc.encoding, data, start, end, exc.reason) from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IoError(f"cannot read {what}{path}: {exc}") from exc
-    return data
+class Utf8File:
+    """A UTF-8 file read as bytes, each read checked to decode as it
+    arrives, so that no decoded copy of the file is made; the end of the
+    file is checked when a read returns nothing or a line without its
+    newline. IoError if the file cannot be read or decoded, whose message
+    gives the position a decode of the whole file reports. what names the
+    file's role in the message, such as "plan "."""
+
+    def __init__(self, path, what: str = ""):
+        self._name = f"{what}{path}"
+        self._decoder = codecs.getincrementaldecoder("utf-8")()
+        self._pos = 0
+        self._fh = self._io(open, path, "rb")
+
+    def __enter__(self) -> "Utf8File":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._fh.close()
+
+    def _io(self, call, *args):
+        try:
+            return call(*args)
+        except OSError as exc:
+            raise IoError(f"cannot read {self._name}: {exc}") from exc
+
+    def read(self, size: int = -1) -> bytes:
+        data = self._io(self._fh.read, size)
+        return self._checked(data, size < 0 or not data)
+
+    def readline(self) -> bytes:
+        data = self._io(self._fh.readline)
+        return self._checked(data, not data.endswith(b"\n"))
+
+    def _checked(self, data: bytes, final: bool) -> bytes:
+        held = len(self._decoder.getstate()[0])
+        if held or final or not data.isascii():
+            try:
+                self._decoder.decode(data, final)
+            except UnicodeDecodeError as exc:
+                # the decoder read the bytes it held back before data
+                start = self._pos - held + exc.start
+                raise IoError(f"cannot read {self._name}: {_decode_message(exc, start)}") from exc
+        self._pos += len(data)
+        return data
 
 
 def read_utf8(path, what: str = "") -> str:
     """The text of a UTF-8 file, line endings as written, so that a file
-    parses as its text does; IoError as read_utf8_bytes raises it."""
-    return read_utf8_bytes(path, what).decode()
+    parses as its text does; IoError as Utf8File raises it."""
+    with Utf8File(path, what) as fh:
+        return fh.read().decode()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from griddp import dataset, errors
+from griddp import dataset
 from griddp.cli import cli_main
 from griddp.dataset import (
     DATA_HEADER,
@@ -777,7 +777,7 @@ def _decode_error(data):
 
 
 def test_undecodable_file_is_io_error_at_the_byte_a_whole_decode_names(tmp_path):
-    # the file is checked in 1 MB slices; these bad bytes are near 3 MB
+    # the file is checked as it is read; these bad bytes are near 3 MB
     row = "\u00e9,g1,1\n".encode()
     head = b"user,grid,value\n" + row * ((3 << 20) // len(row))
     path = tmp_path / "bad.csv"
@@ -795,13 +795,15 @@ def test_undecodable_file_is_io_error_at_the_byte_a_whole_decode_names(tmp_path)
 
 @pytest.mark.parametrize("size", range(1, 9))
 def test_utf8_check_carries_sequences_across_slices(tmp_path, size):
-    # every slice boundary through two- to four-byte sequences, valid or cut
+    # every read boundary through two- to four-byte sequences, valid or cut
     path = tmp_path / "input.csv"
     good = "user,grid,value\n\u00e9\u20ac\U0001f600,g1,1\n".encode()
     # bytes 16-17 are the e acute, 18-20 the euro sign, 21-24 the emoji
     bad = [good[:16] + b"\x80" + good[16:], good[:17] + b"A" + good[18:], good[:20] + b"A" + good[21:]]
     bad += [good[:23] + b"A" + good[24:], good + b"\xf0\x9f"]
-    with mock.patch.object(errors, "_CHECK_BYTES", size):
+    # a cut sequence whose read is followed by an ASCII one
+    bad += [good[:17] + b",g1,1\n", good[:19] + b",g1,1\n", good[:24] + b",g1,1\n"]
+    with mock.patch.object(dataset, "_BLOCK_BYTES", size):
         path.write_bytes(good)
         assert parse_dataset(path, 5.0).users_in("g1") == ["\u00e9\u20ac\U0001f600"]
         for data in bad:
@@ -811,22 +813,93 @@ def test_utf8_check_carries_sequences_across_slices(tmp_path, size):
             assert str(got.value) == f"cannot read {path}: {_decode_error(data)}"
 
 
+# Streams whose read boundaries fall inside what the parse must keep whole.
+# Every read starts a line, so at _BLOCK_BYTES 1 the blank CRLF line, the
+# token that opens a row with a multi-byte character and the quoted field
+# that opens a row are each split across two reads; the larger sizes move
+# the splits elsewhere.
+_BOUNDARY_CASES = {
+    "crlf": "user,grid,{}\r\nu1,g1,1\r\n\r\nu2,g1,2\r\nuuuuuu,gggggg,12\r\n",
+    "utf8": "user,grid,{}\n\u00e9,g1,1\n\u20ac,g1,2\n\U0001f600,\u00fc,3\nu\u00e9\u20ac,\U0001f600,1\n",
+    "quoted-newline": 'user,grid,{}\n"two\nlines",g1,1\nu2,"g\n1",2\n"a\n\nb",g1,3\n',
+    "quoted-newline-then-error": 'user,grid,{}\n"two\nlines",g1,1\nu2,g1,x\n',
+    "quoted-newline-then-repeat": 'user,grid,{}\n"u\n1",g1,1\n"u\n1",g1,2\n',
+    "no-final-newline": "user,grid,{}\nu1,g1,1\nu2,g1,2",
+    "crlf-no-final-newline": "user,grid,{}\r\nu1,g1,1\r\nu2,g1,2\r",
+    "header-only": "user,grid,{}\n",
+    "header-only-no-newline": "user,grid,{}",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("block", [1, 2, 5, 17])
+@pytest.mark.parametrize("case", list(_BOUNDARY_CASES))
+def test_read_boundaries_match_reference(tmp_path, case, block):
+    data = _BOUNDARY_CASES[case].format("value")
+    occ = _BOUNDARY_CASES[case].format("count")
+    want_data = _outcome(_parse_dataset_reference, data, 5.0)
+    want_occ = _outcome(_parse_occupancy_reference, occ)
+    with mock.patch.object(dataset, "_BLOCK_BYTES", block):
+        for source in (data, _write(tmp_path, data)):
+            assert _outcome(lambda t: _contents(parse_dataset(t, 5.0)), source) == want_data
+        for source in (occ, _write(tmp_path, occ)):
+            assert _outcome(parse_occupancy, source) == want_occ
+
+
+@pytest.mark.parametrize(
+    "field, first",
+    [
+        ("value", "u1,g1,x\n"),
+        ("value", "u1,g1\n"),
+        ("value", '"u1,g1,1\n'),
+        ("count", "u1,g1,1\nu1,g1,2\n"),
+        ("count", "u1,g1,0\n"),
+    ],
+    ids=["bad-value", "short-row", "open-quote", "duplicate-entry", "zero-count"],
+)
+def test_parse_error_yields_to_a_later_undecodable_byte(tmp_path, field, first):
+    # a parse error in the first block, and a byte near 3 MB that does not
+    # decode: the file is the IoError a decode of the whole file names
+    row = "\u00e9,g2,1\n".encode()
+    head = f"user,grid,{field}\n{first}".encode() + row * ((3 << 20) // len(row))
+    path = tmp_path / "bad.csv"
+    if field == "count":
+        parse, reference = parse_occupancy, _parse_occupancy_reference
+    else:
+        parse, reference = (lambda t: parse_dataset(t, 5.0)), (lambda t: _parse_dataset_reference(t, 5.0))
+    # with no bad byte, the parse error is raised
+    path.write_bytes(head)
+    want = _outcome(reference, head.decode())
+    assert want[0] in (MalformedRow, DuplicateEntry, NonPositiveCount)
+    assert _outcome(parse, path) == want
+    for tail in (b"u\xff,g1,1\n", b"u,g1,1\n\xe2\x82"):
+        path.write_bytes(head + tail)
+        with pytest.raises(IoError) as got:
+            parse(path)
+        assert str(got.value) == f"cannot read {path}: {_decode_error(head + tail)}"
+
+
 def test_parse_peak_memory_is_bounded(tmp_path):
-    # The parse holds the file's bytes, but no decoded copy of them, and
-    # drops them before the sort. On this 4 MB file its tracemalloc peak,
-    # the returned dataset included, measured 1.58 times the file's size
-    # (Python 3.11.7, numpy 2.4.6); a parser that decoded the whole file
-    # peaked at 2.91 times. The bound leaves 40 % of margin above the
-    # measurement, for other Python versions, and stays a quarter below
-    # the whole-file decoder.
+    # The parse reads the file as a stream and keeps, per block, the
+    # converted values and the runs of equal (user, grid) rows. Its
+    # tracemalloc peak, the returned dataset included, measured (Python
+    # 3.11.7, numpy 2.4.6) 1.04 times the file's size on this 4 MB file,
+    # where every row is its own run, and 0.68 times on the same dataset
+    # written by write_dataset, by user, then grid, in long runs; a parser
+    # that held the file's bytes peaked at 1.58 and 1.57 times. Each bound
+    # leaves 25 % of margin above its measurement, for other Python
+    # versions.
     values = np.random.default_rng(1).uniform(0.0, 65.0, 150_000).tolist()
     text = "user,grid,value\n" + "".join(f"u{i % 1000},g{i % 12},{v!r}\n" for i, v in enumerate(values))
-    path = _write(tmp_path, text)
-    tracemalloc.start()
-    try:
-        ds = parse_dataset(path, 65.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert ds.occupancy().total("g0") == 12_500
-    assert peak < 2.2 * len(text)
+    buf = io.StringIO()
+    write_dataset(parse_dataset(text, 65.0), buf)
+    for text, bound in ((text, 1.3), (buf.getvalue(), 0.85)):
+        path = _write(tmp_path, text)
+        tracemalloc.start()
+        try:
+            ds = parse_dataset(path, 65.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.occupancy().total("g0") == 12_500
+        assert peak < bound * len(text)
