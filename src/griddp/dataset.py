@@ -748,9 +748,7 @@ def _table(path_or_text, header: tuple[str, ...], bulk, one, dtype):
     undecodable file is the IoError a decode of the whole file names.
 
     Each block keeps its converted fields and the runs of equal (user,
-    grid) codes in its rows. The runs are sorted stably by (grid, user), so
-    the rows of each (grid, user) entry keep file order, and each block's
-    runs are then copied to their places in the column.
+    grid) codes in its rows, which _column puts in (grid, user) order.
 
     Returns the grid and user tokens in sorted order, the offsets of each
     grid's entries, the user index and row count of every entry, in (grid,
@@ -760,6 +758,7 @@ def _table(path_or_text, header: tuple[str, ...], bulk, one, dtype):
         try:
             (user_codes, grid_codes), runs, chunks = _blocks(fh, header, bulk, one, dtype)
         except GridDPError as exc:
+            # a byte later in the file that does not decode is the error
             if not isinstance(exc, IoError):
                 while fh.read(_BLOCK_BYTES):
                     pass
@@ -768,19 +767,32 @@ def _table(path_or_text, header: tuple[str, ...], bulk, one, dtype):
         raise EmptyDataset("no data rows after header")
     grids, grank = grid_codes.ranks()
     users, urank = user_codes.ranks()
+    entries, counts, column = _column(grank, urank, runs, chunks, dtype)
+    offsets = np.searchsorted(entries // len(users), np.arange(len(grids) + 1))
+    return grids, users, offsets, entries % len(users), counts, column
+
+
+def _column(grank, urank, runs: list, chunks: list, dtype):
+    """The (grid, user) entries of the blocks' rows, each as grid rank times
+    the user count plus user rank, ascending, their row counts, and the
+    column of the chunks' fields in entry order, rows of an entry in file
+    order. runs and chunks, _blocks's lists, are emptied as they are used.
+
+    The runs are sorted stably by that key, and then each block's fields
+    are copied to the places of their runs, one block at a time, so that
+    beside the chunks and the column no index is made per row but one
+    block's."""
     block_runs = [len(lengths) for _, _, lengths in runs]
     run_users, run_grids, lengths = map(np.concatenate, zip(*runs))
-    del runs
-    # each run's (grid rank, user rank) as one key, in the smallest dtype
-    # that holds every key
-    kind = np.min_scalar_type(len(grids) * len(users))
+    runs.clear()
+    kind = np.min_scalar_type(len(grank) * len(urank))
     key = grank.astype(kind)[run_grids]
-    key *= len(users)
+    key *= len(urank)
     key += urank.astype(kind)[run_users]
     del run_grids, run_users
     order = np.argsort(key, kind="stable")
     key = key[order]
-    # the last run of each (grid, user) entry, whose rows end the entry's
+    # the last run of each entry, whose rows end the entry's
     last = np.append(key[1:] != key[:-1], True)
     entries = key[last]
     del key
@@ -798,14 +810,13 @@ def _table(path_or_text, header: tuple[str, ...], bulk, one, dtype):
     hi = len(dest)
     while chunks:
         lo = hi - block_runs.pop()
-        size = lengths[lo:hi].astype(np.int64)
-        ends = np.cumsum(size)
+        sizes = lengths[lo:hi].astype(np.int64)
+        stops = np.cumsum(sizes)
         # the i-th row of a run goes to the run's place plus i
-        index = np.repeat(dest[lo:hi].astype(np.int64) - ends + size, size) + np.arange(ends[-1])
+        index = np.repeat(dest[lo:hi].astype(np.int64) - stops + sizes, sizes) + np.arange(stops[-1])
         column[index] = chunks.pop()
         hi = lo
-    offsets = np.searchsorted(entries // len(users), np.arange(len(grids) + 1))
-    return grids, users, offsets, entries % len(users), counts, column
+    return entries, counts, column
 
 
 def _bulk_values(users, grids, raws) -> np.ndarray:

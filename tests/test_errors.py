@@ -10,6 +10,7 @@ from griddp.dataset import Dataset, OccupancyArray
 from griddp.errors import (
     InvalidCapacity,
     InvalidParams,
+    IoError,
     NoBins,
     NonPositiveCount,
     NonPositiveScale,
@@ -20,6 +21,7 @@ from griddp.errors import (
     require_ints,
     require_pair,
     require_positive,
+    read_utf8,
     require_retained,
 )
 from griddp.grouping import array_count_k
@@ -127,3 +129,20 @@ def test_non_finite_per_draw_scalars_rejected():
         private_interval([0.5], 1.0, math.inf, 1.0, RngStream(1))
     with pytest.raises(NonPositiveScale):
         laplace_inverse_cdf(0.3, math.inf)
+
+
+def test_read_utf8_names_the_byte_a_whole_decode_names(tmp_path):
+    # plan and config files are checked by the reader the CSV parse uses
+    path = tmp_path / "plan.json"
+    for data in (b'{"g1": 1}\xff', b"\xe2\x82", "\u00e9".encode() * 5 + b"\xe2A", b"\xf0\x9f\x98"):
+        path.write_bytes(data)
+        with pytest.raises(IoError) as got:
+            read_utf8(path, "plan ")
+        with pytest.raises(UnicodeDecodeError) as want:
+            data.decode()
+        assert str(got.value) == f"cannot read plan {path}: {want.value}"
+    for text in ("", "u=\u00e9\r\nq=0.5"):
+        path.write_bytes(text.encode())
+        assert read_utf8(path) == text
+    with pytest.raises(IoError, match="^cannot read config .*absent"):
+        read_utf8(tmp_path / "absent", "config ")
