@@ -16,12 +16,12 @@ from griddp.errors import (
     NonPositiveScale,
     ZeroRetained,
     ZeroTotal,
+    read_utf8,
     require_counts,
     require_int,
     require_ints,
     require_pair,
     require_positive,
-    read_utf8,
     require_retained,
 )
 from griddp.grouping import array_count_k
