@@ -272,7 +272,8 @@ def _cmd_synth(args) -> None:
             rows = ((u, g, v) for u, g, values in ds._pairs() for v in values.tolist())
             _emit(args, rows, list(DATA_HEADER))
         return
-    rows = sorted((u, g, m) for g in occ.grids() for u, m in occ.row(g).items())
+    counts = memoryview(occ._counts)
+    rows = ((u, g, counts[e]) for u, g, e in occ._by_user())
     _emit(args, rows, ["user", "grid", "count"])
 
 

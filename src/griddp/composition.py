@@ -22,12 +22,15 @@ number of grids it still occupies. The users are bucketed once by starting
 level (one bincount of the user ids and one stable sort), and a stage that
 completes leaves every user it froze one level lower, so the next stage's
 frozen set is this one's merged with the users who start at that level,
-both in token order. A user's entries are built, a chunk of users at a
-time, when the loop first reaches it. A grid's peak is its first largest
-count in token order, one argmax over the grid's entries. The first time a
-peak user is suppressed or priced, the grid's entries are sorted by
-descending count (stable, so ties stay in token order), and a pointer past
-the suppressed ones gives the peak from then on. A candidate, and each
+both in token order. A user's entries are listed as entry positions, a
+chunk of users at a time, when the loop first reaches it; an entry's count
+and grid are read in place, through memoryviews of the count column and of
+a per-entry grid index, so no entry is copied into Python objects. A
+grid's peak is its first largest count in token order, one argmax over the
+grid's entries. The first time a peak user is suppressed or priced, the
+grid's entries are sorted by descending count (stable, so ties stay in
+token order) into an array read the same way, and a pointer past the
+suppressed ones gives the peak from then on. A candidate, and each
 grid after a stage, is priced by one inline float total in
 budget_from_aggregates' operation order, with each grid's constant parts
 worked out once; ErrorBudget objects are built only for the initial and
@@ -226,12 +229,13 @@ def clip_user(
     # spare[g] counts the users grid g may still lose: never its last one
     spare = [hi - lo - 1 for lo, hi in spans]
     suppressed = bytearray(len(ids))
-    count_of = counts.tolist()
+    # the count and the grid of each entry, read in place as Python ints
+    count_of, grid_of = memoryview(counts), memoryview(occupancy._grid_index())
     # top[g] is the entry of grid g's peak and desc[g][ptr[g]] is top[g]
     # once the peak is first suppressed or priced
     top = [lo + int(np.argmax(counts[lo:hi])) for lo, hi in spans]
     peak = [count_of[e] for e in top]
-    desc: dict[int, list[int]] = {}
+    desc: dict[int, memoryview] = {}
     ptr = [0] * len(grids)
 
     def next_kept(g: int, i: int) -> int:
@@ -239,7 +243,7 @@ def clip_user(
         count, ties in user order, that holds a retained entry."""
         if g not in desc:
             lo, hi = spans[g]
-            desc[g] = (lo + np.argsort(-counts[lo:hi], kind="stable")).tolist()
+            desc[g] = memoryview(lo + np.argsort(-counts[lo:hi], kind="stable"))
         order = desc[g]
         while suppressed[order[i]]:
             i += 1
@@ -263,10 +267,12 @@ def clip_user(
     level = np.bincount(ids, minlength=len(occupancy._users))
     by_level = np.argsort(level.astype(np.min_scalar_type(len(grids))), kind="stable")
     ends = np.cumsum(np.bincount(level)).tolist()
+    del level
     k = len(ends) - 1  # every grid keeps a user, so k stays at least 1
     frozen: list[int] = []
-    # active[i] lists user i's retained entries once the loop reaches it
-    active: dict[int, list[tuple[int, int, int]]] = {}
+    # active[i] lists the positions of user i's retained entries once the
+    # loop reaches it
+    active: dict[int, list[int]] = {}
     trace: list[Suppression] = []
     stage_max = [error_cap]
     stage = 1
@@ -283,23 +289,25 @@ def clip_user(
                 built += len(chunk)
                 entries = active[i]
             best, pick = None, -1
-            for j, (g, e, c) in enumerate(entries):
+            for j, e in enumerate(entries):
+                g = grid_of[e]
                 if not spare[g]:
                     continue
                 pk = peak[g]
                 if e == top[g]:  # a grid with two retained users has a second
                     second = next_kept(g, ptr[g] + 1)
                     pk = count_of[desc[g][second]]
-                total = prices[g](sum_gamma[g] - c, pk)
+                total = prices[g](sum_gamma[g] - count_of[e], pk)
                 # grids come in token order, so a tie keeps the earlier grid
                 if best is None or total < best:
                     best, pick = total, j
             if best is None or best > error_cap:
                 halted = True
                 break
-            g, e, c = entries.pop(pick)
+            e = entries.pop(pick)
+            g = grid_of[e]
             suppressed[e] = 1
-            sum_gamma[g] -= c
+            sum_gamma[g] -= count_of[e]
             spare[g] -= 1
             if e == top[g]:
                 ptr[g] = next_kept(g, ptr[g])

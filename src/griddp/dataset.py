@@ -141,9 +141,13 @@ class OccupancyArray:
             self._users = list(self._users)
         return self._users
 
-    def _entries(self, uids) -> list[list[tuple[int, int, int]]]:
-        """(grid index, entry position, count) of every entry of each user
-        id, in grid order."""
+    def _grid_index(self) -> np.ndarray:
+        """The grid index of every entry, in the smallest dtype that holds it."""
+        grids = np.arange(len(self._grids), dtype=np.min_scalar_type(len(self._grids) - 1))
+        return np.repeat(grids, np.diff(self._bounds))
+
+    def _entries(self, uids) -> list[list[int]]:
+        """The positions of every entry of each user id, in grid order."""
         uids = np.asarray(uids, dtype=np.int64)
         found = []
         for lo, hi in self._spans():
@@ -151,10 +155,20 @@ class OccupancyArray:
             found.append(np.where(self._ids[pos] == uids, pos, -1))
         table = np.stack(found, axis=1)
         present = table >= 0
-        grids, entries = np.nonzero(present)[1], table[present]
-        triples = list(zip(grids.tolist(), entries.tolist(), self._counts[entries].tolist()))
+        entries = table[present].tolist()
         ends = np.cumsum(present.sum(axis=1)).tolist()
-        return [triples[a:b] for a, b in zip([0, *ends], ends)]
+        return [entries[a:b] for a, b in zip([0, *ends], ends)]
+
+    def _by_user(self):
+        """(user token, grid token, entry position) of every entry, by user
+        token, then grid."""
+        # the entries are in grid order, so a stable sort by user id keeps
+        # each user's grids in order
+        order = np.argsort(self._ids, kind="stable")
+        users, grid_of = self._ids[order].tolist(), self._grid_index()[order].tolist()
+        tokens, grids = self._tokens(), self._grids
+        for e, u, g in zip(order.tolist(), users, grid_of):
+            yield tokens[u], grids[g], e
 
     def _owner(self, e: int) -> tuple[str, str]:
         """The grid and user tokens of entry e."""
@@ -217,7 +231,8 @@ class OccupancyArray:
         return list(map(self._tokens().__getitem__, self._ids[lo:hi].tolist()))
 
     def grids_of(self, user: str) -> list[str]:
-        return [self._grids[g] for g, _, _ in self._entries([self._uid(user)])[0]]
+        entries = self._entries([self._uid(user)])[0]
+        return [self._grids[bisect_right(self._bounds, e) - 1] for e in entries]
 
     def _entry(self, grid: str, user: str) -> int:
         """Position of the (grid, user) entry, or -1 if the user is absent."""
@@ -412,12 +427,9 @@ class Dataset:
 
     def _pairs(self):
         """(user, grid, values) of every entry, by user token, then grid."""
-        occ, starts = self._occupancy, self._starts
-        grid_of = np.repeat(np.arange(len(occ._grids)), np.diff(occ._bounds))
-        order = np.lexsort((grid_of, occ._ids)).tolist()
-        ids, grid_of, tokens = occ._ids.tolist(), grid_of.tolist(), occ._tokens()
-        for e in order:
-            yield tokens[ids[e]], occ._grids[grid_of[e]], self._column[starts[e] : starts[e + 1]]
+        starts = self._starts
+        for user, grid, e in self._occupancy._by_user():
+            yield user, grid, self._column[starts[e] : starts[e + 1]]
 
     def grids(self) -> list[str]:
         return self._occupancy.grids()

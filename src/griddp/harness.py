@@ -60,9 +60,10 @@ class ExperimentConfig:
 
 def _trial_means(params: SynthParams, config: ExperimentConfig, reduce):
     """Each epsilon with the trial means of the numbers reduce(occupancy,
-    epsilon, clip_user result) gives. One trial occupancy is held at a time,
-    each result is reduced before the next is made, and each epsilon's rows
-    are averaged in trial order."""
+    epsilon, clip_user result) gives. One trial occupancy is held at a time:
+    each result is reduced before the next is made, and the trial's
+    occupancy is dropped before the next trial's is generated. Each
+    epsilon's rows are averaged in trial order."""
     root = RngStream(config.seed)
     protect = config.protect_min_error_grid
     rows: list[list] = [[] for _ in config.epsilons]
@@ -70,6 +71,7 @@ def _trial_means(params: SynthParams, config: ExperimentConfig, reduce):
         occ = generate_occupancy(params, root.split(f"trial:{i}"))
         for eps, eps_rows in zip(config.epsilons, rows):
             eps_rows.append(reduce(occ, eps, clip_user(occ, params.bound_u, eps, protect)))
+        del occ
     return list(zip(config.epsilons, (left_sum(np.swapaxes(rows, 1, 2)) / config.trials).tolist()))
 
 

@@ -71,6 +71,11 @@ def grid_token(index: int, total: int) -> str:
     return f"g{index:0{len(str(total))}d}"
 
 
+# Entries are moved from draw order to (grid, user) order this many at a
+# time, so the move's temporaries stay small beside the columns.
+_MOVE_CHUNK = 1 << 12
+
+
 def generate_occupancy(params: SynthParams, rng: RngStream) -> OccupancyArray:
     """Draw the tiered occupancy structure and geometric counts.
 
@@ -85,47 +90,81 @@ def generate_occupancy(params: SynthParams, rng: RngStream) -> OccupancyArray:
     with the same seed and different heavy_gamma share the underlying
     counts. A count above 2^63 - 1, which int64 cannot hold, raises
     TooLarge.
+
+    Besides the two int64 columns, the draws hold one byte-or-wider grid
+    index and one float per entry, and each tier its block; the user ids
+    are worked out from the entries' draw positions, not listed.
     """
     s = rng.split("occupancy")
     grids, users = int(params.grids), int(params.users)
     log_q = math.log1p(-params.geometric_q)
+    # tier t holds users firsts[t] + 1 to lasts[t] (1-based), each in
+    # widths[t] grids; its entries start at position starts[t] in draw order
+    firsts = np.array([2**t for t in range(users.bit_length())])
+    lasts = np.minimum(2 * firsts - 1, users)
+    widths = grids - np.arange(len(firsts))
+    starts = np.concatenate(([0], np.cumsum((lasts - firsts + 1) * widths)))
     # grid indices in the smallest dtype that holds them, which numpy
     # radix-sorts when it has 16 bits or fewer
     small = np.min_scalar_type(grids - 1)
-    user_idx, grid_idx, draws = [], [], []
-    for tier in range(users.bit_length()):
-        first, last = 2**tier, min(2 ** (tier + 1) - 1, users)
-        n, k = last - first + 1, grids - tier
+    grid_idx = np.empty(starts[-1], small)
+    draws = np.empty(starts[-1])
+    sizes = np.zeros(grids, np.int64)  # entries per grid
+    for first, last, k, lo, hi in zip(firsts, lasts, widths, starts, starts[1:]):
+        n = int(last - first + 1)
         u = s.random(n * 2 * k).reshape(n, 2 * k)
         pool = np.tile(np.arange(grids, dtype=small), (n, 1))
         rows = np.arange(n)
         for i in range(k):
             j = i + np.minimum((u[:, i] * (grids - i)).astype(np.int64), grids - i - 1)
             pool[rows, i], pool[rows, j] = pool[rows, j], pool[rows, i].copy()
-        user_idx.append(np.repeat(np.arange(first - 1, last), k))
-        grid_idx.append(np.sort(pool[:, :k], axis=1).ravel())
+        pool[:, :k].sort(axis=1)
+        grid_idx[lo:hi].reshape(n, k)[:] = pool[:, :k]
+        sizes += np.bincount(grid_idx[lo:hi], minlength=grids)
+        del pool, rows, j
         # floor(log(1-u)/log(1-q)) + 1: a geometric draw by the inverse CDF;
         # kept as exact floats until the int64 range is checked
-        draws.append((np.floor(np.log1p(-u[:, k:]) / log_q) + 1).ravel())
-    # users are already ascending, so a stable sort by grid gives (grid, user);
+        d = draws[lo:hi].reshape(n, k)
+        np.log1p(np.negative(u[:, k:], out=u[:, k:]), out=d)
+        d /= log_q
+        np.floor(d, out=d)
+        d += 1
+        del u, d
+    # users ascend in draw order, so a stable sort by grid gives (grid, user);
     # a stable order is unique, whichever algorithm numpy picks
-    grid_idx = np.concatenate(grid_idx)
     order = np.argsort(grid_idx, kind="stable")
-    draws = np.concatenate(draws)[order]
+    del grid_idx
     # user 1 occupies every grid, so no row is empty
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(grid_idx, minlength=grids))))
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
     if params.heavy_gamma > 0:
-        # rows are in token order, so argmax takes the first of tied peaks
-        tops = [lo + np.argmax(draws[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
+        # a grid's entries are in token order, so argmax takes the first of
+        # tied peaks
+        spans = zip(offsets, offsets[1:])
+        tops = [order[lo + np.argmax(draws[order[lo:hi]])] for lo, hi in spans]
         draws[tops] = np.ceil((1 + params.heavy_gamma) * draws[tops])
-    if draws.max() >= 2.0**63:
-        raise TooLarge(f"a count of {draws.max():.0f} is above 2^63 - 1")
+    peak = draws.max()
+    if peak >= 2.0**63:
+        raise TooLarge(f"a count of {peak:.0f} is above 2^63 - 1")
+    # every count fits the smallest unsigned dtype that holds the peak
+    draws = draws.astype(np.min_scalar_type(int(peak)))
+    # order becomes the user ids in place: draw position p of tier t is
+    # user firsts[t] - 1 + (p - starts[t]) // widths[t] (0-based)
+    ids, counts = order, np.empty(len(order), np.int64)
+    for a in range(0, len(ids), _MOVE_CHUNK):
+        part = ids[a : a + _MOVE_CHUNK]
+        counts[a : a + _MOVE_CHUNK] = draws[part]
+        t = np.searchsorted(starts, part, side="right")
+        t -= 1
+        part -= starts[t]
+        part //= widths[t]
+        part += firsts[t] - 1
+    del draws
     return OccupancyArray._from_columns(
         [grid_token(g + 1, grids) for g in range(grids)],
         _UserTokens(users),
         offsets,
-        np.concatenate(user_idx)[order],
-        draws.astype(np.int64),
+        ids,
+        counts,
     )
 
 
