@@ -22,6 +22,7 @@ from .grouping import (
 )
 from .mechanisms import (
     MechanismParams,
+    _draw_rows,
     bind,
     concentration_tau,
     levy_planning_delta,
@@ -123,11 +124,13 @@ def mae_eval(
     the grid once and bind once per epsilon. Draw i at epsilon index ei
     uses the uniforms of the stream split "mae:{ei}:{i}", so the points
     equal those of per-draw release(). The labels are taken _CHILDREN at a
-    time, across epsilons, into one block of uniforms each, and each
-    epsilon's rows of a block are drawn as one batch, so memory does not
-    grow with the number of epsilons; each MAE's sum carries across blocks.
-    The grid's exact mean is computed once per dataset and kept on it, as
-    the packings are.
+    time, across epsilons, into one block of uniforms each, and all the
+    rows of a block are drawn in one pass, whatever epsilons they belong
+    to: the block is checked once, each epsilon makes its own choices, and
+    one projection and one Laplace pass run over every row at its own
+    scale. So memory does not grow with the number of epsilons, and each
+    MAE's sum carries across blocks. The grid's exact mean is computed once
+    per dataset and kept on it, as the packings are.
     """
     if config.mechanism == "baseline":
         counts = dataset.occupancy().counts_in(grid)
@@ -147,10 +150,13 @@ def mae_eval(
         stop = min(start + _CHILDREN, n)
         labels = (f"mae:{row // draws}:{row % draws}" for row in range(start, stop))
         block = root.split_uniforms(labels, m)
-        for ei in range(start // draws, (stop - 1) // draws + 1):
-            part = block[max(ei * draws - start, 0) : (ei + 1) * draws - start]
-            errors = np.abs(bounds[ei].draw_batch(part).noisy_mean - true_mean)
-            totals[ei] = left_sum(errors, totals[ei])
+        # the block's rows of each epsilon it reaches, from first to last
+        first, last = start // draws, (stop - 1) // draws + 1
+        cuts = [start, *range((first + 1) * draws, last * draws, draws), stop]
+        sizes = np.diff(cuts).tolist()
+        errors = np.abs(_draw_rows(bounds[first:last], sizes, block).noisy_mean - true_mean)
+        for ei, lo, hi in zip(range(first, last), cuts, cuts[1:]):
+            totals[ei] = left_sum(errors[lo - start : hi - start], totals[ei])
     return [
         CurvePoint(params.epsilon, float(total / draws), config.mechanism)
         for params, total in zip(all_params, totals)

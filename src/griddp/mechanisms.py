@@ -7,21 +7,31 @@ release.
 
 Every mechanism (baseline and clip, and the grouped array averaging, levy
 and quantile) runs in three stages, and release() runs all three:
-- prepare() depends only on the data and the occupancy: it packs the grid
-  into arrays and keeps the array means, and for quantile their sorted,
-  clamped points (for clip and baseline: the retained counts and the
-  retained mean and variance);
-- bind() depends on the params: the noise scales, levy's tau and interval
-  ends, and each exponential-mechanism choice as a table of running weight
-  sums;
+- prepare() depends only on the data and the occupancy. A grouped
+  mechanism packs the grid into arrays and keeps, with the packing on the
+  dataset, everything that does not depend on epsilon: the array means as
+  a tuple and as one read-only array; for quantile, their clamped, sorted
+  points and the indices and widths of the intervals of positive width
+  between them; for levy, the bins' interval ends and costs at each tau
+  it is bound at (tau depends on the packing and gamma, not on epsilon).
+  Clip and baseline keep the retained counts and the retained mean and
+  variance;
+- bind() depends on the params: the noise scales and the
+  exponential-mechanism weights (one math.exp each), summed into tables of
+  running weight sums; it reads the kept arrays and copies none of them;
 - draw_batch() on the bound object is the only random stage. It takes a
-  block of uniforms in [0, 1], one row per release (InvalidParams for any
-  other value, NaN included), and makes every row's choices
-  with one searchsorted per choice table, then its Laplace noise, as numpy
-  vector operations; draw(rng) is draw_batch on a block of one row, read
-  from the stream in the documented order.
+  block of uniforms in [0, 1], one row per release and at least one column
+  per uniform a release reads (InvalidParams for any other shape or value,
+  NaN included), and makes every row's choices with one searchsorted per
+  choice table, then its projection and Laplace noise, as numpy vector
+  operations; draw(rng) is the same draw on a block of one row, read from
+  the stream in the documented order. The binds of one Prepared at several
+  epsilons draw the rows of one block in one pass (_draw_rows): each
+  epsilon makes its own choices, then one projection and one Laplace pass
+  run over all the rows, each row at its own scale; draw_batch is the case
+  of one bind.
 Repeated releases of one grid prepare once, bind once per epsilon, and draw
-every release of an epsilon as one batch. The grouped packings are kept on
+many releases as one batch. The grouped packings are kept on
 the dataset, one per grid, strategy and capacity rule, so every release and
 MAE curve of a dataset packs each of them once: the dataset's value column
 and occupancy arrays are read-only, so the data cannot change under them.
@@ -39,7 +49,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -265,7 +276,13 @@ def _interval_weights(
         raise EmptyValues("no array means to locate")
     if np.isnan(means).any():
         raise InvalidParams("array means must not be NaN")
-    require_positive("interval budget", eps_half)
+    midpoints, costs = _interval_bins(means, tau, bound_u)
+    return midpoints.tolist(), costs.tolist(), _bin_weights(costs, eps_half)
+
+
+def _interval_bins(means: np.ndarray, tau: float, bound_u: float) -> tuple[np.ndarray, np.ndarray]:
+    """The bin midpoints of private_interval and the cost of each, for a
+    non-empty float array of means, none NaN."""
     require_positive("value bound", bound_u)
     require_positive("bin width", tau, NoBins)
     if bound_u / tau > _MAX_BINS:
@@ -281,13 +298,23 @@ def _interval_weights(
     snapped = np.bincount(nearest, minlength=nbins)
     # a midpoint's cost: the larger of the snapped counts below and above it
     up_to = np.cumsum(snapped)
-    costs = np.maximum(up_to - snapped, len(means) - up_to)
-    weights = _exps(-eps_half * (costs - costs.min()) / 2)
-    return midpoints.tolist(), costs.tolist(), weights
+    return midpoints, np.maximum(up_to - snapped, len(means) - up_to)
 
 
-def _interval_ends(center: float, tau: float, bound_u: float) -> tuple[float, float]:
-    return max(0.0, center - 1.5 * tau), min(center + 1.5 * tau, bound_u)
+def _bin_weights(costs: np.ndarray, eps_half: float) -> np.ndarray:
+    """The selection weight of each bin of private_interval."""
+    require_positive("interval budget", eps_half)
+    return _exps(-eps_half * (costs - costs.min()) / 2)
+
+
+def _interval_ends(centers, tau: float, bound_u: float) -> np.ndarray:
+    """[max(0, T - 1.5 tau), min(T + 1.5 tau, U)] of each center T (one
+    float, or an array of them), one row each; np.maximum(0.0, x) and
+    np.minimum(x, U) are max and min bit for bit, keeping the first
+    argument on ties."""
+    return np.column_stack(
+        (np.maximum(0.0, centers - 1.5 * tau), np.minimum(centers + 1.5 * tau, bound_u))
+    )
 
 
 def private_interval(
@@ -306,7 +333,7 @@ def private_interval(
     """
     midpoints, costs, weights = _interval_weights(means, eps_half, tau, bound_u)
     center = midpoints[_choose(*_table(weights), rng.random())]
-    a, b = _interval_ends(center, tau, bound_u)
+    a, b = _interval_ends(center, tau, bound_u)[0].tolist()
     return IntervalEstimate(a, b, center, tuple(costs), tuple(midpoints))
 
 
@@ -333,9 +360,19 @@ def _quantile_points(values, bound_u: float) -> list[float]:
     return [0.0, *xs.tolist(), float(bound_u)]
 
 
-def _quantile_weights(pts: np.ndarray, q_level: float, eps_q: float) -> np.ndarray:
+def _intervals(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices and widths of the intervals of positive width between
+    consecutive points of the sorted array pts."""
+    widths = pts[1:] - pts[:-1]
+    positive = np.flatnonzero(widths > 0)
+    return positive, widths[positive]
+
+
+def _quantile_weights(
+    pts: np.ndarray, q_level: float, eps_q: float, intervals=None
+) -> np.ndarray:
     """Selection weight of each interval between consecutive points of the
-    sorted array pts."""
+    sorted array pts; intervals is _intervals(pts), computed if not given."""
     n = len(pts) - 2
     target = q_level * n
     # Shift by the utility of the positive-width interval nearest the target,
@@ -346,12 +383,11 @@ def _quantile_weights(pts: np.ndarray, q_level: float, eps_q: float) -> np.ndarr
     near = (bisect_left(pts, v) - 1, bisect_right(pts, v) - 1)
     shift = max(-abs(i - target) for i in near if 0 <= i <= n)
     half = eps_q / 2
-    widths = pts[1:] - pts[:-1]
     # exp only of positive widths: a zero-width interval may lie nearer the
     # target than the shift, where exp would overflow
-    positive = np.flatnonzero(widths > 0)
+    positive, widths = _intervals(pts) if intervals is None else intervals
     weights = np.zeros(n + 1)
-    weights[positive] = widths[positive] * _exps(half * (-abs(positive - target) - shift))
+    weights[positive] = widths * _exps(half * (-abs(positive - target) - shift))
     return weights
 
 
@@ -404,11 +440,12 @@ class Prepared:
     keeps its array means, with the strategy and capacity its packing used:
     levy and quantile always pack best-fit at the optimized capacity unless
     one is given; quantile also keeps its points, the means clamped to
-    [0, U] and sorted between 0 and U. Each packing's capacity and means are
-    kept on the dataset, whose read-only columns cannot change under them.
+    [0, U] and sorted between 0 and U. arrays is the packing as the dataset
+    keeps it (_Packing): the same means and points as read-only arrays, and
+    what bind derives from them alone; it takes no part in == or repr.
     clip and baseline keep the retained count of each user (in token order)
     and the mean and population variance of the retained samples (stats);
-    their strategy and capacity are None, their means empty.
+    their strategy, capacity and arrays are None, their means empty.
     """
 
     mechanism: str
@@ -420,6 +457,47 @@ class Prepared:
     retained: tuple[int, ...] = ()
     stats: tuple[float, float] | None = None
     points: tuple[float, ...] = ()
+    arrays: _Packing | None = field(default=None, compare=False, repr=False)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class _Packing:
+    """One packing of a grid as prepare keeps it on the dataset, with all
+    that the binds of every epsilon share: the capacity, the array means as
+    a tuple (Prepared.means) and as one read-only array, and, each made the
+    first time it is asked for, quantile's points and levy's bins at each
+    tau. The arrays are read-only, since every bind reads them as they are."""
+
+    def __init__(self, capacity: int, means: list[float], bound_u: float):
+        self.capacity, self.bound_u = capacity, bound_u
+        self.means = tuple(means)
+        self.array = _read_only(np.array(means))
+        self._bins: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+
+    @cached_property
+    def points(self) -> tuple[float, ...]:
+        """0, the means clamped to [0, U] and sorted, then U."""
+        return tuple(_quantile_points(self.array, self.bound_u))
+
+    @cached_property
+    def intervals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The points as an array, and the indices and widths of the
+        intervals of positive width between them."""
+        pts = np.array(self.points)
+        return tuple(map(_read_only, (pts, *_intervals(pts))))
+
+    def bins(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        """Levy's bins of width tau: each bin's interval ends, one row each,
+        and its cost."""
+        if tau not in self._bins:
+            midpoints, costs = _interval_bins(self.array, tau, self.bound_u)
+            ends = _interval_ends(midpoints, tau, self.bound_u)
+            self._bins[tau] = _read_only(ends), _read_only(costs)
+        return self._bins[tau]
 
 
 def prepare(
@@ -430,8 +508,8 @@ def prepare(
     mechanism is array_average, levy, quantile, clip or baseline.
     array_average packs with params.strategy at params.capacity or the lower
     median of the counts; levy and quantile pack best-fit at params.capacity
-    or optimized_mub, each packing computed once per dataset and kept on it;
-    clip and baseline keep every sample.
+    or optimized_mub, each packing computed once per dataset and kept on it,
+    with its points and bins once each; clip and baseline keep every sample.
     """
     if mechanism not in MECHANISMS:
         raise InvalidParams(f"unknown mechanism {mechanism!r}")
@@ -444,16 +522,19 @@ def prepare(
     key = (grid, strategy, params.capacity, rule)
     if key not in dataset._packings:
         dataset._packings[key] = _packed_means(dataset, grid, strategy, params.capacity, rule)
-    capacity, means = dataset._packings[key]
-    points = tuple(_quantile_points(means, dataset.bound_u)) if mechanism == "quantile" else ()
-    return Prepared(mechanism, grid, dataset.bound_u, strategy, capacity, means, points=points)
+    packing = dataset._packings[key]
+    points = packing.points if mechanism == "quantile" else ()
+    return Prepared(
+        mechanism, grid, dataset.bound_u, strategy, packing.capacity, packing.means,
+        points=points, arrays=packing,
+    )
 
 
 def _packed_means(
     dataset: Dataset, grid: str, strategy: str, capacity: int | None, rule
-) -> tuple[int, tuple[float, ...]]:
-    """The capacity, rule(counts) unless one is given, and the array means
-    of the grid packed with strategy at that capacity."""
+) -> _Packing:
+    """The _Packing of the grid packed with strategy at capacity, or at
+    rule(counts) unless one is given."""
     counts = dataset.occupancy().counts_in(grid)
     if capacity is None:
         capacity = rule(counts)
@@ -472,7 +553,7 @@ def _packed_means(
         rows = np.zeros((len(fills), fills.max()))
         rows[np.arange(fills.max()) < fills[:, None]] = packed[cuts[lo] : cuts[lo + len(fills)]]
         means += (left_sum(rows) / fills).tolist()
-    return capacity, tuple(means)
+    return _Packing(capacity, means, dataset.bound_u)
 
 
 # Rows of the (rows, arrays) matrix of clamped means summed per pass, which
@@ -511,34 +592,59 @@ class _StreamRow:
 
 
 def _row(out: MechanismOutput, i: int) -> MechanismOutput:
-    """Release i of a MechanismOutput that draw_batch filled with arrays."""
+    """Release i of a MechanismOutput whose per-row fields are arrays."""
 
     def pick(value):
-        return float(value[i]) if isinstance(value, np.ndarray) else value
+        return value[i].item() if isinstance(value, np.ndarray) else value
 
     return replace(
         out,
         noisy_mean=pick(out.noisy_mean),
         noise_scale_mean=pick(out.noise_scale_mean),
         noisy_variance=pick(out.noisy_variance),
+        noise_scale_var=pick(out.noise_scale_var),
         interval=out.interval and (pick(out.interval[0]), pick(out.interval[1])),
+        degenerate_ranks=pick(out.degenerate_ranks),
     )
 
 
+def _require_block(block, uniforms: int) -> np.ndarray:
+    """block as a float array; InvalidParams unless it has two dimensions,
+    at least `uniforms` columns, and every value in [0, 1]."""
+    block = _require_uniforms(block)
+    if block.ndim != 2 or block.shape[1] < uniforms:
+        raise InvalidParams(
+            f"uniforms must come as an (N, {uniforms}) block or a wider one, "
+            f"got shape {block.shape}"
+        )
+    return block
+
+
+def _draw_rows(bounds: list, sizes: list[int] | None, block) -> MechanismOutput:
+    """One release per row of an (N, uniforms) block of uniforms, such as
+    RngStream.split_uniforms gives, checked once: bounds[0] draws its first
+    sizes[0] rows, bounds[1] the next sizes[1], and so on, and sizes None
+    gives bounds[0] every row. The bounds are binds of one Prepared, so
+    they share their class, means and mechanism, and every release is made
+    in one pass. Returns one MechanismOutput whose noisy values, noise
+    scales, interval ends and degenerate flags are arrays with an entry per
+    row."""
+    block = _require_block(block, max(bound.uniforms for bound in bounds))
+    return bounds[0]._draw(bounds, sizes or [len(block)], block)
+
+
 class _Draws:
-    """What the bound objects share. draw_batch(block) makes one release per
-    row of an (N, uniforms) block of uniforms, such as
-    RngStream.split_uniforms gives, and returns them as one MechanismOutput
-    whose noisy values, noise scales and interval ends are arrays with an
-    entry per row; a value of the block outside [0, 1], or NaN, raises
-    InvalidParams. draw(rng) is the same draw on a block of one row read
-    from the stream. Each bound object draws in _draw(block)."""
+    """What the bound objects share. draw_batch(block) is _draw_rows of the
+    one bound: a value of the block outside [0, 1], or NaN, or a block of
+    any shape but (N, uniforms) or wider, raises InvalidParams. draw(rng) is
+    the same draw on a block of one row read from the stream. Each class
+    draws the rows of its binds in _draw(bounds, sizes, block)."""
 
     def draw(self, rng: RngStream) -> MechanismOutput:
-        return _row(self._draw(_StreamRow(rng)), 0)
+        return _row(self._draw([self], [1], _StreamRow(rng)), 0)
 
     def draw_batch(self, block) -> MechanismOutput:
-        return self._draw(_require_uniforms(block))
+        return _draw_rows([self], None, block)
 
 
 @dataclass(frozen=True, eq=False)
@@ -559,65 +665,84 @@ class _NoisyStats(_Draws):
     def uniforms(self) -> int:
         return 1 + (self.variance is not None)
 
-    def _draw(self, block) -> MechanismOutput:
-        rows = len(block)
-        noisy_mean = self.mean + _noise(np.full(rows, self.scale_mean), block, 0)
-        noisy_variance = None
-        if self.variance is not None:
-            col = int(self.scale_mean > 0)
-            noisy_variance = self.variance + _noise(np.full(rows, self.scale_var), block, col)
+    @staticmethod
+    def _draw(bounds: list, sizes: list[int], block) -> MechanismOutput:
+        first = bounds[0]
+        scale_mean = np.repeat([bound.scale_mean for bound in bounds], sizes)
+        noisy_mean = first.mean + _noise(scale_mean, block, 0)
+        noisy_variance = scale_var = None
+        if first.variance is not None:
+            # the variance's uniform follows the mean's. A mean scale is 0
+            # only by underflow, and then the variance's is 0 too: d_var <=
+            # U d_mean, and with U > 1, d_mean >= U / n could underflow only
+            # for n > 2^52. So every row that reads a variance uniform has
+            # read a mean uniform before it
+            scale_var = np.repeat([bound.scale_var for bound in bounds], sizes)
+            col = int((scale_mean > 0).any())
+            noisy_variance = first.variance + _noise(scale_var, block, col)
         return MechanismOutput(
-            mechanism=self.mechanism,
-            grid=self.grid,
+            mechanism=first.mechanism,
+            grid=first.grid,
             noisy_mean=noisy_mean,
-            noise_scale_mean=self.scale_mean,
+            noise_scale_mean=scale_mean,
             noisy_variance=noisy_variance,
-            noise_scale_var=self.scale_var,
-            arrays=self.arrays,
+            noise_scale_var=scale_var,
+            arrays=first.arrays,
         )
 
 
 @dataclass(frozen=True, eq=False)
 class _Projection(_Draws):
-    """The draws of levy and quantile: once each row's [a, b] is drawn,
-    release is the mean of the array means clamped to [a, b], with Laplace
-    noise for sensitivity (b - a) / k_bar on half the budget from column
-    col, read unless a == b."""
+    """The draws of levy and quantile: once each row's [a, b] is drawn
+    (_interval), release is the mean of the array means clamped to [a, b],
+    with Laplace noise for sensitivity (b - a) / k_bar on half the budget
+    from the last column, read unless a == b."""
 
     mechanism: str
     grid: str
     means: np.ndarray
     epsilon: float
 
-    def release(self, a, b, block, col: int, degenerate: bool = False) -> MechanismOutput:
-        k_bar = len(self.means)
+    @staticmethod
+    def _draw(bounds: list, sizes: list[int], block) -> MechanismOutput:
+        first = bounds[0]
+        # each bind's rows; one bind takes the block itself, which cannot be
+        # sliced when it is a _StreamRow
+        parts = [block]
+        if len(bounds) > 1:
+            stops = np.cumsum(sizes).tolist()
+            parts = [block[stop - size : stop] for size, stop in zip(sizes, stops)]
+        ends = [bound._interval(part) for bound, part in zip(bounds, parts)]
+        a, b = (np.concatenate(side) for side in zip(*ends))
+        k_bar = len(first.means)
         delta = (b - a) / k_bar
         # a scale that overflows to inf fails the noise's check, as with floats
         with np.errstate(over="ignore"):
-            scale = 2 * delta / self.epsilon
+            scale = 2 * delta / np.repeat([bound.epsilon for bound in bounds], sizes)
+        noise = _noise(scale, block, first.uniforms - 1)
         return MechanismOutput(
-            mechanism=self.mechanism,
-            grid=self.grid,
-            noisy_mean=_projected_sums(self.means, a, b) / k_bar + _noise(scale, block, col),
+            mechanism=first.mechanism,
+            grid=first.grid,
+            noisy_mean=_projected_sums(first.means, a, b) / k_bar + noise,
             noise_scale_mean=scale,
             interval=(a, b),
-            degenerate_ranks=degenerate,
+            degenerate_ranks=np.repeat([bound.degenerate for bound in bounds], sizes),
             arrays=k_bar,
         )
 
 
 @dataclass(frozen=True, eq=False)
 class _LevyDraw(_Projection):
-    """One uniform picks a bin, whose interval ends bind computed; the
+    """One uniform picks a bin, whose interval ends the packing keeps; the
     second is the noise."""
 
     ends: np.ndarray
     table: tuple[np.ndarray, float]
     uniforms = 2
+    degenerate = False
 
-    def _draw(self, block) -> MechanismOutput:
-        a, b = self.ends[_choose(*self.table, block[:, 0])].T
-        return self.release(a, b, block, 1)
+    def _interval(self, block) -> tuple[np.ndarray, np.ndarray]:
+        return self.ends[_choose(*self.table, block[:, 0])].T
 
 
 @dataclass(frozen=True, eq=False)
@@ -631,12 +756,11 @@ class _QuantileDraw(_Projection):
     degenerate: bool
     uniforms = 5
 
-    def _draw(self, block) -> MechanismOutput:
+    def _interval(self, block) -> tuple[np.ndarray, np.ndarray]:
         a = _quantile_pick(self.pts, self.low, block[:, 0], block[:, 1])
         b = _quantile_pick(self.pts, self.high, block[:, 2], block[:, 3])
         swap = a > b
-        a, b = np.where(swap, b, a), np.where(swap, a, b)
-        return self.release(a, b, block, 4, self.degenerate)
+        return np.where(swap, b, a), np.where(swap, a, b)
 
 
 def _bind_clip(prep: Prepared, params: MechanismParams) -> _NoisyStats:
@@ -654,7 +778,7 @@ def _bind_clip(prep: Prepared, params: MechanismParams) -> _NoisyStats:
 
 
 def _bind_array_average(prep: Prepared, params: MechanismParams) -> _NoisyStats:
-    means = prep.means
+    means = prep.arrays.array
     delta = array_avg_sensitivity(len(means), params.bound_u, prep.strategy).value
     return _NoisyStats(
         f"array_average_{prep.strategy}",
@@ -666,18 +790,15 @@ def _bind_array_average(prep: Prepared, params: MechanismParams) -> _NoisyStats:
 
 
 def _bind_levy(prep: Prepared, params: MechanismParams) -> _LevyDraw:
-    means = prep.means
+    means = prep.arrays.array
     tau = concentration_tau(params.bound_u, len(means), params.gamma, prep.capacity)
-    midpoints, _, weights = _interval_weights(means, params.epsilon / 2, tau, params.bound_u)
-    return _LevyDraw(
-        "levy", prep.grid, np.array(means), params.epsilon,
-        np.array([_interval_ends(c, tau, params.bound_u) for c in midpoints]),
-        _table(weights),
-    )
+    ends, costs = prep.arrays.bins(tau)
+    weights = _bin_weights(costs, params.epsilon / 2)
+    return _LevyDraw("levy", prep.grid, means, params.epsilon, ends, _table(weights))
 
 
 def _bind_quantile(prep: Prepared, params: MechanismParams) -> _QuantileDraw:
-    means = prep.means
+    means = prep.arrays.array
     k_bar = len(means)
     degenerate = False
     if params.quantile_mode == QUANTILE_FIXED:
@@ -692,12 +813,12 @@ def _bind_quantile(prep: Prepared, params: MechanismParams) -> _QuantileDraw:
         q_lo = t_lo / k_bar
         q_hi = 1 - t_hi / k_bar
     eps_q = params.epsilon / 4
-    pts = np.array(prep.points)
+    pts, *intervals = prep.arrays.intervals
     return _QuantileDraw(
-        f"quantile_{params.quantile_mode}", prep.grid, np.array(means), params.epsilon,
+        f"quantile_{params.quantile_mode}", prep.grid, means, params.epsilon,
         pts,
-        _table(_quantile_weights(pts, q_lo, eps_q)),
-        _table(_quantile_weights(pts, q_hi, eps_q)),
+        _table(_quantile_weights(pts, q_lo, eps_q, intervals)),
+        _table(_quantile_weights(pts, q_hi, eps_q, intervals)),
         degenerate,
     )
 

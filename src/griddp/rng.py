@@ -62,12 +62,12 @@ class RngStream:
         # constant has advanced once per hashmix, 4 per entropy word.
         pool = self._gen.bit_generator.seed_seq.pool
         n = max(4, _word_count(self.seed)) + sum(map(_word_count, self._path))
-        hc = _INIT_A * pow(_MULT_A, 4 * n, 1 << 32) & _MASK32
+        consts = np.uint32(_INIT_A * pow(_MULT_A, 4 * n, 1 << 32) & _MASK32) * _POWERS_A
         keys = iter(keys)
         blocks = [np.empty((0, m))]
         while chunk := b"".join(islice(keys, _CHILDREN)):
             words = np.frombuffer(chunk, dtype="<u4").reshape(-1, 8)
-            blocks.append(_pcg64_uniforms(_generate_state(_mix_keys(pool, hc, words)), m))
+            blocks.append(_pcg64_uniforms(_generate_state(_mix_keys(pool, consts, words)), m))
         return np.concatenate(blocks)
 
     def random(self, size: int | None = None):
@@ -129,32 +129,46 @@ def _hash_consts(hc: int, mult: int, count: int) -> list[int]:
     return out
 
 
-def _mix_keys(pool: np.ndarray, hc: int, words: np.ndarray) -> np.ndarray:
+# _MULT_A to the powers 0 to 32: a stream's 33 hashmix constants for the
+# words of a key are its first constant times these, modulo 2^32.
+_POWERS_A = np.array(_hash_consts(1, _MULT_A, 32), dtype=np.uint32)
+# generate_state's 9 hash constants, one row each.
+_STATE_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 8), dtype=np.uint32)[:, None]
+
+
+def _mix_keys(pool: np.ndarray, consts: np.ndarray, words: np.ndarray) -> np.ndarray:
     """(4, N) uint32 pools after mixing each row's key words (N, 8) into
     pool, one source word at a time, each into the 4 pool words with 4
-    consecutive hash constants. A key has as many words as its highest
-    nonzero word (at least one), so rows are grouped by word count."""
+    consecutive hash constants of consts, the stream's 33 in order. A key
+    has as many words as its highest nonzero word (at least one), so rows
+    are grouped by word count."""
     # A row's nonzero flags are the bytes of one little-endian uint64, whose
     # float value lies in [2^(8j), 2^(8j + 1)) for its highest nonzero word j
     # (rounding cannot reach the next power of two), so frexp's exponent is
     # 8j + 1; an all-zero row gives exponent 0, and a key of one word.
     flags = (words != 0).view("<u8")[:, 0]
     counts = np.maximum((np.frexp(flags.astype(float))[1] + 7) // 8, 1)
-    consts = np.array(_hash_consts(hc, _MULT_A, 32), dtype=np.uint32)
     out = np.empty((4, len(words)), dtype=np.uint32)
     groups = np.unique(counts).tolist()
     for count in groups:
         # sha256 keys nearly always have 8 words: one group is read by slice
         rows = counts == count if len(groups) > 1 else slice(None)
-        # every hashmix of the group in one pass: h[j, k] is word j hashed
-        # with the constants of pool word k; the mixes then run in order
-        h = words[rows, :count].T[:, None] ^ consts[: 4 * count].reshape(count, 4, 1)
+        # every hashmix of the group in one pass, with the part of each mix
+        # that does not depend on the pool (R times the hashed word):
+        # h[j, k] is word j hashed with the constants of pool word k; the
+        # mixes then run in order
+        key = words[rows, :count].T[:, None]
+        h = np.bitwise_xor(key, consts[: 4 * count].reshape(count, 4, 1), order="C")
         h *= consts[1 : 4 * count + 1].reshape(count, 4, 1)
+        # h ^= h >> 16 with no temporary of h's size: it xors each word's
+        # high 16 bits into its low 16 bits, here through a uint16 view
+        halves = h.view(np.uint16)
+        low = int(not np.little_endian)
+        halves[..., low::2] ^= halves[..., 1 - low :: 2]
+        h *= _MIX_R
         mixed = np.repeat(pool[:, None], h.shape[2], axis=1)
         shifted = np.empty_like(mixed)
         for hj in h:
-            hj ^= np.right_shift(hj, _S16, out=shifted)
-            hj *= _MIX_R
             mixed *= _MIX_L
             mixed -= hj
             mixed ^= np.right_shift(mixed, _S16, out=shifted)
@@ -165,8 +179,7 @@ def _mix_keys(pool: np.ndarray, hc: int, words: np.ndarray) -> np.ndarray:
 def _generate_state(pools: np.ndarray) -> np.ndarray:
     """generate_state(4, uint64) of each column of (4, N) pools: a (4, N)
     uint64 array."""
-    consts = np.array(_hash_consts(_INIT_B, _MULT_B, 8), dtype=np.uint32)[:, None]
-    state = (np.tile(pools, (2, 1)) ^ consts[:8]) * consts[1:]
+    state = (np.tile(pools, (2, 1)) ^ _STATE_CONSTS[:8]) * _STATE_CONSTS[1:]
     state ^= state >> _S16
     state = state.astype(np.uint64)
     return state[0::2] | state[1::2] << _S32

@@ -709,7 +709,16 @@ def test_kept_packings_equal_packings_of_a_fresh_copy():
     ]
     for _ in range(2):
         for mechanism, params in cases:
-            assert prepare(ds, "g", mechanism, params) == prepare(_copy(ds), "g", mechanism, params)
+            kept, fresh = (prepare(d, "g", mechanism, params) for d in (ds, _copy(ds)))
+            assert kept == fresh
+            # and so are the arrays kept beside them, bit for bit
+            tau = concentration_tau(10.0, len(kept.means), params.gamma, kept.capacity)
+            for mine, theirs in zip(*(_kept_arrays(p.arrays, tau) for p in (kept, fresh))):
+                assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+
+
+def _kept_arrays(packing, tau):
+    return [packing.array, *packing.intervals, *packing.bins(tau)]
 
 
 def test_datasets_over_one_occupancy_keep_their_own_means():
@@ -757,6 +766,121 @@ def test_draw_batch_rejects_uniforms_outside_the_unit_interval(mechanism, bad):
         with pytest.raises(InvalidParams, match=r"uniforms must lie in \[0, 1\]"):
             bound.draw_batch(block)
         block[2, col] = 0.25
+
+
+@pytest.mark.parametrize("mechanism", ["clip", "array_average", "levy", "quantile"])
+def test_draw_batch_rejects_a_block_of_the_wrong_shape(mechanism):
+    ds = _dataset([4, 4, 4, 4, 4, 4], seed=5)
+    params = _params(capacity=4)
+    bound = bind(prepare(ds, "g", mechanism, params), params)
+    m = bound.uniforms
+    shape = rf"\(N, {m}\) block or a wider one, got shape"
+    for block in (np.full(m, 0.25), np.full((3, m - 1), 0.25), np.full((2, 3, m), 0.25), 0.25):
+        with pytest.raises(InvalidParams, match=shape):
+            bound.draw_batch(block)
+    # mae_eval passes as many columns as the widest mechanism reads
+    wide = RngStream(3).split_uniforms(["a", "b", "c"], 5)
+    got, want = bound.draw_batch(wide), bound.draw_batch(wide[:, :m])
+    assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want))
+
+
+# (mechanism, MechanismParams keyword arguments, narrow levy's odd bins)
+ONE_PASS_CASES = [
+    ("clip", {}, False),
+    ("array_average", {}, False),
+    ("array_average", {"strategy": STRATEGY_WRAP}, False),
+    ("levy", {}, False),
+    ("levy", {}, True),
+    ("quantile", {}, False),
+    # rank_cap is 2 here, so the ranks are degenerate at 0.3 and not at 4
+    ("quantile", {"quantile_mode": "optimized"}, False),
+]
+
+
+def _narrowed(bound):
+    """A levy bind whose odd bins have zero width. Levy's own ends always
+    differ (1.5 tau > 0 and every center lies in [0, U]), so the draw's
+    zero-scale path is reached by narrowing the bins by hand."""
+    ends = bound.ends.copy()
+    ends[1::2, 1] = ends[1::2, 0]
+    return dataclasses.replace(bound, ends=ends)
+
+
+@pytest.mark.parametrize("mechanism, kw, narrow", ONE_PASS_CASES)
+def test_one_pass_draw_equals_draw_batch_per_epsilon(monkeypatch, mechanism, kw, narrow):
+    from griddp import harness
+    from griddp.dataset import left_sum
+    from griddp.harness import ExperimentConfig, mae_eval
+    from griddp.mechanisms import _draw_rows, _row
+
+    ds = _dataset([7, 1, 4, 4, 9, 2, 5, 3, 6, 8, 2, 2], seed=8)
+    epsilons, draws = (0.3, 1.0, 4.0), 5
+    all_params = [_params(epsilon=eps, **kw) for eps in epsilons]
+    prepared = prepare(ds, "g", mechanism, all_params[0])
+    bounds = [bind(prepared, params) for params in all_params]
+    if narrow:
+        bounds = [_narrowed(bound) for bound in bounds]
+        monkeypatch.setattr(harness, "bind", lambda prep, params: _narrowed(bind(prep, params)))
+    root = RngStream(3)
+    labels = [f"mae:{ei}:{i}" for ei in range(len(epsilons)) for i in range(draws)]
+    block = root.split_uniforms(labels, 5)
+    batches = [
+        bound.draw_batch(block[ei * draws : (ei + 1) * draws, : bound.uniforms])
+        for ei, bound in enumerate(bounds)
+    ]
+    want = [_row(batch, i) for batch in batches for i in range(draws)]
+    # every epsilon's rows of the block in one pass, each row equal to its
+    # epsilon's draw_batch and to draw on its own split
+    one_pass = _draw_rows(bounds, [draws] * len(bounds), block)
+    for row, label in enumerate(labels):
+        got = _row(one_pass, row)
+        assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want[row]))
+        rng = root.split(label)
+        assert got == bounds[row // draws].draw(rng)
+        # a zero-width interval, of noise scale 0, reads no noise uniform
+        reads = bounds[0].uniforms - (got.noise_scale_mean == 0.0)
+        assert rng.random() == root.split(label).random(reads + 1)[-1]
+    if narrow:
+        assert 0 < sum(_row(one_pass, i).noise_scale_mean == 0.0 for i in range(len(labels))) < 15
+    # 3 epsilons x 5 draws in blocks of 7 rows straddle the epsilons
+    true_mean = ds._grid_mean("g")
+    maes = [left_sum(np.abs(batch.noisy_mean - true_mean)) / draws for batch in batches]
+    config = ExperimentConfig(epsilons=epsilons, seed=3, mechanism=mechanism, mae_draws=draws)
+    monkeypatch.setattr(harness, "_CHILDREN", 7)
+    points = mae_eval(ds, "g", config, **kw)
+    assert [p.value.hex() for p in points] == [mae.hex() for mae in maes]
+
+
+def test_prepare_keeps_read_only_arrays_and_bind_copies_none(monkeypatch):
+    from griddp import mechanisms
+
+    ds = _dataset([7, 1, 4, 4, 9, 2, 5, 3, 6, 8, 2, 2], seed=8)
+    params = _params()
+    first = prepare(ds, "g", "quantile", params)
+    kept = first.arrays
+    tau = concentration_tau(10.0, len(kept.means), params.gamma, kept.capacity)
+    arrays = [kept.array, *kept.intervals, *kept.bins(tau)]
+    for array in arrays:
+        assert not array.flags.writeable
+    # a second prepare packs, clamps and sorts nothing again
+    calls = []
+    for name in ("_pack", "_quantile_points", "_interval_bins"):
+        real = getattr(mechanisms, name)
+        monkeypatch.setattr(
+            mechanisms, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    for mechanism in ("levy", "quantile"):
+        assert prepare(ds, "g", mechanism, params).arrays is kept
+    assert prepare(ds, "g", "quantile", params).points is first.points
+    # the binds of every epsilon read the kept arrays as they are
+    for eps in (0.5, 2.0):
+        eps_params = _params(epsilon=eps)
+        levy = bind(prepare(ds, "g", "levy", eps_params), eps_params)
+        quantile = bind(prepare(ds, "g", "quantile", eps_params), eps_params)
+        assert levy.means is quantile.means is kept.array
+        assert levy.ends is kept.bins(tau)[0]
+        assert quantile.pts is kept.intervals[0]
+    assert calls == []
 
 
 def test_an_empty_packing_raises_on_every_call():
