@@ -608,18 +608,6 @@ def _row(out: MechanismOutput, i: int) -> MechanismOutput:
     )
 
 
-def _require_block(block, uniforms: int) -> np.ndarray:
-    """block as a float array; InvalidParams unless it has two dimensions,
-    at least `uniforms` columns, and every value in [0, 1]."""
-    block = _require_uniforms(block)
-    if block.ndim != 2 or block.shape[1] < uniforms:
-        raise InvalidParams(
-            f"uniforms must come as an (N, {uniforms}) block or a wider one, "
-            f"got shape {block.shape}"
-        )
-    return block
-
-
 def _draw_rows(bounds: list, sizes: list[int] | None, block) -> MechanismOutput:
     """One release per row of an (N, uniforms) block of uniforms, such as
     RngStream.split_uniforms gives, checked once: bounds[0] draws its first
@@ -628,8 +616,15 @@ def _draw_rows(bounds: list, sizes: list[int] | None, block) -> MechanismOutput:
     they share their class, means and mechanism, and every release is made
     in one pass. Returns one MechanismOutput whose noisy values, noise
     scales, interval ends and degenerate flags are arrays with an entry per
-    row."""
-    block = _require_block(block, max(bound.uniforms for bound in bounds))
+    row. InvalidParams unless every value of the block lies in [0, 1] and
+    it has two dimensions and at least as many columns as a bound reads."""
+    block = _require_uniforms(block)
+    uniforms = max(bound.uniforms for bound in bounds)
+    if block.ndim != 2 or block.shape[1] < uniforms:
+        raise InvalidParams(
+            f"uniforms must come as an (N, {uniforms}) block or a wider one, "
+            f"got shape {block.shape}"
+        )
     return bounds[0]._draw(bounds, sizes or [len(block)], block)
 
 
@@ -673,10 +668,10 @@ class _NoisyStats(_Draws):
         noisy_variance = scale_var = None
         if first.variance is not None:
             # the variance's uniform follows the mean's. A mean scale is 0
-            # only by underflow, and then the variance's is 0 too: d_var <=
-            # U d_mean, and with U > 1, d_mean >= U / n could underflow only
-            # for n > 2^52. So every row that reads a variance uniform has
-            # read a mean uniform before it
+            # only when 2 d_mean / epsilon underflows, and the variance's is
+            # then 0 as well: d_var <= U d_mean, and for U > 1 that underflow
+            # needs n > 2^52 samples, since d_mean >= U / n. So the rows that
+            # read a variance uniform all read a mean uniform first
             scale_var = np.repeat([bound.scale_var for bound in bounds], sizes)
             col = int((scale_mean > 0).any())
             noisy_variance = first.variance + _noise(scale_var, block, col)
