@@ -78,7 +78,7 @@ class ErrorBudget:
     total: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Suppression:
     """One committed removal: user dropped from grid at the given stage."""
 

@@ -469,13 +469,17 @@ def left_sum(values, start: float = 0.0):
 def population_stats(values) -> tuple[int, float, float]:
     """(n, mean, population variance) of non-empty float values, two-pass.
     Each square is libm pow(|d|, 2.0), the call Python's d ** 2 makes; pow is
-    not correctly rounded, so d * d would move the variance's last bits."""
+    not correctly rounded, so d * d would move the variance's last bits.
+    TooLarge when a square overflows float64."""
     column = np.asarray(values, dtype=float)
     n = len(column)
     if n == 0:
         raise EmptyValues("cannot compute statistics of zero samples")
     mean = left_sum(column) / n
-    squares = np.fromiter(map(math.pow, memoryview(abs(column - mean)), repeat(2.0)), float, n)
+    try:
+        squares = np.fromiter(map(math.pow, memoryview(abs(column - mean)), repeat(2.0)), float, n)
+    except OverflowError:
+        raise TooLarge("the squared deviations from the mean overflow float64") from None
     return n, mean, left_sum(squares) / n
 
 

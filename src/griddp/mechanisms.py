@@ -267,19 +267,6 @@ def levy_planning_delta(bound_u: float, k_bar: int, tau: float) -> float:
     return min(3 * tau, bound_u) / k_bar
 
 
-def _interval_weights(
-    means, eps_half: float, tau: float, bound_u: float
-) -> tuple[list[float], list[int], np.ndarray]:
-    """Bin midpoints, costs and selection weights of private_interval."""
-    means = np.fromiter(means, dtype=float)
-    if not means.size:
-        raise EmptyValues("no array means to locate")
-    if np.isnan(means).any():
-        raise InvalidParams("array means must not be NaN")
-    midpoints, costs = _interval_bins(means, tau, bound_u)
-    return midpoints.tolist(), costs.tolist(), _bin_weights(costs, eps_half)
-
-
 def _interval_bins(means: np.ndarray, tau: float, bound_u: float) -> tuple[np.ndarray, np.ndarray]:
     """The bin midpoints of private_interval and the cost of each, for a
     non-empty float array of means, none NaN."""
@@ -331,10 +318,15 @@ def private_interval(
     interval is [max(0, T - 1.5 tau), min(T + 1.5 tau, U)]. Consumes one
     uniform.
     """
-    midpoints, costs, weights = _interval_weights(means, eps_half, tau, bound_u)
-    center = midpoints[_choose(*_table(weights), rng.random())]
+    means = np.fromiter(means, dtype=float)
+    if not means.size:
+        raise EmptyValues("no array means to locate")
+    if np.isnan(means).any():
+        raise InvalidParams("array means must not be NaN")
+    midpoints, costs = _interval_bins(means, tau, bound_u)
+    center = midpoints[_choose(*_table(_bin_weights(costs, eps_half)), rng.random())].item()
     a, b = _interval_ends(center, tau, bound_u)[0].tolist()
-    return IntervalEstimate(a, b, center, tuple(costs), tuple(midpoints))
+    return IntervalEstimate(a, b, center, tuple(costs.tolist()), tuple(midpoints.tolist()))
 
 
 def levy_release(
@@ -347,17 +339,18 @@ def levy_release(
     return bind(prepare(dataset, grid, "levy", params), params).draw(rng)
 
 
-def _quantile_points(values, bound_u: float) -> list[float]:
-    """0, the values clamped to [0, U] and sorted, then U. np.clip is
-    min(max(v, 0.0), U) bit for bit on non-NaN values, and the stable sort
-    keeps ties, -0.0 and 0.0 among them, in input order, as sorted does."""
+def _quantile_points(values, bound_u: float) -> np.ndarray:
+    """0, the values clamped to [0, U] and sorted, then U, as one read-only
+    array. np.clip is min(max(v, 0.0), U) bit for bit on non-NaN values, and
+    the stable sort keeps ties, -0.0 and 0.0 among them, in input order, as
+    sorted does."""
     xs = np.fromiter(values, dtype=float)
     if not xs.size:
         raise EmptyValues("no values to take a quantile of")
     if np.isnan(xs).any():
         raise InvalidParams("values must not be NaN")
     xs = np.sort(np.clip(xs, 0.0, float(bound_u)), kind="stable")
-    return [0.0, *xs.tolist(), float(bound_u)]
+    return _read_only(np.concatenate(([0.0], xs, [float(bound_u)])))
 
 
 def _intervals(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -369,10 +362,10 @@ def _intervals(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _quantile_weights(
-    pts: np.ndarray, q_level: float, eps_q: float, intervals=None
+    pts: np.ndarray, q_level: float, eps_q: float, intervals: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
     """Selection weight of each interval between consecutive points of the
-    sorted array pts; intervals is _intervals(pts), computed if not given."""
+    sorted array pts; intervals is _intervals(pts)."""
     n = len(pts) - 2
     target = q_level * n
     # Shift by the utility of the positive-width interval nearest the target,
@@ -385,7 +378,7 @@ def _quantile_weights(
     half = eps_q / 2
     # exp only of positive widths: a zero-width interval may lie nearer the
     # target than the shift, where exp would overflow
-    positive, widths = _intervals(pts) if intervals is None else intervals
+    positive, widths = intervals
     weights = np.zeros(n + 1)
     weights[positive] = widths * _exps(half * (-abs(positive - target) - shift))
     return weights
@@ -413,8 +406,8 @@ def private_quantile(
         raise InvalidParams(f"quantile level must be in [0, 1], got {q_level}")
     require_positive("quantile budget", eps_q)
     require_positive("value bound", bound_u)
-    table = _table(_quantile_weights(np.array(pts), q_level, eps_q))
-    return _quantile_pick(pts, table, rng.random(), rng.random())
+    table = _table(_quantile_weights(pts, q_level, eps_q, _intervals(pts)))
+    return _quantile_pick(pts, table, rng.random(), rng.random()).item()
 
 
 def quantile_release(
@@ -439,10 +432,9 @@ class Prepared:
     one Prepared serves every epsilon and every draw. A grouped mechanism
     keeps its array means, with the strategy and capacity its packing used:
     levy and quantile always pack best-fit at the optimized capacity unless
-    one is given; quantile also keeps its points, the means clamped to
-    [0, U] and sorted between 0 and U. arrays is the packing as the dataset
-    keeps it (_Packing): the same means and points as read-only arrays, and
-    what bind derives from them alone; it takes no part in == or repr.
+    one is given. arrays is the packing as the dataset keeps it (_Packing):
+    the same means as a read-only array, and what bind derives from them and
+    U alone, such as quantile's points; it takes no part in == or repr.
     clip and baseline keep the retained count of each user (in token order)
     and the mean and population variance of the retained samples (stats);
     their strategy, capacity and arrays are None, their means empty.
@@ -456,7 +448,6 @@ class Prepared:
     means: tuple[float, ...]
     retained: tuple[int, ...] = ()
     stats: tuple[float, float] | None = None
-    points: tuple[float, ...] = ()
     arrays: _Packing | None = field(default=None, compare=False, repr=False)
 
 
@@ -469,8 +460,9 @@ class _Packing:
     """One packing of a grid as prepare keeps it on the dataset, with all
     that the binds of every epsilon share: the capacity, the array means as
     a tuple (Prepared.means) and as one read-only array, and, each made the
-    first time it is asked for, quantile's points and levy's bins at each
-    tau. The arrays are read-only, since every bind reads them as they are."""
+    first time it is asked for, quantile's points and intervals and levy's
+    bins at each tau. The arrays are read-only, since every bind reads them
+    as they are."""
 
     def __init__(self, capacity: int, means: list[float], bound_u: float):
         self.capacity, self.bound_u = capacity, bound_u
@@ -479,16 +471,12 @@ class _Packing:
         self._bins: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
     @cached_property
-    def points(self) -> tuple[float, ...]:
-        """0, the means clamped to [0, U] and sorted, then U."""
-        return tuple(_quantile_points(self.array, self.bound_u))
-
-    @cached_property
     def intervals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The points as an array, and the indices and widths of the
-        intervals of positive width between them."""
-        pts = np.array(self.points)
-        return tuple(map(_read_only, (pts, *_intervals(pts))))
+        """Quantile's points, 0, the means clamped to [0, U] and sorted, then
+        U, and the indices and widths of the intervals of positive width
+        between them."""
+        pts = _quantile_points(self.array, self.bound_u)
+        return (pts, *map(_read_only, _intervals(pts)))
 
     def bins(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
         """Levy's bins of width tau: each bin's interval ends, one row each,
@@ -523,10 +511,9 @@ def prepare(
     if key not in dataset._packings:
         dataset._packings[key] = _packed_means(dataset, grid, strategy, params.capacity, rule)
     packing = dataset._packings[key]
-    points = packing.points if mechanism == "quantile" else ()
     return Prepared(
         mechanism, grid, dataset.bound_u, strategy, packing.capacity, packing.means,
-        points=points, arrays=packing,
+        arrays=packing,
     )
 
 

@@ -67,7 +67,13 @@ class RngStream:
         blocks = [np.empty((0, m))]
         while chunk := b"".join(islice(keys, _CHILDREN)):
             words = np.frombuffer(chunk, dtype="<u4").reshape(-1, 8)
-            blocks.append(_pcg64_uniforms(_generate_state(_mix_keys(pool, consts, words)), m))
+            block = _pcg64_uniforms(_generate_state(_mix_keys(pool, consts, words)), m)
+            # SeedSequence mixes a key whose top word is 0 (about 2^-32 of
+            # sha256 digests) as a shorter key: its row comes from split's stream
+            for i in np.flatnonzero(words[:, 7] == 0).tolist():
+                key = int.from_bytes(chunk[32 * i : 32 * i + 32], "little")
+                block[i] = RngStream(self.seed, self._path + (key,)).random(m)
+            blocks.append(block)
         return np.concatenate(blocks)
 
     def random(self, size: int | None = None):
@@ -137,43 +143,27 @@ _STATE_CONSTS = np.array(_hash_consts(_INIT_B, _MULT_B, 8), dtype=np.uint32)[:, 
 
 
 def _mix_keys(pool: np.ndarray, consts: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """(4, N) uint32 pools after mixing each row's key words (N, 8) into
+    """(4, N) uint32 pools after mixing each row's 8 key words (N, 8) into
     pool, one source word at a time, each into the 4 pool words with 4
-    consecutive hash constants of consts, the stream's 33 in order. A key
-    has as many words as its highest nonzero word (at least one), so rows
-    are grouped by word count."""
-    # A row's nonzero flags are the bytes of one little-endian uint64, whose
-    # float value lies in [2^(8j), 2^(8j + 1)) for its highest nonzero word j
-    # (rounding cannot reach the next power of two), so frexp's exponent is
-    # 8j + 1; an all-zero row gives exponent 0, and a key of one word.
-    flags = (words != 0).view("<u8")[:, 0]
-    counts = np.maximum((np.frexp(flags.astype(float))[1] + 7) // 8, 1)
-    out = np.empty((4, len(words)), dtype=np.uint32)
-    groups = np.unique(counts).tolist()
-    for count in groups:
-        # sha256 keys nearly always have 8 words: one group is read by slice
-        rows = counts == count if len(groups) > 1 else slice(None)
-        # every hashmix of the group in one pass, with the part of each mix
-        # that does not depend on the pool (R times the hashed word):
-        # h[j, k] is word j hashed with the constants of pool word k; the
-        # mixes then run in order
-        key = words[rows, :count].T[:, None]
-        h = np.bitwise_xor(key, consts[: 4 * count].reshape(count, 4, 1), order="C")
-        h *= consts[1 : 4 * count + 1].reshape(count, 4, 1)
-        # h ^= h >> 16 with no temporary of h's size: it xors each word's
-        # high 16 bits into its low 16 bits, here through a uint16 view
-        halves = h.view(np.uint16)
-        low = int(not np.little_endian)
-        halves[..., low::2] ^= halves[..., 1 - low :: 2]
-        h *= _MIX_R
-        mixed = np.repeat(pool[:, None], h.shape[2], axis=1)
-        shifted = np.empty_like(mixed)
-        for hj in h:
-            mixed *= _MIX_L
-            mixed -= hj
-            mixed ^= np.right_shift(mixed, _S16, out=shifted)
-        out[:, rows] = mixed
-    return out
+    consecutive hash constants of consts, the stream's 33 in order."""
+    # every hashmix in one pass, with the part of each mix that does not
+    # depend on the pool (R times the hashed word): h[j, k] is word j hashed
+    # with the constants of pool word k; the mixes then run in order
+    h = np.bitwise_xor(words.T[:, None], consts[:32].reshape(8, 4, 1), order="C")
+    h *= consts[1:].reshape(8, 4, 1)
+    # h ^= h >> 16 with no temporary of h's size: it xors each word's high 16
+    # bits into its low 16 bits, here through a uint16 view
+    halves = h.view(np.uint16)
+    low = int(not np.little_endian)
+    halves[..., low::2] ^= halves[..., 1 - low :: 2]
+    h *= _MIX_R
+    mixed = np.repeat(pool[:, None], len(words), axis=1)
+    shifted = np.empty_like(mixed)
+    for hj in h:
+        mixed *= _MIX_L
+        mixed -= hj
+        mixed ^= np.right_shift(mixed, _S16, out=shifted)
+    return mixed
 
 
 def _generate_state(pools: np.ndarray) -> np.ndarray:

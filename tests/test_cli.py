@@ -923,6 +923,19 @@ def test_synth_values_json_rows_equal_the_csv_rows(capsys):
     assert len(from_csv) > 15
 
 
+@pytest.mark.parametrize(
+    "command", [["stats"], ["mechanism", "--mech", "clip", "--eps", "1", "--seed", "1"]]
+)
+def test_overflowing_squared_deviations_are_one_error_line(capsys, tmp_path, command):
+    # math.pow of a deviation near 1e200 once ended in a bare OverflowError
+    data = tmp_path / "big.csv"
+    data.write_text("user,grid,value\nu1,g,1e200\nu2,g,0\nu3,g,0\n")
+    code, out, err = _run(capsys, [*command, "--u", "1e200", "--data", str(data)])
+    assert code == 1
+    assert out == ""
+    assert err == "error: the squared deviations from the mean overflow float64\n"
+
+
 def test_scaling_past_the_user_limit_is_one_error_line(capsys):
     code, out, err = _run(capsys, ["scaling", "--counts", "1,4,9", "--lambdas", "2,100000000"])
     assert code == 1

@@ -106,6 +106,8 @@ def test_clip_user_hand_trace():
     s = result.trace[0]
     assert (s.stage, s.user, s.grid) == (1, "u1", "g2")
     assert s.error == grid_error([1, 3, 3, 3], [0, 3, 3, 3], 1.0, 1.0).total
+    # an entry holds its four fields in slots, with no per-instance dict
+    assert not hasattr(s, "__dict__")
 
     assert result.k_factor == 1
     assert result.plan.row("g2") == {"u1": 0, "u3": 3, "u4": 3, "u5": 3}

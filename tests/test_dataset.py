@@ -121,6 +121,12 @@ def test_population_stats_matches_numpy():
         population_stats([])
 
 
+def test_population_stats_overflow_is_too_large():
+    # math.pow of the first deviation once raised a bare OverflowError
+    with pytest.raises(TooLarge, match="squared deviations from the mean overflow float64"):
+        population_stats([1e200, 0.0, 0.0])
+
+
 def _loop_sum(xs, start=0.0):
     acc = start
     for v in xs:

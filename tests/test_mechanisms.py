@@ -28,8 +28,10 @@ from griddp.grouping import STRATEGY_WRAP, array_means, best_fit, median_mub, wr
 from griddp.mechanisms import (
     MECHANISMS,
     MechanismParams,
+    _bin_weights,
     _choose,
-    _interval_weights,
+    _interval_bins,
+    _intervals,
     _quantile_points,
     _quantile_weights,
     _table,
@@ -224,6 +226,35 @@ def test_private_interval_worked_example():
     assert 0.0 <= est.a <= est.b <= 4.0
 
 
+# Values with ties and out of [0, U], and each seed's private_quantile
+# (level 0.3, eps_q 0.8, U 10) and private_interval (eps_half 1, tau 1.3,
+# U 9.9) a, b and center, as float.hex.
+_PINNED_VALUES = [3.5, -1.0, 2.25, 9.75, 2.25, 11.0, 0.0, 6.125, 4.0, 7.5, 2.25]
+_PINNED_DRAWS = {
+    0: ("0x1.4b2a76bb51c82p+1", "0x1.4cccccccccccep+1", "0x1.a000000000001p+2", "0x1.2333333333334p+2"),
+    1: ("0x1.b812fe3558d3ap+1", "0x1.4ccccccccccccp+0", "0x1.4cccccccccccdp+2", "0x1.a000000000000p+1"),
+    5: ("0x1.6de1443bab14bp+2", "0x1.f333333333332p+1", "0x1.f333333333333p+2", "0x1.7666666666666p+2"),
+    99: ("0x1.7a6a273a99396p+1", "0x1.4ccccccccccccp+0", "0x1.4cccccccccccdp+2", "0x1.a000000000000p+1"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_PINNED_DRAWS))
+def test_private_quantile_and_interval_pinned_bits_and_types(seed):
+    q = private_quantile(_PINNED_VALUES, 0.3, 0.8, 10.0, RngStream(seed))
+    est = private_interval(_PINNED_VALUES, 1.0, 1.3, 9.9, RngStream(seed))
+    for value in (q, est.a, est.b, est.center, *est.midpoints):
+        assert type(value) is float
+    assert all(type(c) is int for c in est.costs)
+    assert type(est.costs) is tuple and type(est.midpoints) is tuple
+    assert tuple(map(float.hex, (q, est.a, est.b, est.center))) == _PINNED_DRAWS[seed]
+    assert est.costs == (9, 6, 5, 6, 7, 8, 9, 9)
+    assert tuple(map(float.hex, est.midpoints)) == (
+        "0x1.4cccccccccccdp-1", "0x1.f333333333334p+0", "0x1.a000000000000p+1",
+        "0x1.2333333333334p+2", "0x1.7666666666666p+2", "0x1.c99999999999ap+2",
+        "0x1.0e66666666666p+3", "0x1.3000000000000p+3",
+    )
+
+
 def test_private_interval_concentrates_on_low_cost():
     # huge budget: the cost-1 bin wins against cost-2 by a factor e^25
     for seed in range(20):
@@ -291,11 +322,12 @@ def _interval_cases(draw):
 @example(([1.0, 2.0, 3.0, 3.0], 1.0, 4.0), 1.0)  # each mean halfway between two midpoints
 def test_interval_weights_match_reference_loop(case, eps_half):
     means, tau, bound_u = case
-    midpoints, costs, weights = _interval_weights(means, eps_half, tau, bound_u)
+    midpoints, costs = _interval_bins(np.array(means), tau, bound_u)
+    weights = _bin_weights(costs, eps_half)
     want = _interval_weights_reference(means, eps_half, tau, bound_u)
-    assert [m.hex() for m in midpoints] == [m.hex() for m in want[0]]
-    assert costs == want[1] and all(type(c) is int for c in costs)
-    assert [w.hex() for w in weights] == [w.hex() for w in want[2]]
+    assert [m.hex() for m in midpoints.tolist()] == [m.hex() for m in want[0]]
+    assert costs.tolist() == want[1]
+    assert [w.hex() for w in weights.tolist()] == [w.hex() for w in want[2]]
 
 
 def test_levy_release_fields_and_scale():
@@ -458,8 +490,8 @@ def _quantile_weights_reference(pts, q_level, eps_q):
 
 def _assert_quantile_weights_match(values, q_level, eps_q):
     pts = _quantile_points(values, 10.0)
-    got = _quantile_weights(np.array(pts), q_level, eps_q).tolist()
-    want = _quantile_weights_reference(pts, q_level, eps_q)
+    got = _quantile_weights(pts, q_level, eps_q, _intervals(pts)).tolist()
+    want = _quantile_weights_reference(pts.tolist(), q_level, eps_q)
     assert list(map(float.hex, got)) == list(map(float.hex, want))
     return pts, got
 
@@ -871,7 +903,7 @@ def test_prepare_keeps_read_only_arrays_and_bind_copies_none(monkeypatch):
         )
     for mechanism in ("levy", "quantile"):
         assert prepare(ds, "g", mechanism, params).arrays is kept
-    assert prepare(ds, "g", "quantile", params).points is first.points
+    assert prepare(ds, "g", "quantile", params) == first
     # the binds of every epsilon read the kept arrays as they are
     for eps in (0.5, 2.0):
         eps_params = _params(epsilon=eps)

@@ -101,6 +101,20 @@ def test_children_uniforms_for_keys_of_one_to_eight_words(seed, path):
     assert np.array_equal(_bits(got), _bits(want))
 
 
+@pytest.mark.parametrize("seed, path", [(0, ()), (9, (_label_entropy("grid:g04"),))])
+def test_children_uniforms_of_zero_top_word_keys_in_every_chunk(monkeypatch, seed, path):
+    # 11 keys in chunks of 3: keys of fewer than 8 words at the first row,
+    # inside the second and the third chunk, and at the last row
+    monkeypatch.setattr("griddp.rng._CHILDREN", 3)
+    rnd = random.Random(seed)
+    keys = [_key_of_words(rnd, 8) for _ in range(11)]
+    for row, count in ((0, 1), (4, 7), (7, 4), (10, 2)):
+        keys[row] = _key_of_words(rnd, count)
+    got = RngStream(seed, path)._children_uniforms([k.to_bytes(32, "little") for k in keys], 4)
+    want = np.array([RngStream(seed, path + (k,)).random(4) for k in keys])
+    assert np.array_equal(_bits(got), _bits(want))
+
+
 def test_vector_laplace_equals_scalar_calls():
     # numpy may run np.log through another loop for one element than for
     # many; batched draws rely on both giving the same bits. u = k 2^-53,
