@@ -122,8 +122,12 @@ class OccupancyArray:
         self._bounds = np.asarray(offsets).tolist()
         self._ids, self._counts = np.asarray(ids, np.int64), np.asarray(counts, np.int64)
         self._ids.flags.writeable = self._counts.flags.writeable = False
-        # Python ints, since a grid's total may pass int64
-        self._totals = [sum(self._counts[lo:hi].tolist()) for lo, hi in self._spans()]
+        # Python ints, since a grid's total may pass int64, joined from int64
+        # sums of the counts' 32-bit halves: exact for counts up to 2^63 - 1
+        # while a grid has fewer than 2^31 entries
+        highs = np.add.reduceat(self._counts >> 32, self._bounds[:-1]).tolist()
+        lows = np.add.reduceat(self._counts & 0xFFFF_FFFF, self._bounds[:-1]).tolist()
+        self._totals = [(high << 32) + low for high, low in zip(highs, lows)]
 
     def _spans(self):
         """(start, stop) of every grid's entries, in grid order."""
@@ -464,6 +468,16 @@ def left_sum(values, start: float = 0.0):
     run = np.concatenate((np.full((*x.shape[:-1], 1), start), x), axis=-1)
     np.cumsum(run, axis=-1, out=run)
     return float(run[-1]) if x.ndim == 1 else run[..., -1]
+
+
+def column_sums(x, start: float = 0.0) -> np.ndarray:
+    """The left_sum of each column of a 2-D float array from start. numpy
+    adds a C-contiguous array's rows in order when it has two or more
+    columns; one column it adds pairwise, so that goes through left_sum."""
+    x = np.ascontiguousarray(x, dtype=float)
+    if x.shape[1] == 1:
+        return left_sum(x.T, start)
+    return np.add.reduce(x, axis=0, initial=start)
 
 
 def population_stats(values) -> tuple[int, float, float]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composition import clip_user, pseudo_user_optimize
-from .dataset import Dataset, left_sum
+from .dataset import Dataset, column_sums, left_sum
 from .errors import InvalidParams, TooLarge, require_counts, require_int, require_positive
 from .grouping import (
     array_count_k,
@@ -22,7 +22,6 @@ from .grouping import (
 )
 from .mechanisms import (
     MechanismParams,
-    _draw_rows,
     bind,
     concentration_tau,
     levy_planning_delta,
@@ -126,11 +125,11 @@ def mae_eval(
     equal those of per-draw release(). The labels are taken _CHILDREN at a
     time, across epsilons, into one block of uniforms each, and all the
     rows of a block are drawn in one pass, whatever epsilons they belong
-    to: the block is checked once, each epsilon makes its own choices, and
-    one projection and one Laplace pass run over every row at its own
-    scale. So memory does not grow with the number of epsilons, and each
-    MAE's sum carries across blocks. The grid's exact mean is computed once
-    per dataset and kept on it, as the packings are.
+    to, unchecked: each epsilon makes its own choices, and one projection
+    and one Laplace pass run over every row at its own scale. So memory
+    does not grow with the number of epsilons. Each MAE's sum carries across
+    blocks, each epsilon's errors added down a column. The grid's exact mean
+    is computed once per dataset and kept on it, as the packings are.
     """
     if config.mechanism == "baseline":
         counts = dataset.occupancy().counts_in(grid)
@@ -145,21 +144,26 @@ def mae_eval(
     bounds = [bind(prepared, params) for params in all_params]
     root, draws = RngStream(config.seed), config.mae_draws
     m, n = max(b.uniforms for b in bounds), len(bounds) * draws
-    totals = [0.0] * len(bounds)
+    totals = np.zeros(len(bounds))
     for start in range(0, n, _CHILDREN):
         stop = min(start + _CHILDREN, n)
-        labels = (f"mae:{row // draws}:{row % draws}" for row in range(start, stop))
-        block = root.split_uniforms(labels, m)
         # the block's rows of each epsilon it reaches, from first to last
         first, last = start // draws, (stop - 1) // draws + 1
         cuts = [start, *range((first + 1) * draws, last * draws, draws), stop]
-        sizes = np.diff(cuts).tolist()
-        errors = np.abs(_draw_rows(bounds[first:last], sizes, block).noisy_mean - true_mean)
-        for ei, lo, hi in zip(range(first, last), cuts, cuts[1:]):
-            totals[ei] = left_sum(errors[lo - start : hi - start], totals[ei])
+        spans = zip(range(first, last), cuts, cuts[1:])
+        labels = (f"mae:{e}:{i - e * draws}" for e, lo, hi in spans for i in range(lo, hi))
+        block = root.split_uniforms(labels, m)
+        sizes = np.diff(cuts)
+        binds = bounds[first:last]
+        errors = np.abs(binds[0]._draw(binds, sizes, block).noisy_mean - true_mean)
+        # a column per epsilon under its total; +0.0 padding leaves a sum >= 0 as it is
+        columns = np.zeros((1 + sizes.max(), last - first))
+        columns[0] = totals[first:last]
+        columns[1:].T[np.arange(sizes.max()) < sizes[:, None]] = errors
+        totals[first:last] = column_sums(columns)
     return [
         CurvePoint(params.epsilon, float(total / draws), config.mechanism)
-        for params, total in zip(all_params, totals)
+        for params, total in zip(all_params, totals.tolist())
     ]
 
 

@@ -10,12 +10,12 @@ and quantile) runs in three stages, and release() runs all three:
 - prepare() depends only on the data and the occupancy. A grouped
   mechanism packs the grid into arrays and keeps, with the packing on the
   dataset, everything that does not depend on epsilon: the array means as
-  a tuple and as one read-only array; for quantile, their clamped, sorted
-  points and the indices and widths of the intervals of positive width
-  between them; for levy, the bins' interval ends and costs at each tau
-  it is bound at (tau depends on the packing and gamma, not on epsilon).
-  Clip and baseline keep the retained counts and the retained mean and
-  variance;
+  a tuple and as one read-only array, and their mean; for quantile, their
+  clamped, sorted points, the positive-width intervals between them and
+  each level's exponent base; for levy, the bins' interval ends, costs and
+  projected sums at each tau it is bound at (tau depends on the packing
+  and gamma, not on epsilon). Clip and baseline keep the retained counts
+  and the retained mean and variance;
 - bind() depends on the params: the noise scales and the
   exponential-mechanism weights (one math.exp each), summed into tables of
   running weight sums; it reads the kept arrays and copies none of them;
@@ -26,7 +26,7 @@ and quantile) runs in three stages, and release() runs all three:
   choice table, then its projection and Laplace noise, as numpy vector
   operations; draw(rng) is the same draw on a block of one row, read from
   the stream in the documented order. The binds of one Prepared at several
-  epsilons draw the rows of one block in one pass (_draw_rows): each
+  epsilons draw the rows of one block in one pass (_Draws._draw): each
   epsilon makes its own choices, then one projection and one Laplace pass
   run over all the rows, each row at its own scale; draw_batch is the case
   of one bind.
@@ -54,7 +54,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import ClipPlan, Dataset, left_sum, population_stats
+from .dataset import ClipPlan, Dataset, column_sums, left_sum, population_stats
 from .errors import (
     EmptyGrid,
     EmptyValues,
@@ -154,8 +154,10 @@ def _noise(scales: np.ndarray, block, col: int) -> np.ndarray:
     """Laplace noise at each row's scale from column col of block. Rows of
     zero sensitivity get 0.0, and a block whose rows all have it reads no
     uniform, so a single draw burns no randomness on them."""
-    out = np.zeros(len(scales))
     positive = scales > 0
+    if positive.all():
+        return laplace_inverse_cdf(block[:, col], scales)
+    out = np.zeros(len(scales))
     if positive.any():
         out[positive] = laplace_inverse_cdf(block[:, col][positive], scales[positive])
     return out
@@ -361,11 +363,10 @@ def _intervals(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return positive, widths[positive]
 
 
-def _quantile_weights(
-    pts: np.ndarray, q_level: float, eps_q: float, intervals: tuple[np.ndarray, np.ndarray]
-) -> np.ndarray:
-    """Selection weight of each interval between consecutive points of the
-    sorted array pts; intervals is _intervals(pts)."""
+def _quantile_base(pts: np.ndarray, q_level: float, positive: np.ndarray) -> np.ndarray:
+    """-|i - q n| - shift of each index i of positive, the intervals of
+    positive width between the sorted points pts (n = len(pts) - 2): the
+    exponent of interval i's weight per unit of eps_q / 2."""
     n = len(pts) - 2
     target = q_level * n
     # Shift by the utility of the positive-width interval nearest the target,
@@ -375,13 +376,25 @@ def _quantile_weights(
     v = pts[round(target)]
     near = (bisect_left(pts, v) - 1, bisect_right(pts, v) - 1)
     shift = max(-abs(i - target) for i in near if 0 <= i <= n)
-    half = eps_q / 2
-    # exp only of positive widths: a zero-width interval may lie nearer the
-    # target than the shift, where exp would overflow
+    return -abs(positive - target) - shift
+
+
+def _spread_weights(count: int, intervals, exponents: np.ndarray) -> np.ndarray:
+    """count weights per row of exponents, in one math.exp pass: width * exp
+    at each positive-width interval (_intervals), 0 at the rest, whose exp may overflow."""
     positive, widths = intervals
-    weights = np.zeros(n + 1)
-    weights[positive] = widths * _exps(half * (-abs(positive - target) - shift))
+    weights = np.zeros((*exponents.shape[:-1], count))
+    weights[..., positive] = widths * _exps(exponents.ravel()).reshape(exponents.shape)
     return weights
+
+
+def _quantile_weights(
+    pts: np.ndarray, q_level: float, eps_q: float, intervals: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """Selection weight of each interval between consecutive points of the
+    sorted array pts; intervals is _intervals(pts)."""
+    base = _quantile_base(pts, q_level, intervals[0])
+    return _spread_weights(len(pts) - 1, intervals, eps_q / 2 * base)
 
 
 def _quantile_pick(pts, table: tuple[np.ndarray, float], u_choice, u_point):
@@ -460,15 +473,21 @@ class _Packing:
     """One packing of a grid as prepare keeps it on the dataset, with all
     that the binds of every epsilon share: the capacity, the array means as
     a tuple (Prepared.means) and as one read-only array, and, each made the
-    first time it is asked for, quantile's points and intervals and levy's
-    bins at each tau. The arrays are read-only, since every bind reads them
-    as they are."""
+    first time it is asked for, array averaging's mean of them, quantile's
+    points, intervals and exponent base at each level, and levy's bins at
+    each tau. The arrays are read-only, since every bind reads them as they
+    are."""
 
     def __init__(self, capacity: int, means: list[float], bound_u: float):
         self.capacity, self.bound_u = capacity, bound_u
         self.means = tuple(means)
         self.array = _read_only(np.array(means))
-        self._bins: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self._bins, self._bases = {}, {}  # by tau, and by quantile level
+
+    @cached_property
+    def mean(self) -> float:
+        """The left_sum of the array means over their count."""
+        return left_sum(self.array) / len(self.array)
 
     @cached_property
     def intervals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -478,13 +497,21 @@ class _Packing:
         pts = _quantile_points(self.array, self.bound_u)
         return (pts, *map(_read_only, _intervals(pts)))
 
-    def bins(self, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    def base(self, q_level: float) -> np.ndarray:
+        """Quantile's _quantile_base at q_level."""
+        if q_level not in self._bases:
+            pts, positive, _ = self.intervals
+            self._bases[q_level] = _read_only(_quantile_base(pts, q_level, positive))
+        return self._bases[q_level]
+
+    def bins(self, tau: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Levy's bins of width tau: each bin's interval ends, one row each,
-        and its cost."""
+        its cost, and the left_sum of the means clamped to its ends."""
         if tau not in self._bins:
             midpoints, costs = _interval_bins(self.array, tau, self.bound_u)
             ends = _interval_ends(midpoints, tau, self.bound_u)
-            self._bins[tau] = _read_only(ends), _read_only(costs)
+            sums = _projected_sums(self.array, ends[:, 0], ends[:, 1])
+            self._bins[tau] = _read_only(ends), _read_only(costs), _read_only(sums)
         return self._bins[tau]
 
 
@@ -543,19 +570,19 @@ def _packed_means(
     return _Packing(capacity, means, dataset.bound_u)
 
 
-# Rows of the (rows, arrays) matrix of clamped means summed per pass, which
-# bounds the memory of a batch of projections.
+# Entries of the (arrays, rows) matrix of clamped means summed per pass,
+# which bounds the memory of a batch of projections.
 _PROJECTED_CHUNK = 1 << 20
 
 
 def _projected_sums(means: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """For each row i, the left_sum of the means clamped to [a[i], b[i]].
-    np.clip is min(max(v, a), b) bit for bit on non-NaN means."""
+    """For each row i, the left_sum (column_sums) of the means clamped to
+    [a[i], b[i]]; np.clip is min(max(v, a), b) bit for bit on non-NaN means."""
     out = np.empty(len(a))
     step = max(1, _PROJECTED_CHUNK // len(means))
     for lo in range(0, len(a), step):
         rows = slice(lo, lo + step)
-        out[rows] = left_sum(np.clip(means, a[rows, None], b[rows, None]))
+        out[rows] = column_sums(np.clip(means[:, None], a[rows], b[rows]))
     return out
 
 
@@ -595,38 +622,27 @@ def _row(out: MechanismOutput, i: int) -> MechanismOutput:
     )
 
 
-def _draw_rows(bounds: list, sizes: list[int] | None, block) -> MechanismOutput:
-    """One release per row of an (N, uniforms) block of uniforms, such as
-    RngStream.split_uniforms gives, checked once: bounds[0] draws its first
-    sizes[0] rows, bounds[1] the next sizes[1], and so on, and sizes None
-    gives bounds[0] every row. The bounds are binds of one Prepared, so
-    they share their class, means and mechanism, and every release is made
-    in one pass. Returns one MechanismOutput whose noisy values, noise
-    scales, interval ends and degenerate flags are arrays with an entry per
-    row. InvalidParams unless every value of the block lies in [0, 1] and
-    it has two dimensions and at least as many columns as a bound reads."""
-    block = _require_uniforms(block)
-    uniforms = max(bound.uniforms for bound in bounds)
-    if block.ndim != 2 or block.shape[1] < uniforms:
-        raise InvalidParams(
-            f"uniforms must come as an (N, {uniforms}) block or a wider one, "
-            f"got shape {block.shape}"
-        )
-    return bounds[0]._draw(bounds, sizes or [len(block)], block)
-
-
 class _Draws:
-    """What the bound objects share. draw_batch(block) is _draw_rows of the
-    one bound: a value of the block outside [0, 1], or NaN, or a block of
-    any shape but (N, uniforms) or wider, raises InvalidParams. draw(rng) is
-    the same draw on a block of one row read from the stream. Each class
-    draws the rows of its binds in _draw(bounds, sizes, block)."""
+    """What the bound objects share. _draw(bounds, sizes, block) makes, in
+    one pass, a release per row of an unchecked (N, uniforms) block such as
+    split_uniforms gives: bounds[0], bounds[1], ..., binds of one Prepared,
+    draw the first sizes[0] rows, the next sizes[1], and so on. Its
+    MechanismOutput holds an array entry per row in each per-row field.
+    draw_batch(block) is _draw of the one bound on a checked block: a value
+    outside [0, 1], NaN, or any shape but (N, uniforms) or wider raises
+    InvalidParams. draw(rng) draws a block of one row read from the stream."""
 
     def draw(self, rng: RngStream) -> MechanismOutput:
         return _row(self._draw([self], [1], _StreamRow(rng)), 0)
 
     def draw_batch(self, block) -> MechanismOutput:
-        return _draw_rows([self], None, block)
+        block = _require_uniforms(block)
+        if block.ndim != 2 or block.shape[1] < self.uniforms:
+            raise InvalidParams(
+                f"uniforms must come as an (N, {self.uniforms}) block or a wider one, "
+                f"got shape {block.shape}"
+            )
+        return self._draw([self], [len(block)], block)
 
 
 @dataclass(frozen=True, eq=False)
@@ -678,7 +694,7 @@ class _Projection(_Draws):
     """The draws of levy and quantile: once each row's [a, b] is drawn
     (_interval), release is the mean of the array means clamped to [a, b],
     with Laplace noise for sensitivity (b - a) / k_bar on half the budget
-    from the last column, read unless a == b."""
+    from the last column, read unless a == b. Levy's bins keep their sums."""
 
     mechanism: str
     grid: str
@@ -695,7 +711,8 @@ class _Projection(_Draws):
             stops = np.cumsum(sizes).tolist()
             parts = [block[stop - size : stop] for size, stop in zip(sizes, stops)]
         ends = [bound._interval(part) for bound, part in zip(bounds, parts)]
-        a, b = (np.concatenate(side) for side in zip(*ends))
+        a, b, *sums = (np.concatenate(side) for side in zip(*ends))
+        sums = sums[0] if sums else _projected_sums(first.means, a, b)
         k_bar = len(first.means)
         delta = (b - a) / k_bar
         # a scale that overflows to inf fails the noise's check, as with floats
@@ -705,7 +722,7 @@ class _Projection(_Draws):
         return MechanismOutput(
             mechanism=first.mechanism,
             grid=first.grid,
-            noisy_mean=_projected_sums(first.means, a, b) / k_bar + noise,
+            noisy_mean=sums / k_bar + noise,
             noise_scale_mean=scale,
             interval=(a, b),
             degenerate_ranks=np.repeat([bound.degenerate for bound in bounds], sizes),
@@ -715,16 +732,18 @@ class _Projection(_Draws):
 
 @dataclass(frozen=True, eq=False)
 class _LevyDraw(_Projection):
-    """One uniform picks a bin, whose interval ends the packing keeps; the
-    second is the noise."""
+    """One uniform picks a bin, whose interval ends and projected sum the
+    packing keeps; the second is the noise."""
 
     ends: np.ndarray
+    sums: np.ndarray
     table: tuple[np.ndarray, float]
     uniforms = 2
     degenerate = False
 
-    def _interval(self, block) -> tuple[np.ndarray, np.ndarray]:
-        return self.ends[_choose(*self.table, block[:, 0])].T
+    def _interval(self, block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        chosen = _choose(*self.table, block[:, 0])
+        return (*self.ends[chosen].T, self.sums[chosen])
 
 
 @dataclass(frozen=True, eq=False)
@@ -765,7 +784,7 @@ def _bind_array_average(prep: Prepared, params: MechanismParams) -> _NoisyStats:
     return _NoisyStats(
         f"array_average_{prep.strategy}",
         prep.grid,
-        left_sum(means) / len(means),
+        prep.arrays.mean,
         delta / params.epsilon,
         arrays=len(means),
     )
@@ -774,9 +793,9 @@ def _bind_array_average(prep: Prepared, params: MechanismParams) -> _NoisyStats:
 def _bind_levy(prep: Prepared, params: MechanismParams) -> _LevyDraw:
     means = prep.arrays.array
     tau = concentration_tau(params.bound_u, len(means), params.gamma, prep.capacity)
-    ends, costs = prep.arrays.bins(tau)
+    ends, costs, sums = prep.arrays.bins(tau)
     weights = _bin_weights(costs, params.epsilon / 2)
-    return _LevyDraw("levy", prep.grid, means, params.epsilon, ends, _table(weights))
+    return _LevyDraw("levy", prep.grid, means, params.epsilon, ends, sums, _table(weights))
 
 
 def _bind_quantile(prep: Prepared, params: MechanismParams) -> _QuantileDraw:
@@ -796,12 +815,12 @@ def _bind_quantile(prep: Prepared, params: MechanismParams) -> _QuantileDraw:
         q_hi = 1 - t_hi / k_bar
     eps_q = params.epsilon / 4
     pts, *intervals = prep.arrays.intervals
+    # both levels' weights, as _quantile_weights forms each, in one exp pass
+    bases = np.array([prep.arrays.base(q_lo), prep.arrays.base(q_hi)])
+    low, high = _spread_weights(len(pts) - 1, intervals, eps_q / 2 * bases)
     return _QuantileDraw(
         f"quantile_{params.quantile_mode}", prep.grid, means, params.epsilon,
-        pts,
-        _table(_quantile_weights(pts, q_lo, eps_q, intervals)),
-        _table(_quantile_weights(pts, q_hi, eps_q, intervals)),
-        degenerate,
+        pts, _table(low), _table(high), degenerate,
     )
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from functools import cache, cached_property
 from itertools import islice
 
 import numpy as np
@@ -39,8 +40,12 @@ class RngStream:
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
         self.seed = require_int("seed", seed, low=0)
         self._path = _path
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=_path)
-        self._gen = np.random.Generator(np.random.PCG64(ss))
+        self._seq = np.random.SeedSequence(entropy=seed, spawn_key=_path)
+
+    @cached_property
+    def _gen(self) -> np.random.Generator:
+        """Made on the first draw: split_uniforms reads only the pool."""
+        return np.random.Generator(np.random.PCG64(self._seq))
 
     def split(self, label: str) -> "RngStream":
         return RngStream(self.seed, self._path + (_label_entropy(label),))
@@ -60,7 +65,7 @@ class RngStream:
         # pool: the spawn key pads the seed's words to the pool size with
         # the zeros that the pool of a short seed already mixed in. The hash
         # constant has advanced once per hashmix, 4 per entropy word.
-        pool = self._gen.bit_generator.seed_seq.pool
+        pool = self._seq.pool
         n = max(4, _word_count(self.seed)) + sum(map(_word_count, self._path))
         consts = np.uint32(_INIT_A * pow(_MULT_A, 4 * n, 1 << 32) & _MASK32) * _POWERS_A
         keys = iter(keys)
@@ -100,19 +105,18 @@ class RngStream:
 # Space-Efficient Statistically Good Algorithms for Random Number
 # Generation"); the pool the keys are mixed into is numpy's own. Words are
 # uint32 and 64-bit limbs uint64 arrays with one row per word or limb and one
-# column per child, whose arithmetic wraps silently and runs in place where
-# it can. Constants that meet those arrays are numpy scalars of their dtype,
-# so no operation converts a Python int; no two numpy scalars are ever
-# combined, since numpy scalar arithmetic warns on overflow.
+# column per child (PCG64's values: one row per value), whose arithmetic
+# wraps silently and runs in place where it can. Constants that meet those
+# arrays are numpy scalars or arrays of their dtype, so no operation converts
+# a Python int; no two numpy scalars are ever combined, since numpy scalar
+# arithmetic warns on overflow.
 _MASK32 = 0xFFFF_FFFF
 _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
+_MASK128 = (1 << 128) - 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-# The multiplier's high and low 64-bit limbs, and the low limb's 32-bit halves.
-_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & _MASK64)
-_MULT_LO0, _MULT_LO1 = np.uint64(_PCG_MULT & _MASK32), np.uint64(_PCG_MULT >> 32 & _MASK32)
 _LOW32 = np.uint64(_MASK32)
 # Shift counts (and the increment's low bit) in the dtype they meet.
 _S1, _S11, _S32, _S58, _S63 = (np.uint64(n) for n in (1, 11, 32, 58, 63))
@@ -169,73 +173,71 @@ def _mix_keys(pool: np.ndarray, consts: np.ndarray, words: np.ndarray) -> np.nda
 def _generate_state(pools: np.ndarray) -> np.ndarray:
     """generate_state(4, uint64) of each column of (4, N) pools: a (4, N)
     uint64 array."""
-    state = (np.tile(pools, (2, 1)) ^ _STATE_CONSTS[:8]) * _STATE_CONSTS[1:]
+    state = (np.concatenate((pools, pools)) ^ _STATE_CONSTS[:8]) * _STATE_CONSTS[1:]
     state ^= state >> _S16
     state = state.astype(np.uint64)
     return state[0::2] | state[1::2] << _S32
 
 
-def _add_mulhi64(acc: np.ndarray, a: np.ndarray, scratch: np.ndarray) -> None:
-    """acc += the high 64 bits of a * _MULT_LO, from 32-bit limb products
-    (Warren, Hacker's Delight, mulhu): with t = a1 b0 + (a0 b0 >> 32) and
-    w = (t & mask) + a0 b1, none of which overflows, the high bits are
-    a1 b1 + (t >> 32) + (w >> 32). scratch is four arrays of a's shape."""
-    a0, a1, t, w = scratch
-    np.bitwise_and(a, _LOW32, out=a0)
-    np.right_shift(a, _S32, out=a1)
-    np.multiply(a0, _MULT_LO0, out=t)
-    t >>= _S32
-    t += np.multiply(a1, _MULT_LO0, out=w)
-    a0 *= _MULT_LO1
-    np.bitwise_and(t, _LOW32, out=w)
-    w += a0
-    t >>= _S32
-    acc += t
-    w >>= _S32
-    acc += w
-    a1 *= _MULT_LO1
-    acc += a1
+@cache
+def _jumps(m: int) -> np.ndarray:
+    """(8, m, 1) uint64: for k = 1 to m, the multipliers M^(k+1) of
+    initstate and M^0 + ... + M^(k+1) of inc modulo 2^128 (M the PCG64
+    multiplier), each as its high limb, low limb and low limb's 32-bit
+    halves."""
+    powers, sums = [_PCG_MULT], [1 + _PCG_MULT]
+    for _ in range(m):
+        powers.append(powers[-1] * _PCG_MULT & _MASK128)
+        sums.append(sums[-1] + powers[-1] & _MASK128)
+    limbs = ((64, _MASK64), (0, _MASK64), (0, _MASK32), (32, _MASK32))
+    jumps = [[c >> shift & mask for c in cs[1:]] for cs in (powers, sums) for shift, mask in limbs]
+    jumps = np.array(jumps, np.uint64).reshape(8, m, 1)
+    jumps.flags.writeable = False  # the cache hands it to every call
+    return jumps
 
 
-def _lcg_step(hi, lo, inc_hi, inc_lo, scratch: np.ndarray) -> None:
-    """state * _PCG_MULT + inc modulo 2^128, in place on (hi, lo) uint64
-    limbs; scratch is four arrays of their shape."""
-    hi *= _MULT_LO
-    hi += np.multiply(lo, _MULT_HI, out=scratch[0])
-    hi += inc_hi
-    _add_mulhi64(hi, lo, scratch)
-    lo *= _MULT_LO
-    lo += inc_lo
-    # the carry out of the low limb's addition
-    hi += np.less(lo, inc_lo, out=scratch[0])
+def _mul128(hi, lo, c_hi, c_lo, c_lo0, c_lo1) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) * (c_hi, c_lo) modulo 2^128, in uint64 limbs broadcast from
+    (N,) state limbs and (m, 1) constant limbs; c_lo0 and c_lo1 are c_lo's
+    32-bit halves. The high limb takes the high 64 bits of lo * c_lo from
+    32-bit limb products (Warren, Hacker's Delight, mulhu): with
+    t = a1 b0 + (a0 b0 >> 32) and w = (t & mask) + a0 b1, none of which
+    overflows, they are a1 b1 + (t >> 32) + (w >> 32)."""
+    a0, a1 = lo & _LOW32, lo >> _S32
+    t = a1 * c_lo0 + (a0 * c_lo0 >> _S32)
+    w = (t & _LOW32) + a0 * c_lo1
+    t >>= _S32
+    t += w >> _S32
+    t += a1 * c_lo1
+    t += hi * c_lo
+    t += lo * c_hi
+    return t, np.multiply(lo, c_lo, out=w)
 
 
 def _pcg64_uniforms(seeds: np.ndarray, m: int) -> np.ndarray:
     """The first m Generator.random() values of PCG64 seeded with each column
     of seeds, generate_state's (4, N) uint64 words: initstate s0 << 64 | s1,
-    initseq s2 << 64 | s3; an (N, m) array. Each value is one LCG step, then
-    XSL-RR."""
+    initseq s2 << 64 | s3; an (N, m) array. Seeding steps the LCG from 0,
+    adds initstate and steps again, and each value steps once more before
+    its XSL-RR output. So value k reads the state
+    M^(k+1) initstate + (M^0 + ... + M^(k+1)) inc modulo 2^128, with
+    inc = initseq << 1 | 1, and every value is made at once from the seeds."""
     s0, s1, s2, s3 = seeds
-    inc_hi, inc_lo = s2 << _S1 | s3 >> _S63, s3 << _S1 | _S1
-    # state = 0, step, add initstate, step
-    lo = inc_lo + s1
-    hi = inc_hi + s0 + (lo < s1)
-    scratch = np.empty((4, len(lo)), np.uint64)
-    _lcg_step(hi, lo, inc_hi, inc_lo, scratch)
-    x, rot, right = scratch[:3]
-    out = np.empty((m, len(lo)))
-    for row in out:
-        _lcg_step(hi, lo, inc_hi, inc_lo, scratch)
-        np.bitwise_xor(hi, lo, out=x)
-        np.right_shift(hi, _S58, out=rot)
-        np.right_shift(x, rot, out=right)
-        np.negative(rot, out=rot)
-        rot &= _S63
-        x <<= rot
-        x |= right
-        x >>= _S11
-        np.multiply(x, 2.0**-53, out=row)
-    return out.T
+    jumps = _jumps(m)
+    hi, lo = _mul128(s0, s1, *jumps[:4])
+    inc_hi, inc_lo = _mul128(s2 << _S1 | s3 >> _S63, s3 << _S1 | _S1, *jumps[4:])
+    lo += inc_lo
+    hi += inc_hi
+    # the carry out of the low limb's addition
+    hi += lo < inc_lo
+    # XSL-RR: the limbs' xor rotated right by the state's top 6 bits
+    rot = np.right_shift(hi, _S58, out=inc_lo)
+    lo ^= hi
+    right = np.right_shift(lo, rot, out=hi)
+    lo <<= np.bitwise_and(np.negative(rot, out=rot), _S63, out=rot)
+    lo |= right
+    lo >>= _S11
+    return np.multiply(lo, 2.0**-53, out=inc_hi.view(np.float64)).T
 
 
 # AS241 (Wichura 1988) rational approximations, highest degree first, in the

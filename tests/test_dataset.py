@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import random
 import sys
 import tracemalloc
 from itertools import product
@@ -153,6 +154,38 @@ def test_left_sum_is_the_loop(blocks, start):
     width = max(map(len, blocks))
     rows = np.array([b + [0.0] * (width - len(b)) for b in blocks]).reshape(len(blocks), width)
     assert list(map(float.hex, dataset.left_sum(rows))) == [_loop_sum(b).hex() for b in blocks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_SUMMANDS, min_size=1, max_size=4), st.sampled_from([0.0, -0.0, 0.1, -3e5]))
+def test_column_sums_are_the_loop_down_each_column(columns, start):
+    # the columns cut to the shortest; one column goes through left_sum, two
+    # or more through numpy's reduce
+    depth = min(map(len, columns))
+    x = np.array([c[:depth] for c in columns]).reshape(len(columns), depth).T.copy()
+    want = [_loop_sum(c[:depth], start).hex() for c in columns]
+    assert list(map(float.hex, dataset.column_sums(x, start))) == want
+    # an array that is not C-contiguous is added the same way
+    assert list(map(float.hex, dataset.column_sums(np.asfortranarray(x), start))) == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 64, 257, 444, 5000])
+@pytest.mark.parametrize("n", [2, 3, 60, 257])
+def test_numpy_adds_the_rows_of_a_c_contiguous_array_in_order(k, n):
+    # column_sums relies on np.add.reduce along axis 0 of a C-contiguous
+    # (k, n >= 2) float64 array adding each column's rows in order, from
+    # initial; a numpy that reduces such arrays pairwise fails here by name
+    rnd = np.random.default_rng(k * 1000 + n)
+    x = rnd.random((k, n)) * 10.0 ** rnd.integers(-8, 8, (k, n))
+    x[rnd.random((k, n)) < 0.1] *= -1.0
+    x[rnd.random((k, n)) < 0.05] = -0.0
+    assert x.flags.c_contiguous
+    got = np.add.reduce(x, axis=0, initial=0.0)
+    if k * n <= 20_000:
+        want = np.array([_loop_sum(col) for col in x.T.tolist()])
+    else:
+        want = dataset.left_sum(x.T)
+    assert got.tobytes() == want.tobytes()
 
 
 def test_population_stats_edges():
@@ -393,6 +426,26 @@ def test_counts_past_int64_are_too_large():
     assert big.count("g", "u") == 2**63 - 1
     # a grid total past int64 stays exact
     assert big.total("g") == 2**64 - 2 and type(big.total("g")) is int
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_grid_totals_equal_python_sums(seed):
+    # totals join int64 sums of the counts' 32-bit halves; counts near
+    # 2^63 - 1, at 2^32 - 1 and 2^32 (where the halves carry), and small ones
+    rnd = random.Random(seed)
+    edges = [2**63 - 1, 2**63 - 2, 2**62 + 1, 2**32 - 1, 2**32, 2**32 + 1, 1]
+    grids = [f"g{i}" for i in range(5)]
+    rows = [
+        [rnd.choice(edges) if rnd.random() < 0.5 else rnd.randrange(1, 2**63) for _ in range(n)]
+        for n in (1, 2, 7, 40, 3)
+    ]
+    counts = [m for row in rows for m in row]
+    offsets = np.cumsum([0, *map(len, rows)])
+    ids = [i for row in rows for i in range(len(row))]
+    occ = OccupancyArray._from_columns(grids, [f"u{i:02d}" for i in range(40)], offsets, ids, counts)
+    for grid, row in zip(grids, rows):
+        assert occ.total(grid) == sum(row) and type(occ.total(grid)) is int
+    assert occ.total("g3") > 2**64
     with pytest.raises(TooLarge, match="'v' in grid 'g' is 9223372036854775808"):
         OccupancyArray({"g": {"u": 2, "v": 2**63}})
     for text in ("u1,g1,2\nu2,g1,9223372036854775808\n", 'u1,g1,2\n"u2",g1,9223372036854775808\n'):

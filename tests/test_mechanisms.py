@@ -843,7 +843,7 @@ def test_one_pass_draw_equals_draw_batch_per_epsilon(monkeypatch, mechanism, kw,
     from griddp import harness
     from griddp.dataset import left_sum
     from griddp.harness import ExperimentConfig, mae_eval
-    from griddp.mechanisms import _draw_rows, _row
+    from griddp.mechanisms import _row
 
     ds = _dataset([7, 1, 4, 4, 9, 2, 5, 3, 6, 8, 2, 2], seed=8)
     epsilons, draws = (0.3, 1.0, 4.0), 5
@@ -863,7 +863,7 @@ def test_one_pass_draw_equals_draw_batch_per_epsilon(monkeypatch, mechanism, kw,
     want = [_row(batch, i) for batch in batches for i in range(draws)]
     # every epsilon's rows of the block in one pass, each row equal to its
     # epsilon's draw_batch and to draw on its own split
-    one_pass = _draw_rows(bounds, [draws] * len(bounds), block)
+    one_pass = bounds[0]._draw(bounds, [draws] * len(bounds), block)
     for row, label in enumerate(labels):
         got = _row(one_pass, row)
         assert repr(dataclasses.astuple(got)) == repr(dataclasses.astuple(want[row]))
@@ -910,9 +910,114 @@ def test_prepare_keeps_read_only_arrays_and_bind_copies_none(monkeypatch):
         levy = bind(prepare(ds, "g", "levy", eps_params), eps_params)
         quantile = bind(prepare(ds, "g", "quantile", eps_params), eps_params)
         assert levy.means is quantile.means is kept.array
-        assert levy.ends is kept.bins(tau)[0]
+        assert levy.ends is kept.bins(tau)[0] and levy.sums is kept.bins(tau)[2]
         assert quantile.pts is kept.intervals[0]
     assert calls == []
+
+
+def _clamped_loop_sum(means, a, b):
+    total = 0.0
+    for v in means:
+        total += min(max(v, a), b)
+    return total
+
+
+@pytest.mark.parametrize(
+    "means, a, b",
+    [
+        # one row; 2, 3 and 257 rows
+        ([3.0, 9.5, 0.25, 7.0, 1e-3, 4.4] * 7, [2.0], [8.0]),
+        ([3.0, 9.5, 0.25, 7.0, 1e-3, 4.4] * 7, [2.0, 0.0], [8.0, 10.0]),
+        ([3.0, 9.5, 0.25, 7.0, 1e-3, 4.4] * 7, [2.0, 0.0, 4.4], [8.0, 10.0, 4.4]),
+        ([3.0, 9.5, 0.25, 7.0, 1e-3, 4.4] * 7, np.linspace(0, 5, 257), np.linspace(5, 10, 257)),
+        # one array
+        ([6.5], [0.0, 7.0, 1.0], [10.0, 8.0, 6.5]),
+        # means of -0.0 and 0.0, and means equal to an end
+        ([-0.0, 0.0, 0.0, -0.0, 2.0, 5.0] * 3, [0.0, -0.0, 2.0, 0.0], [5.0, 0.0, 5.0, -0.0]),
+    ],
+)
+@pytest.mark.parametrize("chunk_of_one_row", [False, True])
+def test_projected_sums_equal_the_loop_per_row(monkeypatch, means, a, b, chunk_of_one_row):
+    from griddp import mechanisms
+
+    means, a, b = (np.array(x, dtype=float) for x in (means, a, b))
+    if chunk_of_one_row:
+        monkeypatch.setattr(mechanisms, "_PROJECTED_CHUNK", len(means))
+    got = mechanisms._projected_sums(means, a, b)
+    want = [_clamped_loop_sum(means.tolist(), lo, hi) for lo, hi in zip(a.tolist(), b.tolist())]
+    assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+
+@pytest.mark.parametrize("capacity", [None, 100_000])
+def test_levy_block_choosing_every_bin_equals_the_row_projection(capacity):
+    # capacity 100,000 packs one array with bins of width 0.034: 295 bins
+    ds = _dataset([7, 1, 4, 4, 9, 2, 5, 3, 6, 8, 2, 2] * 3, seed=8)
+    params = _params(epsilon=0.01, capacity=capacity)
+    bound = bind(prepare(ds, "g", "levy", params), params)
+    cum, total = bound.table
+    nbins = len(cum)
+    # u in the middle of each bin's share of the table chooses that bin
+    u = (np.concatenate(([0.0], cum[:-1])) + cum) / 2 / total
+    out = bound.draw_batch(np.column_stack((u, np.full(nbins, 0.3))))
+    assert out.interval[0].tolist() == bound.ends[:, 0].tolist()
+    assert nbins > (250 if capacity else 1)
+    means = bound.means.tolist()
+    k_bar = len(means)
+    for i, (a, b) in enumerate(bound.ends.tolist()):
+        noise = laplace_inverse_cdf(0.3, 2 * ((b - a) / k_bar) / 0.01)
+        want = _clamped_loop_sum(means, a, b) / k_bar + noise
+        assert out.noisy_mean[i].hex() == want.hex()
+
+
+def test_levy_blocks_project_nothing(monkeypatch):
+    from griddp import harness, mechanisms
+    from griddp.harness import ExperimentConfig, mae_eval
+
+    ds = _dataset([7, 1, 4, 4, 9, 2, 5, 3, 6, 8, 2, 2], seed=8)
+    config = ExperimentConfig(epsilons=(0.5, 2.0), seed=3, mechanism="levy", mae_draws=9)
+    want = mae_eval(ds, "g", config)
+    calls = []
+    real = mechanisms._projected_sums
+    monkeypatch.setattr(
+        mechanisms, "_projected_sums", lambda means, a, b: calls.append(len(a)) or real(means, a, b)
+    )
+    # the bins are kept, so a levy block reads each row's sum from its bin
+    monkeypatch.setattr(harness, "_CHILDREN", 4)
+    assert mae_eval(ds, "g", config) == want
+    assert calls == []
+    # a quantile block projects its rows, once per block
+    config = dataclasses.replace(config, mechanism="quantile")
+    mae_eval(ds, "g", config)
+    assert calls == [4, 4, 4, 4, 2]
+
+
+def test_second_bind_recomputes_no_kept_mean_or_base(monkeypatch):
+    from griddp import mechanisms
+
+    ds = _dataset([7, 1, 4, 4, 9, 2, 5, 3, 6, 8, 2, 2], seed=8)
+    first = {
+        mechanism: bind(prepare(ds, "g", mechanism, _params()), _params())
+        for mechanism in ("array_average", "quantile")
+    }
+    calls = []
+    for name in ("left_sum", "_quantile_base"):
+        real = getattr(mechanisms, name)
+        monkeypatch.setattr(
+            mechanisms, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+        )
+    for eps in (1.0, 0.3):
+        params = _params(epsilon=eps)
+        for mechanism in first:
+            bind(prepare(ds, "g", mechanism, params), params)
+    assert calls == []
+    means = prepare(ds, "g", "array_average", _params()).arrays.array
+    assert first["array_average"].mean.hex() == (reduce(add, means.tolist(), 0.0) / len(means)).hex()
+    # the weights bind forms from the kept bases are _quantile_weights'
+    quantile = first["quantile"]
+    pts, *intervals = prepare(ds, "g", "quantile", _params()).arrays.intervals
+    for level, table in ((0.1, quantile.low), (0.9, quantile.high)):
+        weights = _quantile_weights(pts, level, 0.25, intervals)
+        assert np.cumsum(weights).tobytes() == table[0].tobytes()
 
 
 def test_an_empty_packing_raises_on_every_call():

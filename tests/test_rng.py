@@ -115,6 +115,32 @@ def test_children_uniforms_of_zero_top_word_keys_in_every_chunk(monkeypatch, see
     assert np.array_equal(_bits(got), _bits(want))
 
 
+@pytest.mark.parametrize("seed", [7, 2**40 + 1, 2**70 + 3, 2**100 + 9, 2**130 + 5])
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 9])
+def test_pcg64_columns_from_the_seeds_equal_split_streams(monkeypatch, seed, m):
+    # every column is a jump of PCG64 from the seeding state; seeds of 1 to
+    # 5 words, rows in chunks of 3 (the last one short), and a key whose top
+    # word is 0 in the second chunk
+    monkeypatch.setattr("griddp.rng._CHILDREN", 3)
+    stream = RngStream(seed)
+    labels = ["a", "mae:0:0", "mae:2:19", "grid:g04", "", "\u00e9", "x" * 100, "7"]
+    want = np.array([stream.split(label).random(m) for label in labels]).reshape(len(labels), m)
+    assert np.array_equal(_bits(stream.split_uniforms(labels, m)), _bits(want))
+    keys = [_label_entropy(label) for label in labels]
+    keys[4] = 2**64 + 5
+    got = stream._children_uniforms([k.to_bytes(32, "little") for k in keys], m)
+    want = np.array([RngStream(seed, (k,)).random(m) for k in keys]).reshape(len(keys), m)
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_split_uniforms_makes_no_generator():
+    # the pool is all a block needs; the Generator is made on the first draw
+    stream = RngStream(3)
+    stream.split_uniforms(["a", "b"], 2)
+    assert "_gen" not in vars(stream)
+    assert stream.random() == RngStream(3).random()
+
+
 def test_vector_laplace_equals_scalar_calls():
     # numpy may run np.log through another loop for one element than for
     # many; batched draws rely on both giving the same bits. u = k 2^-53,
