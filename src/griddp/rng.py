@@ -79,7 +79,7 @@ class RngStream:
                 key = int.from_bytes(chunk[32 * i : 32 * i + 32], "little")
                 block[i] = RngStream(self.seed, self._path + (key,)).random(m)
             blocks.append(block)
-        return np.concatenate(blocks)
+        return blocks[-1] if len(blocks) < 3 else np.concatenate(blocks)
 
     def random(self, size: int | None = None):
         """Uniform draws in [0, 1): a float for size=None, else an ndarray."""
@@ -330,7 +330,7 @@ def laplace_inverse_cdf(u, scale: float):
         raise NonPositiveScale(f"laplace scale must be positive and finite, got {scale}")
     u_arr = _require_uniforms(u)
     shifted = 0.5 - (1.0 - u_arr)
-    inner = np.clip(1.0 - 2.0 * np.abs(shifted), _EPS, None)
+    inner = np.maximum(1.0 - 2.0 * np.abs(shifted), _EPS)
     out = -scale * np.sign(shifted) * np.log(inner)
     if np.ndim(out) == 0:
         return float(out)
