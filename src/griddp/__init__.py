@@ -6,6 +6,8 @@ smaller composition factor; mechanisms release noisy statistics; synthetic
 generators and Monte Carlo loops evaluate the whole stack.
 """
 
+from types import ModuleType as _ModuleType
+
 from .composition import (
     ClipUserResult,
     ErrorBudget,
@@ -89,71 +91,9 @@ from .worst_case_bias import (
     variance_bias,
 )
 
-__all__ = [
-    "ArrayGroup",
-    "BiasReport",
-    "ClipPlan",
-    "ClipUserResult",
-    "CurvePoint",
-    "Dataset",
-    "ErrorBudget",
-    "ExperimentConfig",
-    "GainReport",
-    "GridDPError",
-    "GridStats",
-    "IntervalEstimate",
-    "MechanismOutput",
-    "MechanismParams",
-    "OccupancyArray",
-    "PseudoUserResult",
-    "RngStream",
-    "ScalingLawCheck",
-    "SensitivityReport",
-    "Suppression",
-    "SynthParams",
-    "ValueModel",
-    "array_avg_sensitivity",
-    "array_count_k",
-    "array_means",
-    "array_average_release",
-    "baseline_release",
-    "best_fit",
-    "best_fit_count",
-    "brute_force_variance_sensitivity",
-    "check_scaling_laws",
-    "clip_release",
-    "clip_user",
-    "clipped_mean_sensitivity",
-    "clipped_variance_sensitivity",
-    "concentration_tau",
-    "extremal_bias_dataset",
-    "gain_report",
-    "generate_occupancy",
-    "generate_values",
-    "grid_error",
-    "grid_stats",
-    "laplace_inverse_cdf",
-    "mae_eval",
-    "mean_bias",
-    "mean_sensitivity",
-    "median_mub",
-    "monte_carlo_error",
-    "monte_carlo_privacy",
-    "optimized_mub",
-    "parse_dataset",
-    "parse_occupancy",
-    "population_stats",
-    "post_release",
-    "privacy_loss",
-    "private_interval",
-    "private_quantile",
-    "pseudo_user_optimize",
-    "quantile_release",
-    "release",
-    "sample_laplace",
-    "scale_occupancy",
-    "variance_bias",
-    "variance_sensitivity",
-    "wrap_around",
-    "write_dataset",
-]
+# every public name imported above that is not a module
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -122,12 +122,13 @@ class OccupancyArray:
         self._bounds = np.asarray(offsets).tolist()
         self._ids, self._counts = np.asarray(ids, np.int64), np.asarray(counts, np.int64)
         self._ids.flags.writeable = self._counts.flags.writeable = False
-        # Python ints, since a grid's total may pass int64, joined from int64
-        # sums of the counts' 32-bit halves: exact for counts up to 2^63 - 1
-        # while a grid has fewer than 2^31 entries
-        highs = np.add.reduceat(self._counts >> 32, self._bounds[:-1]).tolist()
-        lows = np.add.reduceat(self._counts & 0xFFFF_FFFF, self._bounds[:-1]).tolist()
-        self._totals = [(high << 32) + low for high, low in zip(highs, lows)]
+        # Python ints, since a grid's total may pass int64: one int64 sum
+        # when no partial sum can overflow, else a Python sum per grid
+        widest = int(np.diff(self._bounds).max())
+        if int(self._counts.max()) * widest < 2**63:
+            self._totals = np.add.reduceat(self._counts, self._bounds[:-1]).tolist()
+        else:
+            self._totals = [sum(self._counts[lo:hi].tolist()) for lo, hi in self._spans()]
 
     def _spans(self):
         """(start, stop) of every grid's entries, in grid order."""

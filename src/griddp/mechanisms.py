@@ -558,8 +558,8 @@ def _packed_means(
             f"grid {grid} fills no array of capacity {capacity}; "
             "wrap-around needs at least one full array"
         )
-    # array_means of the packed arrays, 64 at a time, each a zero-padded row:
-    # a matrix of all arrays, freed on every call, has its pages refault
+    # array_means of the packed arrays, each a zero-padded row, 64 arrays at
+    # a time, which bounds the size of the padded matrix
     packed = dataset._heads(grid, order, sizes)
     means: list[float] = []
     for lo in range(0, len(cuts) - 1, 64):
@@ -594,9 +594,6 @@ class _StreamRow:
     def __init__(self, rng: RngStream):
         self._rng = rng
         self._read: list[float] = []
-
-    def __len__(self) -> int:
-        return 1
 
     def __getitem__(self, index) -> np.ndarray:
         _, col = index

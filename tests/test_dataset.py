@@ -430,8 +430,8 @@ def test_counts_past_int64_are_too_large():
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_grid_totals_equal_python_sums(seed):
-    # totals join int64 sums of the counts' 32-bit halves; counts near
-    # 2^63 - 1, at 2^32 - 1 and 2^32 (where the halves carry), and small ones
+    # counts this large take the Python sum per grid; counts near 2^63 - 1,
+    # at 2^32 - 1 and 2^32, and small ones
     rnd = random.Random(seed)
     edges = [2**63 - 1, 2**63 - 2, 2**62 + 1, 2**32 - 1, 2**32, 2**32 + 1, 1]
     grids = [f"g{i}" for i in range(5)]

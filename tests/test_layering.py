@@ -3,6 +3,7 @@ module, read from the sources with ast."""
 
 import ast
 from pathlib import Path
+from types import ModuleType
 
 import griddp
 
@@ -43,3 +44,16 @@ def test_only_mechanisms_names_prepare_clip():
         if "_prepare_clip" in {getattr(node, a, None) for a in ("id", "attr", "name")}
     }
     assert naming == {"mechanisms.py"}
+
+
+def test_star_import_binds_every_public_name():
+    # __all__ is read from the package's imports, so no public name is left out
+    public = {
+        name
+        for name, value in vars(griddp).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    bound: dict = {}
+    exec("from griddp import *", bound)
+    assert "levy_release" in public
+    assert public == bound.keys() - {"__builtins__"}
