@@ -1,5 +1,8 @@
 """Per-grid error budgets and the iterative user-suppression routine.
 
+This module prices and suppresses only: it imports nothing from
+mechanisms or rng, where releasing a plan and drawing randomness belong.
+
 A grid's error budget combines the worst-case bias of releasing clipped
 statistics with the Laplace noise magnitudes the retained counts force:
 

@@ -285,7 +285,9 @@ class ClipPlan:
     The counts are a read-only int64 array aligned with the occupancy's
     entries, each in [0, count], as clip_user and full make it; a mapping
     becomes a plan only through for_occupancy. retained, row, grids,
-    suppressed_pairs, == and repr are built from the array when asked for.
+    suppressed_pairs, == and repr are built from the array when asked for;
+    row and grids cover every grid of the occupancy, and row of any other
+    grid is UnknownGrid.
     Counts that are not integers are InvalidParams; counts of another shape,
     or one outside [0, count], InvalidPlan, naming the first bad entry.
     """

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from inspect import signature
@@ -941,3 +942,35 @@ def test_scaling_past_the_user_limit_is_one_error_line(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_block(heading: str, lang: str) -> str:
+    """The first ```lang block after the README's `## heading` line."""
+    section = README.read_text(encoding="utf-8").split(f"\n## {heading}\n", 1)[1]
+    return section.split(f"```{lang}\n", 1)[1].split("\n```", 1)[0]
+
+
+def test_readme_examples_run_as_written(capsys, tmp_path, monkeypatch):
+    # each griddp line of the CLI block in order, a `> file` redirect writing
+    # its file, then the library quickstart
+    monkeypatch.chdir(tmp_path)
+    outputs = {}
+    for line in _readme_block("CLI", "sh").replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if not words or words[0] != "griddp":
+            continue
+        redirect = words.index(">") if ">" in words else len(words)
+        code, out, err = _run(capsys, words[1:redirect])
+        assert code == 0, (line, err)
+        if redirect < len(words):
+            (tmp_path / words[redirect + 1]).write_text(out, encoding="utf-8", newline="")
+        outputs[words[1]] = out
+    assert {"synth", "sensitivity", "clip-user", "mechanism", "mae"} <= outputs.keys()
+    # the values the block's comment states
+    rows = [(r["target"], r["value"], r["branch"]) for r in _rows(outputs["sensitivity"])]
+    assert rows == [("mean", "0.25", ""), ("variance", "0.1875", "AboveTwice")]
+    exec(_readme_block("Library quickstart", "python"), {})
+    assert "grids per user after suppression" in capsys.readouterr().out

@@ -1,5 +1,5 @@
 """Module layering: each decision on the plan-to-release path sits in one
-module, read from the sources with ast."""
+module, read from the sources with ast; and the package's one export list."""
 
 import ast
 from pathlib import Path
