@@ -21,23 +21,26 @@ the whole routine the first time a user's best option exceeds E or a user
 has no evaluable option.
 
 clip_user runs on the occupancy's integer columns. A user's level is the
-number of grids it still occupies. The users are bucketed once by starting
-level (one bincount of the user ids and one stable sort), and a stage that
-completes leaves every user it froze one level lower, so the next stage's
-frozen set is this one's merged with the users who start at that level,
-both in token order. A user's entries are listed as entry positions, a
-chunk of users at a time, when the loop first reaches it; an entry's count
-and grid are read in place, through memoryviews of the count column and of
-a per-entry grid index, so no entry is copied into Python objects. A
-grid's peak is its first largest count in token order, one argmax over the
-grid's entries. The first time a peak user is suppressed or priced, the
-grid's entries are sorted by descending count (stable, so ties stay in
-token order) into an array read the same way, and a pointer past the
-suppressed ones gives the peak from then on. A candidate, and each
-grid after a stage, is priced by one inline float total in
+number of grids it still occupies. The users are bucketed once by
+starting level (one bincount of the user ids and one stable sort), and a
+stage that completes leaves every user it froze one level lower, so the
+next stage's frozen set is this one's merged with the users who start at
+that level, both in token order. A user's entries are listed as entry
+positions, a chunk of users at a time in the order the stages meet them,
+when the loop first reaches it; an entry's count and grid are read in
+place, through memoryviews of the count column and of a per-entry grid
+index, so no entry is copied into Python objects. A grid's peak is its
+first largest count in token order, one argmax over the grid's entries.
+The first time a peak user is suppressed or priced, the grid's entries
+are sorted by descending count (stable, so ties stay in token order)
+into an array read the same way, and a pointer past the suppressed ones
+gives the peak from then on. A candidate is priced in the loop body, in
 budget_from_aggregates' operation order, with each grid's constant parts
-worked out once; ErrorBudget objects are built only for the initial and
-final budgets of each grid.
+worked out once; a committed price is its grid's new total, which gives
+the stage maxima, and ErrorBudget objects are built only for the initial
+and final budgets. The trace is kept as columns (stage, user id, grid
+index, error); ClipUserResult.trace builds its Suppression objects on
+first read, and len() builds none.
 
 pseudo_user_optimize then re-clips each grid's retained counts to the best
 uniform cap m (suppressed users stay suppressed), which can only lower the
@@ -51,7 +54,8 @@ minimum taken.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +95,47 @@ class Suppression:
     error: float
 
 
+class _Trace(Sequence):
+    """clip_user's suppressions, kept as columns of stages, user ids, grid
+    indexes and errors. The Suppression objects, user tokens included, are
+    built on the first read that needs them and then kept; len() builds
+    none. Reads, ==, hash and repr are those of the tuple of them."""
+
+    __slots__ = ("_columns", "_tokens", "_grids", "_items")
+
+    def __init__(self, columns, tokens, grids):
+        self._columns, self._tokens, self._grids = columns, tokens, grids
+        self._items = None
+
+    def _built(self) -> tuple[Suppression, ...]:
+        if self._items is None:
+            stages, users, grid_of, errors = self._columns
+            tokens = map(self._tokens.__getitem__, users)
+            grids = map(self._grids.__getitem__, grid_of)
+            self._items = tuple(map(Suppression, stages, tokens, grids, errors))
+        return self._items
+
+    def __len__(self) -> int:
+        return len(self._columns[3])
+
+    def __getitem__(self, i):
+        return self._built()[i]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other):
+        if isinstance(other, _Trace):
+            other = other._built()
+        return self._built() == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._built())
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+
 @dataclass(frozen=True)
 class ClipUserResult:
     plan: ClipPlan
@@ -98,7 +143,7 @@ class ClipUserResult:
     error_cap: float
     initial_errors: dict[str, ErrorBudget]
     per_grid_errors: dict[str, ErrorBudget]
-    trace: tuple[Suppression, ...]
+    trace: Sequence[Suppression]
     stage_max_errors: tuple[float, ...]
 
 
@@ -128,7 +173,7 @@ def budget_from_aggregates(
     noise_mean = 2 * (bound_u * gamma_star / sum_gamma) / epsilon
     _, var_sens = variance_peak_value(sum_gamma, gamma_star, bound_u)
     noise_var = 2 * var_sens / epsilon
-    # added left to right, as _cap_totals and _pricer add them
+    # added left to right, as _cap_totals and clip_user's loop add them
     total = bias_mean + bias_var + noise_mean + noise_var
     return ErrorBudget(grid, bias_mean, bias_var, noise_mean, noise_var, total)
 
@@ -167,41 +212,9 @@ def privacy_loss(occupancy: OccupancyArray, eps_per_grid) -> float:
     return float(np.bincount(occupancy._ids, weights=weights).max())
 
 
-def _pricer(sum_m: int, bound_u: float, epsilon: float) -> Callable[[int, int], float]:
-    """price(kept, peak) = budget_from_aggregates(g, sum_m, kept, peak,
-    bound_u, epsilon).total, in the same operation order, with the parts
-    that depend only on sum_m and bound_u worked out once."""
-    n, nn = sum_m, sum_m * sum_m
-    u2 = bound_u * bound_u
-    quarter = u2 / 4
-    # the parity cap of sum_m is the bias when nothing is kept
-    _, parity = bias_branch_value(sum_m, 0, bound_u)
-
-    def price(kept: int, peak: int) -> float:
-        if kept == n:
-            bias_var = 0.0
-        elif n < 2 * kept:
-            bias_var = u2 * kept * (n - kept) / nn
-        else:
-            bias_var = parity
-        if kept > 2 * peak:
-            var_sens = u2 * peak * (kept - peak) / (kept * kept)
-        elif kept % 2:
-            var_sens = quarter * (1 - 1 / (kept * kept))
-        else:
-            var_sens = quarter
-        return (
-            bound_u * (n - kept) / n
-            + bias_var
-            + 2 * (bound_u * peak / kept) / epsilon
-            + 2 * var_sens / epsilon
-        )
-
-    return price
-
-
-# Frozen users get their entries this many at a time, as the stage loop
-# reaches them, so a stage that halts early builds few.
+# Users get their entries this many at a time, in the order the stage loop
+# reaches them (a chunk may run on into the next level's users), so a loop
+# that halts early builds few.
 _ENTRY_CHUNK = 256
 
 
@@ -227,7 +240,12 @@ def clip_user(
     ids, counts = occupancy._ids, occupancy._counts
     sum_m = list(occupancy._totals)
     sum_gamma = list(sum_m)
-    prices = [_pricer(n, bound_u, epsilon) for n in sum_m]
+    # the parts of a candidate's total that depend only on its grid; the
+    # parity cap of sum_m is the bias when nothing is kept
+    squares = [n * n for n in sum_m]
+    parity = [bias_branch_value(n, 0, bound_u)[1] for n in sum_m]
+    u2 = bound_u * bound_u
+    quarter = u2 / 4
     spans = list(occupancy._spans())
     # spare[g] counts the users grid g may still lose: never its last one
     spare = [hi - lo - 1 for lo, hi in spans]
@@ -259,35 +277,40 @@ def clip_user(
         }
 
     initial = budgets()
-    error_cap = max(b.total for b in initial.values())
+    # each grid's budget total; a suppression's error is its grid's new one
+    totals = [b.total for b in initial.values()]
+    error_cap = max(totals)
     if protect_min_error_grid:
         spare[grids.index(min(grids, key=lambda g: (initial[g].total, g)))] = 0
 
     # A stage at level k suppresses each frozen user once, so when it ends
     # every user it froze is at k - 1, beside the users who start there:
     # the next frozen set is those two id-ordered runs merged. by_level
-    # lists the users by starting level, each level in id order.
+    # lists the users by descending starting level, each level in id order,
+    # and by_level[upto[L + 1] : upto[L]] are the users who start at level L.
     level = np.bincount(ids, minlength=len(occupancy._users))
-    by_level = np.argsort(level.astype(np.min_scalar_type(len(grids))), kind="stable")
-    ends = np.cumsum(np.bincount(level)).tolist()
+    sizes = np.bincount(level)
+    k = len(sizes) - 1  # every grid keeps a user, so k stays at least 1
+    by_level = np.argsort((k - level).astype(np.min_scalar_type(k)), kind="stable")
+    upto = np.cumsum(sizes[::-1])[::-1].tolist() + [0]
     del level
-    k = len(ends) - 1  # every grid keeps a user, so k stays at least 1
     frozen: list[int] = []
     # active[i] lists the positions of user i's retained entries once the
     # loop reaches it
     active: dict[int, list[int]] = {}
-    trace: list[Suppression] = []
+    # the trace's columns: stage, user id, grid index and error
+    columns = (array("i"), array("q"), array("i"), array("d"))
+    add_stage, add_user, add_grid, add_error = (c.append for c in columns)
     stage_max = [error_cap]
     stage = 1
     halted = False
+    built = 0  # by_level[:built] have entries
     while not halted:
-        fresh = by_level[ends[k - 1] : ends[k]].tolist()
-        frozen = sorted(frozen + fresh)
-        built = 0  # fresh[:built] have entries
+        frozen = sorted(frozen + by_level[upto[k + 1] : upto[k]].tolist())
         for i in frozen:
             entries = active.get(i)
-            if entries is None:  # i is fresh[built]
-                chunk = fresh[built : built + _ENTRY_CHUNK]
+            if entries is None:  # i is by_level[built]
+                chunk = by_level[built : built + _ENTRY_CHUNK].tolist()
                 active.update(zip(chunk, occupancy._entries(chunk)))
                 built += len(chunk)
                 entries = active[i]
@@ -300,7 +323,25 @@ def clip_user(
                 if e == top[g]:  # a grid with two retained users has a second
                     second = next_kept(g, ptr[g] + 1)
                     pk = count_of[desc[g][second]]
-                total = prices[g](sum_gamma[g] - count_of[e], pk)
+                # budget_from_aggregates(...).total in its operation
+                # order; a candidate drops a sample, so kept < n
+                n, kept = sum_m[g], sum_gamma[g] - count_of[e]
+                if n < 2 * kept:
+                    bias_var = u2 * kept * (n - kept) / squares[g]
+                else:
+                    bias_var = parity[g]
+                if kept > 2 * pk:
+                    var_sens = u2 * pk * (kept - pk) / (kept * kept)
+                elif kept % 2:
+                    var_sens = quarter * (1 - 1 / (kept * kept))
+                else:
+                    var_sens = quarter
+                total = (
+                    bound_u * (n - kept) / n
+                    + bias_var
+                    + 2 * (bound_u * pk / kept) / epsilon
+                    + 2 * var_sens / epsilon
+                )
                 # grids come in token order, so a tie keeps the earlier grid
                 if best is None or total < best:
                     best, pick = total, j
@@ -316,8 +357,12 @@ def clip_user(
                 ptr[g] = next_kept(g, ptr[g])
                 top[g] = desc[g][ptr[g]]
                 peak[g] = count_of[top[g]]
-            trace.append(Suppression(stage, occupancy._users[i], grids[g], best))
-        stage_max.append(max(p(a, pk) for p, a, pk in zip(prices, sum_gamma, peak)))
+            add_stage(stage)
+            add_user(i)
+            add_grid(g)
+            add_error(best)
+            totals[g] = best
+        stage_max.append(max(totals))
         stage += 1
         if not halted:
             k -= 1
@@ -329,7 +374,7 @@ def clip_user(
         error_cap=error_cap,
         initial_errors=initial,
         per_grid_errors=budgets(),
-        trace=tuple(trace),
+        trace=_Trace(columns, occupancy._users, occupancy._grids),
         stage_max_errors=tuple(stage_max),
     )
 

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from griddp import composition
+from griddp import composition, synth
 from griddp.composition import (
     ClipPlan,
     ClipUserResult,
@@ -746,57 +746,81 @@ def test_cap_scan_chunks_keep_the_first_minimum(monkeypatch):
             assert got == _pseudo_user_optimize_oracle(occ, plan, 1.0, epsilon)
 
 
-@st.composite
-def _priced_candidates(draw):
-    """(sum_m, kept, peak) with each branch of both variance terms drawn on
-    purpose: nothing dropped, fewer or more dropped than kept (sum_m even or
-    odd), and kept above or at most twice the peak (kept even or odd)."""
-    sum_m = draw(st.integers(1, 2**40))
-    kept = draw(
-        st.one_of(
-            st.just(sum_m),
-            st.integers(sum_m // 2 + 1, sum_m),
-            st.integers(1, max(1, sum_m // 2)),
-        )
-    )
-    if kept >= 3 and draw(st.booleans()):
-        peak = draw(st.integers(1, (kept - 1) // 2))
-    else:
-        peak = draw(st.integers((kept + 1) // 2, kept))
-    return sum_m, kept, peak
+def _one_candidate(kept_counts, dropped):
+    """An occupancy whose first candidate drops `dropped` samples of grid g
+    and keeps `kept_counts`: user x also holds the only entry of grid h, so
+    it alone is frozen at stage 1 and g is its one option. Its 2 samples
+    there give h the largest budget a grid can start with, 2U/eps +
+    U^2/(2 eps), so the cap sits at or above it."""
+    row = {f"u{i}": c for i, c in enumerate(kept_counts)}
+    return OccupancyArray({"g": {**row, "x": dropped}, "h": {"x": 2}})
 
 
 @settings(max_examples=500, deadline=None)
 @given(
-    _priced_candidates(),
+    st.lists(st.integers(1, 2**40), min_size=1, max_size=5),
+    st.integers(1, 2**40),
     st.sampled_from([1, 65, 1.0, 65.0]),
     st.floats(0.01, 10.0),
 )
-@example((10, 10, 3), 65.0, 0.5)  # nothing dropped
-@example((10, 7, 3), 65.0, 0.5)  # fewer dropped than kept; kept > 2 * peak
-@example((10, 4, 2), 65.0, 0.5)  # even sum_m, at most half kept; even kept <= 2 * peak
-@example((11, 5, 3), 1.0, 3.0)  # odd sum_m; odd kept <= 2 * peak
-@example((2**40, 2**39 + 1, 2**38), 1, 0.01)
-def test_inline_price_is_the_budget_total(candidate, bound_u, epsilon):
-    sum_m, kept, peak = candidate
-    price = composition._pricer(sum_m, bound_u, epsilon)
-    want = budget_from_aggregates("g", sum_m, kept, peak, bound_u, epsilon).total
-    assert float.hex(price(kept, peak)) == float.hex(want)
+# each example suppresses x from g; a candidate always drops a sample, so
+# the nothing-dropped branch is not reached
+@example([3, 3, 1], 3, 65.0, 0.1)  # fewer dropped than kept; kept > 2 * peak
+@example([2, 2], 6, 65.0, 0.05)  # even sum_m, at most half kept; even kept <= 2 * peak
+@example([3, 2], 6, 1.0, 0.5)  # odd sum_m; odd kept <= 2 * peak
+@example([2**38, 2**38, 1], 2**39 - 1, 1, 0.01)
+def test_inline_price_is_the_budget_total(kept_counts, dropped, bound_u, epsilon):
+    # clip_user prices the candidate inline: stage 1 suppresses x from g,
+    # at that price, exactly when the budget total is within the cap
+    res = clip_user(_one_candidate(kept_counts, dropped), bound_u, epsilon)
+    kept = sum(kept_counts)
+    want = budget_from_aggregates(
+        "g", kept + dropped, kept, max(kept_counts), bound_u, epsilon
+    ).total
+    assert bool(res.trace) == (want <= res.error_cap)
+    if res.trace:
+        s = res.trace[0]
+        assert (s.stage, s.user, s.grid, float.hex(s.error)) == (1, "x", "g", float.hex(want))
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def paper_occupancy():
+    # made for each test, since the oracle lists the user tokens, which
+    # turns the occupancy's on-demand token table into a list
     return generate_occupancy(SynthParams(grids=12, users=4095, heavy_gamma=9), RngStream(5))
 
 
 @pytest.mark.parametrize(
     "epsilon, protect", [(0.5, False), (0.5, True), (2.0, False), (2.0, True), (0.05, False)]
 )
-def test_clip_user_matches_reference_at_paper_scale(paper_occupancy, epsilon, protect):
+def test_clip_user_matches_reference_at_paper_scale(paper_occupancy, epsilon, protect, monkeypatch):
     # 12 grids x 4095 users, where a stage freezes up to 1024 users; the
-    # strategies above reach 8 grids and 255 users
+    # strategies above reach 8 grids and 255 users. The trace builds no
+    # Suppression and no user token until it is read, len() included, then
+    # builds each once, and it reads as the oracle's tuple does.
+    made = {"suppressions": 0, "tokens": 0}
+
+    def counted(key, make):
+        def wrapper(*args):
+            made[key] += 1
+            return make(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(composition, "Suppression", counted("suppressions", Suppression))
+    tokens = synth._UserTokens
+    monkeypatch.setattr(tokens, "__getitem__", counted("tokens", tokens.__getitem__))
     res = clip_user(paper_occupancy, 65.0, epsilon, protect)
-    assert res == _clip_user_oracle(paper_occupancy, 65.0, epsilon, protect)
+    n = len(res.trace)
+    assert n and made == {"suppressions": 0, "tokens": 0}
+    first, items = res.trace[0], list(res.trace)  # two reads, one build
+    assert made == {"suppressions": n, "tokens": n}
+    monkeypatch.undo()
+    want = _clip_user_oracle(paper_occupancy, 65.0, epsilon, protect)
+    assert res == want and want == res
+    assert res.trace == want.trace and want.trace == res.trace
+    assert (first, res.trace[-1], items) == (want.trace[0], want.trace[-1], list(want.trace))
+    assert (hash(res.trace), repr(res.trace)) == (hash(want.trace), repr(want.trace))
 
 
 def test_paper_scale_case_builds_entries_past_one_chunk(paper_occupancy):

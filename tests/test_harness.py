@@ -238,9 +238,10 @@ TRIAL = SynthParams(grids=14, users=16383, heavy_gamma=9)
 def test_clip_user_peak_memory_is_bounded_by_the_columns():
     # the traced peak of one clip_user over the occupancy's column bytes:
     # 2.38 when the counts and each sorted grid were copied into Python
-    # ints and every entry was a (grid, entry, count) tuple, 1.53 since;
-    # the bound is that with a 25 % margin. An untraced call first makes
-    # the one-time allocations.
+    # ints and every entry was a (grid, entry, count) tuple, 1.48 while
+    # the trace was a tuple of Suppression objects, 1.29 since it is kept
+    # as columns; the bound is that with a 25 % margin. An untraced call
+    # first makes the one-time allocations.
     occ = generate_occupancy(TRIAL, RngStream(3))
     clip_user(occ, 65.0, 1.0, True)
     tracemalloc.start()
@@ -249,7 +250,32 @@ def test_clip_user_peak_memory_is_bounded_by_the_columns():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.9 * (occ._ids.nbytes + occ._counts.nbytes)
+    assert peak < 1.61 * (occ._ids.nbytes + occ._counts.nbytes)
+
+
+def test_an_unread_trace_holds_a_third_of_the_built_one():
+    # epsilon 0.1 on the seed-1 trial-0 occupancy at 16 x 65535, where the
+    # trace has 6,393 suppressions: unread, it holds only its columns, 0.16
+    # of the bytes of the built tuple of Suppression objects (0.96 MB, with
+    # a user token each)
+    params = SynthParams(grids=16, users=65535, heavy_gamma=9)
+    occ = generate_occupancy(params, RngStream(1).split("trial:0"))
+    tracemalloc.start()
+    try:
+        trace = clip_user(occ, params.bound_u, 0.1, True).trace
+        held = tracemalloc.get_traced_memory()[0]
+        del trace
+        unread = held - tracemalloc.get_traced_memory()[0]
+        trace = clip_user(occ, params.bound_u, 0.1, True).trace
+        assert len(trace) == 6393
+        items = tuple(trace)
+        del trace
+        held = tracemalloc.get_traced_memory()[0]
+        del items
+        built = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert 0 < 3 * unread <= built
 
 
 def test_a_trial_occupancy_is_released_before_the_next_is_made():
