@@ -21,34 +21,40 @@ the whole routine the first time a user's best option exceeds E or a user
 has no evaluable option.
 
 clip_user runs on the occupancy's integer columns. A user's level is the
-number of grids it still occupies. The users are bucketed once by
-starting level (one bincount of the user ids and one stable sort), and a
-stage that completes leaves every user it froze one level lower, so the
-next stage's frozen set is this one's merged with the users who start at
-that level, both in token order. A user's entries are listed as entry
-positions, a chunk of users at a time in the order the stages meet them,
-when the loop first reaches it; an entry's count and grid are read in
-place, through memoryviews of the count column and of a per-entry grid
-index, so no entry is copied into Python objects. A grid's peak is its
-first largest count in token order, one argmax over the grid's entries.
-The first time a peak user is suppressed or priced, the grid's entries
-are sorted by descending count (stable, so ties stay in token order)
-into an array read the same way, and a pointer past the suppressed ones
-gives the peak from then on. A candidate is priced in the loop body, in
-budget_from_aggregates' operation order, with each grid's constant parts
-worked out once; a committed price is its grid's new total, which gives
-the stage maxima, and ErrorBudget objects are built only for the initial
-and final budgets. The trace is kept as columns (stage, user id, grid
-index, error); ClipUserResult.trace builds its Suppression objects on
-first read, and len() builds none.
+number of grids it still occupies, one bincount of the user ids. A stage
+that completes leaves every user it froze one level lower, so the next
+frozen set is this one's merged with the users who start at that level,
+one flatnonzero, in token order. Entries are built a chunk of users at a
+time and read in place through memoryviews. A grid's peak is its first
+largest count; once its peak user is suppressed or priced, a prefix of its
+counts in stable descending order is sorted, twice as long each time the
+pointer past the suppressed ones runs off it. A candidate is priced in the
+loop body in budget_from_aggregates' operation order, and a committed price
+is its grid's new total. The trace is kept as columns until it is read.
+
+Both searches skip what a lower bound rules out, keeping every bit. With n
+and the peak pk fixed, each term of a price is non-increasing in the samples
+kept, A (the variance bias's parity cap is its largest value over integers
+A, and U^2 pk (A - pk) / A^2 falls with A above 2 pk). A computed price is
+within about 11 roundings of exact, so an exact lower bound times 1 - 2^-46
+is below it, unless subnormal roundings, which dividing by epsilon can
+amplify, come near: a bound below 2^-1000 or 2^-1000 / epsilon is -inf. In
+clip_user, a candidate that is not its grid's peak keeps pk and drops at
+most pk samples, so where the grid keeps more than 3 pk it stays above 2 pk
+and costs at least the grid's total: floor[g] = totals[g] * (1 - 2^-46),
+renewed when g commits. Once a price is known, a candidate whose grid's
+floor is not below it is skipped.
 
 pseudo_user_optimize then re-clips each grid's retained counts to the best
 uniform cap m (suppressed users stay suppressed), which can only lower the
 budget since the cap equal to the current largest count changes nothing.
-The caps are scanned as arrays: sum(min(gamma_l, m)) for every m from
-prefix sums, each cap's budget elementwise in the scalar routine's
-operation order (so the totals match it bit for bit), and the first
-minimum taken.
+Caps are priced as arrays, bit for bit as budget_from_aggregates prices
+them, at most _SCAN_CHUNK at a time. A and m / A rise with m, so over a
+chunk of caps the bias terms are at least their values at its last cap and
+the mean noise its value at its first; if the last cap keeps more than twice
+itself all do, and U^2 r (1 - r), r = m / A < 1/2, is at least its value at
+the first, else the bound takes 0. One pass prices in cap order the chunks
+whose bound is below the least price at a chunk's end, keeping the first min.
 """
 
 from __future__ import annotations
@@ -216,6 +222,13 @@ def privacy_loss(occupancy: OccupancyArray, eps_per_grid) -> float:
 # reaches them (a chunk may run on into the next level's users), so a loop
 # that halts early builds few.
 _ENTRY_CHUNK = 256
+_MARGIN, _TINY = 1 - 2**-46, 2**-1000  # a lower bound's margin and floor
+
+
+def _floor(total: float, kept: int, peak: int, epsilon: float) -> float:
+    """Below every non-peak candidate's price in a grid in this state (module docstring)."""
+    fits = _TINY / min(epsilon, 1.0) <= total < math.inf and kept > 3 * peak
+    return total * _MARGIN if fits else -math.inf
 
 
 def clip_user(
@@ -261,13 +274,18 @@ def clip_user(
 
     def next_kept(g: int, i: int) -> int:
         """The first position from i in grid g's entries by descending
-        count, ties in user order, that holds a retained entry."""
-        if g not in desc:
-            lo, hi = spans[g]
-            desc[g] = memoryview(lo + np.argsort(-counts[lo:hi], kind="stable"))
-        order = desc[g]
-        while suppressed[order[i]]:
-            i += 1
+        count, ties in user order, that holds a retained entry; desc[g] is
+        a prefix of that order."""
+        lo, hi = spans[g]
+        order = desc.get(g, ())
+        while i >= len(order) < hi - lo or suppressed[order[i]]:
+            if i < len(order):
+                i += 1
+                continue
+            c = counts[lo:hi]
+            size = min(max(2 * len(order), 32), hi - lo)
+            pos = np.flatnonzero(c >= -np.partition(-c, size - 1)[size - 1])
+            order = desc[g] = memoryview(lo + pos[np.argsort(-c[pos], kind="stable")])
         return i
 
     def budgets() -> dict[str, ErrorBudget]:
@@ -280,20 +298,18 @@ def clip_user(
     # each grid's budget total; a suppression's error is its grid's new one
     totals = [b.total for b in initial.values()]
     error_cap = max(totals)
+    floor = [_floor(t, a, pk, epsilon) for t, a, pk in zip(totals, sum_gamma, peak)]
     if protect_min_error_grid:
         spare[grids.index(min(grids, key=lambda g: (initial[g].total, g)))] = 0
 
     # A stage at level k suppresses each frozen user once, so when it ends
     # every user it froze is at k - 1, beside the users who start there:
-    # the next frozen set is those two id-ordered runs merged. by_level
-    # lists the users by descending starting level, each level in id order,
-    # and by_level[upto[L + 1] : upto[L]] are the users who start at level L.
+    # the next frozen set is those two id-ordered runs merged. unbuilt
+    # lists the users without entries in the order the stages meet them,
+    # down to the users who start at level low.
     level = np.bincount(ids, minlength=len(occupancy._users))
-    sizes = np.bincount(level)
-    k = len(sizes) - 1  # every grid keeps a user, so k stays at least 1
-    by_level = np.argsort((k - level).astype(np.min_scalar_type(k)), kind="stable")
-    upto = np.cumsum(sizes[::-1])[::-1].tolist() + [0]
-    del level
+    k = int(level.max())  # every grid keeps a user, so k stays at least 1
+    unbuilt, low = np.empty(0, dtype=np.int64), k + 1
     frozen: list[int] = []
     # active[i] lists the positions of user i's retained entries once the
     # loop reaches it
@@ -304,15 +320,20 @@ def clip_user(
     stage_max = [error_cap]
     stage = 1
     halted = False
-    built = 0  # by_level[:built] have entries
     while not halted:
-        frozen = sorted(frozen + by_level[upto[k + 1] : upto[k]].tolist())
+        starting = np.flatnonzero(level == k)
+        if low > k:
+            low, unbuilt = k, np.concatenate((unbuilt, starting))
+        frozen = sorted(frozen + starting.tolist())
         for i in frozen:
             entries = active.get(i)
-            if entries is None:  # i is by_level[built]
-                chunk = by_level[built : built + _ENTRY_CHUNK].tolist()
+            if entries is None:  # i is unbuilt[0]
+                while len(unbuilt) < _ENTRY_CHUNK and low > 1:  # run on
+                    low -= 1
+                    unbuilt = np.concatenate((unbuilt, np.flatnonzero(level == low)))
+                chunk = unbuilt[:_ENTRY_CHUNK].tolist()
+                unbuilt = unbuilt[_ENTRY_CHUNK:]
                 active.update(zip(chunk, occupancy._entries(chunk)))
-                built += len(chunk)
                 entries = active[i]
             best, pick = None, -1
             for j, e in enumerate(entries):
@@ -323,6 +344,8 @@ def clip_user(
                 if e == top[g]:  # a grid with two retained users has a second
                     second = next_kept(g, ptr[g] + 1)
                     pk = count_of[desc[g][second]]
+                elif best is not None and floor[g] >= best:
+                    continue  # it costs at least floor[g], so it cannot win
                 # budget_from_aggregates(...).total in its operation
                 # order; a candidate drops a sample, so kept < n
                 n, kept = sum_m[g], sum_gamma[g] - count_of[e]
@@ -362,6 +385,7 @@ def clip_user(
             add_grid(g)
             add_error(best)
             totals[g] = best
+            floor[g] = _floor(best, sum_gamma[g], peak[g], epsilon)
         stage_max.append(max(totals))
         stage += 1
         if not halted:
@@ -390,14 +414,16 @@ _EXACT_INT = 2**53
 # Caps are priced this many at a time, so a grid whose counts span a wide
 # range holds a few small arrays rather than one entry per cap at once.
 _SCAN_CHUNK = 1 << 16
+_BOUND_WIDTH = 32  # caps per chunk bound, more to keep a grid to 2^16 chunks
 # The most caps one grid's scan prices; the time of the scan grows with it.
 _MAX_CAPS = 1 << 24
 
 
 def _cap_totals(
-    sum_m: int, kept: np.ndarray, peak: np.ndarray, bound_u: float, epsilon: float
-) -> np.ndarray:
-    """budget_from_aggregates(g, sum_m, kept[i], peak[i], ...).total, per i.
+    sum_m: int, kept: np.ndarray, peak: np.ndarray, bound_u: float, epsilon: float, terms=False
+):
+    """budget_from_aggregates(g, sum_m, kept[i], peak[i], ...).total, per i;
+    with terms, its bias_mean + bias_var, noise_mean and noise_var.
 
     kept and peak are int64 arrays with 0 < peak <= kept <= sum_m <= 2^53;
     bound_u and epsilon are taken as floats. Every term is evaluated in
@@ -418,8 +444,8 @@ def _cap_totals(
     above_twice = u2 * peak_f * (kept - peak) / (kept_f * kept_f)
     parity = np.where(kept % 2 == 1, (u2 / 4) * (1 - 1 / (kept_f * kept_f)), u2 / 4)
     var_sens = np.where(kept > 2 * peak, above_twice, parity)
-    noise_var = 2 * var_sens / epsilon
-    return bias_mean + bias_var + noise_mean + noise_var
+    bias, noise_var = bias_mean + bias_var, 2 * var_sens / epsilon
+    return (bias, noise_mean, noise_var) if terms else bias + noise_mean + noise_var
 
 
 def pseudo_user_optimize(
@@ -455,9 +481,24 @@ def pseudo_user_optimize(
         low, high = int(positives[0]), int(positives[-1])
         if high - low >= _MAX_CAPS:
             raise TooLarge(f"grid {g} has caps {low} to {high}; the cap scan takes at most 2^24")
+        # a lower bound per chunk of caps, from its last cap (row 0) and first
+        width = max(_BOUND_WIDTH, (high - low + 1) >> 15)
+        first = np.arange(low, high + 1, width, dtype=np.int64)
+        ends = np.stack((np.minimum(first + (width - 1), high), first))
+        below = np.searchsorted(positives, ends, side="left")
+        kept = prefix[below] + ends * (len(positives) - below)
+        bias, noise_mean, noise_var = _cap_totals(sum_m, kept, ends, bound_u, epsilon, True)
+        bound = bias[0] + noise_mean[1] + np.where(kept[0] > 2 * ends[0], noise_var[1], 0.0)
+        fits = (bound >= _TINY / min(epsilon, 1.0)) & (bound < np.inf)
+        bound = np.where(fits, bound * _MARGIN, -np.inf)
+        # the chunks whose bound is below the least price at a chunk's end
+        beat = (bias + noise_mean + noise_var).min()
+        chosen = np.flatnonzero(~(bound >= beat))
         best_m, best_kept, best_total = low, 0, None
-        for start in range(low, high + 1, _SCAN_CHUNK):
-            caps = np.arange(start, min(start + _SCAN_CHUNK, high + 1), dtype=np.int64)
+        per = max(1, _SCAN_CHUNK // (2 * width))  # half a block, as the bounds are held too
+        for start in range(0, len(chosen), per):
+            caps = (first[chosen[start : start + per], None] + np.arange(width)).ravel()
+            caps = caps[caps <= high]
             below = np.searchsorted(positives, caps, side="left")
             kept = prefix[below] + caps * (len(positives) - below)
             totals = _cap_totals(sum_m, kept, caps, bound_u, epsilon)
@@ -473,4 +514,3 @@ def pseudo_user_optimize(
         per_grid_error=per_grid_error,
         new_error=max(b.total for b in per_grid_error.values()),
     )
-

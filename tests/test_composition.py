@@ -11,10 +11,12 @@ costs 0.1 + 0.09 + 2/3 + 4/9 ~ 1.3011 <= 1.5, dropping u1 from g1 costs
 """
 
 import builtins
+import gc
 import hashlib
 import heapq
 import math
 import random
+import tracemalloc
 from functools import reduce
 from operator import add
 from types import MappingProxyType
@@ -728,22 +730,77 @@ def test_cap_scan_rejects_a_wide_cap_range(monkeypatch):
 
 
 def test_cap_scan_chunks_keep_the_first_minimum(monkeypatch):
-    # two caps per chunk, so tied minima straddle chunk boundaries: with
-    # gammas (1, 0, 0, 3) of counts (4, 3, 4, 5) at epsilon 4, caps 1 and 3
-    # both cost exactly 1.5 and cap 1 must win
+    # chunk bounds 1, 2 or 3 caps wide, priced one chunk at a time, so tied
+    # minima straddle chunk boundaries: with gammas (1, 0, 0, 3) of counts
+    # (4, 3, 4, 5) at epsilon 4, caps 1 and 3 both cost exactly 1.5 and cap
+    # 1 must win
     monkeypatch.setattr(composition, "_SCAN_CHUNK", 2)
-    occ = OccupancyArray({"g": {"u1": 4, "u2": 3, "u3": 4, "u4": 5}})
-    plan = ClipPlan.for_occupancy(occ, {"g": {"u1": 1, "u2": 0, "u3": 0, "u4": 3}})
-    assert pseudo_user_optimize(occ, plan, 1.0, 4.0).per_grid_m == {"g": 1}
     rnd = random.Random(3)
+    cases = []
     for _ in range(300):
         occ = _random_occupancy(rnd)
-        plan = ClipPlan.for_occupancy(
-            occ, {g: {u: rnd.randint(1, m) for u, m in occ.row(g).items()} for g in occ.grids()}
-        )
-        for epsilon in (0.2, 1.0, 4.0):
-            got = pseudo_user_optimize(occ, plan, 1.0, epsilon)
-            assert got == _pseudo_user_optimize_oracle(occ, plan, 1.0, epsilon)
+        plan = {g: {u: rnd.randint(1, m) for u, m in occ.row(g).items()} for g in occ.grids()}
+        cases.append((occ, ClipPlan.for_occupancy(occ, plan)))
+    for width in (1, 2, 3):
+        monkeypatch.setattr(composition, "_BOUND_WIDTH", width)
+        occ = OccupancyArray({"g": {"u1": 4, "u2": 3, "u3": 4, "u4": 5}})
+        plan = ClipPlan.for_occupancy(occ, {"g": {"u1": 1, "u2": 0, "u3": 0, "u4": 3}})
+        assert pseudo_user_optimize(occ, plan, 1.0, 4.0).per_grid_m == {"g": 1}
+        for occ, plan in cases:
+            for epsilon in (0.2, 1.0, 4.0):
+                got = pseudo_user_optimize(occ, plan, 1.0, epsilon)
+                assert got == _pseudo_user_optimize_oracle(occ, plan, 1.0, epsilon)
+
+
+def _counted_caps(monkeypatch):
+    """How many caps _cap_totals prices from now on, chunk ends included."""
+    priced = [0]
+    cap_totals = composition._cap_totals
+
+    def counted(sum_m, kept, *args):
+        priced[0] += kept.size
+        return cap_totals(sum_m, kept, *args)
+
+    monkeypatch.setattr(composition, "_cap_totals", counted)
+    return priced
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 32])
+def test_cap_scan_bounds_keep_the_reference_result(monkeypatch, width):
+    # the chunk bounds skip caps but never the first minimum: on grids whose
+    # best cap is their top cap and on a grid whose bounds are all -inf
+    monkeypatch.setattr(composition, "_BOUND_WIDTH", width)
+    # at epsilon 100 the noise is small and no cap below the top pays
+    occ = OccupancyArray({"g": {"u1": 5, "u2": 7, "u3": 100, "u4": 220}})
+    plan = ClipPlan.full(occ)
+    got = pseudo_user_optimize(occ, plan, 65.0, 100.0)
+    assert got.per_grid_m == {"g": 220}
+    assert got == _pseudo_user_optimize_oracle(occ, plan, 65.0, 100.0)
+    # no bound holds below 2^-1000, where these budgets are, so every cap is priced
+    priced = _counted_caps(monkeypatch)
+    got = pseudo_user_optimize(occ, plan, 1e-305, 1.0)
+    assert priced[0] >= 220 - 5 + 1
+    assert got == _pseudo_user_optimize_oracle(occ, plan, 1e-305, 1.0)
+
+
+def test_cap_scan_skips_caps_and_keeps_top_cap_optima(monkeypatch):
+    # seed 9241's first trial at 16 x 65535, as the error curve runs it at
+    # epsilon 2: the best cap of g08, g09, g11 and g14 is their top cap
+    params = SynthParams(16, 65535, heavy_gamma=9)
+    occ = generate_occupancy(params, RngStream(9241).split("trial:0"))
+    plan = clip_user(occ, 65.0, 2.0, protect_min_error_grid=True).plan
+    priced = _counted_caps(monkeypatch)
+    got = pseudo_user_optimize(occ, plan, 65.0, 2.0)
+    assert got == _pseudo_user_optimize_oracle(occ, plan, 65.0, 2.0)
+    kept = {}
+    for g, (lo, hi) in zip(occ.grids(), occ._spans()):
+        kept[g] = plan._gammas[lo:hi][plan._gammas[lo:hi] > 0]
+    top_cap = [g for g, k in kept.items() if got.per_grid_m[g] == k.max()]
+    assert top_cap == ["g08", "g09", "g11", "g14"]
+    # 157,340 caps from each grid's least retained count to its largest, of
+    # which about 27,300 are priced, chunk ends included
+    caps = sum(int(k.max() - k.min()) + 1 for k in kept.values())
+    assert priced[0] < caps / 4
 
 
 def _one_candidate(kept_counts, dropped):
@@ -853,3 +910,92 @@ def test_clip_user_result_is_pinned_at_two_to_the_sixteen_users():
     h.update(f"{res.k_factor}".encode())
     assert (len(res.trace), res.k_factor) == (4489, 5)
     assert h.hexdigest() == "744266fdfab26a348d01d731fa554bbbea09853020420ff6c7e20557eee6c7f6"
+
+
+@st.composite
+def _grid_states(draw):
+    """A grid keeping kept of n samples with peak pk, near the edges of the
+    price's branches: kept near 2 pk and 3 pk, where the floor starts to
+    apply, and n near 2 (kept - d) for a drop d of at most pk, so that the
+    candidates cross n / 2; n odd or even, or nothing dropped yet."""
+    pk = draw(st.integers(1, 2**20))
+    kept = draw(st.sampled_from([2 * pk, 3 * pk, 3 * pk + 1, 5 * pk])) + draw(st.integers(0, 2))
+    kept += draw(st.sampled_from([0, 0, 2**30, 2**50]))
+    n = kept
+    if draw(st.booleans()):
+        n = max(kept, 2 * (kept - draw(st.integers(0, pk))) + draw(st.integers(-1, 1)))
+    return n, kept, pk
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _grid_states(),
+    st.floats(-150, 150),
+    st.floats(0.001, 1000.0),
+    st.lists(st.integers(1, 2**20), max_size=3),
+)
+@example((21, 10, 3), 0.0, 1.0, [])  # odd n; kept = 3 pk + 1 crosses n / 2
+@example((20, 10, 3), 150.0, 0.001, [])  # even n; U^2 near 1e300
+@example((2**31, 2**30 + 7, 2**20), -150.0, 1000.0, [])
+@example((2**51 + 1, 2**50 + 1, 1), 0.0, 1.0, [])  # a drop moves the price by about 2^-50
+def test_floor_is_below_every_candidate_but_the_peak(state, log_u, epsilon, drops):
+    # floor[g] against the price of each candidate that drops d <= pk
+    # samples and keeps the peak, priced by budget_from_aggregates as the
+    # loop prices it inline
+    n, kept, pk = state
+    bound_u = 10.0**log_u
+    total = budget_from_aggregates("g", n, kept, pk, bound_u, epsilon).total
+    floor = composition._floor(total, kept, pk, epsilon)
+    if kept > 3 * pk and 2**-900 < total < 1e300:
+        assert floor > -math.inf
+    if kept <= 3 * pk:
+        assert floor == -math.inf
+    near_half = [kept - n // 2 + j for j in (-1, 0, 1)]
+    for d in {1, 2, pk - 1, pk, *near_half, *(d % pk + 1 for d in drops)}:
+        if 1 <= d <= pk:
+            price = budget_from_aggregates("g", n, kept - d, pk, bound_u, epsilon).total
+            assert floor <= price, (n, kept, pk, d)
+            assert floor < price or floor == -math.inf
+
+
+@pytest.mark.parametrize("epsilon", [0.05, 0.2, 0.5])
+def test_clip_user_keeps_the_earlier_of_tied_grids(epsilon):
+    # three grids with the same counts, each keeping more than 3 times its
+    # peak, so their floors apply: a user's candidates tie across them until
+    # one is suppressed, and the earliest grid of a tie must win
+    row = {f"u{u:02d}": 10**4 // (u + 1) + u % 3 for u in range(30)}
+    occ = OccupancyArray({"h1": row, "h2": row, "h3": row})
+    res = clip_user(occ, 65.0, epsilon)
+    assert res == _clip_user_oracle(occ, 65.0, epsilon)
+    assert res.trace[0].grid == "h1"
+
+
+def test_clip_user_and_cap_scan_leave_no_reference_cycle():
+    # a closure that called itself would keep each call's frame alive
+    # until the cyclic collector ran
+    occ = generate_occupancy(SynthParams(16, 4095, heavy_gamma=9), RngStream(7))
+    gc.collect()
+    gc.disable()
+    try:
+        res = clip_user(occ, 65.0, 0.5)
+        pseudo_user_optimize(occ, res.plan, 65.0, 0.5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_cap_scan_peak_memory_does_not_grow_with_the_cap_range():
+    # caps over a 2^22 range: the scan holds one _SCAN_CHUNK block of caps
+    # and one bound per chunk of at least 2^7 caps, never an entry per cap;
+    # the scan that priced every cap peaked at 7.5 MiB here too
+    occ = OccupancyArray({"g": {"a": 1, "b": 3, "c": 2**22 - 5, "d": 2**22}})
+    plan = ClipPlan.full(occ)
+    want = pseudo_user_optimize(occ, plan, 65.0, 1.0)
+    tracemalloc.start()
+    try:
+        got = pseudo_user_optimize(occ, plan, 65.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 16 * composition._SCAN_CHUNK * 8
