@@ -569,9 +569,10 @@ def _scan(records, width: int, tables, one, out: tuple[list, list, list]) -> Non
             continue
         if len(row) != width:
             raise MalformedRow(f"line {lineno}: expected {width} fields")
-        pair = tuple(map(_Codes.code, tables, row))
-        if None in pair:
-            raise MalformedRow(f"line {lineno}: empty user or grid token")
+        try:
+            pair = tuple(map(_Codes.__getitem__, tables, row))
+        except _EmptyToken:
+            raise MalformedRow(f"line {lineno}: empty user or grid token") from None
         fields.append(one(pair, row, lineno))
         users.append(row[0])
         grids.append(row[1])
@@ -603,13 +604,6 @@ def _columns(rows: list[list[str]]):
     return tuple(list(map(itemgetter(i), rows)) for i in range(3))
 
 
-def _encoded(tokens: list[str]) -> list[bytes]:
-    """Each token as _utf8 encodes it, in one call unless one holds a
-    newline."""
-    parts = _utf8("\n".join(tokens)).split(b"\n")
-    return parts if len(parts) == len(tokens) else list(map(_utf8, tokens))
-
-
 def _decoded(tokens: list[bytes]) -> list[str]:
     """Each token as _text decodes it, in one call unless one holds a
     newline."""
@@ -618,75 +612,65 @@ def _decoded(tokens: list[bytes]) -> list[str]:
 
 
 def _convert(fields, tables, bulk):
-    """fields with its user and grid tokens encoded by tables and its third
-    fields converted by bulk(users, grids, raws), given the codes; None if
-    fields is None, a token strips to nothing or bulk raises ValueError."""
+    """fields with its user and grid tokens encoded by tables, which key
+    each token they have not met, and its third fields converted by
+    bulk(users, grids, raws), given the codes; None if fields is None, a
+    token strips to nothing or bulk raises ValueError."""
     if fields is None:
         return None
-    users, grids = map(_Codes.encode, tables, fields)
-    if users is None or grids is None:
-        return None
-    # float() and int() skip the padding str.strip() removes and a CRLF
-    # line end's CR, or fail and send the rows to the row scan, so the third
-    # field stays raw
     try:
+        users, grids = map(_Codes.encode, tables, fields)
+        # float() and int() skip the padding str.strip() removes and a CRLF
+        # line end's CR, or fail and send the rows to the row scan, so the
+        # third field stays raw
         return users, grids, bulk(users, grids, fields[2])
-    except ValueError:
+    except (_EmptyToken, ValueError):
         return None
+
+
+class _EmptyToken(Exception):
+    """A token that strips to nothing, met by a _Codes lookup."""
 
 
 class _Codes(dict):
     """Token -> integer code, in arbitrary order; ranks() gives the sorted
-    one. A token is keyed as the bytes split or csv.reader gives it, padding
-    and all, and its code is that of its str.strip() form, which is keyed
-    too, as UTF-8; names lists those forms by code.
+    one. A token is keyed the first time a lookup meets it, as the bytes
+    split or csv.reader gives it, padding and all, and its code is that of
+    its str.strip() form, which is keyed too, as UTF-8; names lists those
+    forms by code. Every lookup costs the same however many tokens the table
+    holds, so a parse is linear in its rows and distinct tokens.
 
     A token enters the table only from a row that the parse returns or from
     a row whose block ends in a raised error: csv.reader yields the same
     fields as the bytes split of a clean block, so a block that the split
-    keys but cannot convert adds no name when csv.reader reads it again. So
-    ranks() lists no name without rows."""
+    keys but cannot convert adds no name when csv.reader reads it again, and
+    a block whose keying meets a token that strips to nothing is scanned row
+    by row, which raises at that token's row if not before. So ranks() lists
+    no name without rows."""
 
     def __init__(self):
         super().__init__()
         self.names: list[bytes] = []
 
-    def encode(self, tokens: list) -> np.ndarray | None:
-        """The codes of tokens in the smallest integer dtype, new tokens
-        added first, or None, adding none, if one strips to nothing; most
-        blocks bring none, so they are looked for only when a lookup
-        fails."""
-        try:
-            dtype = np.min_scalar_type(len(self.names))
-            return np.fromiter(map(self.__getitem__, tokens), dtype, len(tokens))
-        except KeyError:
-            return self.encode(tokens) if self._add(tokens) else None
-
-    def code(self, token) -> int | None:
-        """The code of one token, as encode gives it."""
-        return self[token] if token in self or self._add([token]) else None
-
-    def _add(self, tokens: list) -> bool:
-        """Key the tokens not yet keyed, decoded, stripped and encoded in
-        one pass; False, adding none, if one strips to nothing."""
-        new = list(dict.fromkeys(tokens).keys() - self.keys())
+    def __missing__(self, token) -> int:
         # csv.reader gives str
-        split = isinstance(new[0], bytes)
-        text = _decoded(new) if split else new
-        stripped = list(map(str.strip, text))
-        if not all(stripped):
-            return False
-        # split tokens that strip to themselves are their own stripped forms,
-        # all new; any other token takes the code of its stripped UTF-8
-        keys = fresh = new
-        if not (split and stripped == text):
-            keys = _encoded(stripped)
-            fresh = list(dict.fromkeys(keys).keys() - self.keys())
-        self.update(zip(fresh, count(len(self.names))))
-        self.names += fresh
-        if keys is not new:
-            self.update(zip(new, map(self.__getitem__, keys)))
-        return True
+        text = _text(token) if isinstance(token, bytes) else token
+        name = _utf8(text.strip())
+        if not name:
+            raise _EmptyToken
+        code = self.setdefault(name, len(self.names))
+        if code == len(self.names):
+            self.names.append(name)
+        self[token] = code
+        return code
+
+    def encode(self, tokens: list) -> np.ndarray:
+        """The codes of tokens in the smallest integer dtype that holds the
+        table's codes, which keep a block's runs small."""
+        # wide enough for every code the pass can add
+        wide = np.min_scalar_type(len(self.names) + len(tokens))
+        codes = np.fromiter(map(self.__getitem__, tokens), wide, len(tokens))
+        return codes.astype(np.min_scalar_type(len(self.names)), copy=False)
 
     def ranks(self) -> tuple[list[str], np.ndarray]:
         """The names in sorted order, decoded, and the position of each code
@@ -770,15 +754,16 @@ def _table(path_or_text, header: tuple[str, ...], bulk, one, dtype):
     conversion fails, is decoded and read with csv.reader; a record that
     crosses the end of the block reads its next lines from the stream.
     Either way the user and grid tokens are encoded by their _Codes tables,
-    which strip each distinct token once, and the third fields are
-    converted by bulk(users, grids, raws), given the codes. A block with a
-    token that strips to nothing, whose conversion fails there too (bulk
-    raises ValueError), or that holds a blank or malformed line, is scanned
-    row by row with one((user code, grid code), csv fields, lineno), which
-    raises the first error in file order, with its line number (the csv
-    record number); a csv.Error is raised as MalformedRow. A parse error is
-    raised only once the rest of the file has been read and decodes, so an
-    undecodable file is the IoError a decode of the whole file names.
+    which key and strip each distinct token when a lookup first meets it,
+    and the third fields are converted by bulk(users, grids, raws), given
+    the codes. A block with a token that strips to nothing, whose
+    conversion fails there too (bulk raises ValueError), or that holds a
+    blank or malformed line, is scanned row by row with one((user code,
+    grid code), csv fields, lineno), which raises the first error in file
+    order, with its line number (the csv record number); a csv.Error is
+    raised as MalformedRow. A parse error is raised only once the rest of
+    the file has been read and decodes, so an undecodable file is the
+    IoError a decode of the whole file names.
 
     Each block keeps its converted fields and the runs of equal (user,
     grid) codes in its rows, which _column puts in (grid, user) order.
@@ -906,12 +891,12 @@ def csv_lines(rows):
 
 def parse_occupancy(path_or_text) -> OccupancyArray:
     """Parse `user,grid,count` CSV into an OccupancyArray."""
-    # (user, grid) code pairs, as _table gives them to bulk and one
-    seen: set[tuple[int, int]] = set()
+    # each (user, grid) code pair that _table gives bulk and one, as one int
+    seen: set[int] = set()
 
     def bulk(users, grids, raws) -> list[int]:
         counts = list(map(int, raws))
-        pairs = set(zip(users.tolist(), grids.tolist()))
+        pairs = {u << 64 | g for u, g in zip(users.tolist(), grids.tolist())}
         # a count out of range or a repeated pair is reported by the row scan
         in_range = min(counts) >= 1 and max(counts) <= COUNT_MAX
         if not in_range or len(pairs) < len(counts) or not seen.isdisjoint(pairs):
@@ -929,9 +914,10 @@ def parse_occupancy(path_or_text) -> OccupancyArray:
             raise NonPositiveCount(f"line {lineno}: count {m} must be >= 1")
         if m > COUNT_MAX:
             raise TooLarge(f"line {lineno}: count {m} exceeds 2^63 - 1")
-        if pair in seen:
+        key = pair[0] << 64 | pair[1]
+        if key in seen:
             raise DuplicateEntry(f"line {lineno}: duplicate entry ({user}, {grid})")
-        seen.add(pair)
+        seen.add(key)
         return m
 
     grids, users, offsets, ids, _, counts = _table(
